@@ -124,9 +124,15 @@ fn bench_protocol_step(c: &mut Criterion) {
 /// `O(window)`; the **cold** caller (prefix 0 — a restarted process's
 /// full catch-up) pays the full `O(log length)` the old untruncated
 /// promise paid on *every* reply. The delta between these two entries is
-/// the truncation win.
+/// the truncation win. `slotmap_tail_window4_log4096` is the container
+/// read underneath the caught-up reply; the `group_1a_reply_*` pair is
+/// the whole `G1a` handler of an S=8 group (4096 chosen slots and a
+/// window of 4 per shard) before the ballot's first 2a (full promise)
+/// and after it (payload-free).
 fn bench_promise_truncation(c: &mut Criterion) {
+    use esync_core::paxos::group::{GroupMsg, LogGroup, ShardId};
     use esync_core::paxos::multi::{batch_of, MultiMsg, MultiPaxos};
+    use esync_core::paxos::slotlog::SlotMap;
 
     let cfg = TimingConfig::for_n_processes(3).unwrap();
     let build = || {
@@ -170,6 +176,55 @@ fn bench_promise_truncation(c: &mut Criterion) {
         let p = build();
         b.iter(|| black_box(p.vote_report(0).chosen.len()));
     });
+    c.bench_function("slotmap_tail_window4_log4096", |b| {
+        let mut m: SlotMap<u64> = SlotMap::new();
+        for slot in 0..=4100u64 {
+            m.insert(slot, slot);
+        }
+        b.iter(|| black_box(m.tail(black_box(4097)).count()));
+    });
+
+    // The same log shape in every shard of an S=8 group whose last votes
+    // were cast at ballot 4 (owner p1).
+    let build_group = || {
+        let mut p = LogGroup::new(8).spawn(ProcessId::new(0), &cfg, Value::new(0));
+        let mut out: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
+        p.on_start(&mut out);
+        for shard in (0..8).map(ShardId::new) {
+            let decided = (0..4096u64).map(|slot| MultiMsg::LogDecided {
+                slot,
+                batch: batch_of([Value::new(slot)]),
+            });
+            let voted = (4097..=4100u64).map(|slot| MultiMsg::M2a {
+                mbal: Ballot::new(4),
+                slot,
+                batch: batch_of([Value::new(slot)]),
+            });
+            for msg in decided.chain(voted) {
+                p.on_message(ProcessId::new(1), &GroupMsg::Shard { shard, msg }, &mut out);
+                out.drain();
+            }
+        }
+        (p, out)
+    };
+    // `from`'s re-announcement of `mbal` by a caught-up caller.
+    let reannounce = |c: &mut Criterion, name: &str, from: u32, mbal: u64| {
+        c.bench_function(name, |b| {
+            let (mut p, mut out) = build_group();
+            let g1a = GroupMsg::G1a {
+                mbal: Ballot::new(mbal),
+                prefixes: vec![4096; 8],
+            };
+            b.iter(|| {
+                p.on_message(ProcessId::new(from), &g1a, &mut out);
+                black_box(out.drain().len())
+            });
+        });
+    };
+    // Ballot 8 (owner p2) has sent no 2a: every reply is a full promise.
+    reannounce(c, "group_1a_reply_s8_window4_log4096", 2, 8);
+    // Ballot 4 is in phase 2: the reply is an acknowledgement.
+    reannounce(c, "group_1a_reply_s8_window4_log4096_phase2_seen", 1, 4);
 }
 
 /// The phase-2b tally: the current-ballot cache vs the `BTreeMap` fallback

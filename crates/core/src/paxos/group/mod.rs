@@ -67,7 +67,8 @@ use crate::metrics::Metric;
 use crate::outbox::{Action, Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
 use crate::paxos::multi::{
-    batch_of, Batch, BatchVote, MultiMsg, MultiPaxos, MultiPaxosProcess, SlotVote,
+    batch_of, Batch, BatchVote, MultiMsg, MultiPaxos, MultiPaxosProcess, ReportFold, SlotVote,
+    VoteReport,
 };
 use rebalance::{
     is_ctrl_value, owner_of, Migration, RebalanceConfig, Rebalancer, RouterUpdate,
@@ -83,51 +84,21 @@ use std::fmt;
 pub use crate::paxos::multi::{TIMER_EPSILON, TIMER_SESSION};
 pub use crate::types::ShardId;
 
-/// One shard's highest-accepted vote in one slot, in wire form: the batch
-/// is an owned `Vec` (not the in-memory `Arc`-shared [`Batch`]) so the
-/// promise has a self-contained representation with a byte-exact codec
-/// ([`GroupPromise::encode`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PromisedVote {
-    /// The log slot voted in.
-    pub slot: u64,
-    /// The ballot of the vote (the shard's last vote in this slot).
-    pub bal: Ballot,
-    /// The batch voted for.
-    pub values: Vec<Value>,
-}
-
-/// One shard's slice of a [`GroupPromise`]: the wire form of the plain
-/// layer's truncated [`VoteReport`](crate::paxos::multi::VoteReport) —
-/// the reporter's all-chosen prefix, the chosen entries the 1a caller is
-/// missing, and the live votes at or above the reporter's prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardPromise {
-    /// The reporting shard's all-chosen log prefix (slots below it are
-    /// final — the new leader must not propose fresh batches there).
-    pub prefix: u64,
-    /// Chosen entries at or above the caller's prefix, as
-    /// `(slot, values)` (final; the caller's catch-up material).
-    pub chosen: Vec<(u64, Vec<Value>)>,
-    /// Live votes at or above the reporter's prefix, for slots not
-    /// chosen at the reporter.
-    pub votes: Vec<PromisedVote>,
-}
-
 /// The phase-1b payload of a group-level session: for each shard of the
-/// promising process, its truncated vote report (chosen catch-up entries
-/// plus live votes — see [`ShardPromise`]). One `GroupPromise` replaces
-/// the `S` separate per-shard `M1b`s of a per-shard-session design; the
-/// ballot owner folds a majority of promises into per-shard chosen and
-/// best-vote maps ([`GroupPromise::fold_into`]) and anchors all shards
-/// from them. Reports are truncated at the all-chosen prefix, so the
-/// promise re-sent on every ε re-announcement is `O(in-flight window)`
-/// per shard, not `O(log length)`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// promising process, its truncated [`VoteReport`] — the plain layer's
+/// phase-1b payload, one per shard. One `GroupPromise` replaces the `S`
+/// separate per-shard `M1b`s of a per-shard-session design; the ballot
+/// owner folds a majority of promises into one [`ReportFold`] per shard
+/// ([`GroupPromise::fold_into`]) and anchors all shards from them.
+/// Reports are truncated at the all-chosen prefix, so a promise is
+/// `O(in-flight window)` per shard, not `O(log length)`; once the ballot
+/// is in phase 2 ([`MultiPaxosProcess::phase2_seen`]) the reply to an ε
+/// re-announcement carries no report at all.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupPromise {
     /// Per-shard reports, indexed by shard; `shards.len()` is the
-    /// promising process's shard count.
-    pub shards: Vec<ShardPromise>,
+    /// promising process's shard count (zero for a payload-free reply).
+    pub shards: Vec<VoteReport>,
 }
 
 /// A [`GroupPromise`] byte string failed to decode.
@@ -158,66 +129,22 @@ impl GroupPromise {
             shards: shards
                 .iter()
                 .enumerate()
-                .map(|(s, p)| {
-                    let caller = prefixes.get(s).copied().unwrap_or(0);
-                    let report = p.vote_report(caller);
-                    ShardPromise {
-                        prefix: report.prefix,
-                        chosen: report
-                            .chosen
-                            .into_iter()
-                            .map(|(slot, batch)| (slot, batch.to_vec()))
-                            .collect(),
-                        votes: report
-                            .votes
-                            .into_iter()
-                            .map(|sv: SlotVote| PromisedVote {
-                                slot: sv.slot,
-                                bal: sv.vote.bal,
-                                values: sv.vote.batch.to_vec(),
-                            })
-                            .collect(),
-                    }
-                })
+                .map(|(s, p)| p.vote_report(prefixes.get(s).copied().unwrap_or(0)))
                 .collect(),
         }
     }
 
-    /// Folds this promise into per-shard chosen and best-vote maps (one
-    /// pair per shard of the folding group): chosen entries are final
-    /// (first report wins — identical by agreement), and for every voted
-    /// slot the highest-ballot vote across every promise folded so far
-    /// wins — the leader's phase-1b value-selection rule, per shard.
-    /// Reports for shards beyond `best.len()` are ignored (heterogeneous
-    /// shard counts are outside the model).
-    pub fn fold_into(
-        &self,
-        chosen: &mut [BTreeMap<u64, Batch>],
-        best: &mut [BTreeMap<u64, BatchVote>],
-    ) {
+    /// Folds this promise into the folding group's per-shard quorum
+    /// folds ([`ReportFold::fold`], the single log's own rule, shard by
+    /// shard). Reports for shards beyond `folds.len()` are ignored
+    /// (heterogeneous shard counts are outside the model).
+    pub fn fold_into(&self, folds: &mut [ReportFold]) {
         debug_assert!(
-            self.shards.len() <= best.len(),
+            self.shards.len() <= folds.len(),
             "promise reports more shards than the group runs"
         );
-        debug_assert_eq!(chosen.len(), best.len());
-        for ((per_chosen, per_best), report) in chosen
-            .iter_mut()
-            .zip(best.iter_mut())
-            .zip(self.shards.iter())
-        {
-            for (slot, values) in &report.chosen {
-                per_chosen
-                    .entry(*slot)
-                    .or_insert_with(|| batch_of(values.iter().copied()));
-            }
-            for v in &report.votes {
-                // The shared phase-1b value-selection rule (highest
-                // ballot wins per slot) — the same code path the single
-                // log's 1b quorum runs, so the two layers cannot drift.
-                crate::paxos::multi::fold_best_vote(per_best, v.slot, v.bal, || {
-                    batch_of(v.values.iter().copied())
-                });
-            }
+        for (fold, report) in folds.iter_mut().zip(&self.shards) {
+            fold.fold(report);
         }
     }
 
@@ -231,25 +158,25 @@ impl GroupPromise {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let push = |out: &mut Vec<u8>, x: u64| out.extend_from_slice(&x.to_le_bytes());
+        let push_batch = |out: &mut Vec<u8>, batch: &Batch| {
+            push(out, batch.len() as u64);
+            for val in batch.iter() {
+                push(out, val.get());
+            }
+        };
         push(&mut out, self.shards.len() as u64);
         for report in &self.shards {
             push(&mut out, report.prefix);
             push(&mut out, report.chosen.len() as u64);
-            for (slot, values) in &report.chosen {
+            for (slot, batch) in &report.chosen {
                 push(&mut out, *slot);
-                push(&mut out, values.len() as u64);
-                for val in values {
-                    push(&mut out, val.get());
-                }
+                push_batch(&mut out, batch);
             }
             push(&mut out, report.votes.len() as u64);
             for v in &report.votes {
                 push(&mut out, v.slot);
-                push(&mut out, v.bal.get());
-                push(&mut out, v.values.len() as u64);
-                for val in &v.values {
-                    push(&mut out, val.get());
-                }
+                push(&mut out, v.vote.bal.get());
+                push_batch(&mut out, &v.vote.batch);
             }
         }
         out
@@ -277,6 +204,13 @@ impl GroupPromise {
                 self.at = end;
                 Ok(u64::from_le_bytes(buf))
             }
+            /// A length-prefixed batch of values.
+            fn batch(&mut self, what: &'static str) -> Result<Batch, PromiseDecodeError> {
+                let count = self.len(8, what)?;
+                (0..count)
+                    .map(|_| Ok(Value::new(self.u64(what)?)))
+                    .collect()
+            }
             /// A declared element count, sanity-bounded by the remaining
             /// byte budget (each element is at least `min_bytes`), so a
             /// corrupt length cannot trigger a huge allocation.
@@ -298,27 +232,20 @@ impl GroupPromise {
             let chosen_count = r.len(16, "chosen count")?;
             let mut chosen = Vec::with_capacity(chosen_count);
             for _ in 0..chosen_count {
-                let slot = r.u64("chosen slot")?;
-                let value_count = r.len(8, "chosen value count")?;
-                let mut values = Vec::with_capacity(value_count);
-                for _ in 0..value_count {
-                    values.push(Value::new(r.u64("chosen value")?));
-                }
-                chosen.push((slot, values));
+                chosen.push((r.u64("chosen slot")?, r.batch("chosen values")?));
             }
             let vote_count = r.len(24, "vote count")?;
             let mut votes = Vec::with_capacity(vote_count);
             for _ in 0..vote_count {
                 let slot = r.u64("slot")?;
                 let bal = Ballot::new(r.u64("ballot")?);
-                let value_count = r.len(8, "value count")?;
-                let mut values = Vec::with_capacity(value_count);
-                for _ in 0..value_count {
-                    values.push(Value::new(r.u64("value")?));
-                }
-                votes.push(PromisedVote { slot, bal, values });
+                let batch = r.batch("values")?;
+                votes.push(SlotVote {
+                    slot,
+                    vote: BatchVote { bal, batch },
+                });
             }
-            shards.push(ShardPromise {
+            shards.push(VoteReport {
                 prefix,
                 chosen,
                 votes,
@@ -589,20 +516,14 @@ impl Protocol for LogGroup {
 }
 
 /// Leader-side aggregation of group promises: **one** quorum tracker for
-/// the whole group, one chosen map and one best-vote map per shard. The
-/// group analogue of the single log's per-election 1b quorum —
-/// short-lived, rebuilt per ballot attempt.
+/// the whole group, one [`ReportFold`] per shard. The group analogue of
+/// the single log's per-election 1b quorum — short-lived, rebuilt per
+/// ballot attempt.
 #[derive(Debug, Clone)]
 struct Group1bQuorum {
     bal: Ballot,
     tracker: QuorumTracker,
-    /// Highest reported prefix per shard — each shard's `next_slot`
-    /// floor (see `Multi1bQuorum::max_prefix`).
-    prefixes: Vec<u64>,
-    /// Chosen entries reported by the quorum, per shard (final).
-    chosen: Vec<BTreeMap<u64, Batch>>,
-    /// Best (highest-ballot) reported live vote per slot, per shard.
-    best: Vec<BTreeMap<u64, BatchVote>>,
+    folds: Vec<ReportFold>,
 }
 
 impl Group1bQuorum {
@@ -610,9 +531,7 @@ impl Group1bQuorum {
         Group1bQuorum {
             bal,
             tracker: QuorumTracker::new(n),
-            prefixes: vec![0; shards],
-            chosen: vec![BTreeMap::new(); shards],
-            best: vec![BTreeMap::new(); shards],
+            folds: vec![ReportFold::default(); shards],
         }
     }
 
@@ -622,10 +541,15 @@ impl Group1bQuorum {
         if !self.tracker.insert(from) {
             return false;
         }
-        for (floor, report) in self.prefixes.iter_mut().zip(promise.shards.iter()) {
-            *floor = (*floor).max(report.prefix);
-        }
-        promise.fold_into(&mut self.chosen, &mut self.best);
+        // The owner proposes (2a) only after `anchor` consumed this
+        // quorum, so no replier had seen phase 2 of `bal` when it built a
+        // promise folded here: never a payload-free one.
+        debug_assert_eq!(
+            promise.shards.len(),
+            self.folds.len(),
+            "a payload-free promise reached a live quorum"
+        );
+        promise.fold_into(&mut self.folds);
         !before && self.tracker.reached()
     }
 }
@@ -867,10 +791,9 @@ impl LogGroupProcess {
         let bal = q.bal;
         out.metric(Metric::Anchored);
         out.trace(|| TraceEvent::Anchored { ballot: bal.get() });
-        for (s, (chosen, best)) in q.chosen.iter().zip(q.best.iter()).enumerate() {
-            let floor = q.prefixes[s];
+        for (s, fold) in q.folds.iter().enumerate() {
             self.dispatch(ShardId::new(s as u32), out, |p, o| {
-                p.drive_anchor(bal, floor, chosen, best, o);
+                p.drive_anchor(bal, fold, o)
             });
         }
     }
@@ -1335,8 +1258,13 @@ impl Process for LogGroupProcess {
                 if mbal == self.mbal {
                     // One promise answers for every shard (and re-answers
                     // on duplicates: the original may have been lost
-                    // before TS), truncated at the caller's prefixes.
-                    let promise = self.promise(prefixes);
+                    // before TS), truncated at the caller's prefixes —
+                    // or payload-free once the ballot is in phase 2.
+                    let promise = if self.shards.iter().any(|s| s.phase2_seen(mbal)) {
+                        GroupPromise::default()
+                    } else {
+                        self.promise(prefixes)
+                    };
                     out.send(mbal.owner(self.cfg.n()), GroupMsg::G1b { mbal, promise });
                 }
             }
@@ -1576,8 +1504,26 @@ mod tests {
         LogGroup::new(shards).spawn(ProcessId::new(id), &cfg(n), Value::new(0))
     }
 
+    /// The full promise of a group of `shards` shards that never voted.
+    fn blank_promise(shards: usize) -> GroupPromise {
+        GroupPromise {
+            shards: vec![VoteReport::default(); shards],
+        }
+    }
+
+    /// A vote for `values` in `slot` at ballot `bal`.
+    fn vote(slot: u64, bal: u64, values: &[u64]) -> SlotVote {
+        SlotVote {
+            slot,
+            vote: BatchVote {
+                bal: Ballot::new(bal),
+                batch: batch_of(values.iter().copied().map(Value::new)),
+            },
+        }
+    }
+
     /// Anchors the whole group of `p` (id 1 of 3) on ballot 4 by feeding
-    /// the session timer and a quorum of (empty) group promises.
+    /// the session timer and a quorum of blank group promises.
     fn anchor_group(p: &mut LogGroupProcess, o: &mut Outbox<GroupMsg>) -> Ballot {
         p.on_timer(TIMER_SESSION, o);
         o.drain();
@@ -1587,7 +1533,7 @@ mod tests {
                 ProcessId::new(from),
                 &GroupMsg::G1b {
                     mbal: b,
-                    promise: GroupPromise::default(),
+                    promise: blank_promise(p.shard_count()),
                 },
                 o,
             );
@@ -1813,14 +1759,9 @@ mod tests {
         assert!(promise.shards[0].chosen.is_empty(), "shard 0 chose nothing");
         assert_eq!(
             promise.shards[1],
-            ShardPromise {
-                prefix: 0,
-                chosen: vec![],
-                votes: vec![PromisedVote {
-                    slot: 3,
-                    bal: Ballot::new(4),
-                    values: vec![Value::new(7)],
-                }],
+            VoteReport {
+                votes: vec![vote(3, 4, &[7])],
+                ..VoteReport::default()
             }
         );
     }
@@ -1849,6 +1790,113 @@ mod tests {
         assert_eq!(promise.shards.len(), 4);
     }
 
+    /// The promise `p` sends in reply to a G1a for `mbal` from `from`.
+    fn reply_to_g1a(p: &mut LogGroupProcess, from: u32, mbal: Ballot) -> GroupPromise {
+        let mut o = out();
+        p.on_message(
+            ProcessId::new(from),
+            &GroupMsg::G1a {
+                mbal,
+                prefixes: vec![0, 0],
+            },
+            &mut o,
+        );
+        let mut promises = o.drain().into_iter().filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: GroupMsg::G1b { mbal: b, promise },
+            } => {
+                assert_eq!(
+                    (to, b),
+                    (mbal.owner(3), mbal),
+                    "1b goes to the ballot owner"
+                );
+                Some(promise)
+            }
+            _ => None,
+        });
+        let promise = promises
+            .next()
+            .expect("every 1a for our ballot is answered");
+        assert!(promises.next().is_none());
+        promise
+    }
+
+    fn vote_2a(p: &mut LogGroupProcess, from: u32, shard: u32, mbal: Ballot, slot: u64) {
+        let msg = MultiMsg::M2a {
+            mbal,
+            slot,
+            batch: batch_of([Value::new(slot)]),
+        };
+        p.on_message(
+            ProcessId::new(from),
+            &GroupMsg::Shard {
+                shard: ShardId::new(shard),
+                msg,
+            },
+            &mut out(),
+        );
+    }
+
+    #[test]
+    fn g1b_is_full_until_the_ballot_reaches_phase2_then_payload_free() {
+        let mut p = spawn(2, 3, 0);
+        p.on_start(&mut out());
+        vote_2a(&mut p, 1, 1, Ballot::new(1), 0);
+        // Ballot 4 opens: the old vote travels on every re-announcement.
+        let b4 = Ballot::new(4);
+        for _ in 0..2 {
+            let promise = reply_to_g1a(&mut p, 1, b4);
+            assert_eq!(promise.shards.len(), 2);
+            assert_eq!(promise.shards[1].votes, vec![vote(0, 1, &[0])]);
+        }
+        // One 2a at ballot 4, in ANY shard, proves the owner anchored the
+        // whole group: acknowledgement only from here on.
+        vote_2a(&mut p, 1, 0, b4, 3);
+        assert_eq!(reply_to_g1a(&mut p, 1, b4), GroupPromise::default());
+        // A higher ballot is a new election: full promises again …
+        let b8 = Ballot::new(8);
+        let promise = reply_to_g1a(&mut p, 2, b8);
+        assert_eq!(promise.shards[0].votes, vec![vote(3, 4, &[3])]);
+        assert_eq!(promise.shards[1].votes, vec![vote(0, 1, &[0])]);
+        // … until that ballot's own first 2a.
+        vote_2a(&mut p, 2, 1, b8, 0);
+        assert_eq!(reply_to_g1a(&mut p, 2, b8), GroupPromise::default());
+    }
+
+    #[test]
+    fn anchored_group_owner_elides_its_self_addressed_g1b() {
+        let mut p = spawn(2, 3, 1);
+        let mut o = out();
+        p.on_start(&mut o);
+        vote_2a(&mut p, 1, 1, Ballot::new(1), 0); // a vote it would report
+        let b = anchor_group(&mut p, &mut o);
+        assert_eq!(reply_to_g1a(&mut p, 1, b), GroupPromise::default());
+        assert_eq!(
+            p.promise(&[0, 0]).shards[1].votes.len(),
+            1,
+            "the full promise is still there"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "payload-free promise reached a live quorum")]
+    fn live_quorum_rejects_a_payload_free_promise() {
+        let mut p = spawn(2, 3, 1);
+        let mut o = out();
+        p.on_start(&mut o);
+        p.on_timer(TIMER_SESSION, &mut o); // ballot 4, collecting promises
+        p.on_message(
+            ProcessId::new(0),
+            &GroupMsg::G1b {
+                mbal: Ballot::new(4),
+                promise: GroupPromise::default(),
+            },
+            &mut o,
+        );
+    }
+
     #[test]
     fn anchoring_recompletes_reported_slots_per_shard() {
         let mut p = spawn(2, 3, 1);
@@ -1859,15 +1907,10 @@ mod tests {
         // p0's promise reports an old vote in shard 1, slot 7.
         let reported = GroupPromise {
             shards: vec![
-                ShardPromise::default(),
-                ShardPromise {
-                    prefix: 0,
-                    chosen: vec![],
-                    votes: vec![PromisedVote {
-                        slot: 7,
-                        bal: Ballot::new(1),
-                        values: vec![Value::new(70)],
-                    }],
+                VoteReport::default(),
+                VoteReport {
+                    votes: vec![vote(7, 1, &[70])],
+                    ..VoteReport::default()
                 },
             ],
         };
@@ -1878,7 +1921,10 @@ mod tests {
         );
         p.on_message(
             ProcessId::new(2),
-            &GroupMsg::G1b { mbal: Ballot::new(4), promise: GroupPromise::default() },
+            &GroupMsg::G1b {
+                mbal: Ballot::new(4),
+                promise: blank_promise(2),
+            },
             &mut o,
         );
         let acts = o.drain();
@@ -1900,82 +1946,71 @@ mod tests {
 
     /// A promise whose only shard carries `votes` (no chosen entries,
     /// prefix 0).
-    fn votes_promise(votes: Vec<PromisedVote>) -> GroupPromise {
+    fn votes_promise(votes: Vec<SlotVote>) -> GroupPromise {
         GroupPromise {
-            shards: vec![ShardPromise {
-                prefix: 0,
-                chosen: vec![],
+            shards: vec![VoteReport {
                 votes,
+                ..VoteReport::default()
             }],
         }
     }
 
     #[test]
     fn promise_fold_keeps_highest_ballot_vote_per_slot() {
-        let mut chosen = vec![BTreeMap::new()];
-        let mut best = vec![BTreeMap::new()];
-        votes_promise(vec![PromisedVote {
-            slot: 0,
-            bal: Ballot::new(2),
-            values: vec![Value::new(20)],
-        }])
-        .fold_into(&mut chosen, &mut best);
-        votes_promise(vec![
-            PromisedVote { slot: 0, bal: Ballot::new(5), values: vec![Value::new(50)] },
-            PromisedVote { slot: 1, bal: Ballot::new(1), values: vec![Value::new(11)] },
-        ])
-        .fold_into(&mut chosen, &mut best);
-        votes_promise(vec![PromisedVote {
-            slot: 0,
-            bal: Ballot::new(3),
-            values: vec![Value::new(30)],
-        }])
-        .fold_into(&mut chosen, &mut best);
-        assert_eq!(best[0][&0].bal, Ballot::new(5), "highest ballot wins slot 0");
-        assert_eq!(&*best[0][&0].batch, &[Value::new(50)]);
-        assert_eq!(&*best[0][&1].batch, &[Value::new(11)]);
-        assert!(chosen[0].is_empty(), "no chosen entries reported");
+        let mut folds = vec![ReportFold::default()];
+        votes_promise(vec![vote(0, 2, &[20])]).fold_into(&mut folds);
+        votes_promise(vec![vote(0, 5, &[50]), vote(1, 1, &[11])]).fold_into(&mut folds);
+        votes_promise(vec![vote(0, 3, &[30])]).fold_into(&mut folds);
+        let best = &folds[0].best;
+        assert_eq!(best[&0].bal, Ballot::new(5), "highest ballot wins slot 0");
+        assert_eq!(&*best[&0].batch, &[Value::new(50)]);
+        assert_eq!(&*best[&1].batch, &[Value::new(11)]);
+        assert!(folds[0].chosen.is_empty(), "no chosen entries reported");
     }
 
     #[test]
     fn promise_fold_collects_chosen_entries_first_writer_wins() {
-        let mut chosen = vec![BTreeMap::new()];
-        let mut best = vec![BTreeMap::new()];
+        let mut folds = vec![ReportFold::default()];
         GroupPromise {
-            shards: vec![ShardPromise {
+            shards: vec![VoteReport {
                 prefix: 2,
-                chosen: vec![(0, vec![Value::new(5)]), (1, vec![Value::new(6)])],
+                chosen: vec![
+                    (0, batch_of([Value::new(5)])),
+                    (1, batch_of([Value::new(6)])),
+                ],
                 votes: vec![],
             }],
         }
-        .fold_into(&mut chosen, &mut best);
+        .fold_into(&mut folds);
         // A second (identical, by agreement) report does not overwrite.
         GroupPromise {
-            shards: vec![ShardPromise {
+            shards: vec![VoteReport {
                 prefix: 1,
-                chosen: vec![(0, vec![Value::new(5)])],
+                chosen: vec![(0, batch_of([Value::new(5)]))],
                 votes: vec![],
             }],
         }
-        .fold_into(&mut chosen, &mut best);
-        assert_eq!(chosen[0].len(), 2);
-        assert_eq!(&*chosen[0][&0], &[Value::new(5)]);
-        assert_eq!(&*chosen[0][&1], &[Value::new(6)]);
-        assert!(best[0].is_empty());
+        .fold_into(&mut folds);
+        let chosen = &folds[0].chosen;
+        assert_eq!(chosen.len(), 2);
+        assert_eq!(&*chosen[&0], &[Value::new(5)]);
+        assert_eq!(&*chosen[&1], &[Value::new(6)]);
+        assert!(folds[0].best.is_empty());
+        assert_eq!(
+            folds[0].max_prefix, 2,
+            "the highest reporter prefix is the floor"
+        );
     }
 
     #[test]
     fn promise_codec_roundtrips() {
         let p = GroupPromise {
             shards: vec![
-                ShardPromise::default(),
-                ShardPromise {
+                VoteReport::default(),
+                VoteReport {
                     prefix: 2,
-                    chosen: vec![(0, vec![Value::new(40)]), (1, vec![])],
-                    votes: vec![
-                        PromisedVote { slot: 3, bal: Ballot::new(4), values: vec![Value::new(7), Value::new(8)] },
-                        PromisedVote { slot: 9, bal: Ballot::new(1), values: vec![] },
-                    ],
+                    chosen: vec![(0, batch_of([Value::new(40)])), (1, batch_of([]))],
+                    votes: vec![vote(3, 4, &[7, 8]), vote(9, 1, &[])],
                 },
             ],
         };
@@ -1987,10 +2022,10 @@ mod tests {
     #[test]
     fn promise_codec_rejects_corrupt_input() {
         let p = GroupPromise {
-            shards: vec![ShardPromise {
+            shards: vec![VoteReport {
                 prefix: 1,
-                chosen: vec![(0, vec![Value::new(9)])],
-                votes: vec![PromisedVote { slot: 1, bal: Ballot::new(2), values: vec![Value::new(3)] }],
+                chosen: vec![(0, batch_of([Value::new(9)]))],
+                votes: vec![vote(1, 2, &[3])],
             }],
         };
         let bytes = p.encode();

@@ -96,28 +96,14 @@ pub enum MultiMsg {
         prefix: u64,
     },
     /// Phase 1b: the acceptor's **truncated** vote report (see
-    /// [`MultiPaxosProcess::vote_report`]). Slots below the reporter's
-    /// own all-chosen prefix are final, so they travel as compact chosen
-    /// entries (only those the caller is missing) rather than as votes;
-    /// live votes are reported only at or above the reporter's prefix.
+    /// [`MultiPaxosProcess::vote_report`]) — or, once the ballot is in
+    /// phase 2, a payload-free acknowledgement (see
+    /// [`MultiPaxosProcess::phase2_seen`]).
     M1b {
         /// The joined ballot.
         mbal: Ballot,
-        /// The reporter's all-chosen log prefix. Slots below it are
-        /// committed, so the new leader must never propose fresh batches
-        /// there — the quorum's highest prefix is enforced as a
-        /// `next_slot` floor at anchoring (normally implied by the
-        /// shipped chosen entries; kept independent as defense in
-        /// depth), and together with the chosen entries it replaces the
-        /// old full-history vote list.
-        prefix: u64,
-        /// Chosen log entries at or above the **caller's** prefix — the
-        /// caller's catch-up material (empty when caller and reporter
-        /// are equally caught up).
-        chosen: Vec<(u64, Batch)>,
-        /// Per-slot last votes at or above the reporter's prefix, for
-        /// slots not already chosen at the reporter.
-        votes: Vec<SlotVote>,
+        /// The acceptor's report.
+        report: VoteReport,
     },
     /// Phase 2a for one slot.
     M2a {
@@ -176,64 +162,75 @@ impl MultiMsg {
     }
 }
 
-/// The leader's phase-1b **value-selection rule**, per slot: a reported
-/// vote replaces the current best iff its ballot is strictly higher.
-/// One implementation shared by the single log's 1b quorum and the
-/// group promise fold ([`crate::paxos::group::GroupPromise::fold_into`])
-/// so the two layers can never select different values for the same
-/// reported votes. `batch` is built lazily, so callers converting from
-/// wire form allocate only when the vote actually wins.
-pub(crate) fn fold_best_vote(
-    best: &mut std::collections::BTreeMap<u64, BatchVote>,
-    slot: u64,
-    bal: Ballot,
-    batch: impl FnOnce() -> Batch,
-) {
-    let better = match best.get(&slot) {
-        None => true,
-        Some(b) => bal > b.bal,
-    };
-    if better {
-        best.insert(slot, BatchVote { bal, batch: batch() });
-    }
-}
-
-/// One acceptor's truncated phase-1b payload (the fields of
-/// [`MultiMsg::M1b`] below the ballot): its all-chosen prefix, the chosen
-/// entries the caller is missing, and its live votes. Built by
-/// [`MultiPaxosProcess::vote_report`]; the log group aggregates one per
-/// shard into its `GroupPromise`.
+/// One acceptor's truncated phase-1b payload: its all-chosen prefix, the
+/// chosen entries the caller is missing, and its live votes. Slots below
+/// the reporter's prefix are final, so they travel as chosen entries
+/// rather than as votes. Built by [`MultiPaxosProcess::vote_report`]; the
+/// payload of [`MultiMsg::M1b`], and — one per shard — of the log group's
+/// [`GroupPromise`](crate::paxos::group::GroupPromise). Batches are
+/// `Arc`-shared with the reporter's log, so building and folding a report
+/// copies no command.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct VoteReport {
-    /// The reporter's all-chosen log prefix.
+    /// The reporter's all-chosen log prefix. Slots below it are
+    /// committed, so the new leader must never propose fresh batches
+    /// there (see [`ReportFold::max_prefix`]).
     pub prefix: u64,
-    /// Chosen entries at or above the caller's prefix.
+    /// Chosen entries at or above the **caller's** prefix — the caller's
+    /// catch-up material (empty when caller and reporter are equally
+    /// caught up).
     pub chosen: Vec<(u64, Batch)>,
     /// Last votes at or above the reporter's prefix, for slots the
     /// reporter has not seen chosen.
     pub votes: Vec<SlotVote>,
 }
 
-/// Leader-side phase-1b aggregation across all slots.
+/// Leader-side fold of one log's phase-1b reports across a quorum — what
+/// anchoring consumes. One implementation shared by the single log's 1b
+/// quorum and the group promise fold, so the two layers can never select
+/// different values for the same reported votes.
 ///
 /// `best`/`chosen` stay `BTreeMap`s: this is a short-lived per-election
 /// structure sized by the *reported* votes, rebuilt on every ballot
 /// attempt — the sharded `SlotMap`'s per-shard allocation would cost more
 /// than it saves on exactly the unstable-period election-churn path.
-#[derive(Debug, Clone)]
-struct Multi1bQuorum {
-    bal: Ballot,
-    tracker: QuorumTracker,
+#[derive(Debug, Clone, Default)]
+pub struct ReportFold {
     /// The highest reporter prefix seen — a floor for the new leader's
     /// `next_slot` (every slot below a reporter's prefix is chosen
     /// *somewhere*), enforced in addition to the shipped chosen entries
     /// as defense in depth.
-    max_prefix: u64,
-    /// Best (highest-ballot) reported live vote per slot.
-    best: std::collections::BTreeMap<u64, BatchVote>,
+    pub max_prefix: u64,
     /// Chosen entries reported by the quorum (final — identical across
     /// reporters by agreement, so first writer wins).
-    chosen: std::collections::BTreeMap<u64, Batch>,
+    pub chosen: std::collections::BTreeMap<u64, Batch>,
+    /// Best reported live vote per slot.
+    pub best: std::collections::BTreeMap<u64, BatchVote>,
+}
+
+impl ReportFold {
+    /// Folds one reporter in. The phase-1b **value-selection rule**, per
+    /// slot: a reported vote replaces the current best iff its ballot is
+    /// strictly higher.
+    pub fn fold(&mut self, report: &VoteReport) {
+        self.max_prefix = self.max_prefix.max(report.prefix);
+        for (slot, batch) in &report.chosen {
+            self.chosen.entry(*slot).or_insert_with(|| batch.clone());
+        }
+        for sv in &report.votes {
+            if self.best.get(&sv.slot).is_none_or(|b| sv.vote.bal > b.bal) {
+                self.best.insert(sv.slot, sv.vote.clone());
+            }
+        }
+    }
+}
+
+/// Leader-side phase-1b aggregation across all slots.
+#[derive(Debug, Clone)]
+struct Multi1bQuorum {
+    bal: Ballot,
+    tracker: QuorumTracker,
+    fold: ReportFold,
 }
 
 impl Multi1bQuorum {
@@ -241,31 +238,17 @@ impl Multi1bQuorum {
         Multi1bQuorum {
             bal,
             tracker: QuorumTracker::new(n),
-            max_prefix: 0,
-            best: std::collections::BTreeMap::new(),
-            chosen: std::collections::BTreeMap::new(),
+            fold: ReportFold::default(),
         }
     }
 
     /// Returns `true` when the majority threshold is crossed by this call.
-    fn record(
-        &mut self,
-        from: ProcessId,
-        prefix: u64,
-        chosen: &[(u64, Batch)],
-        votes: &[SlotVote],
-    ) -> bool {
+    fn record(&mut self, from: ProcessId, report: &VoteReport) -> bool {
         let before = self.tracker.reached();
         if !self.tracker.insert(from) {
             return false;
         }
-        self.max_prefix = self.max_prefix.max(prefix);
-        for (slot, batch) in chosen {
-            self.chosen.entry(*slot).or_insert_with(|| batch.clone());
-        }
-        for sv in votes {
-            fold_best_vote(&mut self.best, sv.slot, sv.vote.bal, || sv.vote.batch.clone());
-        }
+        self.fold.fold(report);
         !before && self.tracker.reached()
     }
 }
@@ -405,6 +388,7 @@ impl Protocol for MultiPaxos {
             decisions: SlotMap::new(),
             p1b: None,
             anchored: None,
+            phase2_at: None,
             proposals: std::collections::BTreeMap::new(),
             max_batch: self.max_batch,
             max_outstanding: self.max_outstanding,
@@ -438,6 +422,8 @@ pub struct MultiPaxosProcess {
     p1b: Option<Multi1bQuorum>,
     /// The ballot we are anchored at (phase 1 complete for all slots).
     anchored: Option<Ballot>,
+    /// The ballot of the last 2a we voted for (see [`Self::phase2_seen`]).
+    phase2_at: Option<Ballot>,
     /// Batches we proposed and that are **not yet chosen** — the live
     /// pipeline, bounded by `max_outstanding` (plus anchoring
     /// re-completions). Entries leave on commit, so the ε re-propose scan
@@ -658,13 +644,13 @@ impl MultiPaxosProcess {
         // anchored: `choose` flushes pending commands into fresh slots
         // when anchored, and that must not happen until `next_slot` has
         // been fixed up past everything the quorum reported.
-        self.learn_chosen(&q.chosen, out);
+        self.learn_chosen(&q.fold.chosen, out);
         self.anchored = Some(q.bal);
         out.metric(Metric::Anchored);
         out.trace(|| TraceEvent::Anchored {
             ballot: q.bal.get(),
         });
-        self.complete_phase1(q.max_prefix, &q.best, out);
+        self.complete_phase1(&q.fold, out);
     }
 
     /// Applies chosen entries reported by a phase-1b quorum: final by
@@ -683,21 +669,16 @@ impl MultiPaxosProcess {
     }
 
     /// The anchoring tail shared by the in-band [`Self::anchor`] and the
-    /// externally driven [`Self::drive_anchor`]: given the highest
-    /// reported live vote per slot (folded across a 1b quorum, with the
-    /// quorum's chosen entries already learned), re-complete every
+    /// externally driven [`Self::drive_anchor`]: given a 1b quorum's
+    /// fold (its chosen entries already learned), re-complete every
     /// reported slot under the current ballot and flush pending commands
     /// into fresh slots.
-    fn complete_phase1(
-        &mut self,
-        floor: u64,
-        best: &std::collections::BTreeMap<u64, BatchVote>,
-        out: &mut Outbox<MultiMsg>,
-    ) {
+    fn complete_phase1(&mut self, quorum: &ReportFold, out: &mut Outbox<MultiMsg>) {
+        let best = &quorum.best;
         // Fresh slots start past the reported votes, our own log's
         // high-water mark (which now covers the quorum's reported chosen
         // entries, plus entries learned via `LogDecided` without any 1b
-        // report covering them), and `floor` — the highest reporter
+        // report covering them), and `max_prefix` — the highest reporter
         // prefix of the quorum, below which every slot is chosen
         // somewhere (normally implied by the shipped chosen entries;
         // enforced independently as defense in depth). This is a
@@ -709,7 +690,7 @@ impl MultiPaxosProcess {
             .next_back()
             .map_or(0, |m| m + 1)
             .max(self.log.max_slot().map_or(0, |m| m + 1))
-            .max(floor);
+            .max(quorum.max_prefix);
         // Re-completions bypass the pipeline window: safety requires every
         // reported slot to finish under the new ballot regardless of load.
         let to_recomplete: Vec<(u64, Batch)> = best
@@ -750,9 +731,9 @@ impl MultiPaxosProcess {
     ///   the choosing majority, and that member either still reports the
     ///   vote (slot at or above its prefix) or ships the final entry.
     ///
-    /// Steady-state cost is `O(in-flight window + prefix lag)` per reply
-    /// — the ROADMAP "promise size" item — while a caller at prefix 0
-    /// (a restarted process) receives the full log in one exchange.
+    /// Cost is `O(in-flight window + prefix lag)` per reply — both tail
+    /// reads visit only `[from, max_slot]` — while a caller at prefix 0
+    /// (a restarted process) is sent the full log in one exchange.
     pub fn vote_report(&self, caller_prefix: u64) -> VoteReport {
         let chosen: Vec<(u64, Batch)> = self
             .log
@@ -775,6 +756,17 @@ impl MultiPaxosProcess {
         }
     }
 
+    /// Whether ballot `b` is in phase 2 as far as this process can tell:
+    /// it voted for a 2a at `b`, or is itself anchored at `b`. The owner
+    /// sends 2a(`b`) only after anchoring consumed its 1b quorum for `b`,
+    /// and a quorum is only ever re-created at a higher ballot — so the
+    /// payload of a 1b for `b` can no longer be read, and every later 1a
+    /// for `b` is answered with a payload-free 1b (the message itself,
+    /// the paper's acknowledgement, is still sent).
+    pub fn phase2_seen(&self, b: Ballot) -> bool {
+        self.phase2_at == Some(b) || self.anchored == Some(b)
+    }
+
     /// Externally driven ballot adoption (log-group shards): raises this
     /// shard's ballot to the group's, dropping leadership state if it was
     /// anchored at a lower ballot — the per-shard half of a **group
@@ -795,28 +787,18 @@ impl MultiPaxosProcess {
     }
 
     /// Externally driven anchoring: the group's shared phase 1 completed
-    /// at ballot `b`; `floor` is the quorum's highest reported prefix
-    /// for this shard, `chosen` holds the final entries the
-    /// group-promise quorum reported for it and `best` its
-    /// highest-ballot reported live vote per slot. Exactly the in-band
-    /// anchoring with
-    /// the quorum supplied from outside: reported chosen entries are
-    /// learned, reported votes re-complete under `b`, covered requeues
-    /// are pruned, pending commands drain into fresh slots.
-    pub fn drive_anchor(
-        &mut self,
-        b: Ballot,
-        floor: u64,
-        chosen: &std::collections::BTreeMap<u64, Batch>,
-        best: &std::collections::BTreeMap<u64, BatchVote>,
-        out: &mut Outbox<MultiMsg>,
-    ) {
+    /// at ballot `b`, and `quorum` is the group-promise quorum's fold for
+    /// this shard. Exactly the in-band anchoring with the quorum supplied
+    /// from outside: reported chosen entries are learned, reported votes
+    /// re-complete under `b`, covered requeues are pruned, pending
+    /// commands drain into fresh slots.
+    pub fn drive_anchor(&mut self, b: Ballot, quorum: &ReportFold, out: &mut Outbox<MultiMsg>) {
         debug_assert!(self.driven, "drive_anchor is for externally driven shards");
         debug_assert!(b >= self.mbal, "anchors never move the ballot backwards");
         self.mbal = b;
-        self.learn_chosen(chosen, out);
+        self.learn_chosen(&quorum.chosen, out);
         self.anchored = Some(b);
-        self.complete_phase1(floor, best, out);
+        self.complete_phase1(quorum, out);
     }
 
     /// Whether any proposed-but-unchosen slot is in flight (the live
@@ -1068,27 +1050,21 @@ impl Process for MultiPaxosProcess {
                     self.adopt(mbal, out);
                 }
                 if mbal == self.mbal {
-                    let report = self.vote_report(*prefix);
-                    out.send(
-                        mbal.owner(self.cfg.n()),
-                        MultiMsg::M1b {
-                            mbal,
-                            prefix: report.prefix,
-                            chosen: report.chosen,
-                            votes: report.votes,
-                        },
-                    );
+                    let report = if self.phase2_seen(mbal) {
+                        VoteReport {
+                            prefix: self.chosen_prefix,
+                            ..VoteReport::default()
+                        }
+                    } else {
+                        self.vote_report(*prefix)
+                    };
+                    out.send(mbal.owner(self.cfg.n()), MultiMsg::M1b { mbal, report });
                 }
             }
-            MultiMsg::M1b {
-                mbal,
-                prefix,
-                chosen,
-                votes,
-            } => {
+            MultiMsg::M1b { mbal, report } => {
                 if *mbal == self.mbal {
                     if let Some(q) = self.p1b.as_mut() {
-                        if q.bal == *mbal && q.record(from, *prefix, chosen, votes) {
+                        if q.bal == *mbal && q.record(from, report) {
                             out.metric(Metric::PromiseQuorum);
                             out.trace(|| TraceEvent::PromiseQuorum {
                                 ballot: mbal.get(),
@@ -1106,6 +1082,7 @@ impl Process for MultiPaxosProcess {
                     if let Some(prev) = self.accepted.get(*slot) {
                         debug_assert!(*mbal >= prev.bal, "slot votes are ballot-monotone");
                     }
+                    self.phase2_at = Some(*mbal);
                     self.accepted.insert(
                         *slot,
                         BatchVote {
@@ -1339,9 +1316,7 @@ mod tests {
             p.on_message(ProcessId::new(from),
                 &MultiMsg::M1b {
                     mbal: b,
-                    prefix: 0,
-                    chosen: vec![],
-                    votes: vec![],
+                    report: VoteReport::default(),
                 },
                 o,
             );
@@ -1510,24 +1485,23 @@ mod tests {
         p.on_message(ProcessId::new(0),
             &MultiMsg::M1b {
                 mbal: b,
-                prefix: 0,
-                chosen: vec![],
-                votes: vec![SlotVote {
-                    slot: 7,
-                    vote: BatchVote {
-                        bal: Ballot::new(1),
-                        batch: one(70),
-                    },
-                }],
+                report: VoteReport {
+                    votes: vec![SlotVote {
+                        slot: 7,
+                        vote: BatchVote {
+                            bal: Ballot::new(1),
+                            batch: one(70),
+                        },
+                    }],
+                    ..VoteReport::default()
+                },
             },
             &mut o,
         );
         p.on_message(ProcessId::new(2),
             &MultiMsg::M1b {
                 mbal: b,
-                prefix: 0,
-                chosen: vec![],
-                votes: vec![],
+                report: VoteReport::default(),
             },
             &mut o,
         );
@@ -1901,6 +1875,112 @@ mod tests {
         o.drain();
         assert!(!p.is_anchored());
         assert_eq!(p.pending_len(), 1, "unchosen proposal requeued");
+    }
+
+    /// The report `p` sends in reply to a 1a for `mbal` from `from`.
+    fn reply_to_1a(p: &mut MultiPaxosProcess, from: u32, mbal: Ballot) -> VoteReport {
+        let mut o = out();
+        p.on_message(
+            ProcessId::new(from),
+            &MultiMsg::M1a { mbal, prefix: 0 },
+            &mut o,
+        );
+        let mut reports = o.drain().into_iter().filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: MultiMsg::M1b { mbal: b, report },
+            } => {
+                assert_eq!(
+                    (to, b),
+                    (mbal.owner(3), mbal),
+                    "1b goes to the ballot owner"
+                );
+                Some(report)
+            }
+            _ => None,
+        });
+        let report = reports.next().expect("every 1a for our ballot is answered");
+        assert!(reports.next().is_none());
+        report
+    }
+
+    fn vote_2a(p: &mut MultiPaxosProcess, from: u32, mbal: Ballot, slot: u64, v: u64) {
+        let mut o = out();
+        p.on_message(
+            ProcessId::new(from),
+            &MultiMsg::M2a {
+                mbal,
+                slot,
+                batch: one(v),
+            },
+            &mut o,
+        );
+    }
+
+    #[test]
+    fn m1b_is_full_until_the_ballot_reaches_phase2_then_payload_free() {
+        let mut p = spawn(3, 0);
+        p.on_start(&mut out());
+        vote_2a(&mut p, 1, Ballot::new(1), 0, 10);
+        // Ballot 4 opens: nothing proves its phase 1 is over, so the old
+        // vote travels — on every re-announcement.
+        let b4 = Ballot::new(4);
+        for _ in 0..2 {
+            let r = reply_to_1a(&mut p, 1, b4);
+            assert_eq!(r.votes.iter().map(|v| v.slot).collect::<Vec<_>>(), vec![0]);
+        }
+        // Its first 2a proves the owner consumed its quorum.
+        vote_2a(&mut p, 1, b4, 1, 11);
+        let r = reply_to_1a(&mut p, 1, b4);
+        assert_eq!(
+            r,
+            VoteReport::default(),
+            "phase 2 seen: acknowledgement only"
+        );
+        // Log decisions move the reported prefix, nothing else.
+        p.on_message(
+            ProcessId::new(1),
+            &MultiMsg::LogDecided {
+                slot: 0,
+                batch: one(10),
+            },
+            &mut out(),
+        );
+        let r = reply_to_1a(&mut p, 1, b4);
+        assert_eq!((r.prefix, r.chosen.len(), r.votes.len()), (1, 0, 0));
+        // A higher ballot is a new election: full reports again (the
+        // chosen entry the caller lacks, and the live vote) …
+        let b8 = Ballot::new(8);
+        let r = reply_to_1a(&mut p, 2, b8);
+        assert_eq!(r.chosen, vec![(0, one(10))]);
+        assert_eq!(
+            r.votes
+                .iter()
+                .map(|v| (v.slot, v.vote.bal))
+                .collect::<Vec<_>>(),
+            vec![(1, b4)]
+        );
+        // … until that ballot's own first 2a.
+        vote_2a(&mut p, 2, b8, 1, 11);
+        assert!(reply_to_1a(&mut p, 2, b8).votes.is_empty());
+    }
+
+    #[test]
+    fn anchored_owner_elides_its_self_addressed_1b() {
+        let mut p = spawn(3, 1);
+        let mut o = out();
+        vote_2a(&mut p, 1, Ballot::new(1), 0, 10); // a vote it would report
+        let b = anchor_p1(&mut p, &mut o);
+        assert!(
+            p.phase2_seen(b),
+            "anchored at b, though its last 2a vote was at ballot 1"
+        );
+        assert_eq!(reply_to_1a(&mut p, 1, b), VoteReport::default());
+        assert_eq!(
+            p.vote_report(0).votes.len(),
+            1,
+            "the full report is still there"
+        );
     }
 
     #[test]

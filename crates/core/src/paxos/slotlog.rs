@@ -133,36 +133,38 @@ impl<T> SlotMap<T> {
 
     /// Iterates occupied `(slot, &entry)` pairs in ascending slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
-            .flat_map(|(i, shard)| {
-                let base = (i as u64) << SHARD_SHIFT;
-                shard
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(off, e)| Some((base + off as u64, e.as_ref()?)))
-            })
+        self.tail(0)
     }
 
     /// Iterates occupied `(slot, &entry)` pairs with `slot ≥ from`, in
     /// ascending order — the hot-tail read (undecided-slot scans start at
-    /// the first unchosen slot, not at slot 0).
+    /// the first unchosen slot, not at slot 0). Visits only the cells of
+    /// `[from, max_slot]`, so a read of the in-flight window costs the
+    /// window, not the shard.
     pub fn tail(&self, from: u64) -> impl Iterator<Item = (u64, &T)> + '_ {
-        let first_shard = (from >> SHARD_SHIFT) as usize;
+        self.cells(from).flat_map(|(first, cells)| {
+            cells
+                .iter()
+                .enumerate()
+                .filter_map(move |(off, e)| Some((first + off as u64, e.as_ref()?)))
+        })
+    }
+
+    /// The cells of `[from, max_slot]`, one `(first slot, cells)` run per
+    /// allocated shard, ascending.
+    fn cells(&self, from: u64) -> impl Iterator<Item = (u64, &[Option<T>])> + '_ {
+        let end = self.max_slot.map_or(0, |m| m + 1);
         self.shards
             .iter()
             .enumerate()
-            .skip(first_shard)
-            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
-            .flat_map(move |(i, shard)| {
+            .skip((from >> SHARD_SHIFT) as usize)
+            .filter_map(move |(i, shard)| {
                 let base = (i as u64) << SHARD_SHIFT;
-                shard.iter().enumerate().filter_map(move |(off, e)| {
-                    let slot = base + off as u64;
-                    let entry = e.as_ref()?;
-                    (slot >= from).then_some((slot, entry))
-                })
+                let lo = from.saturating_sub(base).min(SLOTS_PER_SHARD);
+                let hi = end.saturating_sub(base).min(SLOTS_PER_SHARD);
+                // `lo > hi` (no run) when `from` lies beyond `max_slot`.
+                let cells = shard.as_ref()?.get(lo as usize..hi as usize)?;
+                Some((base + lo, cells))
             })
     }
 
@@ -228,6 +230,43 @@ mod tests {
         let all: Vec<u64> = m.tail(0).map(|(s, _)| s).collect();
         assert_eq!(all, vec![0, 7, 9, SLOTS_PER_SHARD + 1]);
         assert_eq!(m.tail(SLOTS_PER_SHARD * 9).count(), 0);
+    }
+
+    #[test]
+    fn tail_from_a_shards_last_slot_yields_exactly_it() {
+        let last = 2 * SLOTS_PER_SHARD + SHARD_MASK;
+        let mut m = SlotMap::new();
+        m.insert(last, 7u32);
+        assert_eq!(m.tail(last).collect::<Vec<_>>(), vec![(last, &7)]);
+        assert_eq!(m.cells(last).map(|(_, c)| c.len()).sum::<usize>(), 1);
+        assert_eq!(m.tail(last + 1).count(), 0);
+    }
+
+    #[test]
+    fn iter_stops_at_max_slot() {
+        let mut m = SlotMap::new();
+        m.insert(5, 1u32);
+        m.insert(SLOTS_PER_SHARD, 2);
+        assert_eq!(
+            m.iter().collect::<Vec<_>>(),
+            vec![(5, &1), (SLOTS_PER_SHARD, &2)]
+        );
+        // All of shard 0, then one cell of the last shard — not its 1024.
+        let visited: Vec<usize> = m.cells(0).map(|(_, c)| c.len()).collect();
+        assert_eq!(visited, vec![SLOTS_PER_SHARD as usize, 1]);
+    }
+
+    #[test]
+    fn tail_visits_the_window_not_the_shard() {
+        let mut m = SlotMap::new();
+        for s in 0..100u64 {
+            m.insert(s, s);
+        }
+        assert_eq!(
+            m.tail(96).map(|(s, _)| s).collect::<Vec<_>>(),
+            vec![96, 97, 98, 99]
+        );
+        assert_eq!(m.cells(96).map(|(_, c)| c.len()).sum::<usize>(), 4);
     }
 
     #[test]

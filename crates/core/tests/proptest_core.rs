@@ -170,17 +170,40 @@ proptest! {
     /// The slot-range-sharded log store is observationally equivalent to a
     /// reference `BTreeMap` model under arbitrary interleavings of
     /// inserts, point lookups and tail reads (the replicated-log access
-    /// mix), including cross-shard slot ranges.
+    /// mix), including cross-shard slot ranges. Tail reads are bounded
+    /// to `[from, max_slot]` internally, so they are also checked from
+    /// every edge of that interval: mid-shard, exactly on a shard
+    /// boundary (slots 0..5000 leave shards unallocated in between), at
+    /// `max_slot`, and beyond it.
     #[test]
     fn slotmap_matches_btreemap_model(
-        ops in proptest::collection::vec((0u32..4, 0u64..5000, 0u64..1000), 0..300)
+        ops in proptest::collection::vec((0u32..5, 0u64..5000, 0u64..1000), 0..300)
     ) {
-        use esync_core::paxos::slotlog::SlotMap;
+        use esync_core::paxos::slotlog::{SlotMap, SLOTS_PER_SHARD};
         use std::collections::BTreeMap;
         let mut sharded: SlotMap<u64> = SlotMap::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for (op, slot, val) in ops {
             match op {
+                4 => {
+                    let max = model.keys().next_back().copied().unwrap_or(0);
+                    let boundary = slot / SLOTS_PER_SHARD * SLOTS_PER_SHARD;
+                    let edges = [
+                        boundary,
+                        boundary.saturating_sub(1),
+                        boundary + SLOTS_PER_SHARD,
+                        max,
+                        max + 1,
+                        max + SLOTS_PER_SHARD,
+                    ];
+                    for from in edges {
+                        let tail: Vec<(u64, u64)> =
+                            sharded.tail(from).map(|(s, v)| (s, *v)).collect();
+                        let model_tail: Vec<(u64, u64)> =
+                            model.range(from..).map(|(s, v)| (*s, *v)).collect();
+                        prop_assert_eq!(tail, model_tail, "tail({})", from);
+                    }
+                }
                 // Bias toward inserts so the maps actually fill up.
                 0 | 1 => {
                     prop_assert_eq!(sharded.insert(slot, val), model.insert(slot, val));
@@ -203,6 +226,8 @@ proptest! {
         let all: Vec<(u64, u64)> = sharded.iter().map(|(s, v)| (s, *v)).collect();
         let model_all: Vec<(u64, u64)> = model.iter().map(|(s, v)| (*s, *v)).collect();
         prop_assert_eq!(all, model_all);
+        let values: Vec<u64> = sharded.values().copied().collect();
+        prop_assert_eq!(values, model.values().copied().collect::<Vec<_>>());
     }
 }
 
@@ -237,7 +262,7 @@ proptest! {
         o.drain();
         let bal = Ballot::new(4);
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from), &MultiMsg::M1b { mbal: bal, prefix: 0, chosen: vec![], votes: vec![] }, &mut o);
+            p.on_message(ProcessId::new(from), &MultiMsg::M1b { mbal: bal, report: Default::default() }, &mut o);
         }
         o.drain();
 
@@ -339,7 +364,7 @@ proptest! {
     ) {
         use esync_core::outbox::{Outbox, Process, Protocol};
         use esync_core::paxos::group::{GroupMsg, GroupPromise, LogGroup, ShardId};
-        use esync_core::paxos::multi::{batch_of, MultiMsg};
+        use esync_core::paxos::multi::{batch_of, MultiMsg, ReportFold};
         use std::collections::BTreeMap;
 
         let n = 3usize;
@@ -379,10 +404,7 @@ proptest! {
         // Per process: the promise reports exactly the accepted votes
         // (nothing is chosen in this model, so reports are pure votes at
         // prefix 0), and survives the byte codec unchanged.
-        let mut chosen: Vec<std::collections::BTreeMap<u64, esync_core::paxos::multi::Batch>> =
-            vec![BTreeMap::new(); shards];
-        let mut best: Vec<std::collections::BTreeMap<u64, esync_core::paxos::multi::BatchVote>> =
-            vec![BTreeMap::new(); shards];
+        let mut folds = vec![ReportFold::default(); shards];
         for (p, proc) in procs.iter().enumerate() {
             let promise = proc.promise(&vec![0u64; shards]);
             prop_assert_eq!(promise.shards.len(), shards);
@@ -401,19 +423,19 @@ proptest! {
                     .votes
                     .iter()
                     .map(|v| {
-                        prop_assert_eq!(v.values.len(), 1);
-                        Ok((v.slot, v.bal, v.values[0]))
+                        prop_assert_eq!(v.vote.batch.len(), 1);
+                        Ok((v.slot, v.vote.bal, v.vote.batch[0]))
                     })
                     .collect::<Result<_, _>>()?;
                 prop_assert_eq!(got, expect, "p{} shard {} promise mismatch", p, s);
             }
-            decoded.fold_into(&mut chosen, &mut best);
+            decoded.fold_into(&mut folds);
         }
 
         // Folded across all promises: the highest-ballot vote per
         // (shard, slot) anywhere wins — the value a new group leader
         // re-completes that slot with.
-        for (s, folded) in best.iter().enumerate() {
+        for (s, folded) in folds.iter().map(|f| &f.best).enumerate() {
             let mut expect: BTreeMap<u64, (Ballot, Value)> = BTreeMap::new();
             for acc in &accepted {
                 for ((sh, slot), (bal, v)) in acc {
@@ -452,6 +474,11 @@ proptest! {
     /// * **router-epoch agreement** — every process (restarted ones
     ///   included, via the control-entry walk / epoch re-announcement)
     ///   ends on the same epoch and the same boundaries.
+    ///
+    /// Along the way, a **payload-free `G1b`** (the reply of a process
+    /// that has seen the ballot's phase 2) is only ever delivered to an
+    /// anchored owner — never to one still collecting its promise quorum,
+    /// which is what makes dropping the payload safe.
     ///
     /// The anchor stays up (anchor churn is `tests/leader_churn.rs` /
     /// `tests/rebalance_smoke.rs` territory — its duplicates are the
@@ -519,6 +546,12 @@ proptest! {
                     prop_assert!(delivered < 200_000, "message storm: the net never drains");
                     if !alive[to.as_usize()] {
                         continue;
+                    }
+                    if let GroupMsg::G1b { promise, .. } = &msg {
+                        prop_assert!(
+                            !promise.shards.is_empty() || procs[to.as_usize()].is_anchored(),
+                            "payload-free promise from {} reached unanchored {}", from, to
+                        );
                     }
                     let mut o = Outbox::new(now);
                     procs[to.as_usize()].on_message(from, &msg, &mut o);

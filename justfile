@@ -61,3 +61,16 @@ health:
 # any watchdog fired). `just health` regenerates the artifact first.
 health-check:
     cargo run -q --release -p esync-check --bin health_check
+
+# The performance benchmark (BENCHMARK.json): every workload, 5 interleaved
+# repetitions + one traced pass + the probes; every metric by name with
+# its unit and a per-layer ledger per workload (~2.5 min). For a host-time
+# claim, compare two commits with `benchmark/run.sh compare A.json B.json`.
+benchmark:
+    bash benchmark/run.sh
+
+# The same at 1/20 size with every output check on (< 20 s), plus the
+# benchmark crate's own tests — what CI's benchmark-smoke job runs.
+benchmark-quick:
+    bash benchmark/run.sh --quick
+    cargo test --manifest-path benchmark/Cargo.toml --release --offline

@@ -111,7 +111,11 @@ fn crashing_the_anchored_leader_mid_closed_loop_completes_on_the_simulator() {
         "duplicate rate unbounded: {} > {DUP_BOUND}",
         summary.duplicate_commits
     );
-    // The crashed-and-restarted leader converges to the same log.
+    // Some replica holds a log. Nothing here asserts that the
+    // crashed-and-restarted leader caught up: it does so only when it
+    // wins the next ballot (the 1b quorum then ships it the chosen
+    // tail); as a follower, nobody re-sends it the `LogDecided`s it
+    // missed (ROADMAP, Durability: follower catch-up).
     let reference: Vec<u64> = world
         .process(ProcessId::new(0))
         .log_values()

@@ -14,20 +14,18 @@
 //! processes. This module applies the phase-1-in-advance trick **across
 //! shards**:
 //!
-//! * A [`LogGroup`] spawns, per process, a group of `S` *externally
-//!   driven* [`MultiPaxosProcess`] shards
-//!   ([`MultiPaxos::spawn_driven`]): each shard keeps its own log, slot
-//!   pipeline, batching and admission dedup, but arms no timers and runs
-//!   no phase 1 of its own.
-//! * The group owns **one ballot, one session timer, one ε tick**. Phase
-//!   1 is a single [`GroupMsg::G1a`]/[`GroupMsg::G1b`] exchange whose 1b
-//!   payload is a [`GroupPromise`] aggregating *every* shard's
-//!   highest-accepted votes; the quorum anchors all `S` shards at once
-//!   ([`MultiPaxosProcess::drive_anchor`]). Idle-period traffic is
-//!   therefore independent of `S` (experiment W4 measures this), and a
-//!   leadership change is **one group event**: killing the group anchor
-//!   drops exactly one anchor and one re-election recovers all shards —
-//!   shard leaders can no longer scatter across processes.
+//! * A [`LogGroup`] spawns, per process, `S` [`LogShard`]s — each its
+//!   own log, slot pipeline, batching and admission dedup, the same type
+//!   the plain log hosts once — under **one** `LogSession`: one ballot,
+//!   one session timer, one ε tick.
+//! * Phase 1 is a single [`GroupMsg::G1a`]/[`GroupMsg::G1b`] exchange
+//!   whose 1b payload is a [`GroupPromise`] aggregating *every* shard's
+//!   highest-accepted votes; the quorum anchors all `S` shards at once.
+//!   Idle-period traffic is therefore independent of `S` (experiment W4
+//!   measures this), and a leadership change is **one group event**:
+//!   killing the group anchor drops exactly one anchor and one
+//!   re-election recovers all shards — shard leaders can no longer
+//!   scatter across processes.
 //! * Below phase 1, every wire message is shard-tagged
 //!   ([`GroupMsg::Shard`]) and every commit carries its [`ShardId`] via
 //!   [`Outbox::decide_in_shard`](crate::outbox::Outbox::decide_in_shard),
@@ -35,13 +33,12 @@
 //! * Client commands are routed by their KV key through a pluggable
 //!   [`ShardRouter`] (default: `kv_key(value) % S`).
 //!
-//! **`S = 1` is bit-identical to the plain [`MultiPaxos`] layer**: the
-//! group's session machinery is the single log's session machinery
-//! hoisted up one level — same timer ids, same suppression and gating
-//! rules, same action order per event, with `G1a`/`G1b` standing in for
-//! `M1a`/`M1b` one for one — so the workload smoke suite asserts equal
-//! `WorkloadSummary`s, event counts and per-kind message counts seed for
-//! seed.
+//! **`S = 1` is bit-identical to the plain [`MultiPaxos`] layer**: both
+//! host the same session type over the same shard type — same timer ids,
+//! same suppression and gating rules, same action order per event, with
+//! `G1a`/`G1b` standing in for `M1a`/`M1b` one for one — so the workload
+//! smoke suite asserts equal `WorkloadSummary`s, event counts and
+//! per-kind message counts seed for seed.
 //!
 //! Shards are independent by design: there is **no cross-shard
 //! ordering**. The group exposes a merged committed-prefix view
@@ -66,18 +63,15 @@ use crate::config::TimingConfig;
 use crate::metrics::Metric;
 use crate::outbox::{Action, Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
+use crate::paxos::log_session::LogSession;
 use crate::paxos::multi::{
-    batch_of, Batch, BatchVote, MultiMsg, MultiPaxos, MultiPaxosProcess, ReportFold, SlotVote,
-    VoteReport,
-};
-use rebalance::{
-    is_ctrl_value, owner_of, Migration, RebalanceConfig, Rebalancer, RouterUpdate,
+    batch_of, Batch, BatchVote, LogShard, MultiMsg, MultiPaxos, MultiPaxosProcess, ReportFold,
+    SlotVote, VoteReport,
 };
 use crate::paxos::slotlog::SlotMap;
-use crate::quorum::QuorumTracker;
-use crate::time::LocalInstant;
 use crate::trace::TraceEvent;
 use crate::types::{kv_key, ProcessId, TimerId, Value};
+use rebalance::{is_ctrl_value, owner_of, Migration, RebalanceConfig, Rebalancer, RouterUpdate};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -92,8 +86,8 @@ pub use crate::types::ShardId;
 /// ([`GroupPromise::fold_into`]) and anchors all shards from them.
 /// Reports are truncated at the all-chosen prefix, so a promise is
 /// `O(in-flight window)` per shard, not `O(log length)`; once the ballot
-/// is in phase 2 ([`MultiPaxosProcess::phase2_seen`]) the reply to an ε
-/// re-announcement carries no report at all.
+/// is in phase 2 (see [`MultiPaxosProcess::phase2_seen`]) the reply to an
+/// ε re-announcement carries no report at all.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupPromise {
     /// Per-shard reports, indexed by shard; `shards.len()` is the
@@ -112,28 +106,17 @@ pub struct PromiseDecodeError {
 
 impl fmt::Display for PromiseDecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid GroupPromise encoding: {} at byte {}", self.what, self.at)
+        write!(
+            f,
+            "invalid GroupPromise encoding: {} at byte {}",
+            self.what, self.at
+        )
     }
 }
 
 impl std::error::Error for PromiseDecodeError {}
 
 impl GroupPromise {
-    /// Builds the promise of a group: every shard's
-    /// [`MultiPaxosProcess::vote_report`] relative to the 1a caller's
-    /// per-shard prefixes, in shard order. A caller prefix beyond
-    /// `prefixes.len()` (heterogeneous shard counts are outside the
-    /// model) is treated as zero — the full-catch-up reply.
-    pub fn of_shards(shards: &[MultiPaxosProcess], prefixes: &[u64]) -> GroupPromise {
-        GroupPromise {
-            shards: shards
-                .iter()
-                .enumerate()
-                .map(|(s, p)| p.vote_report(prefixes.get(s).copied().unwrap_or(0)))
-                .collect(),
-        }
-    }
-
     /// Folds this promise into the folding group's per-shard quorum
     /// folds ([`ReportFold::fold`], the single log's own rule, shard by
     /// shard). Reports for shards beyond `folds.len()` are ignored
@@ -214,7 +197,11 @@ impl GroupPromise {
             /// A declared element count, sanity-bounded by the remaining
             /// byte budget (each element is at least `min_bytes`), so a
             /// corrupt length cannot trigger a huge allocation.
-            fn len(&mut self, min_bytes: usize, what: &'static str) -> Result<usize, PromiseDecodeError> {
+            fn len(
+                &mut self,
+                min_bytes: usize,
+                what: &'static str,
+            ) -> Result<usize, PromiseDecodeError> {
                 let at = self.at;
                 let n = self.u64(what)?;
                 let budget = (self.bytes.len() - self.at) / min_bytes.max(1);
@@ -353,9 +340,7 @@ impl ShardRouter {
         debug_assert!(shards >= 1);
         let s = match self {
             ShardRouter::Modulo => (key % shards as u64) as u32,
-            ShardRouter::Range(bounds) => {
-                bounds.partition_point(|b| key >= *b) as u32
-            }
+            ShardRouter::Range(bounds) => bounds.partition_point(|b| key >= *b) as u32,
         };
         debug_assert!((s as usize) < shards, "router stayed in range");
         ShardId::new(s)
@@ -493,19 +478,12 @@ impl Protocol for LogGroup {
 
     fn spawn(&self, id: ProcessId, cfg: &TimingConfig, _initial: Value) -> LogGroupProcess {
         LogGroupProcess {
-            id,
-            cfg: *cfg,
-            mbal: Ballot::initial(id),
+            session: LogSession::new(id, cfg),
             shards: (0..self.shards)
-                .map(|_| self.inner.spawn_driven(id, cfg))
+                .map(|_| self.inner.spawn_shard(cfg))
                 .collect(),
             router: self.router.clone(),
             scratch: Outbox::default(),
-            p1b: None,
-            anchored: None,
-            session_heard: QuorumTracker::new(cfg.n()),
-            timer_expired: false,
-            last_p1a2a: None,
             epoch: 0,
             ctrl_scan: 0,
             rebalance: self.rebalance.clone().map(Rebalancer::new),
@@ -515,74 +493,21 @@ impl Protocol for LogGroup {
     }
 }
 
-/// Leader-side aggregation of group promises: **one** quorum tracker for
-/// the whole group, one [`ReportFold`] per shard. The group analogue of
-/// the single log's per-election 1b quorum — short-lived, rebuilt per
-/// ballot attempt.
-#[derive(Debug, Clone)]
-struct Group1bQuorum {
-    bal: Ballot,
-    tracker: QuorumTracker,
-    folds: Vec<ReportFold>,
-}
-
-impl Group1bQuorum {
-    fn new(bal: Ballot, n: usize, shards: usize) -> Self {
-        Group1bQuorum {
-            bal,
-            tracker: QuorumTracker::new(n),
-            folds: vec![ReportFold::default(); shards],
-        }
-    }
-
-    /// Returns `true` when the majority threshold is crossed by this call.
-    fn record(&mut self, from: ProcessId, promise: &GroupPromise) -> bool {
-        let before = self.tracker.reached();
-        if !self.tracker.insert(from) {
-            return false;
-        }
-        // The owner proposes (2a) only after `anchor` consumed this
-        // quorum, so no replier had seen phase 2 of `bal` when it built a
-        // promise folded here: never a payload-free one.
-        debug_assert_eq!(
-            promise.shards.len(),
-            self.folds.len(),
-            "a payload-free promise reached a live quorum"
-        );
-        promise.fold_into(&mut self.folds);
-        !before && self.tracker.reached()
-    }
-}
-
 /// One process's group of shard state machines plus the **shared
 /// session**: one ballot, one session timer, one ε tick, one phase-1
 /// exchange anchoring all shards at once.
 #[derive(Debug, Clone)]
 pub struct LogGroupProcess {
-    id: ProcessId,
-    cfg: TimingConfig,
-    /// The group ballot — every shard's ballot, kept in sync.
-    mbal: Ballot,
-    shards: Vec<MultiPaxosProcess>,
+    /// The shared session; its election folds one [`ReportFold`] per
+    /// shard out of the [`GroupPromise`]s.
+    session: LogSession<Vec<ReportFold>>,
+    shards: Vec<LogShard>,
     router: ShardRouter,
     /// Reused inner outbox: shard handlers emit untagged actions into it,
     /// and [`LogGroupProcess::dispatch`] maps them into the driver-facing
     /// outbox — one buffer for the process's lifetime, no per-event
     /// allocation.
     scratch: Outbox<MultiMsg>,
-    /// The in-flight group-promise quorum for a ballot we started.
-    p1b: Option<Group1bQuorum>,
-    /// The group ballot we are anchored at (shared phase 1 complete for
-    /// all shards).
-    anchored: Option<Ballot>,
-    /// Processes heard from with a message of our current session
-    /// (Start Phase 1 condition (ii)), group-wide.
-    session_heard: QuorumTracker,
-    /// Whether the (single) session timer has expired in this session.
-    timer_expired: bool,
-    /// Instant of our last 1a or 2a send — any shard's 2a counts, so one
-    /// busy shard keeps the whole group's ε retransmission quiet.
-    last_p1a2a: Option<LocalInstant>,
     /// The router epoch this process has applied: bumped once per
     /// committed boundary move, in shard-0 slot order, identically at
     /// every process.
@@ -621,7 +546,7 @@ impl LogGroupProcess {
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn shard(&self, shard: ShardId) -> &MultiPaxosProcess {
+    pub fn shard(&self, shard: ShardId) -> &LogShard {
         &self.shards[shard.as_usize()]
     }
 
@@ -630,14 +555,15 @@ impl LogGroupProcess {
         self.router.route(kv_key(value), self.shards.len())
     }
 
-    /// The group's current ballot (every shard runs at this ballot).
+    /// The group's current ballot (every shard votes and proposes under
+    /// it).
     pub fn mbal(&self) -> Ballot {
-        self.mbal
+        self.session.mbal()
     }
 
     /// The group's current session.
     pub fn session(&self) -> Session {
-        self.mbal.session(self.cfg.n())
+        self.session.session()
     }
 
     /// Whether this process is the anchored group leader: the shared
@@ -645,19 +571,26 @@ impl LogGroupProcess {
     /// single 2a/2b round trip. The group-level analogue of
     /// [`MultiPaxosProcess::is_anchored`].
     pub fn is_anchored(&self) -> bool {
-        self.anchored == Some(self.mbal) && self.mbal.owner(self.cfg.n()) == self.id
+        self.session.is_anchored()
     }
 
     /// This group's phase-1b payload relative to the 1a caller's
-    /// per-shard prefixes: every shard's truncated report, aggregated
-    /// into one promise.
+    /// per-shard prefixes: every shard's [`LogShard::vote_report`], in
+    /// shard order, aggregated into one promise. A caller prefix beyond
+    /// `caller_prefixes.len()` (heterogeneous shard counts are outside
+    /// the model) is treated as zero — the full-catch-up reply.
     pub fn promise(&self, caller_prefixes: &[u64]) -> GroupPromise {
-        GroupPromise::of_shards(&self.shards, caller_prefixes)
+        let report = |(s, shard): (usize, &LogShard)| {
+            shard.vote_report(caller_prefixes.get(s).copied().unwrap_or(0))
+        };
+        GroupPromise {
+            shards: self.shards.iter().enumerate().map(report).collect(),
+        }
     }
 
     /// The merged committed-prefix view: every entry of every shard's
     /// **all-chosen prefix** (see
-    /// [`MultiPaxosProcess::chosen_prefix`]), deterministically
+    /// [`LogShard::chosen_prefix`]), deterministically
     /// interleaved in ascending `(slot, shard)` order. The cross-shard
     /// apply order a state machine above the group would consume.
     pub fn merged_prefix(&self) -> Vec<(ShardId, u64, &Batch)> {
@@ -689,112 +622,64 @@ impl LogGroupProcess {
         self.epoch
     }
 
-    fn broadcast_g1a(&mut self, out: &mut Outbox<GroupMsg>) {
-        let mbal = self.mbal;
-        out.trace(|| TraceEvent::OneASent { ballot: mbal.get() });
-        out.metric(Metric::OneASent);
-        let prefixes = self.shards.iter().map(|s| s.chosen_prefix()).collect();
-        out.broadcast(GroupMsg::G1a {
-            mbal: self.mbal,
-            prefixes,
-        });
-        self.last_p1a2a = Some(out.now());
-    }
-
-    fn enter_session(&mut self, announce: bool, out: &mut Outbox<GroupMsg>) {
-        self.session_heard.clear();
-        self.timer_expired = false;
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        if announce {
-            self.broadcast_g1a(out);
-        }
-    }
-
-    /// Raises every shard's ballot to the group's — the fan-out half of a
-    /// group adopt/start: shards anchored at a lower ballot unanchor
-    /// (requeueing their unchosen proposals) in the same step, so
-    /// unanchoring is always a group event.
-    fn sync_shards(&mut self, b: Ballot) {
-        for s in &mut self.shards {
-            s.drive_ballot(b);
-        }
+    fn announce(&mut self, out: &mut Outbox<GroupMsg>) {
+        let g1a = GroupMsg::G1a {
+            mbal: self.session.mbal(),
+            prefixes: self.shards.iter().map(|s| s.chosen_prefix()).collect(),
+        };
+        self.session.announce(g1a, out);
     }
 
     /// Adopts a higher group ballot seen in a `G1a` or shard-tagged 2a;
-    /// enters its session if that is higher than ours. Mirrors the single
-    /// log's adopt, with the unanchor fanned out to every shard.
+    /// enters its session if that is higher than ours. Unanchoring is
+    /// always a group event: every shard requeues its unchosen proposals
+    /// in the same step.
     fn adopt(&mut self, b: Ballot, out: &mut Outbox<GroupMsg>) {
-        debug_assert!(b > self.mbal);
-        let old_session = self.session();
-        self.mbal = b;
-        if self.p1b.as_ref().is_some_and(|q| q.bal < b) {
-            self.p1b = None;
-        }
-        let unanchored = self.anchored.is_some_and(|ab| ab < b);
-        if unanchored {
-            let dropped = self.anchored.take().expect("checked above");
-            out.metric(Metric::Unanchored);
-            out.trace(|| TraceEvent::Unanchored {
-                ballot: dropped.get(),
-            });
-        }
-        self.sync_shards(b);
-        if unanchored {
-            // An anchor lost mid-migration aborts it — after the shards
-            // synced to the new ballot, so frozen commands re-enter
-            // through the still-current routing as *held* commands and
-            // forward to the new presumed leader (not as proposals under
-            // the dying ballot). The control entry, if already proposed,
-            // either dies with our ballot or is revived by a later phase
-            // 1 and applies epoch-ordered at every process — both safe.
+        let adopted = self.session.adopt(b, out);
+        if adopted.unanchored {
+            for s in &mut self.shards {
+                s.unanchor();
+            }
+            // This host's order, pinned by the trace: an anchor lost
+            // mid-migration aborts it after the shards unanchored and
+            // before session entry, so frozen commands re-enter through
+            // the still-current routing as *held* commands and forward
+            // to the new presumed leader (not as proposals under the
+            // dying ballot) ahead of the 1a. The control entry, if
+            // already proposed, either dies with our ballot or is
+            // revived by a later phase 1 and applies epoch-ordered at
+            // every process — both safe.
             self.abort_migration(out);
         }
-        if b.session(self.cfg.n()) > old_session {
-            self.enter_session(true, out);
+        if adopted.new_session {
+            self.session.enter_session(out);
+            self.announce(out);
         }
     }
 
     /// The paper's **Start Phase 1**, once for the whole group.
-    fn start_phase1(&mut self, out: &mut Outbox<GroupMsg>) {
-        let next = self.mbal.next_session(self.id, self.cfg.n());
-        self.mbal = next;
-        self.p1b = Some(Group1bQuorum::new(next, self.cfg.n(), self.shards.len()));
-        self.anchored = None;
-        self.sync_shards(next);
-        self.enter_session(false, out);
-        self.broadcast_g1a(out);
-    }
-
     fn try_start_phase1(&mut self, out: &mut Outbox<GroupMsg>) {
-        if !self.timer_expired {
-            return;
-        }
-        // An anchored group leader has nothing to gain from a fresh
-        // session: its shared phase 1 already covers every slot of every
-        // shard.
-        if self.is_anchored() {
-            return;
-        }
-        if self.session() == Session::ZERO || self.session_heard.reached() {
-            self.start_phase1(out);
+        let shards = self.shards.len();
+        if self
+            .session
+            .try_start_phase1(|| vec![ReportFold::default(); shards], out)
+        {
+            self.announce(out);
         }
     }
 
-    /// Becomes the anchored group leader: fold the promise quorum's
-    /// per-shard chosen entries and best votes into each shard's anchor —
-    /// catch-up, re-completions and pending flush per shard, in shard
-    /// order.
-    fn anchor(&mut self, out: &mut Outbox<GroupMsg>) {
-        let q = self.p1b.take().expect("anchor follows a promise quorum");
-        debug_assert_eq!(q.bal, self.mbal);
-        self.anchored = Some(q.bal);
-        let bal = q.bal;
+    /// Becomes the anchored group leader: each shard anchors from its
+    /// fold of the promise quorum — catch-up, re-completions and pending
+    /// flush per shard, in shard order.
+    fn anchor(&mut self, folds: Vec<ReportFold>, out: &mut Outbox<GroupMsg>) {
+        let bal = self.session.mbal();
+        // This host's order, pinned by the trace: `Anchored` is stamped
+        // once for the group, before any shard learns or proposes (the
+        // plain log learns the reported-chosen entries first).
         out.metric(Metric::Anchored);
         out.trace(|| TraceEvent::Anchored { ballot: bal.get() });
-        for (s, fold) in q.folds.iter().enumerate() {
-            self.dispatch(ShardId::new(s as u32), out, |p, o| {
-                p.drive_anchor(bal, fold, o)
-            });
+        for (s, fold) in folds.iter().enumerate() {
+            self.dispatch(ShardId::new(s as u32), out, |p, o| p.anchor(bal, fold, o));
         }
     }
 
@@ -802,13 +687,13 @@ impl LogGroupProcess {
     /// messages gain the shard tag and decides the shard id. Action order
     /// is preserved exactly — with `S = 1` the emitted stream is the
     /// inner stream, message for message. A shard's 2a broadcast also
-    /// stamps the group's idle clock, exactly as the single log's
-    /// `propose` does.
+    /// stamps the session's idle clock: any shard's 2a counts, so one
+    /// busy shard keeps the whole group's ε retransmission quiet.
     fn dispatch(
         &mut self,
         shard: ShardId,
         out: &mut Outbox<GroupMsg>,
-        f: impl FnOnce(&mut MultiPaxosProcess, &mut Outbox<MultiMsg>),
+        f: impl FnOnce(&mut LogShard, &mut Outbox<MultiMsg>),
     ) {
         let mut inner = std::mem::take(&mut self.scratch);
         inner.reset(out.now());
@@ -835,12 +720,12 @@ impl LogGroupProcess {
                     if matches!(msg, MultiMsg::M2a { .. }) {
                         // Leader traffic for the whole group: one busy
                         // shard suppresses the group's ε 1a.
-                        self.last_p1a2a = Some(out.now());
+                        self.session.sent_1a2a(out.now());
                     }
                     out.broadcast(GroupMsg::Shard { shard, msg });
                 }
                 Action::SetTimer { .. } | Action::CancelTimer { .. } => {
-                    debug_assert!(false, "driven shards own no timers");
+                    debug_assert!(false, "shards own no timers");
                 }
                 // The inner layer decides in shard zero; the group knows
                 // which shard actually ran. Control values (router-epoch
@@ -908,7 +793,7 @@ impl LogGroupProcess {
                 // Answered at the group level, but still load on the
                 // key's (new) span: the v5 counters and the trigger
                 // must see migration-era retry pressure.
-                self.shards[target.as_usize()].drive_note_submitted();
+                self.shards[target.as_usize()].note_submitted();
                 self.note_routed(key, out);
                 return;
             }
@@ -947,9 +832,10 @@ impl LogGroupProcess {
                 }
             }
         }
+        let leader = self.session.leader();
         self.dispatch(target, out, |p, o| match from {
             Some(from) => p.on_message(from, &MultiMsg::Forward { value }, o),
-            None => p.on_client(value, o),
+            None => p.submit(value, leader, o),
         });
         self.note_routed(key, out);
     }
@@ -1018,7 +904,7 @@ impl LogGroupProcess {
             ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
         };
         for shard in &mut self.shards {
-            let unchosen = shard.drive_extract_pending(|v| {
+            let unchosen = shard.extract_pending(|v| {
                 let k = kv_key(v);
                 !is_ctrl_value(v) && owner_of(&old, k) != owner_of(&update.boundaries, k)
             });
@@ -1037,11 +923,7 @@ impl LogGroupProcess {
         if !self.is_anchored() {
             return;
         }
-        let Some(mig) = self
-            .rebalance
-            .as_ref()
-            .and_then(|r| r.migration.as_ref())
-        else {
+        let Some(mig) = self.rebalance.as_ref().and_then(|r| r.migration.as_ref()) else {
             return;
         };
         if mig.ctrl.is_some() {
@@ -1069,13 +951,9 @@ impl LogGroupProcess {
         let stored = batch.clone();
         let mut slot = 0;
         self.dispatch(ShardId::ZERO, out, |p, o| {
-            slot = p.drive_propose_batch(batch, o);
+            slot = p.propose_batch(batch, o);
         });
-        if let Some(m) = self
-            .rebalance
-            .as_mut()
-            .and_then(|r| r.migration.as_mut())
-        {
+        if let Some(m) = self.rebalance.as_mut().and_then(|r| r.migration.as_mut()) {
             m.ctrl = Some((slot, stored));
         }
     }
@@ -1191,7 +1069,7 @@ impl LogGroupProcess {
         // answers (pruned below by the admitted-window rule).
         let mut reinject: Vec<Value> = Vec::new();
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            let (unchosen, chosen) = shard.drive_extract_matching(|v| {
+            let (unchosen, chosen) = shard.extract_matching(|v| {
                 let k = kv_key(v);
                 !is_ctrl_value(v) && owner_of(&old, k) == s && owner_of(&new, k) != s
             });
@@ -1239,45 +1117,49 @@ impl Process for LogGroupProcess {
     type Msg = GroupMsg;
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.session.id()
     }
 
     fn on_start(&mut self, out: &mut Outbox<GroupMsg>) {
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-        self.broadcast_g1a(out);
+        self.session.boot(out);
+        self.announce(out);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: &GroupMsg, out: &mut Outbox<GroupMsg>) {
         match msg {
             GroupMsg::G1a { mbal, prefixes } => {
                 let mbal = *mbal;
-                if mbal > self.mbal {
+                if mbal > self.session.mbal() {
                     self.adopt(mbal, out);
                 }
-                if mbal == self.mbal {
+                if mbal == self.session.mbal() {
                     // One promise answers for every shard (and re-answers
                     // on duplicates: the original may have been lost
                     // before TS), truncated at the caller's prefixes —
                     // or payload-free once the ballot is in phase 2.
-                    let promise = if self.shards.iter().any(|s| s.phase2_seen(mbal)) {
+                    let promise = if self.session.phase2_seen(mbal) {
                         GroupPromise::default()
                     } else {
                         self.promise(prefixes)
                     };
-                    out.send(mbal.owner(self.cfg.n()), GroupMsg::G1b { mbal, promise });
+                    out.send(self.session.owner(), GroupMsg::G1b { mbal, promise });
                 }
             }
             GroupMsg::G1b { mbal, promise } => {
-                if *mbal == self.mbal {
-                    if let Some(q) = self.p1b.as_mut() {
-                        if q.bal == *mbal && q.record(from, promise) {
-                            let bal = *mbal;
-                            out.metric(Metric::PromiseQuorum);
-                            out.trace(|| TraceEvent::PromiseQuorum { ballot: bal.get() });
-                            self.anchor(out);
-                        }
-                    }
+                let fold = |folds: &mut Vec<ReportFold>| {
+                    // The owner proposes (2a) only after the election was
+                    // consumed, so no replier had seen phase 2 of `mbal`
+                    // when it built a promise folded here: never a
+                    // payload-free one.
+                    debug_assert_eq!(
+                        promise.shards.len(),
+                        folds.len(),
+                        "a payload-free promise reached a live quorum"
+                    );
+                    promise.fold_into(folds);
+                };
+                if let Some(folds) = self.session.promised(*mbal, from, fold, out) {
+                    self.anchor(folds, out);
                 }
             }
             GroupMsg::Shard { shard, msg } => {
@@ -1295,17 +1177,19 @@ impl Process for LogGroupProcess {
                     debug_assert!(false, "per-shard phase-1 message under a group session");
                     return;
                 }
-                // A higher-ballot 2a is a leadership claim over the whole
-                // group (ballots are group-level): adopt *before* the
-                // shard votes — the same place the single log adopts
-                // inside its 2a arm — so the shard always sees its own
-                // (synced) ballot.
-                if let MultiMsg::M2a { mbal, .. } = msg {
-                    if *mbal > self.mbal {
-                        self.adopt(*mbal, out);
-                    }
-                }
                 match msg {
+                    // A higher-ballot 2a is a leadership claim over the
+                    // whole group (ballots are group-level): adopt
+                    // *before* the shard votes — the same place the plain
+                    // log adopts in its 2a arm. A stale one is dropped.
+                    MultiMsg::M2a { mbal, .. } => {
+                        if *mbal > self.session.mbal() {
+                            self.adopt(*mbal, out);
+                        }
+                        if self.session.vote_2a(*mbal) {
+                            self.dispatch(shard, out, |p, o| p.on_message(from, msg, o));
+                        }
+                    }
                     // With live rebalancing, forwards route by the
                     // receiver's epoch, not the sender's stale tag (and
                     // pass through the moved/frozen guards).
@@ -1330,17 +1214,8 @@ impl Process for LogGroupProcess {
             }
         }
         self.rebalance_tick(out);
-        // Group-level session bookkeeping, mirroring the single log
-        // (suppression: traffic from the group ballot's owner proves the
-        // leader is alive and defers our takeover).
         if let Some(b) = msg.ballot() {
-            if b == self.mbal && from == b.owner(self.cfg.n()) && from != self.id {
-                self.timer_expired = false;
-                out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-            }
-            if b.session(self.cfg.n()) == self.session() {
-                self.session_heard.insert(from);
-            }
+            self.session.heard_from(from, b, out);
         }
         self.try_start_phase1(out);
     }
@@ -1348,56 +1223,49 @@ impl Process for LogGroupProcess {
     fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<GroupMsg>) {
         match timer {
             TIMER_SESSION => {
-                self.timer_expired = true;
+                self.session.session_timer_expired();
                 self.try_start_phase1(out);
             }
             TIMER_EPSILON => {
-                out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-                let idle = match self.last_p1a2a {
-                    None => true,
-                    Some(t) => out.now().saturating_since(t) >= self.cfg.epsilon_timer_local(),
-                };
-                if idle {
-                    if self.is_anchored() {
-                        // Re-propose in-flight slots (recovery) across all
-                        // shards, or — when every shard's pipeline is
-                        // empty — re-announce the group ballot with ONE
-                        // 1a, independent of S. This is the idle-period
-                        // amortization: a per-shard-session design sends
-                        // S of these every ε.
-                        if self.shards.iter().any(|s| s.has_live_proposals()) {
-                            for shard in self.all_shards().collect::<Vec<_>>() {
-                                self.dispatch(shard, out, |p, o| p.drive_repropose(o));
-                            }
-                        } else {
-                            self.broadcast_g1a(out);
-                        }
-                        // A rebalanced group's epoch is re-announced too,
-                        // so a process that was down across a migration
-                        // (missing both the control entry's LogDecided
-                        // and the one-shot Reroute) re-converges within
-                        // ε. Never-rebalanced groups (epoch 0) add zero
-                        // messages — the balanced-run bit-identity.
-                        if self.epoch > 0 {
-                            if let ShardRouter::Range(bounds) = &self.router {
-                                out.broadcast(GroupMsg::Reroute {
-                                    update: RouterUpdate {
-                                        epoch: self.epoch,
-                                        boundaries: bounds.clone(),
-                                    },
-                                });
-                            }
+                let idle = self.session.epsilon_tick(out);
+                if idle && self.session.is_anchored() {
+                    // Re-propose in-flight slots (recovery) across all
+                    // shards, or — when every shard's pipeline is
+                    // empty — re-announce the group ballot with ONE
+                    // 1a, independent of S. This is the idle-period
+                    // amortization: a per-shard-session design sends
+                    // S of these every ε.
+                    if self.shards.iter().any(|s| s.has_live_proposals()) {
+                        for shard in self.all_shards() {
+                            self.dispatch(shard, out, LogShard::repropose);
                         }
                     } else {
-                        self.broadcast_g1a(out);
-                        // Re-forward every shard's held commands toward
-                        // the presumed group leader (commits prune them,
-                        // terminating the retry).
-                        let owner = self.mbal.owner(self.cfg.n());
-                        if owner != self.id {
-                            for shard in self.all_shards().collect::<Vec<_>>() {
-                                self.dispatch(shard, out, |p, o| p.drive_reforward(owner, o));
-                            }
+                        self.announce(out);
+                    }
+                    // A rebalanced group's epoch is re-announced too,
+                    // so a process that was down across a migration
+                    // (missing both the control entry's LogDecided
+                    // and the one-shot Reroute) re-converges within
+                    // ε. Never-rebalanced groups (epoch 0) add zero
+                    // messages — the balanced-run bit-identity.
+                    if self.epoch > 0 {
+                        if let ShardRouter::Range(bounds) = &self.router {
+                            out.broadcast(GroupMsg::Reroute {
+                                update: RouterUpdate {
+                                    epoch: self.epoch,
+                                    boundaries: bounds.clone(),
+                                },
+                            });
+                        }
+                    }
+                } else if idle {
+                    self.announce(out);
+                    // Re-forward every shard's held commands toward
+                    // the presumed group leader (commits prune them,
+                    // terminating the retry).
+                    if let Some(leader) = self.session.leader() {
+                        for shard in self.all_shards() {
+                            self.dispatch(shard, out, |p, o| p.reforward(leader, o));
                         }
                     }
                 }
@@ -1410,10 +1278,8 @@ impl Process for LogGroupProcess {
     fn on_restart(&mut self, out: &mut Outbox<GroupMsg>) {
         // Shard state survived (stable storage); the group's timers did
         // not. One re-arm + one announcement for the whole group.
-        self.timer_expired = false;
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-        self.broadcast_g1a(out);
+        self.session.boot(out);
+        self.announce(out);
     }
 
     fn on_client(&mut self, value: Value, out: &mut Outbox<GroupMsg>) {
@@ -1424,7 +1290,7 @@ impl Process for LogGroupProcess {
     /// The single-shot interface reads shard 0 (with `S = 1`, exactly the
     /// plain layer's decision).
     fn decision(&self) -> Option<Value> {
-        self.shards[0].decision()
+        self.shards[0].log_entry(0).and_then(|b| b.first().copied())
     }
 
     /// Group-level leadership: the shared phase 1 completed at our
@@ -1443,7 +1309,7 @@ impl Process for LogGroupProcess {
     /// Per-shard load counters, straight from each shard's admission
     /// machinery.
     fn shard_load(&self, shard: ShardId) -> crate::outbox::ShardLoad {
-        crate::outbox::Process::shard_load(&self.shards[shard.as_usize()], ShardId::ZERO)
+        self.shards[shard.as_usize()].load()
     }
 }
 
@@ -1599,7 +1465,14 @@ mod tests {
         // And ONE group 1a, not one per shard.
         let one_as = acts
             .iter()
-            .filter(|a| matches!(a, Action::Broadcast { msg: GroupMsg::G1a { .. } }))
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Broadcast {
+                        msg: GroupMsg::G1a { .. }
+                    }
+                )
+            })
             .count();
         assert_eq!(one_as, 1, "one ballot announcement for all shards");
     }
@@ -1658,7 +1531,11 @@ mod tests {
             Action::Decide { value, shard } if *value == v && *shard == ShardId::new(1)
         )));
         assert_eq!(p.shard(ShardId::new(1)).log_entry(0), Some(&batch_of([v])));
-        assert_eq!(p.shard(ShardId::ZERO).log_entry(0), None, "shard 0 untouched");
+        assert_eq!(
+            p.shard(ShardId::ZERO).log_entry(0),
+            None,
+            "shard 0 untouched"
+        );
     }
 
     #[test]
@@ -1673,15 +1550,20 @@ mod tests {
         assert!(p.is_anchored());
         p.on_message(
             ProcessId::new(2),
-            &GroupMsg::G1a { mbal: Ballot::new(8), prefixes: vec![] }, // session 2, owner p2
+            &GroupMsg::G1a {
+                mbal: Ballot::new(8),
+                prefixes: vec![],
+            }, // session 2, owner p2
             &mut o,
         );
         o.drain();
         assert!(!p.is_anchored());
         assert_eq!(p.mbal(), Ballot::new(8));
         for s in 0..3u32 {
-            assert!(!p.shard(ShardId::new(s)).is_anchored(), "shard {s} unanchored");
-            assert_eq!(p.shard(ShardId::new(s)).mbal(), Ballot::new(8), "ballots sync");
+            assert!(
+                !p.shard(ShardId::new(s)).is_anchored(),
+                "shard {s} unanchored"
+            );
         }
     }
 
@@ -1696,10 +1578,21 @@ mod tests {
         p.on_client(kv_command(0, 10), &mut o);
         p.on_client(kv_command(1, 11), &mut o);
         o.drain();
-        p.on_message(ProcessId::new(2), &GroupMsg::G1a { mbal: Ballot::new(8), prefixes: vec![] }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &GroupMsg::G1a {
+                mbal: Ballot::new(8),
+                prefixes: vec![],
+            },
+            &mut o,
+        );
         o.drain();
         assert_eq!(p.shard(ShardId::ZERO).pending_len(), 1, "shard 0 requeued");
-        assert_eq!(p.shard(ShardId::new(1)).pending_len(), 1, "shard 1 requeued");
+        assert_eq!(
+            p.shard(ShardId::new(1)).pending_len(),
+            1,
+            "shard 1 requeued"
+        );
     }
 
     #[test]
@@ -1726,11 +1619,22 @@ mod tests {
         let acts = o.drain();
         assert_eq!(p.mbal(), Ballot::new(8));
         assert!(!p.is_anchored());
-        assert_eq!(p.shard(ShardId::new(1)).mbal(), Ballot::new(8), "both shards adopt");
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: GroupMsg::Shard { shard: ShardId::ZERO, msg: MultiMsg::M2b { slot: 0, .. } } }
-        )), "shard 0 voted under the adopted ballot");
+        assert!(
+            !p.shard(ShardId::new(1)).is_anchored(),
+            "the other shard unanchors too"
+        );
+        assert!(
+            acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: GroupMsg::Shard {
+                        shard: ShardId::ZERO,
+                        msg: MultiMsg::M2b { slot: 0, .. }
+                    }
+                }
+            )),
+            "shard 0 voted under the adopted ballot"
+        );
     }
 
     #[test]
@@ -1772,14 +1676,22 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(1), &GroupMsg::G1a { mbal: Ballot::new(4), prefixes: vec![] }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::G1a {
+                mbal: Ballot::new(4),
+                prefixes: vec![],
+            },
+            &mut o,
+        );
         let acts = o.drain();
         let promises: Vec<_> = acts
             .iter()
             .filter_map(|a| match a {
-                Action::Send { to, msg: GroupMsg::G1b { mbal, promise } } => {
-                    Some((*to, *mbal, promise.clone()))
-                }
+                Action::Send {
+                    to,
+                    msg: GroupMsg::G1b { mbal, promise },
+                } => Some((*to, *mbal, promise.clone())),
                 _ => None,
             })
             .collect();
@@ -1916,7 +1828,10 @@ mod tests {
         };
         p.on_message(
             ProcessId::new(0),
-            &GroupMsg::G1b { mbal: Ballot::new(4), promise: reported },
+            &GroupMsg::G1b {
+                mbal: Ballot::new(4),
+                promise: reported,
+            },
             &mut o,
         );
         p.on_message(
@@ -2016,7 +1931,10 @@ mod tests {
         };
         let bytes = p.encode();
         assert_eq!(GroupPromise::decode(&bytes).unwrap(), p);
-        assert_eq!(GroupPromise::decode(&GroupPromise::default().encode()).unwrap(), GroupPromise::default());
+        assert_eq!(
+            GroupPromise::decode(&GroupPromise::default().encode()).unwrap(),
+            GroupPromise::default()
+        );
     }
 
     #[test]
@@ -2029,7 +1947,10 @@ mod tests {
             }],
         };
         let bytes = p.encode();
-        assert!(GroupPromise::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
+        assert!(
+            GroupPromise::decode(&bytes[..bytes.len() - 1]).is_err(),
+            "truncated"
+        );
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(GroupPromise::decode(&trailing).is_err(), "trailing bytes");
@@ -2047,19 +1968,31 @@ mod tests {
         let mut p = spawn(2, 3, 2);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(1), &GroupMsg::G1a { mbal: Ballot::new(4), prefixes: vec![] }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::G1a {
+                mbal: Ballot::new(4),
+                prefixes: vec![],
+            },
+            &mut o,
+        );
         o.drain();
         p.on_message(
             ProcessId::new(1),
             &GroupMsg::Shard {
                 shard: ShardId::new(1),
-                msg: MultiMsg::M2a { mbal: Ballot::new(4), slot: 0, batch: batch_of([Value::new(9)]) },
+                msg: MultiMsg::M2a {
+                    mbal: Ballot::new(4),
+                    slot: 0,
+                    batch: batch_of([Value::new(9)]),
+                },
             },
             &mut o,
         );
         let acts = o.drain();
         assert!(
-            acts.iter().any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_SESSION)),
+            acts.iter()
+                .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_SESSION)),
             "leader liveness re-arms the group session timer"
         );
     }
@@ -2070,19 +2003,20 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        let learn = |p: &mut LogGroupProcess, s: u32, slot: u64, id: u64, o: &mut Outbox<GroupMsg>| {
-            p.on_message(
-                ProcessId::new(2),
-                &GroupMsg::Shard {
-                    shard: ShardId::new(s),
-                    msg: MultiMsg::LogDecided {
-                        slot,
-                        batch: batch_of([kv_command(s as u64, id)]),
+        let learn =
+            |p: &mut LogGroupProcess, s: u32, slot: u64, id: u64, o: &mut Outbox<GroupMsg>| {
+                p.on_message(
+                    ProcessId::new(2),
+                    &GroupMsg::Shard {
+                        shard: ShardId::new(s),
+                        msg: MultiMsg::LogDecided {
+                            slot,
+                            batch: batch_of([kv_command(s as u64, id)]),
+                        },
                     },
-                },
-                o,
-            );
-        };
+                    o,
+                );
+            };
         learn(&mut p, 0, 0, 10, &mut o);
         learn(&mut p, 1, 0, 20, &mut o);
         learn(&mut p, 1, 1, 21, &mut o);
@@ -2129,7 +2063,14 @@ mod tests {
         let acts = o2.drain();
         let one_as = acts
             .iter()
-            .filter(|a| matches!(a, Action::Broadcast { msg: GroupMsg::G1a { .. } }))
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Broadcast {
+                        msg: GroupMsg::G1a { .. }
+                    }
+                )
+            })
             .count();
         assert_eq!(one_as, 1, "S-independent idle traffic");
         assert!(acts
@@ -2150,12 +2091,25 @@ mod tests {
         let mut o2 = Outbox::new(later);
         p.on_timer(TIMER_EPSILON, &mut o2);
         let acts = o2.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: GroupMsg::Shard { shard: ShardId::ZERO, msg: MultiMsg::M2a { slot: 0, .. } } }
-        )), "in-flight slot re-proposed");
         assert!(
-            !acts.iter().any(|a| matches!(a, Action::Broadcast { msg: GroupMsg::G1a { .. } })),
+            acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: GroupMsg::Shard {
+                        shard: ShardId::ZERO,
+                        msg: MultiMsg::M2a { slot: 0, .. }
+                    }
+                }
+            )),
+            "in-flight slot re-proposed"
+        );
+        assert!(
+            !acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: GroupMsg::G1a { .. }
+                }
+            )),
             "recovery 2a replaces the 1a re-announcement"
         );
     }
@@ -2167,7 +2121,14 @@ mod tests {
         let mut p = spawn(2, 3, 2);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(1), &GroupMsg::G1a { mbal: Ballot::new(4), prefixes: vec![] }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::G1a {
+                mbal: Ballot::new(4),
+                prefixes: vec![],
+            },
+            &mut o,
+        );
         p.on_client(kv_command(0, 6), &mut o);
         p.on_client(kv_command(1, 7), &mut o);
         o.drain();
@@ -2226,7 +2187,14 @@ mod tests {
     fn proposed_batch(acts: &[Action<GroupMsg>], shard: u32, slot: u64) -> Option<Batch> {
         acts.iter().find_map(|a| match a {
             Action::Broadcast {
-                msg: GroupMsg::Shard { shard: s, msg: MultiMsg::M2a { slot: sl, batch, .. } },
+                msg:
+                    GroupMsg::Shard {
+                        shard: s,
+                        msg:
+                            MultiMsg::M2a {
+                                slot: sl, batch, ..
+                            },
+                    },
             } if s.get() == shard && *sl == slot => Some(batch.clone()),
             _ => None,
         })
@@ -2255,7 +2223,9 @@ mod tests {
         let frozen = kv_command(2, 101);
         p.on_client(frozen, &mut o);
         assert!(
-            !o.drain().iter().any(|a| matches!(a, Action::Broadcast { .. })),
+            !o.drain()
+                .iter()
+                .any(|a| matches!(a, Action::Broadcast { .. })),
             "moving-key admission must freeze during the migration"
         );
         // The in-flight slot commits -> drained -> the control batch is
@@ -2263,13 +2233,20 @@ mod tests {
         commit_slot(&mut p, b, 0, 0, &slot0, &mut o);
         let acts = o.drain();
         let ctrl = proposed_batch(&acts, 0, 1).expect("control batch proposed after drain");
-        assert!(rebalance::is_ctrl_value(ctrl[0]), "slot 1 holds the epoch bump");
+        assert!(
+            rebalance::is_ctrl_value(ctrl[0]),
+            "slot 1 holds the epoch bump"
+        );
         assert_eq!(p.router_epoch(), 0, "not applied before the commit");
         // The control entry commits: the epoch applies at the anchor.
         commit_slot(&mut p, b, 0, 1, &ctrl, &mut o);
         let acts = o.drain();
         assert_eq!(p.router_epoch(), 1);
-        assert_eq!(p.shard_of(kv_command(2, 999)), ShardId::new(1), "key 2 re-homed");
+        assert_eq!(
+            p.shard_of(kv_command(2, 999)),
+            ShardId::new(1),
+            "key 2 re-homed"
+        );
         assert!(
             proposed_batch(&acts, 1, 0).is_some_and(|batch| batch.contains(&frozen)),
             "frozen command flushed into the NEW owner shard"
@@ -2310,10 +2287,14 @@ mod tests {
         assert_eq!(p.router_epoch(), 1);
         // A retry of the moved command is answered with its chosen entry
         // from the OLD shard — not admitted into the new one.
-        p.on_message(ProcessId::new(2), &GroupMsg::Shard {
-            shard: ShardId::new(1),
-            msg: MultiMsg::Forward { value: v },
-        }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &GroupMsg::Shard {
+                shard: ShardId::new(1),
+                msg: MultiMsg::Forward { value: v },
+            },
+            &mut o,
+        );
         let acts = o.drain();
         assert!(
             acts.iter().any(|a| matches!(
@@ -2329,7 +2310,10 @@ mod tests {
         );
         // A client resubmission is dropped silently, like any dup.
         p.on_client(v, &mut o);
-        assert!(!o.drain().iter().any(|a| matches!(a, Action::Broadcast { .. })));
+        assert!(!o
+            .drain()
+            .iter()
+            .any(|a| matches!(a, Action::Broadcast { .. })));
     }
 
     #[test]
@@ -2341,22 +2325,47 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         // Adopt p1's ballot so forwards go somewhere sane.
-        p.on_message(ProcessId::new(1), &GroupMsg::G1a { mbal: Ballot::new(4), prefixes: vec![] }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::G1a {
+                mbal: Ballot::new(4),
+                prefixes: vec![],
+            },
+            &mut o,
+        );
         o.drain();
         let v = kv_command(2, 7);
         p.on_client(v, &mut o);
         o.drain();
-        assert_eq!(p.shard(ShardId::ZERO).pending_len(), 1, "held in the old owner");
+        assert_eq!(
+            p.shard(ShardId::ZERO).pending_len(),
+            1,
+            "held in the old owner"
+        );
         // The anchor's control entry arrives as a LogDecided.
-        let update = RouterUpdate { epoch: 1, boundaries: vec![2] };
+        let update = RouterUpdate {
+            epoch: 1,
+            boundaries: vec![2],
+        };
         let ctrl = batch_of(update.encode_values());
-        p.on_message(ProcessId::new(1), &GroupMsg::Shard {
-            shard: ShardId::ZERO,
-            msg: MultiMsg::LogDecided { slot: 0, batch: ctrl },
-        }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::Shard {
+                shard: ShardId::ZERO,
+                msg: MultiMsg::LogDecided {
+                    slot: 0,
+                    batch: ctrl,
+                },
+            },
+            &mut o,
+        );
         let acts = o.drain();
         assert_eq!(p.router_epoch(), 1, "follower switched at the control slot");
-        assert_eq!(p.shard(ShardId::ZERO).pending_len(), 0, "pending left the old owner");
+        assert_eq!(
+            p.shard(ShardId::ZERO).pending_len(),
+            0,
+            "pending left the old owner"
+        );
         assert_eq!(p.shard(ShardId::new(1)).pending_len(), 1, "…and re-homed");
         assert!(
             acts.iter().any(|a| matches!(
@@ -2367,7 +2376,12 @@ mod tests {
             "re-homed command re-forwards under the new shard tag"
         );
         assert!(
-            !acts.iter().any(|a| matches!(a, Action::Broadcast { msg: GroupMsg::Reroute { .. } })),
+            !acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: GroupMsg::Reroute { .. }
+                }
+            )),
             "followers do not announce"
         );
     }
@@ -2380,22 +2394,45 @@ mod tests {
         o.drain();
         // A process that was down across two migrations hears only the
         // latest epoch's re-announcement: it jumps straight to it.
-        p.on_message(ProcessId::new(1), &GroupMsg::Reroute {
-            update: RouterUpdate { epoch: 2, boundaries: vec![5] },
-        }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::Reroute {
+                update: RouterUpdate {
+                    epoch: 2,
+                    boundaries: vec![5],
+                },
+            },
+            &mut o,
+        );
         assert_eq!(p.router_epoch(), 2, "forward jump to the announced epoch");
         assert_eq!(p.shard_of(kv_command(6, 1)), ShardId::new(1));
         o.drain();
         // Stale announcements and the skipped epochs' control entries
         // are no-ops afterwards.
-        let stale = RouterUpdate { epoch: 1, boundaries: vec![2] };
-        p.on_message(ProcessId::new(1), &GroupMsg::Reroute { update: stale.clone() }, &mut o);
+        let stale = RouterUpdate {
+            epoch: 1,
+            boundaries: vec![2],
+        };
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::Reroute {
+                update: stale.clone(),
+            },
+            &mut o,
+        );
         assert_eq!(p.router_epoch(), 2, "stale epoch ignored");
         let ctrl = batch_of(stale.encode_values());
-        p.on_message(ProcessId::new(1), &GroupMsg::Shard {
-            shard: ShardId::ZERO,
-            msg: MultiMsg::LogDecided { slot: 0, batch: ctrl },
-        }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &GroupMsg::Shard {
+                shard: ShardId::ZERO,
+                msg: MultiMsg::LogDecided {
+                    slot: 0,
+                    batch: ctrl,
+                },
+            },
+            &mut o,
+        );
         assert_eq!(p.router_epoch(), 2, "log walk skips applied epochs");
         assert_eq!(p.shard_of(kv_command(6, 1)), ShardId::new(1), "bounds kept");
     }
@@ -2416,7 +2453,9 @@ mod tests {
         assert!(
             !eps_tick(&mut p, 1).iter().any(|a| matches!(
                 a,
-                Action::Broadcast { msg: GroupMsg::Reroute { .. } }
+                Action::Broadcast {
+                    msg: GroupMsg::Reroute { .. }
+                }
             )),
             "epoch 0: the balanced group's idle tick carries no reroute"
         );
@@ -2449,8 +2488,15 @@ mod tests {
         assert!(p.request_rebalance(vec![2], &mut o));
         p.on_client(kv_command(2, 101), &mut o);
         o.drain(); // frozen
-        // …and a higher ballot takes the group: the migration aborts.
-        p.on_message(ProcessId::new(2), &GroupMsg::G1a { mbal: Ballot::new(8), prefixes: vec![] }, &mut o);
+                   // …and a higher ballot takes the group: the migration aborts.
+        p.on_message(
+            ProcessId::new(2),
+            &GroupMsg::G1a {
+                mbal: Ballot::new(8),
+                prefixes: vec![],
+            },
+            &mut o,
+        );
         let acts = o.drain();
         assert!(!p.is_anchored());
         assert_eq!(p.router_epoch(), 0, "nothing committed, nothing applied");
@@ -2463,6 +2509,148 @@ mod tests {
                     if *to == ProcessId::new(2) && s.get() == 0 && crate::types::kv_id(*value) == 101
             )),
             "frozen command released toward the new leader: {acts:?}"
+        );
+    }
+
+    /// Trace + action order of the two events whose order is the group
+    /// host's own (see the comments in `anchor` and `adopt`).
+    #[test]
+    fn order_of_anchoring_a_reported_chosen_entry_and_of_adopt_while_anchored() {
+        let mut p = spawn_rb(2, 3, 1, vec![8]);
+        let mut o = out();
+        o.set_tracing(true);
+        p.on_start(&mut o);
+        p.on_timer(TIMER_SESSION, &mut o); // ballot 4
+        o.drain();
+        o.drain_trace();
+        let b = Ballot::new(4);
+        let learned = batch_of([kv_command(9, 5)]);
+        let reported = GroupPromise {
+            shards: vec![
+                VoteReport::default(),
+                VoteReport {
+                    prefix: 1,
+                    chosen: vec![(0, learned.clone())],
+                    votes: vec![],
+                },
+            ],
+        };
+        p.on_message(
+            ProcessId::new(0),
+            &GroupMsg::G1b {
+                mbal: b,
+                promise: reported,
+            },
+            &mut o,
+        );
+        p.on_message(
+            ProcessId::new(2),
+            &GroupMsg::G1b {
+                mbal: b,
+                promise: blank_promise(2),
+            },
+            &mut o,
+        );
+        assert_eq!(
+            o.drain_trace().collect::<Vec<_>>(),
+            vec![
+                TraceEvent::PromiseQuorum { ballot: 4 },
+                TraceEvent::Anchored { ballot: 4 },
+                TraceEvent::Decided {
+                    shard: 1,
+                    slot: 0,
+                    value: learned[0].get()
+                },
+            ],
+            "Anchored is stamped once, before any shard learns or proposes"
+        );
+        assert_eq!(
+            o.drain(),
+            vec![
+                Action::Decide {
+                    value: learned[0],
+                    shard: ShardId::new(1)
+                },
+                Action::Broadcast {
+                    msg: GroupMsg::Shard {
+                        shard: ShardId::new(1),
+                        msg: MultiMsg::LogDecided {
+                            slot: 0,
+                            batch: learned
+                        },
+                    },
+                },
+            ]
+        );
+        // Adopt while anchored and mid-migration: an in-flight moving-key
+        // command keeps the drain open, a second one is frozen.
+        p.on_client(kv_command(2, 100), &mut o);
+        assert!(p.request_rebalance(vec![2], &mut o));
+        let frozen = kv_command(2, 101);
+        p.on_client(frozen, &mut o);
+        o.drain();
+        o.drain_trace();
+        let b8 = Ballot::new(8);
+        p.on_message(
+            ProcessId::new(2),
+            &GroupMsg::G1a {
+                mbal: b8,
+                prefixes: vec![],
+            },
+            &mut o,
+        );
+        assert_eq!(
+            o.drain_trace().collect::<Vec<_>>(),
+            vec![
+                TraceEvent::Unanchored { ballot: 4 },
+                TraceEvent::RebalanceAbort { epoch: 1 },
+                TraceEvent::submit(frozen),
+                TraceEvent::Admitted {
+                    shard: 0,
+                    value: frozen.get()
+                },
+                TraceEvent::ForwardSent {
+                    value: frozen.get()
+                },
+                TraceEvent::OneASent { ballot: 8 },
+            ],
+            "the abort runs between the shard unanchor and session entry"
+        );
+        let acts = o.drain();
+        assert_eq!(acts.len(), 5, "{acts:?}");
+        assert_eq!(
+            acts[0],
+            Action::Send {
+                to: ProcessId::new(2),
+                msg: GroupMsg::Shard {
+                    shard: ShardId::ZERO,
+                    msg: MultiMsg::Forward { value: frozen }
+                },
+            },
+            "the released command forwards to the NEW presumed leader"
+        );
+        assert!(matches!(&acts[1], Action::SetTimer { id, .. } if *id == TIMER_SESSION));
+        assert_eq!(
+            acts[2],
+            Action::Broadcast {
+                msg: GroupMsg::G1a {
+                    mbal: b8,
+                    prefixes: vec![0, 1]
+                }
+            }
+        );
+        assert!(matches!(
+            &acts[3],
+            Action::Send { to, msg: GroupMsg::G1b { mbal, .. } } if *to == ProcessId::new(2) && *mbal == b8
+        ));
+        assert!(
+            matches!(&acts[4], Action::SetTimer { id, .. } if *id == TIMER_SESSION),
+            "the 1a came from the new ballot's owner: leader traffic re-arms the timer last"
+        );
+        assert_eq!(
+            p.shard(ShardId::ZERO).pending_len(),
+            2,
+            "in-flight + released, both held"
         );
     }
 

@@ -5,6 +5,7 @@
 
 pub mod admitted;
 pub mod group;
+mod log_session;
 pub mod messages;
 pub mod multi;
 pub mod session;

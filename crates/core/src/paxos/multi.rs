@@ -5,12 +5,13 @@
 //! algorithm, and all nonfaulty processes decide within 3 message delays
 //! when the system is stable" — and that the modified algorithm can be made
 //! to behave the same way. This module is that construction: the session
-//! machinery (gating, session timer, ε-retransmission) runs **once**,
-//! shared by all log slots; a process whose ballot gathers a phase-1b
-//! majority becomes *anchored* and thereafter commits each submitted
-//! command with a single 2a/2b exchange — decision within 3 message delays
-//! of submission (forward → 2a → 2b) in the stable period, as experiment
-//! E7 measures.
+//! machinery (gating, session timer, ε-retransmission — `LogSession`) runs
+//! **once**, shared by all log slots; a process whose ballot gathers a
+//! phase-1b majority becomes *anchored* and thereafter commits each
+//! submitted command with a single 2a/2b exchange — decision within 3
+//! message delays of submission (forward → 2a → 2b) in the stable period,
+//! as experiment E7 measures. Everything below phase 1 is a [`LogShard`];
+//! [`MultiPaxosProcess`] is one session leading one shard.
 //!
 //! Two throughput mechanisms sit on top of the paper's construction:
 //!
@@ -39,13 +40,13 @@
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
 use crate::metrics::Metric;
-use crate::outbox::{Outbox, Process, Protocol};
+use crate::outbox::{Action, Outbox, Process, Protocol, ShardLoad};
 use crate::paxos::admitted::{Admitted, AdmittedSet, DEFAULT_ADMITTED_WINDOW};
+use crate::paxos::log_session::LogSession;
 use crate::paxos::slotlog::SlotMap;
 use crate::quorum::QuorumTracker;
-use crate::time::LocalInstant;
 use crate::trace::TraceEvent;
-use crate::types::{ProcessId, TimerId, Value};
+use crate::types::{ProcessId, ShardId, TimerId, Value};
 use std::sync::Arc;
 
 /// Timer id of the session timer (shared-phase-1 machinery).
@@ -96,7 +97,7 @@ pub enum MultiMsg {
         prefix: u64,
     },
     /// Phase 1b: the acceptor's **truncated** vote report (see
-    /// [`MultiPaxosProcess::vote_report`]) — or, once the ballot is in
+    /// [`LogShard::vote_report`]) — or, once the ballot is in
     /// phase 2, a payload-free acknowledgement (see
     /// [`MultiPaxosProcess::phase2_seen`]).
     M1b {
@@ -165,7 +166,7 @@ impl MultiMsg {
 /// One acceptor's truncated phase-1b payload: its all-chosen prefix, the
 /// chosen entries the caller is missing, and its live votes. Slots below
 /// the reporter's prefix are final, so they travel as chosen entries
-/// rather than as votes. Built by [`MultiPaxosProcess::vote_report`]; the
+/// rather than as votes. Built by [`LogShard::vote_report`]; the
 /// payload of [`MultiMsg::M1b`], and — one per shard — of the log group's
 /// [`GroupPromise`](crate::paxos::group::GroupPromise). Batches are
 /// `Arc`-shared with the reporter's log, so building and folding a report
@@ -222,34 +223,6 @@ impl ReportFold {
                 self.best.insert(sv.slot, sv.vote.clone());
             }
         }
-    }
-}
-
-/// Leader-side phase-1b aggregation across all slots.
-#[derive(Debug, Clone)]
-struct Multi1bQuorum {
-    bal: Ballot,
-    tracker: QuorumTracker,
-    fold: ReportFold,
-}
-
-impl Multi1bQuorum {
-    fn new(bal: Ballot, n: usize) -> Self {
-        Multi1bQuorum {
-            bal,
-            tracker: QuorumTracker::new(n),
-            fold: ReportFold::default(),
-        }
-    }
-
-    /// Returns `true` when the majority threshold is crossed by this call.
-    fn record(&mut self, from: ProcessId, report: &VoteReport) -> bool {
-        let before = self.tracker.reached();
-        if !self.tracker.insert(from) {
-            return false;
-        }
-        self.fold.fold(report);
-        !before && self.tracker.reached()
     }
 }
 
@@ -350,19 +323,23 @@ impl MultiPaxos {
 }
 
 impl MultiPaxos {
-    /// Spawns a process whose session machinery is **externally driven**:
-    /// a [log-group](crate::paxos::group) shard. A driven process arms no
-    /// timers, never broadcasts a 1a, never starts phase 1 on its own, and
-    /// becomes anchored only through [`MultiPaxosProcess::drive_anchor`] —
-    /// the group runs one shared phase 1 (one ballot, one session timer)
-    /// on behalf of all its shards and drives each shard's anchor from the
-    /// folded group promise. Everything below phase 1 — the slot pipeline,
-    /// batching, admission dedup, 2a/2b voting, commit bookkeeping — is
-    /// the ordinary in-band machinery, unchanged.
-    pub fn spawn_driven(&self, id: ProcessId, cfg: &TimingConfig) -> MultiPaxosProcess {
-        let mut p = self.spawn(id, cfg, Value::new(0));
-        p.driven = true;
-        p
+    /// One log's state below phase 1, configured by this factory.
+    pub(crate) fn spawn_shard(&self, cfg: &TimingConfig) -> LogShard {
+        LogShard {
+            n: cfg.n(),
+            accepted: SlotMap::new(),
+            log: SlotMap::new(),
+            decisions: SlotMap::new(),
+            anchored: None,
+            proposals: std::collections::BTreeMap::new(),
+            max_batch: self.max_batch,
+            max_outstanding: self.max_outstanding,
+            next_slot: 0,
+            chosen_prefix: 0,
+            pending: Vec::new(),
+            admitted: AdmittedSet::new(self.admitted_window),
+            load: ShardLoad::default(),
+        }
     }
 }
 
@@ -380,50 +357,32 @@ impl Protocol for MultiPaxos {
 
     fn spawn(&self, id: ProcessId, cfg: &TimingConfig, _initial: Value) -> MultiPaxosProcess {
         MultiPaxosProcess {
-            id,
-            cfg: *cfg,
-            mbal: Ballot::initial(id),
-            accepted: SlotMap::new(),
-            log: SlotMap::new(),
-            decisions: SlotMap::new(),
-            p1b: None,
-            anchored: None,
-            phase2_at: None,
-            proposals: std::collections::BTreeMap::new(),
-            max_batch: self.max_batch,
-            max_outstanding: self.max_outstanding,
-            next_slot: 0,
-            chosen_prefix: 0,
-            pending: Vec::new(),
-            admitted: AdmittedSet::new(self.admitted_window),
-            session_heard: QuorumTracker::new(cfg.n()),
-            timer_expired: false,
-            last_p1a2a: None,
-            driven: false,
-            load: crate::outbox::ShardLoad::default(),
+            session: LogSession::new(id, cfg),
+            shard: self.spawn_shard(cfg),
         }
     }
 }
 
-/// One replicated-log process. The single-shot `initial` value from
-/// [`Protocol::spawn`] is unused — commands arrive via
-/// [`Process::on_client`].
+/// One replicated log **below phase 1**: acceptor votes, the chosen log,
+/// 2b tallies, the proposal pipeline with batching, admission dedup and
+/// load counters. It owns no ballot, no timer and no quorum, and never
+/// sends a 1a or 1b — the §4 session is its host's
+/// ([`MultiPaxosProcess`] hosts one shard, a
+/// [`LogGroupProcess`](crate::paxos::group::LogGroupProcess) hosts `S`),
+/// which tells it when phase 1 completed (`anchor`) and when that is void
+/// again (`unanchor`).
 #[derive(Debug, Clone)]
-pub struct MultiPaxosProcess {
-    id: ProcessId,
-    cfg: TimingConfig,
-    mbal: Ballot,
+pub struct LogShard {
+    n: usize,
     /// Per-slot acceptor votes.
     accepted: SlotMap<BatchVote>,
     /// Chosen entries.
     log: SlotMap<Batch>,
     /// 2b counts per slot (per ballot within the slot).
     decisions: SlotMap<Slot2b>,
-    p1b: Option<Multi1bQuorum>,
-    /// The ballot we are anchored at (phase 1 complete for all slots).
+    /// The ballot this shard proposes under: `Some` from the host's
+    /// `anchor` until its `unanchor`.
     anchored: Option<Ballot>,
-    /// The ballot of the last 2a we voted for (see [`Self::phase2_seen`]).
-    phase2_at: Option<Ballot>,
     /// Batches we proposed and that are **not yet chosen** — the live
     /// pipeline, bounded by `max_outstanding` (plus anchoring
     /// re-completions). Entries leave on commit, so the ε re-propose scan
@@ -455,33 +414,16 @@ pub struct MultiPaxosProcess {
     /// resubmissions older than the window (the documented at-least-once
     /// paths).
     admitted: AdmittedSet,
-    session_heard: QuorumTracker,
-    timer_expired: bool,
-    last_p1a2a: Option<LocalInstant>,
-    /// Whether phase 1 is externally driven (a log-group shard, spawned
-    /// via [`MultiPaxos::spawn_driven`]): the group owns the ballot, the
-    /// session timer, the ε tick and every 1a/1b exchange; this process
-    /// only votes, proposes under a driven anchor, and keeps its log.
-    driven: bool,
     /// Cumulative load counters (commands dispatched / freshly admitted)
     /// for the imbalance instrumentation and the rebalancer's trigger.
-    load: crate::outbox::ShardLoad,
+    load: ShardLoad,
 }
 
-impl MultiPaxosProcess {
-    /// The process's current ballot.
-    pub fn mbal(&self) -> Ballot {
-        self.mbal
-    }
-
-    /// The process's current session.
-    pub fn session(&self) -> Session {
-        self.mbal.session(self.cfg.n())
-    }
-
-    /// Whether this process is anchored (leader with phase 1 pre-executed).
+impl LogShard {
+    /// Whether this shard proposes: its host's session completed phase 1
+    /// and no higher ballot was adopted since.
     pub fn is_anchored(&self) -> bool {
-        self.anchored == Some(self.mbal) && self.mbal.owner(self.cfg.n()) == self.id
+        self.anchored.is_some()
     }
 
     /// The chosen log so far: one batch per chosen slot.
@@ -525,24 +467,9 @@ impl MultiPaxosProcess {
         self.admitted.window()
     }
 
-    fn broadcast_m1a(&mut self, out: &mut Outbox<MultiMsg>) {
-        let mbal = self.mbal;
-        out.trace(|| TraceEvent::OneASent { ballot: mbal.get() });
-        out.metric(Metric::OneASent);
-        out.broadcast(MultiMsg::M1a {
-            mbal,
-            prefix: self.chosen_prefix,
-        });
-        self.last_p1a2a = Some(out.now());
-    }
-
-    fn enter_session(&mut self, announce: bool, out: &mut Outbox<MultiMsg>) {
-        self.session_heard.clear();
-        self.timer_expired = false;
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        if announce {
-            self.broadcast_m1a(out);
-        }
+    /// The cumulative load counters of this shard.
+    pub(crate) fn load(&self) -> ShardLoad {
+        self.load
     }
 
     /// Drops leadership state, moving every proposed-but-uncommitted
@@ -555,7 +482,7 @@ impl MultiPaxosProcess {
     /// batch needs the requeue, while one already committed in *any* slot
     /// must not re-enter `pending` (it would re-forward forever — commits
     /// never prune it again).
-    fn unanchor(&mut self) {
+    pub(crate) fn unanchor(&mut self) {
         let requeue: Vec<Value> = self
             .proposals
             .values()
@@ -567,56 +494,9 @@ impl MultiPaxosProcess {
         self.proposals.clear();
     }
 
-    fn adopt(&mut self, b: Ballot, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(b > self.mbal);
-        let old_session = self.session();
-        self.mbal = b;
-        if self.p1b.as_ref().is_some_and(|q| q.bal < b) {
-            self.p1b = None;
-        }
-        if self.anchored.is_some_and(|ab| ab < b) {
-            let dropped = self.anchored.unwrap_or(b);
-            out.metric(Metric::Unanchored);
-            out.trace(|| TraceEvent::Unanchored {
-                ballot: dropped.get(),
-            });
-            self.unanchor();
-        }
-        // A driven shard adopts silently: session entry (timer reset, 1a
-        // announcement) is the group's job, done once for all shards.
-        if !self.driven && b.session(self.cfg.n()) > old_session {
-            self.enter_session(true, out);
-        }
-    }
-
-    fn start_phase1(&mut self, out: &mut Outbox<MultiMsg>) {
-        let next = self.mbal.next_session(self.id, self.cfg.n());
-        self.mbal = next;
-        self.p1b = Some(Multi1bQuorum::new(next, self.cfg.n()));
-        self.unanchor();
-        self.enter_session(false, out);
-        self.broadcast_m1a(out);
-    }
-
-    fn try_start_phase1(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.driven || !self.timer_expired {
-            return;
-        }
-        // An anchored leader has nothing to gain from a fresh session: its
-        // phase 1 already covers every slot (§4 "Reducing Message
-        // Complexity": the stable case behaves like ordinary Paxos).
-        if self.is_anchored() {
-            return;
-        }
-        if self.session() == Session::ZERO || self.session_heard.reached() {
-            self.start_phase1(out);
-        }
-    }
-
     fn propose(&mut self, slot: u64, batch: Batch, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(self.is_anchored());
+        let mbal = self.anchored.expect("only an anchored shard proposes");
         debug_assert!(!self.log.contains(slot), "never propose into a chosen slot");
-        let bal = self.mbal;
         // Never propose two batches for the same (ballot, slot); a fresh
         // proposal occupies the pipeline until its slot commits.
         let batch = self.proposals.entry(slot).or_insert(batch).clone();
@@ -630,27 +510,7 @@ impl MultiPaxosProcess {
                 });
             }
         }
-        out.broadcast(MultiMsg::M2a { mbal: bal, slot, batch });
-        self.last_p1a2a = Some(out.now());
-    }
-
-    /// Becomes anchored: learn the chosen entries the quorum reported,
-    /// re-complete every reported live vote, then batch-assign fresh
-    /// slots to pending commands.
-    fn anchor(&mut self, out: &mut Outbox<MultiMsg>) {
-        let q = self.p1b.take().expect("anchor follows a 1b quorum");
-        debug_assert_eq!(q.bal, self.mbal);
-        // Learn reported-chosen entries BEFORE declaring ourselves
-        // anchored: `choose` flushes pending commands into fresh slots
-        // when anchored, and that must not happen until `next_slot` has
-        // been fixed up past everything the quorum reported.
-        self.learn_chosen(&q.fold.chosen, out);
-        self.anchored = Some(q.bal);
-        out.metric(Metric::Anchored);
-        out.trace(|| TraceEvent::Anchored {
-            ballot: q.bal.get(),
-        });
-        self.complete_phase1(&q.fold, out);
+        out.broadcast(MultiMsg::M2a { mbal, slot, batch });
     }
 
     /// Applies chosen entries reported by a phase-1b quorum: final by
@@ -658,7 +518,7 @@ impl MultiPaxosProcess {
     /// and a `LogDecided` each, exactly like any other commit) instead of
     /// being re-proposed through a 2a/2b round. Slots already in the log
     /// are skipped by `choose`.
-    fn learn_chosen(
+    pub(crate) fn learn_chosen(
         &mut self,
         chosen: &std::collections::BTreeMap<u64, Batch>,
         out: &mut Outbox<MultiMsg>,
@@ -668,12 +528,18 @@ impl MultiPaxosProcess {
         }
     }
 
-    /// The anchoring tail shared by the in-band [`Self::anchor`] and the
-    /// externally driven [`Self::drive_anchor`]: given a 1b quorum's
-    /// fold (its chosen entries already learned), re-complete every
-    /// reported slot under the current ballot and flush pending commands
-    /// into fresh slots.
-    fn complete_phase1(&mut self, quorum: &ReportFold, out: &mut Outbox<MultiMsg>) {
+    /// Becomes anchored at ballot `b`, whose phase 1 the host's session
+    /// completed with `quorum` as this log's fold of the promises: learn
+    /// the chosen entries the quorum reported, re-complete every reported
+    /// live vote under `b`, then batch-assign fresh slots to pending
+    /// commands.
+    pub(crate) fn anchor(&mut self, b: Ballot, quorum: &ReportFold, out: &mut Outbox<MultiMsg>) {
+        // Learn reported-chosen entries BEFORE declaring ourselves
+        // anchored: `choose` flushes pending commands into fresh slots
+        // when anchored, and that must not happen until `next_slot` has
+        // been fixed up past everything the quorum reported.
+        self.learn_chosen(&quorum.chosen, out);
+        self.anchored = Some(b);
         let best = &quorum.best;
         // Fresh slots start past the reported votes, our own log's
         // high-water mark (which now covers the quorum's reported chosen
@@ -716,8 +582,8 @@ impl MultiPaxosProcess {
     }
 
     /// The truncated phase-1b payload, relative to the 1a caller's
-    /// all-chosen prefix. Shared by the in-band `M1b` reply and the
-    /// [group promise](crate::paxos::group::GroupPromise) aggregation.
+    /// all-chosen prefix: the plain log's `M1b` report, and one entry of
+    /// a [group promise](crate::paxos::group::GroupPromise).
     ///
     /// What travels (and why it is safe to drop the rest):
     ///
@@ -756,63 +622,17 @@ impl MultiPaxosProcess {
         }
     }
 
-    /// Whether ballot `b` is in phase 2 as far as this process can tell:
-    /// it voted for a 2a at `b`, or is itself anchored at `b`. The owner
-    /// sends 2a(`b`) only after anchoring consumed its 1b quorum for `b`,
-    /// and a quorum is only ever re-created at a higher ballot — so the
-    /// payload of a 1b for `b` can no longer be read, and every later 1a
-    /// for `b` is answered with a payload-free 1b (the message itself,
-    /// the paper's acknowledgement, is still sent).
-    pub fn phase2_seen(&self, b: Ballot) -> bool {
-        self.phase2_at == Some(b) || self.anchored == Some(b)
-    }
-
-    /// Externally driven ballot adoption (log-group shards): raises this
-    /// shard's ballot to the group's, dropping leadership state if it was
-    /// anchored at a lower ballot — the per-shard half of a **group
-    /// unanchor event**. Emits nothing: the group owns every
-    /// session-level side effect (timer resets, 1a announcements).
-    pub fn drive_ballot(&mut self, b: Ballot) {
-        debug_assert!(self.driven, "drive_ballot is for externally driven shards");
-        if b <= self.mbal {
-            return;
-        }
-        self.mbal = b;
-        if self.p1b.as_ref().is_some_and(|q| q.bal < b) {
-            self.p1b = None;
-        }
-        if self.anchored.is_some_and(|ab| ab < b) {
-            self.unanchor();
-        }
-    }
-
-    /// Externally driven anchoring: the group's shared phase 1 completed
-    /// at ballot `b`, and `quorum` is the group-promise quorum's fold for
-    /// this shard. Exactly the in-band anchoring with the quorum supplied
-    /// from outside: reported chosen entries are learned, reported votes
-    /// re-complete under `b`, covered requeues are pruned, pending
-    /// commands drain into fresh slots.
-    pub fn drive_anchor(&mut self, b: Ballot, quorum: &ReportFold, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(self.driven, "drive_anchor is for externally driven shards");
-        debug_assert!(b >= self.mbal, "anchors never move the ballot backwards");
-        self.mbal = b;
-        self.learn_chosen(&quorum.chosen, out);
-        self.anchored = Some(b);
-        self.complete_phase1(quorum, out);
-    }
-
     /// Whether any proposed-but-unchosen slot is in flight (the live
     /// pipeline the ε tick re-proposes).
-    pub fn has_live_proposals(&self) -> bool {
+    pub(crate) fn has_live_proposals(&self) -> bool {
         !self.proposals.is_empty()
     }
 
-    /// Externally driven ε-retransmission for an anchored shard:
-    /// re-proposes every in-flight (proposed-but-unchosen) slot, exactly
-    /// the recovery half of the in-band ε tick. The group falls back to a
-    /// single group-level 1a when no shard has live proposals.
-    pub fn drive_repropose(&mut self, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(self.driven, "drive_repropose is for externally driven shards");
+    /// ε-retransmission of an anchored shard: re-proposes every in-flight
+    /// (proposed-but-unchosen) slot. `proposals` holds only unchosen
+    /// slots, so this is bounded by the pipeline window, not the log's
+    /// history. With nothing in flight the host re-announces instead.
+    pub(crate) fn repropose(&mut self, out: &mut Outbox<MultiMsg>) {
         let undecided: Vec<(u64, Batch)> = self
             .proposals
             .iter()
@@ -823,15 +643,17 @@ impl MultiPaxosProcess {
         }
     }
 
-    /// Externally driven ε re-forward: retries every held command toward
-    /// the group leader `owner` — the per-shard half of the group's
-    /// unanchored ε tick (the group checks `owner != self` once).
-    pub fn drive_reforward(&mut self, owner: ProcessId, out: &mut Outbox<MultiMsg>) {
-        debug_assert!(self.driven, "drive_reforward is for externally driven shards");
+    /// ε re-forward of an unanchored shard: retries every held command
+    /// toward the presumed `leader`. A Forward lost before `TS` (or
+    /// stranded by a leadership change) retries every ε, so every
+    /// submission to a live process commits within O(ε + δ) of
+    /// stabilization — at-least-once across instability. Commits prune
+    /// `pending` (see `choose`), terminating the retry.
+    pub(crate) fn reforward(&self, leader: ProcessId, out: &mut Outbox<MultiMsg>) {
         for v in &self.pending {
             out.metric(Metric::Forwarded);
             out.trace(|| TraceEvent::ForwardSent { value: v.get() });
-            out.send(owner, MultiMsg::Forward { value: *v });
+            out.send(leader, MultiMsg::Forward { value: *v });
         }
     }
 
@@ -840,7 +662,7 @@ impl MultiPaxosProcess {
     /// with its slot once committed. Read by the log group's rebalancer
     /// to decide whether a command crossing a moving key span can still
     /// be answered from the old owner's log.
-    pub fn admitted_status(&self, value: Value) -> Option<Admitted> {
+    pub(crate) fn admitted_status(&self, value: Value) -> Option<Admitted> {
         self.admitted.status(value)
     }
 
@@ -848,10 +670,8 @@ impl MultiPaxosProcess {
     /// matching `pred` — the rebalancer's **drain** condition: a key span
     /// may only switch shards once no in-flight proposal of the old owner
     /// still references it. Bounded by the pipeline window.
-    pub fn has_proposal_matching(&self, mut pred: impl FnMut(Value) -> bool) -> bool {
-        self.proposals
-            .values()
-            .any(|b| b.iter().any(|v| pred(*v)))
+    pub(crate) fn has_proposal_matching(&self, mut pred: impl FnMut(Value) -> bool) -> bool {
+        self.proposals.values().any(|b| b.iter().any(|v| pred(*v)))
     }
 
     /// Extracts every command matching `pred` from this shard's held
@@ -861,7 +681,7 @@ impl MultiPaxosProcess {
     /// new owner shard) and the chosen `(value, slot)` pairs (which
     /// become the group's moved-command answers). The per-shard half of
     /// a router-epoch switch; the caller re-routes the unchosen values.
-    pub fn drive_extract_matching(
+    pub(crate) fn extract_matching(
         &mut self,
         mut pred: impl FnMut(Value) -> bool,
     ) -> (Vec<Value>, Vec<(Value, u64)>) {
@@ -881,22 +701,18 @@ impl MultiPaxosProcess {
         (unchosen, chosen)
     }
 
-    /// [`Self::drive_extract_matching`] restricted to **pending**
-    /// commands (admitted, unchosen, and *not* in a live proposal):
-    /// they leave the queue and their admitted entries go with them.
-    /// The migration **freeze** step — queued moving-key commands join
-    /// the frozen buffer, while in-flight proposals are left to the
-    /// drain (pulling their dedup entries early would let the frozen
-    /// copy and the in-flight proposal both commit) and committed
-    /// commands stay answerable from this shard's log until the epoch
-    /// actually switches.
-    pub fn drive_extract_pending(&mut self, mut pred: impl FnMut(Value) -> bool) -> Vec<Value> {
-        let moving: std::collections::BTreeSet<Value> = self
-            .pending
-            .iter()
-            .copied()
-            .filter(|v| pred(*v))
-            .collect();
+    /// [`Self::extract_matching`] restricted to **pending** commands
+    /// (admitted, unchosen, and *not* in a live proposal): they leave the
+    /// queue and their admitted entries go with them. The migration
+    /// **freeze** step — queued moving-key commands join the frozen
+    /// buffer, while in-flight proposals are left to the drain (pulling
+    /// their dedup entries early would let the frozen copy and the
+    /// in-flight proposal both commit) and committed commands stay
+    /// answerable from this shard's log until the epoch actually
+    /// switches.
+    pub(crate) fn extract_pending(&mut self, mut pred: impl FnMut(Value) -> bool) -> Vec<Value> {
+        let moving: std::collections::BTreeSet<Value> =
+            self.pending.iter().copied().filter(|v| pred(*v)).collect();
         if moving.is_empty() {
             return Vec::new();
         }
@@ -914,10 +730,8 @@ impl MultiPaxosProcess {
     ///
     /// # Panics
     ///
-    /// Debug-asserts that this shard is externally driven and anchored.
-    pub fn drive_propose_batch(&mut self, batch: Batch, out: &mut Outbox<MultiMsg>) -> u64 {
-        debug_assert!(self.driven, "drive_propose_batch is for externally driven shards");
-        debug_assert!(self.is_anchored(), "control entries need an anchored proposer");
+    /// Panics if this shard is not anchored.
+    pub(crate) fn propose_batch(&mut self, batch: Batch, out: &mut Outbox<MultiMsg>) -> u64 {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.propose(slot, batch, out);
@@ -928,20 +742,29 @@ impl MultiPaxosProcess {
     /// handlers — the log group's moved-command answers, which satisfy a
     /// retry entirely at the group level but are load on this shard's
     /// span all the same.
-    pub(crate) fn drive_note_submitted(&mut self) {
+    pub(crate) fn note_submitted(&mut self) {
         self.load.submitted += 1;
     }
 
     /// Admits a command to the held set, idempotently: a value this
     /// process has already seen (an ε-retry duplicate, or a client
     /// resubmission of a committed command still inside the admitted
-    /// window) is dropped. Returns whether the command was newly
-    /// admitted.
-    fn admit(&mut self, value: Value) -> bool {
+    /// window) is dropped. A newly admitted one is assigned a slot at
+    /// once if we are anchored, else held until we anchor (the submitter
+    /// keeps its own retried copy). Returns whether it was new.
+    fn admit(&mut self, value: Value, out: &mut Outbox<MultiMsg>) -> bool {
         let fresh = self.admitted.admit(value);
         if fresh {
             self.load.admitted += 1;
             self.pending.push(value);
+            out.metric(Metric::Admitted);
+            out.trace(|| TraceEvent::Admitted {
+                shard: 0,
+                value: value.get(),
+            });
+            if self.is_anchored() {
+                self.drain_pending(out);
+            }
         }
         fresh
     }
@@ -1018,90 +841,66 @@ impl MultiPaxosProcess {
             self.drain_pending(out);
         }
     }
-}
 
-impl Process for MultiPaxosProcess {
-    type Msg = MultiMsg;
-
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn on_start(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.driven {
-            return; // the group boots the session once for all shards
+    /// A client command submitted at this process: admitted (idempotently),
+    /// then proposed if anchored, else held and forwarded to the presumed
+    /// `leader` — the ε tick retries the forward ([`Self::reforward`]).
+    pub(crate) fn submit(
+        &mut self,
+        value: Value,
+        leader: Option<ProcessId>,
+        out: &mut Outbox<MultiMsg>,
+    ) {
+        self.load.submitted += 1;
+        out.metric(Metric::Submitted);
+        out.trace(|| TraceEvent::submit(value));
+        if !self.admit(value, out) || self.is_anchored() {
+            return;
         }
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-        self.broadcast_m1a(out);
+        if let Some(leader) = leader {
+            out.metric(Metric::Forwarded);
+            out.trace(|| TraceEvent::ForwardSent { value: value.get() });
+            out.send(leader, MultiMsg::Forward { value });
+        }
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: &MultiMsg, out: &mut Outbox<MultiMsg>) {
+    /// Handles one of the four messages below phase 1. A 2a is voted for
+    /// as given: comparing its ballot with the session's (and adopting a
+    /// higher one) is the host's step before this call
+    /// (`LogSession::vote_2a`). The session's own 1a/1b never reach a
+    /// shard.
+    pub(crate) fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: &MultiMsg,
+        out: &mut Outbox<MultiMsg>,
+    ) {
         match msg {
-            MultiMsg::M1a { mbal, prefix } => {
-                // Phase 1 of a driven shard is group-level; a per-shard 1a
-                // is not part of that protocol and is dropped.
-                if self.driven {
-                    debug_assert!(false, "per-shard 1a under a group session");
-                    return;
-                }
-                let mbal = *mbal;
-                if mbal > self.mbal {
-                    self.adopt(mbal, out);
-                }
-                if mbal == self.mbal {
-                    let report = if self.phase2_seen(mbal) {
-                        VoteReport {
-                            prefix: self.chosen_prefix,
-                            ..VoteReport::default()
-                        }
-                    } else {
-                        self.vote_report(*prefix)
-                    };
-                    out.send(mbal.owner(self.cfg.n()), MultiMsg::M1b { mbal, report });
-                }
-            }
-            MultiMsg::M1b { mbal, report } => {
-                if *mbal == self.mbal {
-                    if let Some(q) = self.p1b.as_mut() {
-                        if q.bal == *mbal && q.record(from, report) {
-                            out.metric(Metric::PromiseQuorum);
-                            out.trace(|| TraceEvent::PromiseQuorum {
-                                ballot: mbal.get(),
-                            });
-                            self.anchor(out);
-                        }
-                    }
-                }
+            MultiMsg::M1a { .. } | MultiMsg::M1b { .. } => {
+                debug_assert!(false, "phase 1 is the session's, not a shard's");
             }
             MultiMsg::M2a { mbal, slot, batch } => {
-                if *mbal >= self.mbal {
-                    if *mbal > self.mbal {
-                        self.adopt(*mbal, out);
-                    }
-                    if let Some(prev) = self.accepted.get(*slot) {
-                        debug_assert!(*mbal >= prev.bal, "slot votes are ballot-monotone");
-                    }
-                    self.phase2_at = Some(*mbal);
-                    self.accepted.insert(
-                        *slot,
-                        BatchVote {
-                            bal: *mbal,
-                            batch: batch.clone(),
-                        },
-                    );
-                    out.broadcast(MultiMsg::M2b {
-                        mbal: *mbal,
-                        slot: *slot,
-                        batch: batch.clone(),
-                    });
+                if let Some(prev) = self.accepted.get(*slot) {
+                    debug_assert!(*mbal >= prev.bal, "slot votes are ballot-monotone");
                 }
+                self.accepted.insert(
+                    *slot,
+                    BatchVote {
+                        bal: *mbal,
+                        batch: batch.clone(),
+                    },
+                );
+                out.broadcast(MultiMsg::M2b {
+                    mbal: *mbal,
+                    slot: *slot,
+                    batch: batch.clone(),
+                });
             }
             MultiMsg::M2b { mbal, slot, batch } => {
                 let chosen = self
                     .decisions
                     .get_or_insert_with(*slot, Slot2b::default)
-                    .record(self.cfg.n(), from, *mbal, batch);
+                    .record(self.n, from, *mbal, batch);
                 if let Some(b) = chosen {
                     let s = *slot;
                     out.metric(Metric::Chosen);
@@ -1126,102 +925,193 @@ impl Process for MultiPaxosProcess {
                         value: value.get(),
                     });
                     out.send(from, MultiMsg::LogDecided { slot, batch });
-                } else if self.admit(*value) {
-                    out.metric(Metric::Admitted);
-                    out.trace(|| TraceEvent::Admitted {
-                        shard: 0,
-                        value: value.get(),
-                    });
-                    if self.is_anchored() {
-                        // Admission dedups ε-retry copies of queued
-                        // commands; a newly admitted one is assigned (or
-                        // held until we anchor — the submitter keeps its
-                        // own retried copy).
-                        self.drain_pending(out);
-                    }
+                } else {
+                    self.admit(*value, out);
                 }
             }
             MultiMsg::LogDecided { slot, batch } => {
                 self.choose(*slot, batch.clone(), out);
             }
         }
-        if self.driven {
-            // Suppression, session-heard bookkeeping and Start Phase 1
-            // are group-level concerns; the group does them once per
-            // delivered message.
-            return;
+    }
+}
+
+/// One replicated-log process: a `LogSession` leading one [`LogShard`],
+/// speaking [`MultiMsg`] directly. The single-shot `initial` value from
+/// [`Protocol::spawn`] is unused — commands arrive via
+/// [`Process::on_client`].
+#[derive(Debug, Clone)]
+pub struct MultiPaxosProcess {
+    session: LogSession<ReportFold>,
+    shard: LogShard,
+}
+
+/// The process reads as its one shard: `log`, `log_entry`, `log_values`,
+/// `chosen_prefix`, `pending_len`, `admitted_len`, `vote_report`, ….
+impl std::ops::Deref for MultiPaxosProcess {
+    type Target = LogShard;
+
+    fn deref(&self) -> &LogShard {
+        &self.shard
+    }
+}
+
+impl MultiPaxosProcess {
+    /// The process's current ballot.
+    pub fn mbal(&self) -> Ballot {
+        self.session.mbal()
+    }
+
+    /// The process's current session.
+    pub fn session(&self) -> Session {
+        self.session.session()
+    }
+
+    /// Whether this process is anchored (leader with phase 1 pre-executed).
+    pub fn is_anchored(&self) -> bool {
+        self.session.is_anchored()
+    }
+
+    /// Whether ballot `b` is in phase 2 as far as this process can tell —
+    /// it voted for a 2a at `b`, or is itself anchored at `b` — so that
+    /// the payload of a 1b for `b` can no longer be read and every later
+    /// 1a for `b` is answered payload-free.
+    pub fn phase2_seen(&self, b: Ballot) -> bool {
+        self.session.phase2_seen(b)
+    }
+
+    fn announce(&mut self, out: &mut Outbox<MultiMsg>) {
+        let m1a = MultiMsg::M1a {
+            mbal: self.session.mbal(),
+            prefix: self.shard.chosen_prefix(),
+        };
+        self.session.announce(m1a, out);
+    }
+
+    fn adopt(&mut self, b: Ballot, out: &mut Outbox<MultiMsg>) {
+        let adopted = self.session.adopt(b, out);
+        if adopted.unanchored {
+            self.shard.unanchor();
+        }
+        if adopted.new_session {
+            self.session.enter_session(out);
+            self.announce(out);
+        }
+    }
+
+    fn try_start_phase1(&mut self, out: &mut Outbox<MultiMsg>) {
+        if self.session.try_start_phase1(ReportFold::default, out) {
+            self.announce(out);
+        }
+    }
+
+    /// Runs one shard step straight against the host outbox — no seam on
+    /// the plain path — and, as the group's `dispatch` does while
+    /// retagging, stamps the session's idle clock if it broadcast a 2a.
+    fn drive(
+        &mut self,
+        out: &mut Outbox<MultiMsg>,
+        step: impl FnOnce(&mut LogShard, &mut Outbox<MultiMsg>),
+    ) {
+        let mark = out.actions().len();
+        step(&mut self.shard, out);
+        let is_2a = |a: &Action<MultiMsg>| {
+            matches!(
+                a,
+                Action::Broadcast {
+                    msg: MultiMsg::M2a { .. }
+                }
+            )
+        };
+        if out.actions()[mark..].iter().any(is_2a) {
+            self.session.sent_1a2a(out.now());
+        }
+    }
+}
+
+impl Process for MultiPaxosProcess {
+    type Msg = MultiMsg;
+
+    fn id(&self) -> ProcessId {
+        self.session.id()
+    }
+
+    fn on_start(&mut self, out: &mut Outbox<MultiMsg>) {
+        self.session.boot(out);
+        self.announce(out);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: &MultiMsg, out: &mut Outbox<MultiMsg>) {
+        match msg {
+            MultiMsg::M1a { mbal, prefix } => {
+                let mbal = *mbal;
+                if mbal > self.session.mbal() {
+                    self.adopt(mbal, out);
+                }
+                if mbal == self.session.mbal() {
+                    let report = if self.session.phase2_seen(mbal) {
+                        VoteReport {
+                            prefix: self.shard.chosen_prefix(),
+                            ..VoteReport::default()
+                        }
+                    } else {
+                        self.shard.vote_report(*prefix)
+                    };
+                    out.send(self.session.owner(), MultiMsg::M1b { mbal, report });
+                }
+            }
+            MultiMsg::M1b { mbal, report } => {
+                let quorum = self
+                    .session
+                    .promised(*mbal, from, |fold| fold.fold(report), out);
+                if let Some(quorum) = quorum {
+                    let b = *mbal;
+                    // This host's order, pinned by the trace: the quorum's
+                    // reported-chosen entries are learned before `Anchored`
+                    // is stamped (`LogShard::anchor` would learn them after
+                    // it — the group's order).
+                    self.shard.learn_chosen(&quorum.chosen, out);
+                    out.metric(Metric::Anchored);
+                    out.trace(|| TraceEvent::Anchored { ballot: b.get() });
+                    self.drive(out, |shard, o| shard.anchor(b, &quorum, o));
+                }
+            }
+            MultiMsg::M2a { mbal, .. } => {
+                if *mbal > self.session.mbal() {
+                    self.adopt(*mbal, out);
+                }
+                if self.session.vote_2a(*mbal) {
+                    self.shard.on_message(from, msg, out);
+                }
+            }
+            _ => self.drive(out, |shard, o| shard.on_message(from, msg, o)),
         }
         if let Some(b) = msg.ballot() {
-            // Leader-liveness suppression (the paper's "appropriate
-            // acknowledgement messages"): a message from the owner of our
-            // current ballot proves the leader is alive, so we defer our
-            // own takeover by resetting the session timer. The leader's
-            // ε-period 1a/2a traffic keeps every follower suppressed, so
-            // the stable case runs one leader indefinitely — exactly
-            // ordinary Paxos. If the leader dies before TS, the traffic
-            // stops and timers expire within σ.
-            if b == self.mbal && from == b.owner(self.cfg.n()) && from != self.id {
-                self.timer_expired = false;
-                out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-            }
-            if b.session(self.cfg.n()) == self.session() {
-                self.session_heard.insert(from);
-            }
+            self.session.heard_from(from, b, out);
         }
         self.try_start_phase1(out);
     }
 
     fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<MultiMsg>) {
-        if self.driven {
-            debug_assert!(false, "driven shards own no timers");
-            return;
-        }
         match timer {
             TIMER_SESSION => {
-                self.timer_expired = true;
+                self.session.session_timer_expired();
                 self.try_start_phase1(out);
             }
             TIMER_EPSILON => {
-                out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-                let idle = match self.last_p1a2a {
-                    None => true,
-                    Some(t) => out.now().saturating_since(t) >= self.cfg.epsilon_timer_local(),
-                };
-                if idle {
-                    if self.is_anchored() {
-                        // Re-propose undecided slots (recovery), or just
-                        // re-announce the ballot. `proposals` holds only
-                        // unchosen slots, so this scan is bounded by the
-                        // pipeline window, not the log's history.
-                        let undecided: Vec<(u64, Batch)> = self
-                            .proposals
-                            .iter()
-                            .map(|(s, b)| (*s, b.clone()))
-                            .collect();
-                        if undecided.is_empty() {
-                            self.broadcast_m1a(out);
-                        } else {
-                            for (slot, batch) in undecided {
-                                self.propose(slot, batch, out);
-                            }
-                        }
+                let idle = self.session.epsilon_tick(out);
+                if idle && self.session.is_anchored() {
+                    // Re-propose undecided slots (recovery), or just
+                    // re-announce the ballot.
+                    if self.shard.has_live_proposals() {
+                        self.drive(out, LogShard::repropose);
                     } else {
-                        self.broadcast_m1a(out);
-                        // Re-forward held commands toward the current
-                        // presumed leader: a Forward lost before `TS` (or
-                        // stranded by a leadership change) retries every ε,
-                        // so every submission to a live process commits
-                        // within O(ε + δ) of stabilization — at-least-once
-                        // across instability. Commits prune `pending`
-                        // (see `choose`), terminating the retry.
-                        let owner = self.mbal.owner(self.cfg.n());
-                        if owner != self.id {
-                            for v in &self.pending {
-                                out.metric(Metric::Forwarded);
-                                out.trace(|| TraceEvent::ForwardSent { value: v.get() });
-                                out.send(owner, MultiMsg::Forward { value: *v });
-                            }
-                        }
+                        self.announce(out);
+                    }
+                } else if idle {
+                    self.announce(out);
+                    if let Some(leader) = self.session.leader() {
+                        self.shard.reforward(leader, out);
                     }
                 }
             }
@@ -1230,47 +1120,19 @@ impl Process for MultiPaxosProcess {
     }
 
     fn on_restart(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.driven {
-            return; // the group re-arms and re-announces for all shards
-        }
-        self.timer_expired = false;
-        out.set_timer(TIMER_SESSION, self.cfg.session_timer_local());
-        out.set_timer(TIMER_EPSILON, self.cfg.epsilon_timer_local());
-        self.broadcast_m1a(out);
+        self.session.boot(out);
+        self.announce(out);
     }
 
     fn on_client(&mut self, value: Value, out: &mut Outbox<MultiMsg>) {
-        self.load.submitted += 1;
-        out.metric(Metric::Submitted);
-        out.trace(|| TraceEvent::submit(value));
-        if !self.admit(value) {
-            return;
-        }
-        out.metric(Metric::Admitted);
-        out.trace(|| TraceEvent::Admitted {
-            shard: 0,
-            value: value.get(),
-        });
-        if self.is_anchored() {
-            self.drain_pending(out);
-        } else {
-            // Hold it and forward to the presumed leader (the owner of
-            // our current ballot); the ε tick retries the forward.
-            let owner = self.mbal.owner(self.cfg.n());
-            if owner != self.id {
-                out.metric(Metric::Forwarded);
-                out.trace(|| TraceEvent::ForwardSent {
-                    value: value.get(),
-                });
-                out.send(owner, MultiMsg::Forward { value });
-            }
-        }
+        let leader = self.session.leader();
+        self.drive(out, |shard, o| shard.submit(value, leader, o));
     }
 
     /// The replicated log never "terminates"; for the single-shot driver
     /// interface, the decision is the first command of the first log entry.
     fn decision(&self) -> Option<Value> {
-        self.log.get(0).and_then(|b| b.first().copied())
+        self.shard.log_entry(0).and_then(|b| b.first().copied())
     }
 
     /// Anchored means leading: phase 1 is pre-executed for every slot.
@@ -1279,16 +1141,16 @@ impl Process for MultiPaxosProcess {
     }
 
     /// A plain log is one shard; its load counters live in shard zero.
-    fn shard_load(&self, shard: crate::types::ShardId) -> crate::outbox::ShardLoad {
-        debug_assert_eq!(shard, crate::types::ShardId::ZERO, "a plain log has one shard");
-        self.load
+    fn shard_load(&self, shard: ShardId) -> ShardLoad {
+        debug_assert_eq!(shard, ShardId::ZERO, "a plain log has one shard");
+        self.shard.load()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outbox::Action;
+    use crate::time::LocalInstant;
 
     fn cfg(n: usize) -> TimingConfig {
         TimingConfig::for_n_processes(n).unwrap()
@@ -1313,7 +1175,8 @@ mod tests {
         o.drain();
         let b = Ballot::new(4);
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M1b {
                     mbal: b,
                     report: VoteReport::default(),
@@ -1360,7 +1223,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         // p2's initial ballot is 2, owned by itself; adopt p1's ballot 4.
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &MultiMsg::M1a {
                 mbal: Ballot::new(4),
                 prefix: 0,
@@ -1382,7 +1246,8 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &MultiMsg::Forward {
                 value: Value::new(9),
             },
@@ -1404,9 +1269,9 @@ mod tests {
         p.on_client(Value::new(5), &mut o); // not anchored yet: pending
         o.drain();
         let _ = anchor_p1(&mut p, &mut o); // drains start/timer again is fine
-        // anchor_p1 drained the outbox; the assignment happened inside it.
-        // Re-check state: slot 0 proposed with the pending command.
-        assert_eq!(p.proposals.get(&0), Some(&one(5)));
+                                           // anchor_p1 drained the outbox; the assignment happened inside it.
+                                           // Re-check state: slot 0 proposed with the pending command.
+        assert_eq!(p.shard.proposals.get(&0), Some(&one(5)));
     }
 
     #[test]
@@ -1415,7 +1280,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &MultiMsg::M2a {
                 mbal: Ballot::new(4),
                 slot: 3,
@@ -1440,7 +1306,8 @@ mod tests {
         o.drain();
         let b = Ballot::new(4);
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: b,
                     slot: 2,
@@ -1451,10 +1318,12 @@ mod tests {
         }
         assert_eq!(p.log_entry(2), Some(&one(7)));
         assert_eq!(p.log_entry(0), None);
-        assert!(o
-            .drain()
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: MultiMsg::LogDecided { slot: 2, .. } })));
+        assert!(o.drain().iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: MultiMsg::LogDecided { slot: 2, .. }
+            }
+        )));
     }
 
     #[test]
@@ -1463,7 +1332,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &MultiMsg::LogDecided {
                 slot: 5,
                 batch: one(50),
@@ -1482,7 +1352,8 @@ mod tests {
         o.drain();
         let b = Ballot::new(4);
         // p0 reports an old vote in slot 7.
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &MultiMsg::M1b {
                 mbal: b,
                 report: VoteReport {
@@ -1498,7 +1369,8 @@ mod tests {
             },
             &mut o,
         );
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &MultiMsg::M1b {
                 mbal: b,
                 report: VoteReport::default(),
@@ -1515,7 +1387,9 @@ mod tests {
         p.on_client(Value::new(1), &mut o);
         assert!(o.drain().iter().any(|a| matches!(
             a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 8, .. } }
+            Action::Broadcast {
+                msg: MultiMsg::M2a { slot: 8, .. }
+            }
         )));
     }
 
@@ -1525,7 +1399,8 @@ mod tests {
         let mut o = out();
         anchor_p1(&mut p, &mut o);
         assert!(p.is_anchored());
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &MultiMsg::M1a {
                 mbal: Ballot::new(8), // session 2, owner p2
                 prefix: 0,
@@ -1562,7 +1437,8 @@ mod tests {
         o.drain();
         assert_eq!(p.decision(), None);
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: Ballot::new(4),
                     slot: 0,
@@ -1580,7 +1456,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         // Adopt leader p1's ballot 4 (session 1).
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &MultiMsg::M1a {
                 mbal: Ballot::new(4),
                 prefix: 0,
@@ -1595,7 +1472,8 @@ mod tests {
         o.drain();
         // Fresh leader traffic resets the timer (suppression): the timer
         // expiry flag is cleared again.
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &MultiMsg::M2a {
                 mbal: Ballot::new(4),
                 slot: 0,
@@ -1611,14 +1489,19 @@ mod tests {
         );
         // Even after hearing a majority in session 1, the cleared expiry
         // flag blocks an immediate takeover.
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &MultiMsg::M1a {
                 mbal: Ballot::new(4),
                 prefix: 0,
             },
             &mut o,
         );
-        assert_eq!(p.session(), Session::new(1), "no takeover while leader lives");
+        assert_eq!(
+            p.session(),
+            Session::new(1),
+            "no takeover while leader lives"
+        );
     }
 
     #[test]
@@ -1649,9 +1532,10 @@ mod tests {
     fn full_window_accumulates_then_batches() {
         // W = 1, B = 3: the first command occupies the only pipeline slot;
         // the next three accumulate and leave as ONE batch when it commits.
-        let mut p = MultiPaxos::new()
-            .with_batching(3, 1)
-            .spawn(ProcessId::new(1), &cfg(3), Value::new(0));
+        let mut p =
+            MultiPaxos::new()
+                .with_batching(3, 1)
+                .spawn(ProcessId::new(1), &cfg(3), Value::new(0));
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(10), &mut o);
@@ -1665,13 +1549,19 @@ mod tests {
             p.on_client(Value::new(v), &mut o);
         }
         assert!(
-            !o.drain().iter().any(|a| matches!(a, Action::Broadcast { msg: MultiMsg::M2a { .. } })),
+            !o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: MultiMsg::M2a { .. }
+                }
+            )),
             "window full: no new proposal"
         );
         assert_eq!(p.pending_len(), 3);
         // Slot 0 commits: the backlog flushes as one 3-command batch.
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: b,
                     slot: 0,
@@ -1697,7 +1587,8 @@ mod tests {
         o.drain();
         let batch = batch_of([Value::new(1), Value::new(2), Value::new(3)]);
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &MultiMsg::M2b {
                     mbal: Ballot::new(4),
                     slot: 0,
@@ -1724,7 +1615,14 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         // Adopt leader p1's ballot 4, then submit: pending + one Forward.
-        p.on_message(ProcessId::new(1), &MultiMsg::M1a { mbal: Ballot::new(4), prefix: 0 }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &MultiMsg::M1a {
+                mbal: Ballot::new(4),
+                prefix: 0,
+            },
+            &mut o,
+        );
         p.on_client(Value::new(9), &mut o);
         o.drain();
         // An idle ε tick retries the forward toward the presumed leader.
@@ -1738,8 +1636,13 @@ mod tests {
         )));
         // Once the command commits, the retry stops.
         for from in [0u32, 1] {
-            p.on_message(ProcessId::new(from),
-                &MultiMsg::M2b { mbal: Ballot::new(4), slot: 0, batch: one(9) },
+            p.on_message(
+                ProcessId::new(from),
+                &MultiMsg::M2b {
+                    mbal: Ballot::new(4),
+                    slot: 0,
+                    batch: one(9),
+                },
                 &mut o,
             );
         }
@@ -1747,7 +1650,13 @@ mod tests {
         let mut o3 = Outbox::new(later + cfg(3).epsilon_timer_local() * 4);
         p.on_timer(TIMER_EPSILON, &mut o3);
         assert!(
-            !o3.drain().iter().any(|a| matches!(a, Action::Send { msg: MultiMsg::Forward { .. }, .. })),
+            !o3.drain().iter().any(|a| matches!(
+                a,
+                Action::Send {
+                    msg: MultiMsg::Forward { .. },
+                    ..
+                }
+            )),
             "no retry after commit"
         );
     }
@@ -1756,14 +1665,21 @@ mod tests {
     fn duplicate_forwards_are_admitted_once() {
         // W = 1 keeps the pipeline full, so retried forwards would pile up
         // in `pending` without admission dedup.
-        let mut p = MultiPaxos::new()
-            .with_batching(1, 1)
-            .spawn(ProcessId::new(1), &cfg(3), Value::new(0));
+        let mut p =
+            MultiPaxos::new()
+                .with_batching(1, 1)
+                .spawn(ProcessId::new(1), &cfg(3), Value::new(0));
         let mut o = out();
         anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(5), &mut o); // occupies the window
         for _ in 0..4 {
-            p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: Value::new(6) }, &mut o);
+            p.on_message(
+                ProcessId::new(2),
+                &MultiMsg::Forward {
+                    value: Value::new(6),
+                },
+                &mut o,
+            );
         }
         o.drain();
         assert_eq!(p.pending_len(), 1, "retries of value 6 admitted once");
@@ -1777,18 +1693,35 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
-        p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: Value::new(9) }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::Forward {
+                value: Value::new(9),
+            },
+            &mut o,
+        );
         o.drain();
         // Slot 0 commits at the leader.
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
-                &MultiMsg::M2b { mbal: b, slot: 0, batch: one(9) },
+            p.on_message(
+                ProcessId::new(from),
+                &MultiMsg::M2b {
+                    mbal: b,
+                    slot: 0,
+                    batch: one(9),
+                },
                 &mut o,
             );
         }
         o.drain();
         // The submitter retries: it gets the decided entry back.
-        p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: Value::new(9) }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::Forward {
+                value: Value::new(9),
+            },
+            &mut o,
+        );
         assert!(o.drain().iter().any(|a| matches!(
             a,
             Action::Send { to, msg: MultiMsg::LogDecided { slot: 0, batch } }
@@ -1806,17 +1739,24 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::LogDecided { slot: 0, batch: one(50) },
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::LogDecided {
+                slot: 0,
+                batch: one(50),
+            },
             &mut o,
         );
         o.drain();
         p.on_client(Value::new(7), &mut o);
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                if **batch == [Value::new(7)]
-        )), "fresh proposal lands past the learned entry, not on slot 0");
+        assert!(
+            o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
+                    if **batch == [Value::new(7)]
+            )),
+            "fresh proposal lands past the learned entry, not on slot 0"
+        );
     }
 
     #[test]
@@ -1827,16 +1767,23 @@ mod tests {
         p.on_client(Value::new(7), &mut o); // proposed in slot 0
         o.drain();
         // A competing leader's different batch wins slot 0.
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::LogDecided { slot: 0, batch: one(50) },
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::LogDecided {
+                slot: 0,
+                batch: one(50),
+            },
             &mut o,
         );
         // Our command is immediately re-proposed in a fresh slot.
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                if **batch == [Value::new(7)]
-        )), "losing batch re-proposed past the stolen slot");
+        assert!(
+            o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
+                    if **batch == [Value::new(7)]
+            )),
+            "losing batch re-proposed past the stolen slot"
+        );
     }
 
     #[test]
@@ -1847,15 +1794,26 @@ mod tests {
         p.on_client(Value::new(7), &mut o); // proposed in slot 0, unchosen
         o.drain();
         // The same command commits elsewhere (slot 5) via another leader.
-        p.on_message(ProcessId::new(2),
-            &MultiMsg::LogDecided { slot: 5, batch: one(7) },
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::LogDecided {
+                slot: 5,
+                batch: one(7),
+            },
             &mut o,
         );
         o.drain();
         // Unanchoring must NOT requeue it: it is committed, and a requeue
         // would re-forward it every ε forever (commits never prune it
         // again).
-        p.on_message(ProcessId::new(2), &MultiMsg::M1a { mbal: Ballot::new(8), prefix: 0 }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::M1a {
+                mbal: Ballot::new(8),
+                prefix: 0,
+            },
+            &mut o,
+        );
         o.drain();
         assert!(!p.is_anchored());
         assert_eq!(p.pending_len(), 0, "committed command not requeued");
@@ -1871,7 +1829,14 @@ mod tests {
         assert_eq!(p.pending_len(), 0);
         // A higher ballot takes over: the command must fall back to
         // pending, not vanish.
-        p.on_message(ProcessId::new(2), &MultiMsg::M1a { mbal: Ballot::new(8), prefix: 0 }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::M1a {
+                mbal: Ballot::new(8),
+                prefix: 0,
+            },
+            &mut o,
+        );
         o.drain();
         assert!(!p.is_anchored());
         assert_eq!(p.pending_len(), 1, "unchosen proposal requeued");
@@ -1980,6 +1945,114 @@ mod tests {
             p.vote_report(0).votes.len(),
             1,
             "the full report is still there"
+        );
+    }
+
+    /// Trace + action order of the two events whose order is the plain
+    /// host's own (see the comments in `anchor` and `adopt`).
+    #[test]
+    fn order_of_anchoring_a_reported_chosen_entry_and_of_adopt_while_anchored() {
+        let mut p = spawn(3, 1);
+        let mut o = out();
+        o.set_tracing(true);
+        p.on_start(&mut o);
+        p.on_timer(TIMER_SESSION, &mut o); // ballot 4
+        o.drain();
+        o.drain_trace();
+        let b = Ballot::new(4);
+        let reported = VoteReport {
+            prefix: 1,
+            chosen: vec![(0, one(5))],
+            votes: vec![],
+        };
+        p.on_message(
+            ProcessId::new(0),
+            &MultiMsg::M1b {
+                mbal: b,
+                report: reported,
+            },
+            &mut o,
+        );
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::M1b {
+                mbal: b,
+                report: VoteReport::default(),
+            },
+            &mut o,
+        );
+        assert_eq!(
+            o.drain_trace().collect::<Vec<_>>(),
+            vec![
+                TraceEvent::PromiseQuorum { ballot: 4 },
+                TraceEvent::Decided {
+                    shard: 0,
+                    slot: 0,
+                    value: 5
+                },
+                TraceEvent::Anchored { ballot: 4 },
+            ],
+            "the reported-chosen entry is learned before Anchored is stamped"
+        );
+        assert_eq!(
+            o.drain(),
+            vec![
+                Action::Decide {
+                    value: Value::new(5),
+                    shard: crate::types::ShardId::ZERO
+                },
+                Action::Broadcast {
+                    msg: MultiMsg::LogDecided {
+                        slot: 0,
+                        batch: one(5)
+                    }
+                },
+            ]
+        );
+        // Adopt while anchored, one proposal in flight.
+        p.on_client(Value::new(7), &mut o);
+        o.drain();
+        o.drain_trace();
+        let b8 = Ballot::new(8);
+        p.on_message(
+            ProcessId::new(2),
+            &MultiMsg::M1a {
+                mbal: b8,
+                prefix: 0,
+            },
+            &mut o,
+        );
+        assert_eq!(
+            o.drain_trace().collect::<Vec<_>>(),
+            vec![
+                TraceEvent::Unanchored { ballot: 4 },
+                TraceEvent::OneASent { ballot: 8 }
+            ]
+        );
+        let acts = o.drain();
+        assert_eq!(acts.len(), 4, "{acts:?}");
+        assert!(matches!(&acts[0], Action::SetTimer { id, .. } if *id == TIMER_SESSION));
+        assert_eq!(
+            acts[1],
+            Action::Broadcast {
+                msg: MultiMsg::M1a {
+                    mbal: b8,
+                    prefix: 1
+                }
+            }
+        );
+        assert!(matches!(
+            &acts[2],
+            Action::Send { to, msg: MultiMsg::M1b { mbal, .. } } if *to == ProcessId::new(2) && *mbal == b8
+        ));
+        assert!(
+            matches!(&acts[3], Action::SetTimer { id, .. } if *id == TIMER_SESSION),
+            "the 1a came from the new ballot's owner: leader traffic re-arms the timer last"
+        );
+        assert_eq!(
+            p.pending_len(),
+            1,
+            "the in-flight command fell back to pending"
         );
     }
 

@@ -1,4 +1,4 @@
-//! Traditional Paxos (§2 baseline) — leader-driven, with the Reject action.
+//! Traditional Paxos (§2 baseline) — leader-based, with the Reject action.
 //!
 //! This is the algorithm the paper recalls in §2 to show why simple
 //! modifications do **not** achieve `TS + O(δ)`: a leader `q` elected after
@@ -66,7 +66,7 @@ pub struct TraditionalPaxos {
 }
 
 impl TraditionalPaxos {
-    /// Oracle-driven traditional Paxos (the default).
+    /// Traditional Paxos led by the driver oracle (the default).
     pub fn new() -> Self {
         TraditionalPaxos::default()
     }

@@ -62,6 +62,13 @@ health:
 health-check:
     cargo run -q --release -p esync-check --bin health_check
 
+# Regenerate-and-diff: run the named experiments (default: e7 w3 w4 w5
+# trace health) into a scratch directory and compare with the committed
+# BENCH_exp_*/TRACE_*/HEALTH_* artifacts; nonzero exit at the first
+# differing field. What every "the stream did not change" claim runs.
+identity *targets:
+    scripts/identity.sh {{targets}}
+
 # The performance benchmark (BENCHMARK.json): every workload, 5 interleaved
 # repetitions + one traced pass + the probes; every metric by name with
 # its unit and a per-layer ledger per workload (~2.5 min). For a host-time

@@ -5,6 +5,7 @@
 
 use esync::check::{Budgets, Explorer};
 use esync::core::bconsensus::BConsensus;
+use esync::core::paxos::group::LogGroup;
 use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
 use esync::core::paxos::traditional::TraditionalPaxos;
@@ -86,20 +87,39 @@ fn bconsensus_original_safe_under_adversarial_oracle() {
     assert!(report.violation.is_none(), "{:?}", report.violation);
 }
 
+/// What the two log runs below check, and what they do not: the checker
+/// never calls `on_client`, so no command is ever submitted and no slot is
+/// ever proposed. These schedules explore the **session / phase-1
+/// skeleton** of both compositions of `LogSession` — Start Phase 1, adopt,
+/// the promise quorum, anchoring on empty folds, crash/restart, arbitrary
+/// reordering and early timers — with every `debug_assert!` in the log
+/// layers as the oracle. They check nothing about log agreement; per-slot
+/// agreement under the checker is ROADMAP open item 4(a).
 #[test]
 fn multipaxos_exhaustive_small_world() {
+    let budgets = Budgets {
+        drops: 1,
+        crashes: 1,
+        leader_lies: 0,
+    };
     let report = Explorer::new(MultiPaxos::new(), 2)
-        .budgets(Budgets {
-            drops: 1,
-            crashes: 1,
-            leader_lies: 0,
-        })
+        .budgets(budgets)
         .max_depth(7)
         .max_states(120_000)
         .explore();
-    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(report.violation.is_none(), "plain: {:?}", report.violation);
+    let report = Explorer::new(LogGroup::new(2), 2)
+        .budgets(budgets)
+        .max_depth(7)
+        .max_states(120_000)
+        .explore();
+    assert!(report.violation.is_none(), "group: {:?}", report.violation);
 }
 
+/// For the two log protocols at the end, the same caveat as
+/// [`multipaxos_exhaustive_small_world`]: no command is submitted, so the
+/// walks exercise the session skeleton under the debug assertions, not
+/// log agreement.
 #[test]
 fn deep_random_walks_three_processes_all_protocols() {
     let budgets = Budgets {
@@ -127,4 +147,8 @@ fn deep_random_walks_three_processes_all_protocols() {
         .budgets(budgets)
         .random_walks(25, 200, 5);
     assert!(r.violation.is_none(), "multipaxos: {:?}", r.violation);
+    let r = Explorer::new(LogGroup::new(2), 3)
+        .budgets(budgets)
+        .random_walks(25, 200, 6);
+    assert!(r.violation.is_none(), "log group: {:?}", r.violation);
 }

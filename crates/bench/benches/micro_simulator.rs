@@ -400,6 +400,61 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// The queue at the depth the paper's workload has (`sim_recover_n33`:
+/// 18 152 pending events on average, 46 353 at the peak, where
+/// `event_queue_steady_state_6k` holds 6 000 and the benchmark's
+/// `sim.event.push_pop_ns` probe 1 089). One iteration is one pop plus the
+/// pushes it causes: a broadcast to n = 33 under chaos (30% loss, delays
+/// uniform in `[0, 12δ]`, δ = 10 ms, the world's δ/16 buckets) with the
+/// probability that makes 1.56 pushes per pop while the queue fills, and
+/// 0.46 per pop once it passed 46 k until it has drained to 18 k — the
+/// saw-tooth of a run that builds up before `TS` and drains after it.
+fn bench_event_queue_recover_depth(c: &mut Criterion) {
+    c.bench_function("event_queue_recover_depth_n33", |b| {
+        const N: u32 = 33;
+        const DELTA_NS: u64 = 10_000_000;
+        let shift = (DELTA_NS / 16).ilog2();
+        let mut q: EventQueue<PaxosMsg> = EventQueue::with_bucket_width_shift(shift, 4096);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut broadcast = |q: &mut EventQueue<PaxosMsg>, now: u64, from: u32| {
+            let msg = MsgPayload::Owned(PaxosMsg::P1a {
+                mbal: Ballot::new(now),
+            });
+            let survivors = (0..N).filter_map(|to| {
+                let r = rand();
+                let at = SimTime::from_nanos(now + 1 + (r >> 8) % (12 * DELTA_NS));
+                (r % 10 >= 3).then_some((ProcessId::new(to), at))
+            });
+            q.push_fanout(ProcessId::new(from), msg, survivors);
+        };
+        for from in 0..N {
+            broadcast(&mut q, 0, from);
+        }
+        // Broadcasts per 1000 pops: 23.1 surviving recipients each.
+        let (filling_rate, draining_rate) = (1560 * 10 / 231, 460 * 10 / 231);
+        let (mut filling, mut tick) = (true, 0x2545_f491_4f6c_dd1du64);
+        b.iter(|| {
+            let e = q.pop().unwrap();
+            filling = if filling { q.len() < 46_000 } else { q.len() < 18_000 };
+            tick = tick.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let rate = if filling { filling_rate } else { draining_rate };
+            if (tick >> 33) % 1000 < rate {
+                let EventKind::Deliver { to, .. } = e.kind else {
+                    unreachable!("only deliveries are scheduled")
+                };
+                broadcast(&mut q, e.at.as_nanos(), to.as_u32());
+            }
+            black_box(e.seq)
+        });
+    });
+}
+
 /// Wide-horizon calendar-queue churn: ~6000 pending timers spread over a
 /// ~4s horizon — 250× the 16.8ms ring span of the fixed 2^14ns bucket
 /// width, so the fixed queue funnels nearly every push through the far
@@ -494,6 +549,7 @@ criterion_group! {
     targets = bench_end_to_end, bench_log_group_workload, bench_chaos_run,
               bench_protocol_step, bench_promise_truncation,
               bench_decision_tracker, bench_event_queue,
+              bench_event_queue_recover_depth,
               bench_event_queue_wide_horizon, bench_sweep,
               bench_trace_overhead, bench_metrics_overhead
 }

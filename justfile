@@ -69,6 +69,21 @@ health-check:
 identity *targets:
     scripts/identity.sh {{targets}}
 
+# Where a release binary spends its CPU time, on a box without `perf`:
+# builds the SIGPROF sampler (scripts/profile/sampler.c), runs
+# `binary args…` under it and prints the symbolized profile (top physical
+# functions with libc leaves attributed to their callers, inlined frames,
+# source lines). For lines, build the binary with
+# `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` (same code, plus tables).
+# E.g. `just profile benchmark/target/release/benchmark run --workload
+# sim_recover_n33 --seed 7 --seconds 15 --trace 0`.
+profile binary *args:
+    mkdir -p target/profile
+    gcc -O2 -shared -fPIC -o target/profile/sampler.so scripts/profile/sampler.c
+    rm -f target/profile/samples.*
+    PROFILE_OUT="$PWD/target/profile/samples" LD_PRELOAD="$PWD/target/profile/sampler.so" {{binary}} {{args}}
+    python3 scripts/profile/symbolize.py target/profile/samples.*
+
 # The performance benchmark (BENCHMARK.json): every workload, 5 interleaved
 # repetitions + one traced pass + the probes; every metric by name with
 # its unit and a per-layer ledger per workload (~2.5 min). For a host-time

@@ -164,15 +164,6 @@ impl MetricSet {
         self.counters[m as usize]
     }
 
-    /// Adds every counter of `other` into this set (the sharded group's
-    /// dispatch seam folds its inner scratch outbox's counters into the
-    /// outer registry with this).
-    pub fn merge(&mut self, other: &MetricSet) {
-        for (dst, src) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *dst += src;
-        }
-    }
-
     /// The raw counter array, in [`Metric::ALL`] order.
     pub fn counters(&self) -> &[u64; METRIC_COUNT] {
         &self.counters
@@ -214,17 +205,5 @@ mod tests {
         assert_eq!(s.get(Metric::Submitted), 0);
         s.reset();
         assert_eq!(*s.counters(), [0; METRIC_COUNT]);
-    }
-
-    #[test]
-    fn merge_adds_elementwise() {
-        let mut a = MetricSet::new();
-        let mut b = MetricSet::new();
-        a.inc(Metric::Chosen);
-        b.add(Metric::Chosen, 4);
-        b.inc(Metric::Anchored);
-        a.merge(&b);
-        assert_eq!(a.get(Metric::Chosen), 5);
-        assert_eq!(a.get(Metric::Anchored), 1);
     }
 }

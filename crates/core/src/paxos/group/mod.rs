@@ -61,12 +61,12 @@ pub mod rebalance;
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
 use crate::metrics::Metric;
-use crate::outbox::{Action, Outbox, Process, Protocol};
+use crate::outbox::{Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
 use crate::paxos::log_session::LogSession;
 use crate::paxos::multi::{
     batch_of, Batch, BatchVote, LogShard, MultiMsg, MultiPaxos, MultiPaxosProcess, ReportFold,
-    SlotVote, VoteReport,
+    ShardOut, ShardWire, SlotVote, VoteReport,
 };
 use crate::paxos::slotlog::SlotMap;
 use crate::trace::TraceEvent;
@@ -319,6 +319,12 @@ impl GroupMsg {
     }
 }
 
+impl ShardWire for GroupMsg {
+    fn of_shard(shard: ShardId, msg: MultiMsg) -> Self {
+        GroupMsg::Shard { shard, msg }
+    }
+}
+
 /// How client commands map onto shards, by KV key (see
 /// [`kv_key`]; unkeyed values have key 0 and all
 /// land in shard 0).
@@ -483,7 +489,6 @@ impl Protocol for LogGroup {
                 .map(|_| self.inner.spawn_shard(cfg))
                 .collect(),
             router: self.router.clone(),
-            scratch: Outbox::default(),
             epoch: 0,
             ctrl_scan: 0,
             rebalance: self.rebalance.clone().map(Rebalancer::new),
@@ -503,11 +508,6 @@ pub struct LogGroupProcess {
     session: LogSession<Vec<ReportFold>>,
     shards: Vec<LogShard>,
     router: ShardRouter,
-    /// Reused inner outbox: shard handlers emit untagged actions into it,
-    /// and [`LogGroupProcess::dispatch`] maps them into the driver-facing
-    /// outbox — one buffer for the process's lifetime, no per-event
-    /// allocation.
-    scratch: Outbox<MultiMsg>,
     /// The router epoch this process has applied: bumped once per
     /// committed boundary move, in shard-0 slot order, identically at
     /// every process.
@@ -683,65 +683,25 @@ impl LogGroupProcess {
         }
     }
 
-    /// Runs one shard handler and re-tags its actions for the driver:
-    /// messages gain the shard tag and decides the shard id. Action order
-    /// is preserved exactly — with `S = 1` the emitted stream is the
-    /// inner stream, message for message. A shard's 2a broadcast also
-    /// stamps the session's idle clock: any shard's 2a counts, so one
-    /// busy shard keeps the whole group's ε retransmission quiet.
+    /// Runs one step of shard `shard` against its view of the driver's
+    /// outbox: messages leave shard-tagged and decides carry the shard id
+    /// as they are emitted — with `S = 1` the stream is the plain log's,
+    /// message for message. Control values stay out of the decide stream
+    /// of a rebalancing group (the epoch switch happens in the shard-0
+    /// prefix walk, `scan_ctrl`). A shard's 2a broadcast also stamps the
+    /// session's idle clock: any shard's 2a counts, so one busy shard
+    /// keeps the whole group's ε retransmission quiet.
     fn dispatch(
         &mut self,
         shard: ShardId,
         out: &mut Outbox<GroupMsg>,
-        f: impl FnOnce(&mut LogShard, &mut Outbox<MultiMsg>),
+        step: impl FnOnce(&mut LogShard, &mut ShardOut<'_, GroupMsg>),
     ) {
-        let mut inner = std::mem::take(&mut self.scratch);
-        inner.reset(out.now());
-        inner.set_tracing(out.tracing());
-        inner.set_metering(out.metering());
-        f(&mut self.shards[shard.as_usize()], &mut inner);
-        // Metric counters cross the seam by merging: the inner registry
-        // folds into the outer one and is re-zeroed for the next dispatch
-        // (counters are shard-agnostic, so no re-tagging is needed).
-        if inner.metering() {
-            out.metrics_mut().merge(inner.metrics());
-            inner.metrics_mut().reset();
+        let mut view = ShardOut::new(out, shard, self.rebalance.is_some());
+        step(&mut self.shards[shard.as_usize()], &mut view);
+        if view.sent_2a {
+            self.session.sent_1a2a(out.now());
         }
-        // Trace events cross the seam re-tagged with the real shard id —
-        // the inner layer believes it is shard zero, exactly like its
-        // decides.
-        for ev in inner.drain_trace() {
-            out.trace(|| ev.with_shard(shard));
-        }
-        for action in inner.drain_iter() {
-            match action {
-                Action::Send { to, msg } => out.send(to, GroupMsg::Shard { shard, msg }),
-                Action::Broadcast { msg } => {
-                    if matches!(msg, MultiMsg::M2a { .. }) {
-                        // Leader traffic for the whole group: one busy
-                        // shard suppresses the group's ε 1a.
-                        self.session.sent_1a2a(out.now());
-                    }
-                    out.broadcast(GroupMsg::Shard { shard, msg });
-                }
-                Action::SetTimer { .. } | Action::CancelTimer { .. } => {
-                    debug_assert!(false, "shards own no timers");
-                }
-                // The inner layer decides in shard zero; the group knows
-                // which shard actually ran. Control values (router-epoch
-                // entries, possible only with rebalancing enabled) are
-                // protocol metadata: they commit like any entry but are
-                // never surfaced as client commands — the epoch switch
-                // happens in the shard-0 prefix walk (`scan_ctrl`).
-                Action::Decide { value, .. } => {
-                    if self.rebalance.is_none() || !is_ctrl_value(value) {
-                        out.decide_in_shard(shard, value);
-                    }
-                }
-                Action::WabBroadcast { msg } => out.wab_broadcast(msg),
-            }
-        }
-        self.scratch = inner;
     }
 
     fn all_shards(&self) -> impl Iterator<Item = ShardId> {
@@ -1354,6 +1314,7 @@ impl ShardedLogView for LogGroupProcess {
 mod tests {
     use super::*;
     use crate::ballot::Ballot;
+    use crate::outbox::Action;
     use crate::paxos::multi::batch_of;
     use crate::time::LocalInstant;
     use crate::types::kv_command;

@@ -40,8 +40,9 @@
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
 use crate::metrics::Metric;
-use crate::outbox::{Action, Outbox, Process, Protocol, ShardLoad};
+use crate::outbox::{Outbox, Process, Protocol, ShardLoad};
 use crate::paxos::admitted::{Admitted, AdmittedSet, DEFAULT_ADMITTED_WINDOW};
+use crate::paxos::group::rebalance::is_ctrl_value;
 use crate::paxos::log_session::LogSession;
 use crate::paxos::slotlog::SlotMap;
 use crate::quorum::QuorumTracker;
@@ -363,6 +364,76 @@ impl Protocol for MultiPaxos {
     }
 }
 
+/// How a shard's [`MultiMsg`] travels on its host's wire: as itself under
+/// [`MultiPaxosProcess`], shard-tagged under a log group.
+pub(crate) trait ShardWire {
+    /// `msg` of shard `shard`, in the host's message type.
+    fn of_shard(shard: ShardId, msg: MultiMsg) -> Self;
+}
+
+impl ShardWire for MultiMsg {
+    fn of_shard(_: ShardId, msg: MultiMsg) -> Self {
+        msg
+    }
+}
+
+/// What a [`LogShard`] writes into: the **host's** outbox, seen as shard
+/// `shard` of it. Messages are wrapped for the host's wire, decides and
+/// trace events carry the shard id, counters land in the host registry —
+/// in emission order, nothing buffered or copied. The view has no timer
+/// and no oracle method: that shards own neither is held by the type.
+pub(crate) struct ShardOut<'a, M> {
+    out: &'a mut Outbox<M>,
+    shard: ShardId,
+    /// Whether control values (router-epoch entries, possible only under
+    /// a rebalancing host) are withheld from the decide stream: they
+    /// commit like any entry but are never surfaced as client commands.
+    hide_ctrl: bool,
+    /// Whether a 2a was broadcast through this view — leader traffic, so
+    /// the host stamps its session's ε idle clock after the step.
+    pub(crate) sent_2a: bool,
+}
+
+impl<'a, M: ShardWire> ShardOut<'a, M> {
+    pub(crate) fn new(out: &'a mut Outbox<M>, shard: ShardId, hide_ctrl: bool) -> Self {
+        ShardOut {
+            out,
+            shard,
+            hide_ctrl,
+            sent_2a: false,
+        }
+    }
+
+    fn send(&mut self, to: ProcessId, msg: MultiMsg) {
+        self.out.send(to, M::of_shard(self.shard, msg));
+    }
+
+    fn broadcast(&mut self, msg: MultiMsg) {
+        self.sent_2a |= matches!(msg, MultiMsg::M2a { .. });
+        self.out.broadcast(M::of_shard(self.shard, msg));
+    }
+
+    fn decide(&mut self, value: Value) {
+        if !(self.hide_ctrl && is_ctrl_value(value)) {
+            self.out.decide_in_shard(self.shard, value);
+        }
+    }
+
+    fn tracing(&self) -> bool {
+        self.out.tracing()
+    }
+
+    /// Emits the event `ev` builds for this view's shard id.
+    fn trace(&mut self, ev: impl FnOnce(u32) -> TraceEvent) {
+        let shard = self.shard.get();
+        self.out.trace(|| ev(shard));
+    }
+
+    fn metric(&mut self, m: Metric) {
+        self.out.metric(m);
+    }
+}
+
 /// One replicated log **below phase 1**: acceptor votes, the chosen log,
 /// 2b tallies, the proposal pipeline with batching, admission dedup and
 /// load counters. It owns no ballot, no timer and no quorum, and never
@@ -494,7 +565,7 @@ impl LogShard {
         self.proposals.clear();
     }
 
-    fn propose(&mut self, slot: u64, batch: Batch, out: &mut Outbox<MultiMsg>) {
+    fn propose<M: ShardWire>(&mut self, slot: u64, batch: Batch, out: &mut ShardOut<'_, M>) {
         let mbal = self.anchored.expect("only an anchored shard proposes");
         debug_assert!(!self.log.contains(slot), "never propose into a chosen slot");
         // Never propose two batches for the same (ballot, slot); a fresh
@@ -503,8 +574,8 @@ impl LogShard {
         if out.tracing() {
             for v in batch.iter() {
                 out.metric(Metric::Proposed);
-                out.trace(|| TraceEvent::Proposed {
-                    shard: 0,
+                out.trace(|shard| TraceEvent::Proposed {
+                    shard,
                     slot,
                     value: v.get(),
                 });
@@ -518,10 +589,10 @@ impl LogShard {
     /// and a `LogDecided` each, exactly like any other commit) instead of
     /// being re-proposed through a 2a/2b round. Slots already in the log
     /// are skipped by `choose`.
-    pub(crate) fn learn_chosen(
+    pub(crate) fn learn_chosen<M: ShardWire>(
         &mut self,
         chosen: &std::collections::BTreeMap<u64, Batch>,
-        out: &mut Outbox<MultiMsg>,
+        out: &mut ShardOut<'_, M>,
     ) {
         for (slot, batch) in chosen {
             self.choose(*slot, batch.clone(), out);
@@ -533,7 +604,12 @@ impl LogShard {
     /// the chosen entries the quorum reported, re-complete every reported
     /// live vote under `b`, then batch-assign fresh slots to pending
     /// commands.
-    pub(crate) fn anchor(&mut self, b: Ballot, quorum: &ReportFold, out: &mut Outbox<MultiMsg>) {
+    pub(crate) fn anchor<M: ShardWire>(
+        &mut self,
+        b: Ballot,
+        quorum: &ReportFold,
+        out: &mut ShardOut<'_, M>,
+    ) {
         // Learn reported-chosen entries BEFORE declaring ourselves
         // anchored: `choose` flushes pending commands into fresh slots
         // when anchored, and that must not happen until `next_slot` has
@@ -632,7 +708,7 @@ impl LogShard {
     /// (proposed-but-unchosen) slot. `proposals` holds only unchosen
     /// slots, so this is bounded by the pipeline window, not the log's
     /// history. With nothing in flight the host re-announces instead.
-    pub(crate) fn repropose(&mut self, out: &mut Outbox<MultiMsg>) {
+    pub(crate) fn repropose<M: ShardWire>(&mut self, out: &mut ShardOut<'_, M>) {
         let undecided: Vec<(u64, Batch)> = self
             .proposals
             .iter()
@@ -649,10 +725,10 @@ impl LogShard {
     /// submission to a live process commits within O(ε + δ) of
     /// stabilization — at-least-once across instability. Commits prune
     /// `pending` (see `choose`), terminating the retry.
-    pub(crate) fn reforward(&self, leader: ProcessId, out: &mut Outbox<MultiMsg>) {
+    pub(crate) fn reforward<M: ShardWire>(&self, leader: ProcessId, out: &mut ShardOut<'_, M>) {
         for v in &self.pending {
             out.metric(Metric::Forwarded);
-            out.trace(|| TraceEvent::ForwardSent { value: v.get() });
+            out.trace(|_| TraceEvent::ForwardSent { value: v.get() });
             out.send(leader, MultiMsg::Forward { value: *v });
         }
     }
@@ -731,7 +807,11 @@ impl LogShard {
     /// # Panics
     ///
     /// Panics if this shard is not anchored.
-    pub(crate) fn propose_batch(&mut self, batch: Batch, out: &mut Outbox<MultiMsg>) -> u64 {
+    pub(crate) fn propose_batch<M: ShardWire>(
+        &mut self,
+        batch: Batch,
+        out: &mut ShardOut<'_, M>,
+    ) -> u64 {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.propose(slot, batch, out);
@@ -752,14 +832,14 @@ impl LogShard {
     /// window) is dropped. A newly admitted one is assigned a slot at
     /// once if we are anchored, else held until we anchor (the submitter
     /// keeps its own retried copy). Returns whether it was new.
-    fn admit(&mut self, value: Value, out: &mut Outbox<MultiMsg>) -> bool {
+    fn admit<M: ShardWire>(&mut self, value: Value, out: &mut ShardOut<'_, M>) -> bool {
         let fresh = self.admitted.admit(value);
         if fresh {
             self.load.admitted += 1;
             self.pending.push(value);
             out.metric(Metric::Admitted);
-            out.trace(|| TraceEvent::Admitted {
-                shard: 0,
+            out.trace(|shard| TraceEvent::Admitted {
+                shard,
                 value: value.get(),
             });
             if self.is_anchored() {
@@ -771,7 +851,7 @@ impl LogShard {
 
     /// Moves pending commands into fresh slots, `max_batch` per slot, while
     /// the pipeline window has space.
-    fn drain_pending(&mut self, out: &mut Outbox<MultiMsg>) {
+    fn drain_pending<M: ShardWire>(&mut self, out: &mut ShardOut<'_, M>) {
         debug_assert!(self.is_anchored());
         while !self.pending.is_empty() && self.proposals.len() < self.max_outstanding {
             let take = self.pending.len().min(self.max_batch);
@@ -782,14 +862,14 @@ impl LogShard {
         }
     }
 
-    fn choose(&mut self, slot: u64, batch: Batch, out: &mut Outbox<MultiMsg>) {
+    fn choose<M: ShardWire>(&mut self, slot: u64, batch: Batch, out: &mut ShardOut<'_, M>) {
         if self.log.contains(slot) {
             return;
         }
         for v in batch.iter() {
             out.metric(Metric::Decided);
-            out.trace(|| TraceEvent::Decided {
-                shard: 0,
+            out.trace(|shard| TraceEvent::Decided {
+                shard,
                 slot,
                 value: v.get(),
             });
@@ -845,21 +925,21 @@ impl LogShard {
     /// A client command submitted at this process: admitted (idempotently),
     /// then proposed if anchored, else held and forwarded to the presumed
     /// `leader` — the ε tick retries the forward ([`Self::reforward`]).
-    pub(crate) fn submit(
+    pub(crate) fn submit<M: ShardWire>(
         &mut self,
         value: Value,
         leader: Option<ProcessId>,
-        out: &mut Outbox<MultiMsg>,
+        out: &mut ShardOut<'_, M>,
     ) {
         self.load.submitted += 1;
         out.metric(Metric::Submitted);
-        out.trace(|| TraceEvent::submit(value));
+        out.trace(|_| TraceEvent::submit(value));
         if !self.admit(value, out) || self.is_anchored() {
             return;
         }
         if let Some(leader) = leader {
             out.metric(Metric::Forwarded);
-            out.trace(|| TraceEvent::ForwardSent { value: value.get() });
+            out.trace(|_| TraceEvent::ForwardSent { value: value.get() });
             out.send(leader, MultiMsg::Forward { value });
         }
     }
@@ -869,11 +949,11 @@ impl LogShard {
     /// higher one) is the host's step before this call
     /// (`LogSession::vote_2a`). The session's own 1a/1b never reach a
     /// shard.
-    pub(crate) fn on_message(
+    pub(crate) fn on_message<M: ShardWire>(
         &mut self,
         from: ProcessId,
         msg: &MultiMsg,
-        out: &mut Outbox<MultiMsg>,
+        out: &mut ShardOut<'_, M>,
     ) {
         match msg {
             MultiMsg::M1a { .. } | MultiMsg::M1b { .. } => {
@@ -904,7 +984,7 @@ impl LogShard {
                 if let Some(b) = chosen {
                     let s = *slot;
                     out.metric(Metric::Chosen);
-                    out.trace(|| TraceEvent::Chosen { shard: 0, slot: s });
+                    out.trace(|shard| TraceEvent::Chosen { shard, slot: s });
                     self.choose(s, b, out);
                 }
             }
@@ -920,8 +1000,8 @@ impl LogShard {
                         .expect("chosen commands are logged")
                         .clone();
                     out.metric(Metric::Replied);
-                    out.trace(|| TraceEvent::ReplySent {
-                        shard: 0,
+                    out.trace(|shard| TraceEvent::ReplySent {
+                        shard,
                         value: value.get(),
                     });
                     out.send(from, MultiMsg::LogDecided { slot, batch });
@@ -1005,25 +1085,16 @@ impl MultiPaxosProcess {
         }
     }
 
-    /// Runs one shard step straight against the host outbox — no seam on
-    /// the plain path — and, as the group's `dispatch` does while
-    /// retagging, stamps the session's idle clock if it broadcast a 2a.
+    /// Runs one step of the shard against a view of the host outbox, and
+    /// stamps the session's ε idle clock if the step broadcast a 2a.
     fn drive(
         &mut self,
         out: &mut Outbox<MultiMsg>,
-        step: impl FnOnce(&mut LogShard, &mut Outbox<MultiMsg>),
+        step: impl FnOnce(&mut LogShard, &mut ShardOut<'_, MultiMsg>),
     ) {
-        let mark = out.actions().len();
-        step(&mut self.shard, out);
-        let is_2a = |a: &Action<MultiMsg>| {
-            matches!(
-                a,
-                Action::Broadcast {
-                    msg: MultiMsg::M2a { .. }
-                }
-            )
-        };
-        if out.actions()[mark..].iter().any(is_2a) {
+        let mut view = ShardOut::new(out, ShardId::ZERO, false);
+        step(&mut self.shard, &mut view);
+        if view.sent_2a {
             self.session.sent_1a2a(out.now());
         }
     }
@@ -1070,7 +1141,7 @@ impl Process for MultiPaxosProcess {
                     // reported-chosen entries are learned before `Anchored`
                     // is stamped (`LogShard::anchor` would learn them after
                     // it — the group's order).
-                    self.shard.learn_chosen(&quorum.chosen, out);
+                    self.drive(out, |shard, o| shard.learn_chosen(&quorum.chosen, o));
                     out.metric(Metric::Anchored);
                     out.trace(|| TraceEvent::Anchored { ballot: b.get() });
                     self.drive(out, |shard, o| shard.anchor(b, &quorum, o));
@@ -1081,7 +1152,7 @@ impl Process for MultiPaxosProcess {
                     self.adopt(*mbal, out);
                 }
                 if self.session.vote_2a(*mbal) {
-                    self.shard.on_message(from, msg, out);
+                    self.drive(out, |shard, o| shard.on_message(from, msg, o));
                 }
             }
             _ => self.drive(out, |shard, o| shard.on_message(from, msg, o)),
@@ -1111,7 +1182,7 @@ impl Process for MultiPaxosProcess {
                 } else if idle {
                     self.announce(out);
                     if let Some(leader) = self.session.leader() {
-                        self.shard.reforward(leader, out);
+                        self.drive(out, |shard, o| shard.reforward(leader, o));
                     }
                 }
             }
@@ -1150,6 +1221,7 @@ impl Process for MultiPaxosProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outbox::Action;
     use crate::time::LocalInstant;
 
     fn cfg(n: usize) -> TimingConfig {
@@ -2067,5 +2139,108 @@ mod tests {
     #[should_panic(expected = "at least one command")]
     fn zero_batch_rejected() {
         let _ = MultiPaxos::new().with_batching(0, 1);
+    }
+
+    // ---- the shard's view of its host's outbox ----
+
+    use crate::paxos::group::GroupMsg;
+    use crate::types::kv_command;
+
+    /// One send, decide, trace event and broadcast through a view of
+    /// shard 2: the host outbox's actions and trace events.
+    fn through_view<M: ShardWire>(v: Value) -> (Vec<Action<M>>, Vec<TraceEvent>) {
+        let mut o: Outbox<M> = Outbox::new(LocalInstant::ZERO);
+        o.set_tracing(true);
+        let mut view = ShardOut::new(&mut o, ShardId::new(2), false);
+        view.send(ProcessId::new(1), MultiMsg::Forward { value: v });
+        view.decide(v);
+        view.trace(|shard| TraceEvent::Chosen { shard, slot: 7 });
+        let batch = batch_of([v]);
+        view.broadcast(MultiMsg::LogDecided { slot: 7, batch });
+        let trace = o.drain_trace().collect();
+        (o.drain(), trace)
+    }
+
+    #[test]
+    fn view_writes_through_in_emission_order_tagged_for_either_wire() {
+        let v = Value::new(5);
+        let shard = ShardId::new(2);
+        let forward = MultiMsg::Forward { value: v };
+        let decided = MultiMsg::LogDecided {
+            slot: 7,
+            batch: one(5),
+        };
+        let to = ProcessId::new(1);
+        let (plain, plain_trace) = through_view::<MultiMsg>(v);
+        assert_eq!(
+            plain,
+            vec![
+                Action::Send {
+                    to,
+                    msg: forward.clone()
+                },
+                Action::Decide { value: v, shard },
+                Action::Broadcast {
+                    msg: decided.clone()
+                },
+            ]
+        );
+        assert_eq!(plain_trace, [TraceEvent::Chosen { shard: 2, slot: 7 }]);
+        let (grouped, grouped_trace) = through_view::<GroupMsg>(v);
+        let tagged = |msg| GroupMsg::Shard { shard, msg };
+        assert_eq!(
+            grouped,
+            vec![
+                Action::Send {
+                    to,
+                    msg: tagged(forward)
+                },
+                Action::Decide { value: v, shard },
+                Action::Broadcast {
+                    msg: tagged(decided)
+                },
+            ]
+        );
+        assert_eq!(grouped_trace, plain_trace);
+    }
+
+    #[test]
+    fn only_a_2a_broadcast_sets_sent_2a() {
+        let mut o = out();
+        let mut view = ShardOut::new(&mut o, ShardId::ZERO, false);
+        let (mbal, slot, batch) = (Ballot::new(4), 0, one(1));
+        view.send(ProcessId::new(1), MultiMsg::Forward { value: batch[0] });
+        view.decide(batch[0]);
+        view.broadcast(MultiMsg::M2b {
+            mbal,
+            slot,
+            batch: batch.clone(),
+        });
+        view.broadcast(MultiMsg::LogDecided {
+            slot,
+            batch: batch.clone(),
+        });
+        assert!(!view.sent_2a, "no 2a so far");
+        view.broadcast(MultiMsg::M2a { mbal, slot, batch });
+        assert!(view.sent_2a);
+    }
+
+    #[test]
+    fn control_values_are_hidden_only_when_asked() {
+        let ctrl = kv_command(crate::paxos::group::rebalance::CTRL_KEY, 1);
+        let client = Value::new(5);
+        assert!(is_ctrl_value(ctrl) && !is_ctrl_value(client));
+        let shard = ShardId::new(1);
+        let decide = |value| Action::Decide { value, shard };
+        for (hide_ctrl, surfaced) in [
+            (false, vec![decide(ctrl), decide(client)]),
+            (true, vec![decide(client)]),
+        ] {
+            let mut o = out();
+            let mut view = ShardOut::new(&mut o, shard, hide_ctrl);
+            view.decide(ctrl);
+            view.decide(client);
+            assert_eq!(o.drain(), surfaced, "hide_ctrl = {hide_ctrl}");
+        }
     }
 }

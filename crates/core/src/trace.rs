@@ -23,7 +23,7 @@
 //! 3. **Rebalance protocol** — freeze → drain → commit → re-forward (or
 //!    abort), making the live rebalancer's damping visible in traces.
 
-use crate::types::{ShardId, Value};
+use crate::types::Value;
 
 /// One structured trace event. Fields are flat integers so that events
 /// are `Copy`, comparable, and serialize without allocation.
@@ -156,42 +156,6 @@ impl TraceEvent {
         }
     }
 
-    /// The shard the event is scoped to, if any. The sharded log group's
-    /// dispatch seam retags inner per-shard events with the outer shard
-    /// index through this.
-    pub fn shard(&self) -> Option<ShardId> {
-        match self {
-            TraceEvent::Admitted { shard, .. }
-            | TraceEvent::Proposed { shard, .. }
-            | TraceEvent::Chosen { shard, .. }
-            | TraceEvent::Decided { shard, .. }
-            | TraceEvent::ReplySent { shard, .. } => Some(ShardId::new(*shard)),
-            _ => None,
-        }
-    }
-
-    /// Returns the event with its shard scope replaced by `shard`
-    /// (identity for shard-less events).
-    pub fn with_shard(self, shard: ShardId) -> TraceEvent {
-        let s = shard.get();
-        match self {
-            TraceEvent::Admitted { value, .. } => TraceEvent::Admitted { shard: s, value },
-            TraceEvent::Proposed { slot, value, .. } => TraceEvent::Proposed {
-                shard: s,
-                slot,
-                value,
-            },
-            TraceEvent::Chosen { slot, .. } => TraceEvent::Chosen { shard: s, slot },
-            TraceEvent::Decided { slot, value, .. } => TraceEvent::Decided {
-                shard: s,
-                slot,
-                value,
-            },
-            TraceEvent::ReplySent { value, .. } => TraceEvent::ReplySent { shard: s, value },
-            other => other,
-        }
-    }
-
     /// Convenience constructor for command-journey events that carry a
     /// wire [`Value`]. The originating process is not stored in the event
     /// itself — the driver knows which process it is draining and stamps
@@ -237,28 +201,5 @@ mod tests {
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), all.len(), "duplicate kind labels");
-    }
-
-    #[test]
-    fn retag_replaces_shard_scope() {
-        let e = TraceEvent::Proposed {
-            shard: 0,
-            slot: 7,
-            value: 9,
-        };
-        let r = e.with_shard(ShardId::new(3));
-        assert_eq!(r.shard(), Some(ShardId::new(3)));
-        assert_eq!(
-            r,
-            TraceEvent::Proposed {
-                shard: 3,
-                slot: 7,
-                value: 9
-            }
-        );
-        // Shard-less events pass through unchanged.
-        let s = TraceEvent::Anchored { ballot: 4 };
-        assert_eq!(s.with_shard(ShardId::new(3)), s);
-        assert_eq!(s.shard(), None);
     }
 }

@@ -69,6 +69,12 @@ health-check:
 identity *targets:
     scripts/identity.sh {{targets}}
 
+# Non-test lines (everything before a file's first column-0
+# `#[cfg(test)]`), per file and in total, under the given directories
+# (default `crates/core/src`) — the number a simplicity PR quotes.
+lines *dirs:
+    scripts/lines.sh {{dirs}}
+
 # Where a release binary spends its CPU time, on a box without `perf`:
 # builds the SIGPROF sampler (scripts/profile/sampler.c), runs
 # `binary args…` under it and prints the symbolized profile (top physical

@@ -7,9 +7,11 @@
 //! comparison lives in `exp_w5_rebalance`; this is the fast always-on
 //! guard that the key-handoff protocol stays wired end to end.
 
-use esync::core::paxos::group::rebalance::RebalanceConfig;
+use esync::core::paxos::group::rebalance::{is_ctrl_value, RebalanceConfig};
 use esync::core::paxos::group::{LogGroup, ShardRouter};
+use esync::core::time::RealDuration;
 use esync::core::types::ProcessId;
+use esync::metrics::WatchdogConfig;
 use esync::sim::{PreStability, SimConfig, SimTime, World};
 use esync::workload::gen::{ClosedLoopSpec, KeyDist};
 use esync::workload::{rt_driver, sim_driver};
@@ -86,6 +88,59 @@ fn hotspot_migration_completes_on_the_simulator_with_epoch_agreement() {
     assert!(
         epochs.windows(2).all(|w| w[0] == w[1]),
         "router epochs diverged after quiescing: {epochs:?}"
+    );
+}
+
+/// The one write path of a shard no committed artifact covers at trace
+/// level: a group with rebalancing **on** (control entry proposed, its
+/// decides hidden, frozen commands re-admitted), traced and metered,
+/// through one committed boundary move. The numbers were captured before
+/// the shards wrote into their host's outbox directly; the record stream
+/// (order, shard tags, stamps) and the counters must not move.
+#[test]
+fn traced_metered_rebalancing_run_is_pinned() {
+    let cfg = SimConfig::builder(3)
+        .seed(53)
+        .stability_at_millis(0)
+        .pre_stability(PreStability::lossless())
+        .max_time(SimTime::from_secs(600))
+        .build()
+        .unwrap();
+    let proto = LogGroup::new(3)
+        .with_batching(1, 4)
+        .with_router(ShardRouter::Range(vec![341, 682]))
+        .with_rebalancing(RebalanceConfig::default().check_every(64));
+    let spec = ClosedLoopSpec::new(3, 8, 200)
+        .seed(8)
+        .key_space(KEYS)
+        .dist(KeyDist::Hotspot { frac: 0.9, span: 64 });
+    let mut world = World::new(cfg, proto);
+    world.enable_typed_trace(1 << 16);
+    world.enable_metrics(RealDuration::from_millis(50), WatchdogConfig::default());
+    world.run_until(SimTime::from_millis(500));
+    let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(300));
+
+    assert_eq!(out.summary.committed, 200);
+    assert_eq!(out.router_epochs, [1, 1, 1], "exactly one committed boundary move");
+    assert!(
+        !world.commits().iter().any(|c| is_ctrl_value(c.value)),
+        "control values never surface as commits"
+    );
+    // FNV-1a over the JSONL form of every record, in order.
+    let hash = out.trace.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
+        esync::trace::jsonl::record_line(r)
+            .bytes()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    });
+    let health = out.summary.health.expect("metered");
+    let counters = health.snapshots.last().expect("sampled").counters;
+    assert_eq!(
+        (out.trace.len(), hash, counters),
+        (
+            4490,
+            4_987_443_694_968_854_213,
+            [688, 1, 1, 0, 282, 1291, 340, 259, 516, 524, 207, 1, 1, 3, 3, 0, 0]
+        ),
     );
 }
 

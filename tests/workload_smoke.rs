@@ -11,6 +11,7 @@ use esync::core::paxos::group::{LogGroup, ShardedLogView};
 use esync::core::paxos::multi::MultiPaxos;
 use esync::core::time::RealDuration;
 use esync::core::types::ProcessId;
+use esync::metrics::WatchdogConfig;
 use esync::sim::{PreStability, SimConfig, SimTime, World};
 use esync::workload::gen::ClosedLoopSpec;
 use esync::workload::{rt_driver, sim_driver};
@@ -107,10 +108,26 @@ where
     out
 }
 
+/// `sim_driver::run_closed_loop` with the typed trace and the metric
+/// registry both switched on before the warm-up.
+fn observed_closed_loop<P>(cfg: SimConfig, protocol: P, spec: &ClosedLoopSpec) -> sim_driver::SimWorkloadOutcome
+where
+    P: Protocol,
+    P::Process: ShardedLogView,
+{
+    let mut world = World::new(cfg, protocol);
+    world.enable_typed_trace(1 << 16);
+    world.enable_metrics(RealDuration::from_millis(50), WatchdogConfig::default());
+    world.run_until(SimTime::from_millis(400));
+    sim_driver::run_closed_loop_on(&mut world, spec, SimTime::from_secs(60))
+}
+
 /// The log-group acceptance criterion: with one shard, the group engine
 /// is **bit-identical** to the plain `MultiPaxos` layer — same seeds ⇒
 /// same `WorkloadSummary`, closed- and open-loop, stable and chaotic,
-/// and across a crash + restart of the anchored leader mid-drive.
+/// and across a crash + restart of the anchored leader mid-drive — and,
+/// observed, the same typed trace record for record (both hosts tag shard
+/// 0 alike) and the same metric snapshot series (inside the summary).
 /// (The simulator `Report`s differ only in the protocol name; every
 /// timing-derived number is compared through the summary.)
 #[test]
@@ -141,10 +158,19 @@ fn log_group_s1_bit_identical_to_multipaxos() {
         );
         let churn_plain = crash_the_anchored_leader_mid_drive(seed, MultiPaxos::new().with_batching(2, 4));
         let churn_grouped = crash_the_anchored_leader_mid_drive(seed, LogGroup::new(1).with_batching(2, 4));
+        let seen_plain = observed_closed_loop(cfg(), MultiPaxos::new().with_batching(4, 2), &spec);
+        let seen_grouped = observed_closed_loop(cfg(), LogGroup::new(1).with_batching(4, 2), &spec);
+        assert!(seen_plain.trace.len() > 500, "seed {seed}: the observed run is traced");
+        assert!(seen_plain.summary.health.is_some(), "seed {seed}: … and metered");
         for (case, plain, grouped) in [
             ("pre-TS chaos", plain, grouped),
             ("leader crash + restart", churn_plain, churn_grouped),
+            ("pre-TS chaos, traced + metered", seen_plain, seen_grouped),
         ] {
+            assert_eq!(
+                plain.trace, grouped.trace,
+                "seed {seed}, {case}: typed traces differ"
+            );
             assert_eq!(
                 plain.summary, grouped.summary,
                 "seed {seed}, {case}: S=1 group diverged from the plain log"

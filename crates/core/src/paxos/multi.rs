@@ -419,10 +419,6 @@ impl<'a, M: ShardWire> ShardOut<'a, M> {
         }
     }
 
-    fn tracing(&self) -> bool {
-        self.out.tracing()
-    }
-
     /// Emits the event `ev` builds for this view's shard id.
     fn trace(&mut self, ev: impl FnOnce(u32) -> TraceEvent) {
         let shard = self.shard.get();
@@ -571,15 +567,13 @@ impl LogShard {
         // Never propose two batches for the same (ballot, slot); a fresh
         // proposal occupies the pipeline until its slot commits.
         let batch = self.proposals.entry(slot).or_insert(batch).clone();
-        if out.tracing() {
-            for v in batch.iter() {
-                out.metric(Metric::Proposed);
-                out.trace(|shard| TraceEvent::Proposed {
-                    shard,
-                    slot,
-                    value: v.get(),
-                });
-            }
+        for v in batch.iter() {
+            out.metric(Metric::Proposed);
+            out.trace(|shard| TraceEvent::Proposed {
+                shard,
+                slot,
+                value: v.get(),
+            });
         }
         out.broadcast(MultiMsg::M2a { mbal, slot, batch });
     }

@@ -8,12 +8,15 @@
 //!    seed-for-seed on the simulator, and the threaded runtime's
 //!    deterministic outcomes (command set, commit counts) are unchanged
 //!    by enabling collection.
+//!    Counters are tracing-invariant too: metered and metered + traced
+//!    runs end with the same registry.
 //! 3. **Watchdog precision** — a stable run trips nothing (the live
 //!    `TS + ε + 3τ + 5δ` bound monitor included); each injected
 //!    violation fires its watchdog: a tight bound fires exactly once per
 //!    first decision, and crashing the anchored leader mid-drive trips
 //!    both the anchor-churn and stall detectors.
 
+use esync::core::metrics::Metric;
 use esync::core::outbox::Process;
 use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
@@ -105,6 +108,37 @@ fn noop_metering_is_bit_identical_on_the_simulator() {
         w.run_to_completion().expect("decides")
     };
     assert_eq!(run(false), run(true), "single-shot report is metering-invariant");
+}
+
+/// Counters do not depend on tracing: the same seeded log run, metered
+/// only and metered + traced, ends with the same registry — `proposed`
+/// included, which was once counted inside the tracing gate (a metered,
+/// untraced run ended with `["proposed",0]` beside 700 decides).
+#[test]
+fn counters_are_the_same_with_and_without_tracing() {
+    let run = |traced: bool| {
+        let mut world = World::new(sim_cfg(5), MultiPaxos::new());
+        world.enable_metrics(INTERVAL, WatchdogConfig::default());
+        if traced {
+            world.enable_typed_trace(1 << 16);
+        }
+        world.run_until(SimTime::from_millis(500));
+        let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(5);
+        let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(60));
+        // Past the next cadence boundary, so the last sample covers the
+        // whole drive.
+        world.run_until(world.now() + INTERVAL * 2);
+        let last = world.metric_snapshots().last().expect("sampled");
+        (out.summary.committed, last.counters)
+    };
+    let (committed, metered) = run(false);
+    let (_, metered_and_traced) = run(true);
+    assert_eq!(metered, metered_and_traced, "tracing moved a counter");
+    let proposed = metered[Metric::Proposed as usize];
+    assert!(
+        proposed >= committed && committed > 0,
+        "{committed} commands committed but only {proposed} proposals counted"
+    );
 }
 
 #[test]

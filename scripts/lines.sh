@@ -12,11 +12,8 @@ cd "$(dirname "$0")/.."
 
 [ "$#" -gt 0 ] || set -- crates/core/src
 find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-    FNR == 1 { skip = 0 }
+    function flush() { if (file != "") printf "%6d %s\n", n, file }
+    FNR == 1 { flush(); file = FILENAME; n = 0; skip = 0 }
     /^#\[cfg\(test\)\]/ { skip = 1 }
-    !skip { n[FILENAME]++; total++ }
-    END {
-        for (f in n) printf "%6d %s\n", n[f], f | "sort -k2"
-        close("sort -k2")
-        printf "%6d total\n", total
-    }'
+    !skip { n++; total++ }
+    END { flush(); printf "%6d total\n", total }'

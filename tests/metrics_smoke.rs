@@ -111,9 +111,9 @@ fn noop_metering_is_bit_identical_on_the_simulator() {
 }
 
 /// Counters do not depend on tracing: the same seeded log run, metered
-/// only and metered + traced, ends with the same registry — `proposed`
-/// included, which was once counted inside the tracing gate (a metered,
-/// untraced run ended with `["proposed",0]` beside 700 decides).
+/// only and metered + traced, ends with the same registry. A counter
+/// bumped inside a tracing gate reads 0 in every metered, untraced run —
+/// hence the floor on `proposed`.
 #[test]
 fn counters_are_the_same_with_and_without_tracing() {
     let run = |traced: bool| {

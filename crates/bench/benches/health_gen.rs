@@ -1,5 +1,5 @@
 //! Regenerates the health artifact (`HEALTH_exp_h1.jsonl`, schema in
-//! `esync_metrics::jsonl`) that `just health-check` renders:
+//! `esync_metrics::jsonl`) that `just inspect` renders:
 //!
 //! * `HEALTH_exp_h1.jsonl` — an H1-style sharded closed-loop drive
 //!   (`LogGroup`, S=4) under a lossless stable environment, metered on a

@@ -1,5 +1,5 @@
 //! Regenerates the typed-trace artifacts (`TRACE_<exp>.jsonl`, schema in
-//! `esync_trace::jsonl`) that `just trace-check` validates:
+//! `esync_trace::jsonl`) that `just inspect` validates:
 //!
 //! * `TRACE_exp_e1.jsonl` — an E1-style single-shot run (silent pre-TS
 //!   environment, modified session Paxos): the per-decision bound

@@ -1,27 +1,40 @@
-//! `trace_check` — replays `TRACE_<exp>.jsonl` files (see
-//! `esync_trace::jsonl` for the schema) and validates the paper's
-//! decision-time bound **per decision**: after the stabilization time
-//! `TS`, *every* process must decide by `ts_ns + bound_ns`, a strictly
-//! stronger check than the run-level max of `exp_e10_bound_check`.
-//! Traces with `bound_ns = 0` (steady-state workload drives) skip the
-//! bound and get the queue → quorum → learn phase decomposition plus the
-//! rebalance-protocol timeline instead.
+//! `inspect` — replays the observability artifacts. Each file's header
+//! says what it is: a `meta` with `interval_ns` is a `HEALTH_*.jsonl`
+//! (schema in `esync_metrics::jsonl`), anything else a `TRACE_*.jsonl`
+//! (schema in `esync_trace::jsonl`).
+//!
+//! * A **trace** is checked against the paper's decision-time bound
+//!   **per decision**: after the stabilization time `TS`, *every*
+//!   process must decide by `ts_ns + bound_ns`, a strictly stronger check
+//!   than the run-level max of `exp_e10_bound_check`. Traces with
+//!   `bound_ns = 0` (steady-state workload drives) skip the bound and get
+//!   the queue → quorum → learn phase decomposition plus the
+//!   rebalance-protocol timeline instead.
+//! * A **health** file is rendered into a cluster-status report: run
+//!   identity, snapshot coverage, a HEALTHY/DEGRADED verdict, final
+//!   cluster-wide counters, and the per-watchdog firing table.
 //!
 //! ```text
-//! cargo run --release -p esync-check --bin trace_check -- TRACE_exp_e1.jsonl …
+//! cargo run --release -p esync-check --bin inspect -- TRACE_exp_e1.jsonl HEALTH_exp_h1.jsonl …
 //! ```
 //!
-//! With no arguments, checks `TRACE_exp_e1.jsonl` and `TRACE_exp_w3.jsonl`
-//! in the current directory (the files `just trace` regenerates). Exits
-//! nonzero if any applicable bound is violated, a file fails to parse, or
-//! a trace contains no decisions at all.
+//! With no arguments, inspects the three committed artifacts in the
+//! current directory (`TRACE_exp_e1.jsonl`, `TRACE_exp_w3.jsonl`,
+//! `HEALTH_exp_h1.jsonl`). Exits nonzero if any file cannot be read or
+//! parsed, a trace violates an applicable bound or contains no
+//! decisions, or a health file has no snapshots or any watchdog fired.
 
+use esync_metrics::{parse_health_jsonl, render_report};
 use esync_trace::jsonl::TraceMeta;
 use esync_trace::{check_decision_bound, decompose, parse_jsonl, TraceRecord};
+use serde_json::Value;
 use std::process::ExitCode;
 
-/// Validates one trace file; returns `false` when the file fails.
-fn check_file(path: &str) -> bool {
+/// What `inspect` with no arguments reads.
+const COMMITTED: [&str; 3] = ["TRACE_exp_e1.jsonl", "TRACE_exp_w3.jsonl", "HEALTH_exp_h1.jsonl"];
+
+/// Inspects one file; returns `false` when the file fails.
+fn inspect_file(path: &str) -> bool {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -29,7 +42,39 @@ fn check_file(path: &str) -> bool {
             return false;
         }
     };
-    let (meta, records) = match parse_jsonl(&text) {
+    let header = text.lines().find(|l| !l.trim().is_empty()).unwrap_or_default();
+    let is_health = header
+        .parse::<Value>()
+        .is_ok_and(|v| v.get("meta").and_then(|m| m.get("interval_ns")).is_some());
+    if is_health {
+        check_health(path, &text)
+    } else {
+        check_trace(path, &text)
+    }
+}
+
+/// Renders one health file; healthy iff it has snapshots and no
+/// watchdog fired.
+fn check_health(path: &str, text: &str) -> bool {
+    let (meta, snapshots, firings) = match parse_health_jsonl(text) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return false;
+        }
+    };
+    if snapshots.is_empty() {
+        eprintln!("{path}: no snapshots — nothing to report on");
+        return false;
+    }
+    println!("{path}:");
+    print!("{}", render_report(&meta, &snapshots, &firings));
+    firings.is_empty()
+}
+
+/// Validates one trace file.
+fn check_trace(path: &str, text: &str) -> bool {
+    let (meta, records) = match parse_jsonl(text) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{path}: {e}");
@@ -157,27 +202,24 @@ fn report_rebalance(records: &[TraceRecord]) {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        args = ["TRACE_exp_e1.jsonl", "TRACE_exp_w3.jsonl"]
-            .iter()
-            .map(|s| s.to_string())
-            .filter(|p| std::path::Path::new(p).exists())
-            .collect();
-        if args.is_empty() {
-            eprintln!("no TRACE_*.jsonl files found; run `just trace` first");
-            return ExitCode::FAILURE;
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let paths: Vec<&str> = if args.is_empty() {
+        COMMITTED.to_vec()
+    } else {
+        args.iter().map(String::as_str).collect()
+    };
     let mut ok = true;
-    for path in &args {
-        ok &= check_file(path);
+    for path in paths {
+        ok &= inspect_file(path);
     }
     if ok {
-        println!("trace-check: all checks passed");
+        println!("inspect: all checks passed");
         ExitCode::SUCCESS
     } else {
-        eprintln!("trace-check: FAILED");
+        // Read and parse failures already wrote to stderr; a violated
+        // bound or a DEGRADED verdict is also an exit-code failure so CI
+        // can gate on it.
+        eprintln!("inspect: FAILED");
         ExitCode::FAILURE
     }
 }

@@ -20,7 +20,7 @@ pub struct HealthSummary {
     pub firings: Vec<WatchdogFiring>,
     /// Trace records dropped at full collector buffers, summed across
     /// nodes — nonzero means `TRACE_*.jsonl` under-reports and
-    /// `trace_check` latency stats are suspect.
+    /// `inspect`'s latency stats are suspect.
     pub trace_dropped: u64,
 }
 

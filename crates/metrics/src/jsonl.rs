@@ -14,15 +14,16 @@
 //! breaking old readers. Firing lines are distinguished from snapshot
 //! lines by the `watchdog` key.
 //!
-//! The vendored offline `serde_json` serializes only, so parsing is a
-//! hand-rolled scanner — unlike the trace parser, this one understands
-//! arrays (for `counters`) and `null` (for cluster-wide `node`).
+//! Lines are read through the vendored [`serde_json::Value`], and a bad
+//! line is the trace codec's [`ParseError`], so both artifact kinds
+//! share one reader and one error.
 
 use crate::snapshot::MetricsSnapshot;
 use crate::watchdog::{WatchdogFiring, WatchdogKind};
 use esync_core::metrics::{Metric, METRIC_COUNT};
+use esync_trace::ParseError::{self, Field};
 use serde::{Serialize, Serializer};
-use std::fmt;
+use serde_json::Value;
 
 /// The run header of a `HEALTH_*.jsonl` file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,45 +52,6 @@ pub enum HealthLine {
     Firing(WatchdogFiring),
 }
 
-/// A malformed health line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthParseError {
-    /// What the parser was looking for.
-    pub what: &'static str,
-    /// Byte offset within the line.
-    pub at: usize,
-}
-
-impl fmt::Display for HealthParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid health line: expected {} at byte {}", self.what, self.at)
-    }
-}
-
-impl std::error::Error for HealthParseError {}
-
-/// Renders the header line (no trailing newline) — the first line a
-/// streaming writer appends.
-pub fn health_meta_line(meta: &HealthMeta) -> String {
-    meta_line(meta)
-}
-
-/// Renders one snapshot line (no trailing newline), for writers that
-/// append live in arrival order.
-pub fn snapshot_line(snap: &MetricsSnapshot) -> String {
-    let mut s = Serializer::new();
-    snap.serialize(&mut s);
-    s.finish()
-}
-
-/// Renders one firing line (no trailing newline), for writers that
-/// append live in arrival order.
-pub fn firing_line(f: &WatchdogFiring) -> String {
-    let mut s = Serializer::new();
-    f.serialize(&mut s);
-    s.finish()
-}
-
 fn meta_line(meta: &HealthMeta) -> String {
     let mut s = Serializer::new();
     s.begin_map();
@@ -112,9 +74,6 @@ fn meta_line(meta: &HealthMeta) -> String {
 
 /// Renders a whole health file: the header, then every snapshot, then
 /// every firing, one JSON object per line with a trailing newline.
-/// Writers that interleave live (the runtime's `--follow` stream) emit
-/// the same line shapes in arrival order instead; the parser accepts
-/// both.
 pub fn write_health_jsonl(
     meta: &HealthMeta,
     snapshots: &[MetricsSnapshot],
@@ -137,183 +96,19 @@ pub fn write_health_jsonl(
     out
 }
 
-// ---- parsing (hand-rolled: the vendored serde_json cannot parse) ----
-
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(u64),
-    Str(String),
-    Obj(Vec<(String, Val)>),
-    Arr(Vec<Val>),
-    Null,
-}
-
-struct Scanner<'a> {
-    s: &'a [u8],
-    at: usize,
-}
-
-impl Scanner<'_> {
-    fn err<T>(&self, what: &'static str) -> Result<T, HealthParseError> {
-        Err(HealthParseError { what, at: self.at })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.at).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), HealthParseError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            self.err(what)
-        }
-    }
-
-    fn string(&mut self) -> Result<String, HealthParseError> {
-        self.expect(b'"', "string")?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    _ => return self.err("escape"),
-                },
-                Some(b) => out.push(b as char),
-                None => return self.err("closing quote"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, HealthParseError> {
-        let start = self.at;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return self.err("number");
-        }
-        std::str::from_utf8(&self.s[start..self.at])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or(HealthParseError {
-                what: "u64 in range",
-                at: start,
-            })
-    }
-
-    fn value(&mut self) -> Result<Val, HealthParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'{') => Ok(Val::Obj(self.object()?)),
-            Some(b'[') => Ok(Val::Arr(self.array()?)),
-            Some(b'n') => {
-                if self.s[self.at..].starts_with(b"null") {
-                    self.at += 4;
-                    Ok(Val::Null)
-                } else {
-                    self.err("null")
-                }
-            }
-            Some(b) if b.is_ascii_digit() => Ok(Val::Num(self.number()?)),
-            _ => self.err("value"),
-        }
-    }
-
-    fn array(&mut self) -> Result<Vec<Val>, HealthParseError> {
-        self.expect(b'[', "array")?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(items);
-        }
-        loop {
-            items.push(self.value()?);
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(items),
-                _ => return self.err("comma or closing bracket"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, HealthParseError> {
-        self.expect(b'{', "object")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':', "colon")?;
-            fields.push((key, self.value()?));
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
-                _ => return self.err("comma or closing brace"),
-            }
-        }
-    }
-}
-
-fn get<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v Val, HealthParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or(HealthParseError { what: key, at: 0 })
-}
-
-fn get_u64(fields: &[(String, Val)], key: &'static str) -> Result<u64, HealthParseError> {
-    match get(fields, key)? {
-        Val::Num(n) => Ok(*n),
-        _ => Err(HealthParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_str<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v str, HealthParseError> {
-    match get(fields, key)? {
-        Val::Str(s) => Ok(s),
-        _ => Err(HealthParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_node(fields: &[(String, Val)]) -> Result<Option<u32>, HealthParseError> {
-    match get(fields, "node")? {
-        Val::Null => Ok(None),
-        Val::Num(n) => u32::try_from(*n)
-            .map(Some)
-            .map_err(|_| HealthParseError { what: "node", at: 0 }),
-        _ => Err(HealthParseError { what: "node", at: 0 }),
-    }
-}
-
-fn counters_of(val: &Val) -> Result<[u64; METRIC_COUNT], HealthParseError> {
-    let Val::Arr(pairs) = val else {
-        return Err(HealthParseError { what: "counters", at: 0 });
-    };
+/// Every counter pair whose name this build knows; unknown names are
+/// skipped, so old readers survive new counters.
+fn counters_of(pairs: &[Value]) -> Result<[u64; METRIC_COUNT], ParseError> {
     let mut counters = [0u64; METRIC_COUNT];
     for pair in pairs {
-        let Val::Arr(kv) = pair else {
-            return Err(HealthParseError { what: "counter pair", at: 0 });
+        let Some([name, v]) = pair.as_array().map(Vec::as_slice) else {
+            return Err(Field("counters"));
         };
-        let [Val::Str(name), Val::Num(v)] = kv.as_slice() else {
-            return Err(HealthParseError { what: "counter pair", at: 0 });
+        let (Some(name), Some(v)) = (name.as_str(), v.as_u64()) else {
+            return Err(Field("counters"));
         };
-        // Unknown names are skipped, so old readers survive new counters.
         if let Some(m) = Metric::ALL.into_iter().find(|m| m.name() == name) {
-            counters[m as usize] = *v;
+            counters[m as usize] = v;
         }
     }
     Ok(counters)
@@ -323,43 +118,43 @@ fn counters_of(val: &Val) -> Result<[u64; METRIC_COUNT], HealthParseError> {
 ///
 /// # Errors
 ///
-/// Returns [`HealthParseError`] for malformed JSON, unknown watchdog
-/// names, or missing fields.
-pub fn parse_health_line(line: &str) -> Result<HealthLine, HealthParseError> {
-    let mut sc = Scanner {
-        s: line.trim_end().as_bytes(),
-        at: 0,
+/// Returns [`ParseError`] for malformed JSON, unknown watchdog names, or
+/// missing fields.
+pub fn parse_health_line(line: &str) -> Result<HealthLine, ParseError> {
+    let v: Value = line.parse().map_err(ParseError::Json)?;
+    let u64_of = |obj: &Value, key| obj.get(key).and_then(Value::as_u64).ok_or(Field(key));
+    let u32_of = |obj: &Value, key| u32::try_from(u64_of(obj, key)?).map_err(|_| Field(key));
+    let str_of = |obj: &Value, key| {
+        obj.get(key).and_then(Value::as_str).map(str::to_string).ok_or(Field(key))
     };
-    let fields = sc.object()?;
-    if sc.at != sc.s.len() {
-        return sc.err("end of line");
-    }
-    if let Ok(Val::Obj(meta)) = get(&fields, "meta").cloned() {
+    if let Some(meta) = v.get("meta") {
         return Ok(HealthLine::Meta(HealthMeta {
-            exp: get_str(&meta, "exp")?.to_string(),
-            seed: get_u64(&meta, "seed")?,
-            n: u32::try_from(get_u64(&meta, "n")?)
-                .map_err(|_| HealthParseError { what: "n", at: 0 })?,
-            interval_ns: get_u64(&meta, "interval_ns")?,
-            backend: get_str(&meta, "backend")?.to_string(),
+            exp: str_of(meta, "exp")?,
+            seed: u64_of(meta, "seed")?,
+            n: u32_of(meta, "n")?,
+            interval_ns: u64_of(meta, "interval_ns")?,
+            backend: str_of(meta, "backend")?,
         }));
     }
-    let at_ns = get_u64(&fields, "at_ns")?;
-    let node = get_node(&fields)?;
-    if let Ok(name) = get_str(&fields, "watchdog") {
-        let kind = WatchdogKind::from_name(name)
-            .ok_or(HealthParseError { what: "known watchdog", at: 0 })?;
+    let at_ns = u64_of(&v, "at_ns")?;
+    let node = match v.get("node") {
+        Some(n) if n.is_null() => None,
+        _ => Some(u32_of(&v, "node")?),
+    };
+    if let Some(name) = v.get("watchdog") {
+        let kind = name.as_str().and_then(WatchdogKind::from_name).ok_or(Field("watchdog"))?;
         return Ok(HealthLine::Firing(WatchdogFiring {
             kind,
             at_ns,
             node,
-            value: get_u64(&fields, "value")?,
+            value: u64_of(&v, "value")?,
         }));
     }
+    let pairs = v.get("counters").and_then(Value::as_array).ok_or(Field("counters"))?;
     Ok(HealthLine::Snapshot(MetricsSnapshot {
         at_ns,
         node,
-        counters: counters_of(get(&fields, "counters")?)?,
+        counters: counters_of(pairs)?,
     }))
 }
 
@@ -368,11 +163,11 @@ pub fn parse_health_line(line: &str) -> Result<HealthLine, HealthParseError> {
 ///
 /// # Errors
 ///
-/// Returns [`HealthParseError`] on the first malformed line, or a
-/// `"meta line"` error if the header is missing.
+/// Returns [`ParseError`] on the first malformed line, or a `meta` field
+/// error if the header is missing.
 pub fn parse_health_jsonl(
     text: &str,
-) -> Result<(HealthMeta, Vec<MetricsSnapshot>, Vec<WatchdogFiring>), HealthParseError> {
+) -> Result<(HealthMeta, Vec<MetricsSnapshot>, Vec<WatchdogFiring>), ParseError> {
     let mut meta = None;
     let mut snapshots = Vec::new();
     let mut firings = Vec::new();
@@ -386,7 +181,7 @@ pub fn parse_health_jsonl(
             HealthLine::Firing(f) => firings.push(f),
         }
     }
-    let meta = meta.ok_or(HealthParseError { what: "meta line", at: 0 })?;
+    let meta = meta.ok_or(Field("meta"))?;
     Ok((meta, snapshots, firings))
 }
 
@@ -424,6 +219,16 @@ mod tests {
         assert_eq!(meta, sample_meta());
         assert_eq!(s2, snapshots);
         assert_eq!(f2, firings);
+    }
+
+    #[test]
+    fn exp_names_are_escaped() {
+        for exp in ["h\tx", "h_δ"] {
+            let meta = HealthMeta { exp: exp.to_string(), ..sample_meta() };
+            let text = write_health_jsonl(&meta, &[], &[]);
+            let (back, _, _) = parse_health_jsonl(&text).expect("escaped header parses");
+            assert_eq!(back, meta);
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   `TS + ε + 3τ + 5δ`, checked the moment a decision commits), the
 //!   anchor-churn detector, the stall detector, and the shard-imbalance
 //!   watch reusing the rebalance trigger's load ratios.
-//! * **`HEALTH_*.jsonl`** — a documented JSONL export ([`jsonl`]) with a
-//!   hand-rolled parser (the vendored offline `serde_json` serializes
-//!   only), rendered into a cluster-status report ([`render_report`])
-//!   by `crates/check`'s `health_check` binary.
+//! * **`HEALTH_*.jsonl`** — a documented JSONL export ([`jsonl`]) read
+//!   back through the same reader and [`ParseError`] as `TRACE_*.jsonl`,
+//!   rendered into a cluster-status report ([`render_report`]) by
+//!   `crates/check`'s `inspect` binary.
 //!
 //! The latency histogram machinery the registry's future gauges summarize
 //! with lives in `esync-trace` ([`LatencyHistogram`], [`HistogramSummary`]
@@ -44,12 +44,9 @@ mod snapshot;
 mod watchdog;
 
 pub use esync_core::metrics::{Metric, MetricSet, METRIC_COUNT};
-pub use esync_trace::{HistogramSummary, LatencyHistogram};
+pub use esync_trace::{HistogramSummary, LatencyHistogram, ParseError};
 pub use health::HealthSummary;
-pub use jsonl::{
-    firing_line, health_meta_line, parse_health_jsonl, parse_health_line, snapshot_line,
-    write_health_jsonl, HealthLine, HealthMeta, HealthParseError,
-};
+pub use jsonl::{parse_health_jsonl, parse_health_line, write_health_jsonl, HealthLine, HealthMeta};
 pub use registry::Registry;
 pub use report::render_report;
 pub use snapshot::MetricsSnapshot;

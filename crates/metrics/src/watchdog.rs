@@ -13,7 +13,7 @@ pub struct BoundSpec {
     pub ts_ns: u64,
     /// The decision-latency budget `ε + 3τ + 5δ` in ns (plus whatever
     /// slack the driver grants — the sim adds `ε` for the admission
-    /// wait, exactly as the offline `trace_check` bound does).
+    /// wait, exactly as the offline bound `inspect` replays does).
     pub bound_ns: u64,
 }
 

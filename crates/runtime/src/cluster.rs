@@ -77,18 +77,6 @@ pub struct NodeStats {
     pub firings: Vec<esync_metrics::WatchdogFiring>,
 }
 
-/// One live observability event from a metered node, streamed through
-/// [`Cluster::health`] as it happens (the same records that land in
-/// [`NodeStats`] at shutdown). `health_check --follow` style consumers
-/// tail this stream; ignoring it costs nothing but channel buffering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthEvent {
-    /// A periodic per-node metric snapshot.
-    Snapshot(esync_metrics::MetricsSnapshot),
-    /// A watchdog firing.
-    Firing(esync_metrics::WatchdogFiring),
-}
-
 /// Errors from running a cluster.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -245,8 +233,7 @@ impl ClusterConfig {
     /// inert, not merely cheap) and publishes a
     /// [`esync_metrics::MetricsSnapshot`] every `interval` of wall
     /// time, evaluated online by the invariant watchdogs. Snapshots and
-    /// firings stream live through [`Cluster::health`] and ship in
-    /// [`NodeStats`] at shutdown. Default: off.
+    /// firings ship in [`NodeStats`] at shutdown. Default: off.
     ///
     /// # Panics
     ///
@@ -307,9 +294,6 @@ pub struct Cluster<P: Protocol> {
     kill_flags: Vec<Arc<AtomicBool>>,
     /// Final per-node stats, sent by each node thread on exit.
     stats_rx: Receiver<NodeStats>,
-    /// Live snapshot/firing stream from metered nodes (empty channel
-    /// when metrics are off).
-    health_rx: Receiver<HealthEvent>,
     handles: Vec<JoinHandle<()>>,
     delayer_handle: Option<JoinHandle<()>>,
 }
@@ -342,7 +326,6 @@ where
         let (dec_tx, dec_rx) = unbounded::<Decision>();
         let (commit_tx, commit_rx) = unbounded::<Commit>();
         let (stats_tx, stats_rx) = unbounded::<NodeStats>();
-        let (health_tx, health_rx) = unbounded::<HealthEvent>();
         let shards = protocol.shard_count();
         let mut seed_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
@@ -378,7 +361,6 @@ where
             let metrics = cfg.metrics_interval.map(|interval| crate::node::NodeMetricsCfg {
                 interval,
                 watchdogs: cfg.watchdog_cfg,
-                live: health_tx.clone(),
             });
             let handle = std::thread::Builder::new()
                 .name(format!("esync-node-{i}"))
@@ -411,7 +393,6 @@ where
             leader_flags,
             kill_flags,
             stats_rx,
-            health_rx,
             handles,
             delayer_handle: Some(delayer_handle),
         })
@@ -438,18 +419,6 @@ where
     /// only buffers (the channel is unbounded).
     pub fn commits(&self) -> &Receiver<Commit> {
         &self.commits_rx
-    }
-
-    /// The live health stream: every per-node [`MetricsSnapshot`]
-    /// (as [`HealthEvent::Snapshot`]) and watchdog firing
-    /// (as [`HealthEvent::Firing`]) the moment the node publishes it.
-    /// Always empty when the cluster was spawned without
-    /// [`ClusterConfig::metrics`]. Like [`commits`](Self::commits),
-    /// leaving it undrained only buffers.
-    ///
-    /// [`MetricsSnapshot`]: esync_metrics::MetricsSnapshot
-    pub fn health(&self) -> &Receiver<HealthEvent> {
-        &self.health_rx
     }
 
     /// The node currently claiming leadership (lowest pid wins a tie), if
@@ -629,10 +598,6 @@ mod tests {
         cluster.await_decisions(Duration::from_secs(10)).unwrap();
         // Let at least one full cadence boundary pass before stopping.
         std::thread::sleep(Duration::from_millis(50));
-        let mut live: Vec<HealthEvent> = Vec::new();
-        while let Ok(e) = cluster.health().try_recv() {
-            live.push(e);
-        }
         let stats = cluster.shutdown_stats();
         assert_eq!(stats.len(), 3);
         for s in &stats {
@@ -650,12 +615,6 @@ mod tests {
             // A stable run churns no anchors and stalls nowhere.
             assert_eq!(s.firings, vec![], "{}", s.pid);
         }
-        // The live stream saw every cadenced snapshot the stats kept.
-        let streamed = live
-            .iter()
-            .filter(|e| matches!(e, HealthEvent::Snapshot(_)))
-            .count();
-        assert!(streamed >= 3, "one per node at least: {streamed}");
     }
 
     #[test]
@@ -665,7 +624,6 @@ mod tests {
             .seed(6);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         cluster.await_decisions(Duration::from_secs(10)).unwrap();
-        assert!(cluster.health().try_recv().is_err());
         let stats = cluster.shutdown_stats();
         assert!(stats.iter().all(|s| s.snapshots.is_empty() && s.firings.is_empty()));
     }

@@ -55,4 +55,4 @@ pub mod cluster;
 pub mod node;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterConfig, Commit, Decision, HealthEvent, NodeStats, RuntimeError};
+pub use cluster::{Cluster, ClusterConfig, Commit, Decision, NodeStats, RuntimeError};

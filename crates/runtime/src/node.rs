@@ -1,7 +1,7 @@
 //! One OS thread per process: inbox, wall-clock timers, drifting local
 //! clock.
 
-use crate::cluster::{Commit, Decision, HealthEvent, NodeStats};
+use crate::cluster::{Commit, Decision, NodeStats};
 use crate::transport::{Transport, Wire};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use esync_core::metrics::Metric;
@@ -48,8 +48,6 @@ pub struct NodeMetricsCfg {
     pub interval: Duration,
     /// Watchdog tunables (bound spec, imbalance trip point).
     pub watchdogs: WatchdogConfig,
-    /// Live stream for snapshots and firings as they happen.
-    pub live: Sender<HealthEvent>,
 }
 
 /// A metered node's snapshot/watchdog state: the cadence clock, the
@@ -63,7 +61,6 @@ struct NodeMetrics {
     watchdogs: Watchdogs,
     snapshots: Vec<MetricsSnapshot>,
     firings: Vec<WatchdogFiring>,
-    live: Sender<HealthEvent>,
 }
 
 impl NodeMetrics {
@@ -76,7 +73,6 @@ impl NodeMetrics {
             watchdogs: Watchdogs::new(cfg.watchdogs),
             snapshots: Vec::new(),
             firings: Vec::new(),
-            live: cfg.live,
         }
     }
 
@@ -99,13 +95,8 @@ impl NodeMetrics {
                 counters: *out.metrics().counters(),
             };
             let imbalance = esync_metrics::imbalance_x1000(loads);
-            let before = self.firings.len();
             self.watchdogs.on_snapshot(&snap, imbalance, &mut self.firings);
-            for f in &self.firings[before..] {
-                let _ = self.live.send(HealthEvent::Firing(*f));
-            }
             self.snapshots.push(snap);
-            let _ = self.live.send(HealthEvent::Snapshot(snap));
             self.next_at += self.interval;
         }
     }
@@ -120,7 +111,6 @@ impl NodeMetrics {
             counters: *out.metrics().counters(),
         };
         self.snapshots.push(snap);
-        let _ = self.live.send(HealthEvent::Snapshot(snap));
     }
 }
 
@@ -390,7 +380,6 @@ fn apply<M: Clone>(
                             .watchdogs
                             .on_decision(elapsed.as_nanos() as u64, Some(pid.as_u32()))
                         {
-                            let _ = m.live.send(HealthEvent::Firing(f));
                             m.firings.push(f);
                         }
                     }

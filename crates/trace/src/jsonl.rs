@@ -1,6 +1,6 @@
 //! The `TRACE_*.jsonl` format: one JSON object per line, a `meta` header
-//! line followed by flat record lines — and a hand-rolled parser for it
-//! (the vendored offline `serde_json` serializes only).
+//! line followed by flat record lines — and its reader, which parses each
+//! line into a [`serde_json::Value`] and picks the fields out of it.
 //!
 //! ## Schema
 //!
@@ -40,6 +40,8 @@
 use crate::buffer::TraceRecord;
 use esync_core::trace::TraceEvent;
 use esync_core::types::ProcessId;
+use serde::Serializer;
+use serde_json::Value;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -84,45 +86,36 @@ pub enum Line {
     Record(TraceRecord),
 }
 
-/// A trace line failed to parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseError {
-    /// What the parser was looking for.
-    pub what: &'static str,
-    /// Byte offset within the line.
-    pub at: usize,
+/// A line of an artifact file (`TRACE_*.jsonl` or `HEALTH_*.jsonl`)
+/// failed to parse.
+#[derive(Debug)]
+pub enum ParseError {
+    /// The line is not JSON the reader accepts.
+    Json(serde_json::Error),
+    /// The line is JSON, but the named field is missing, has the wrong
+    /// type, or holds a value the schema does not know.
+    Field(&'static str),
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid trace line: expected {} at byte {}", self.what, self.at)
+        match self {
+            ParseError::Json(e) => write!(f, "invalid JSONL line: {e}"),
+            ParseError::Field(key) => write!(f, "invalid JSONL line: bad or missing `{key}`"),
+        }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the header line (no trailing newline).
 pub fn meta_line(meta: &TraceMeta) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"meta\":{\"exp\":\"");
-    escape_into(&mut out, &meta.exp);
-    let _ = write!(
-        out,
-        "\",\"seed\":{},\"n\":{},\"delta_ns\":{},\"epsilon_ns\":{},\"ts_ns\":{},\"bound_ns\":{},\"dropped\":{}}}}}",
-        meta.seed, meta.n, meta.delta_ns, meta.epsilon_ns, meta.ts_ns, meta.bound_ns, meta.dropped
-    );
-    out
+    let mut exp = Serializer::new();
+    exp.value_str(&meta.exp);
+    format!(
+        "{{\"meta\":{{\"exp\":{},\"seed\":{},\"n\":{},\"delta_ns\":{},\"epsilon_ns\":{},\"ts_ns\":{},\"bound_ns\":{},\"dropped\":{}}}}}",
+        exp.finish(), meta.seed, meta.n, meta.delta_ns, meta.epsilon_ns, meta.ts_ns, meta.bound_ns, meta.dropped
+    )
 }
 
 /// Renders one record line (no trailing newline). Key order is fixed:
@@ -185,194 +178,78 @@ pub fn write_jsonl<'a>(
     out
 }
 
-// ---- parsing (hand-rolled: the vendored serde_json cannot parse) ----
-
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(u64),
-    Str(String),
-    Obj(Vec<(String, Val)>),
+fn u64_of(obj: &Value, key: &'static str) -> Result<u64, ParseError> {
+    obj.get(key).and_then(Value::as_u64).ok_or(ParseError::Field(key))
 }
 
-struct Scanner<'a> {
-    s: &'a [u8],
-    at: usize,
+fn u32_of(obj: &Value, key: &'static str) -> Result<u32, ParseError> {
+    u32::try_from(u64_of(obj, key)?).map_err(|_| ParseError::Field(key))
 }
 
-impl<'a> Scanner<'a> {
-    fn err<T>(&self, what: &'static str) -> Result<T, ParseError> {
-        Err(ParseError { what, at: self.at })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.at).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            self.err(what)
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "string")?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    _ => return self.err("escape"),
-                },
-                Some(b) => out.push(b as char),
-                None => return self.err("closing quote"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, ParseError> {
-        let start = self.at;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return self.err("number");
-        }
-        std::str::from_utf8(&self.s[start..self.at])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or(ParseError {
-                what: "u64 in range",
-                at: start,
-            })
-    }
-
-    fn value(&mut self) -> Result<Val, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'{') => Ok(Val::Obj(self.object()?)),
-            Some(b) if b.is_ascii_digit() => Ok(Val::Num(self.number()?)),
-            _ => self.err("value"),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, ParseError> {
-        self.expect(b'{', "object")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':', "colon")?;
-            fields.push((key, self.value()?));
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
-                _ => return self.err("comma or closing brace"),
-            }
-        }
-    }
+fn str_of<'v>(obj: &'v Value, key: &'static str) -> Result<&'v str, ParseError> {
+    obj.get(key).and_then(Value::as_str).ok_or(ParseError::Field(key))
 }
 
-fn get<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v Val, ParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or(ParseError { what: key, at: 0 })
-}
-
-fn get_u64(fields: &[(String, Val)], key: &'static str) -> Result<u64, ParseError> {
-    match get(fields, key)? {
-        Val::Num(n) => Ok(*n),
-        _ => Err(ParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_str<'v>(fields: &'v [(String, Val)], key: &'static str) -> Result<&'v str, ParseError> {
-    match get(fields, key)? {
-        Val::Str(s) => Ok(s),
-        _ => Err(ParseError { what: key, at: 0 }),
-    }
-}
-
-fn get_u32(fields: &[(String, Val)], key: &'static str) -> Result<u32, ParseError> {
-    u32::try_from(get_u64(fields, key)?).map_err(|_| ParseError { what: key, at: 0 })
-}
-
-fn event_of(fields: &[(String, Val)]) -> Result<TraceEvent, ParseError> {
-    let kind = get_str(fields, "kind")?;
+fn event_of(fields: &Value) -> Result<TraceEvent, ParseError> {
+    let kind = str_of(fields, "kind")?;
     Ok(match kind {
         "1a_sent" => TraceEvent::OneASent {
-            ballot: get_u64(fields, "ballot")?,
+            ballot: u64_of(fields, "ballot")?,
         },
         "promise_quorum" => TraceEvent::PromiseQuorum {
-            ballot: get_u64(fields, "ballot")?,
+            ballot: u64_of(fields, "ballot")?,
         },
         "anchored" => TraceEvent::Anchored {
-            ballot: get_u64(fields, "ballot")?,
+            ballot: u64_of(fields, "ballot")?,
         },
         "unanchored" => TraceEvent::Unanchored {
-            ballot: get_u64(fields, "ballot")?,
+            ballot: u64_of(fields, "ballot")?,
         },
         "submit" => TraceEvent::Submit {
-            value: get_u64(fields, "value")?,
+            value: u64_of(fields, "value")?,
         },
         "forward" => TraceEvent::ForwardSent {
-            value: get_u64(fields, "value")?,
+            value: u64_of(fields, "value")?,
         },
         "admitted" => TraceEvent::Admitted {
-            shard: get_u32(fields, "shard")?,
-            value: get_u64(fields, "value")?,
+            shard: u32_of(fields, "shard")?,
+            value: u64_of(fields, "value")?,
         },
         "proposed" => TraceEvent::Proposed {
-            shard: get_u32(fields, "shard")?,
-            slot: get_u64(fields, "slot")?,
-            value: get_u64(fields, "value")?,
+            shard: u32_of(fields, "shard")?,
+            slot: u64_of(fields, "slot")?,
+            value: u64_of(fields, "value")?,
         },
         "chosen" => TraceEvent::Chosen {
-            shard: get_u32(fields, "shard")?,
-            slot: get_u64(fields, "slot")?,
+            shard: u32_of(fields, "shard")?,
+            slot: u64_of(fields, "slot")?,
         },
         "decided" => TraceEvent::Decided {
-            shard: get_u32(fields, "shard")?,
-            slot: get_u64(fields, "slot")?,
-            value: get_u64(fields, "value")?,
+            shard: u32_of(fields, "shard")?,
+            slot: u64_of(fields, "slot")?,
+            value: u64_of(fields, "value")?,
         },
         "reply" => TraceEvent::ReplySent {
-            shard: get_u32(fields, "shard")?,
-            value: get_u64(fields, "value")?,
+            shard: u32_of(fields, "shard")?,
+            value: u64_of(fields, "value")?,
         },
         "rb_freeze" => TraceEvent::RebalanceFreeze {
-            epoch: get_u64(fields, "epoch")?,
+            epoch: u64_of(fields, "epoch")?,
         },
         "rb_drain" => TraceEvent::RebalanceDrain {
-            epoch: get_u64(fields, "epoch")?,
+            epoch: u64_of(fields, "epoch")?,
         },
         "rb_commit" => TraceEvent::RebalanceCommit {
-            epoch: get_u64(fields, "epoch")?,
+            epoch: u64_of(fields, "epoch")?,
         },
         "rb_reforward" => TraceEvent::RebalanceReforward {
-            epoch: get_u64(fields, "epoch")?,
-            count: get_u64(fields, "count")?,
+            epoch: u64_of(fields, "epoch")?,
+            count: u64_of(fields, "count")?,
         },
         "rb_abort" => TraceEvent::RebalanceAbort {
-            epoch: get_u64(fields, "epoch")?,
+            epoch: u64_of(fields, "epoch")?,
         },
-        _ => return Err(ParseError { what: "known kind", at: 0 }),
+        _ => return Err(ParseError::Field("kind")),
     })
 }
 
@@ -383,31 +260,24 @@ fn event_of(fields: &[(String, Val)]) -> Result<TraceEvent, ParseError> {
 /// Returns [`ParseError`] for malformed JSON, unknown kinds, or missing
 /// payload fields.
 pub fn parse_line(line: &str) -> Result<Line, ParseError> {
-    let mut sc = Scanner {
-        s: line.trim_end().as_bytes(),
-        at: 0,
-    };
-    let fields = sc.object()?;
-    if sc.at != sc.s.len() {
-        return sc.err("end of line");
-    }
-    if let Ok(Val::Obj(meta)) = get(&fields, "meta").cloned() {
+    let v: Value = line.parse().map_err(ParseError::Json)?;
+    if let Some(meta) = v.get("meta") {
         return Ok(Line::Meta(TraceMeta {
-            exp: get_str(&meta, "exp")?.to_string(),
-            seed: get_u64(&meta, "seed")?,
-            n: get_u32(&meta, "n")?,
-            delta_ns: get_u64(&meta, "delta_ns")?,
-            epsilon_ns: get_u64(&meta, "epsilon_ns")?,
-            ts_ns: get_u64(&meta, "ts_ns")?,
-            bound_ns: get_u64(&meta, "bound_ns")?,
+            exp: str_of(meta, "exp")?.to_string(),
+            seed: u64_of(meta, "seed")?,
+            n: u32_of(meta, "n")?,
+            delta_ns: u64_of(meta, "delta_ns")?,
+            epsilon_ns: u64_of(meta, "epsilon_ns")?,
+            ts_ns: u64_of(meta, "ts_ns")?,
+            bound_ns: u64_of(meta, "bound_ns")?,
             // Pre-v7 files have no dropped count; absent means none.
-            dropped: get_u64(&meta, "dropped").unwrap_or(0),
+            dropped: meta.get("dropped").and_then(Value::as_u64).unwrap_or(0),
         }));
     }
     Ok(Line::Record(TraceRecord {
-        at_ns: get_u64(&fields, "at_ns")?,
-        pid: ProcessId::new(get_u32(&fields, "pid")?),
-        ev: event_of(&fields)?,
+        at_ns: u64_of(&v, "at_ns")?,
+        pid: ProcessId::new(u32_of(&v, "pid")?),
+        ev: event_of(&v)?,
     }))
 }
 
@@ -521,12 +391,14 @@ mod tests {
 
     #[test]
     fn exp_names_are_escaped() {
-        let mut meta = sample_meta();
-        meta.exp = "odd \"name\"\\with\nnoise".to_string();
-        let line = meta_line(&meta);
-        match parse_line(&line).expect("escaped header parses") {
-            Line::Meta(m) => assert_eq!(m, meta),
-            other => panic!("expected meta, got {other:?}"),
+        for exp in ["odd \"name\"\\with\nnoise", "exp_δ", "tab\there", "cr\rhere", "ctl\u{1}here"] {
+            let mut meta = sample_meta();
+            meta.exp = exp.to_string();
+            let line = meta_line(&meta);
+            match parse_line(&line).expect("escaped header parses") {
+                Line::Meta(m) => assert_eq!(m, meta),
+                other => panic!("expected meta, got {other:?}"),
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 //! [`TraceBuffer`], and this crate turns the result into:
 //!
 //! * **`TRACE_*.jsonl` files** — a documented, deterministic JSONL
-//!   format ([`jsonl`]) with a hand-rolled parser (the vendored offline
-//!   `serde_json` serializes only);
+//!   format ([`jsonl`]) read back through the vendored `serde_json`'s
+//!   `Value`, whose [`ParseError`] the health codec shares;
 //! * **per-decision bound replays** — [`check_decision_bound`] validates
 //!   the paper's post-`TS` decision bound for *every* process's first
 //!   decision, not just the run-level maximum;

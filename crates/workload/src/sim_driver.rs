@@ -34,8 +34,8 @@ pub struct SimWorkloadOutcome {
     /// agree and are nonzero).
     pub router_epochs: Vec<u64>,
     /// The typed trace collected during the drive, stamped in simulated
-    /// nanoseconds. Empty unless the run was traced (the `_traced`
-    /// entry points, or a caller-prepared world with
+    /// nanoseconds. Empty unless the run was traced
+    /// ([`run_closed_loop_traced`], or a caller-prepared world with
     /// [`World::enable_typed_trace`]).
     pub trace: Vec<esync_trace::TraceRecord>,
 }
@@ -97,38 +97,6 @@ where
     P: Protocol,
     P::Process: ShardedLogView,
 {
-    run_open_loop_inner(cfg, protocol, horizon, None)
-}
-
-/// [`run_open_loop`] with typed tracing enabled: every process's
-/// [`TraceEvent`](esync_core::trace::TraceEvent)s are collected (into a
-/// ring of `trace_capacity` records) and the summary's
-/// `phase_latency` decomposition is attached. Tracing is observational
-/// only, so apart from the extra fields the outcome is bit-identical to
-/// the untraced run.
-pub fn run_open_loop_traced<P>(
-    cfg: SimConfig,
-    protocol: P,
-    horizon: SimTime,
-    trace_capacity: usize,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
-    run_open_loop_inner(cfg, protocol, horizon, Some(trace_capacity))
-}
-
-fn run_open_loop_inner<P>(
-    cfg: SimConfig,
-    protocol: P,
-    horizon: SimTime,
-    trace_capacity: Option<usize>,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
     let n = cfg.timing.n();
     let spec_window = default_timeline_window(&cfg);
     let mut collector = Collector::new(Some(cfg.ts.as_nanos()), spec_window);
@@ -143,9 +111,6 @@ where
         }
     }
     let mut world = World::new(cfg, protocol);
-    if let Some(cap) = trace_capacity {
-        world.enable_typed_trace(cap);
-    }
     world.run_until(horizon);
     for c in world.commits() {
         collector.on_commit(c.pid, c.shard, c.value, c.at.as_nanos());
@@ -247,8 +212,12 @@ where
 }
 
 /// [`run_closed_loop`] with typed tracing enabled from before the warmup
-/// (so anchor-establishment events are captured too); see
-/// [`run_open_loop_traced`] for the tracing contract.
+/// (so anchor-establishment events are captured too): every process's
+/// [`TraceEvent`](esync_core::trace::TraceEvent)s are collected (into a
+/// ring of `trace_capacity` records) and the summary's
+/// `phase_latency` decomposition is attached. Tracing is observational
+/// only, so apart from the extra fields the outcome is bit-identical to
+/// the untraced run.
 pub fn run_closed_loop_traced<P>(
     cfg: SimConfig,
     protocol: P,
@@ -293,38 +262,6 @@ where
     world.enable_metrics(interval, watchdogs);
     world.run_until(warmup);
     run_closed_loop_on(&mut world, spec, horizon)
-}
-
-/// [`run_open_loop`] with always-on metering; see
-/// [`run_closed_loop_metered`] for the metering contract.
-pub fn run_open_loop_metered<P>(
-    cfg: SimConfig,
-    protocol: P,
-    horizon: SimTime,
-    interval: esync_core::time::RealDuration,
-    watchdogs: esync_metrics::WatchdogConfig,
-) -> SimWorkloadOutcome
-where
-    P: Protocol,
-    P::Process: ShardedLogView,
-{
-    let n = cfg.timing.n();
-    let spec_window = default_timeline_window(&cfg);
-    let mut collector = Collector::new(Some(cfg.ts.as_nanos()), spec_window);
-    collector.reserve_shards(protocol.shard_count());
-    for stream in &cfg.scenario.streams {
-        for (at, _, value) in stream.expand(n) {
-            collector.on_submit(value, at.as_nanos());
-        }
-    }
-    let mut world = World::new(cfg, protocol);
-    world.enable_metrics(interval, watchdogs);
-    world.run_until(horizon);
-    for c in world.commits() {
-        collector.on_commit(c.pid, c.shard, c.value, c.at.as_nanos());
-    }
-    collector.set_shard_loads(&shard_loads(&world));
-    finish(collector, &mut world)
 }
 
 /// [`run_closed_loop`] over a caller-prepared world: the world has

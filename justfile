@@ -46,21 +46,17 @@ w5:
 trace:
     scripts/bench.sh trace
 
-# Replay the TRACE_*.jsonl artifacts: validate the paper's decision-time
-# bound per decision (e1) and report the queue/quorum/learn split (w3).
-trace-check:
-    cargo run -q --release -p esync-check --bin trace_check
-
 # Regenerate the health artifact (HEALTH_exp_h1.jsonl: metrics snapshots
-# + watchdog verdicts from a stable metered run) and render its report.
+# + watchdog verdicts from a stable metered run) and inspect the fresh file.
 health:
     scripts/bench.sh health
-    cargo run -q --release -p esync-check --bin health_check
 
-# Render HEALTH_*.jsonl into the cluster-status report (exit nonzero if
-# any watchdog fired). `just health` regenerates the artifact first.
-health-check:
-    cargo run -q --release -p esync-check --bin health_check
+# Replay the TRACE_*/HEALTH_* artifacts (default: the three committed
+# ones): the paper's decision-time bound per decision (e1), the
+# queue/quorum/learn split (w3), the cluster-status report (h1). Exits
+# nonzero on a violated bound, a fired watchdog or an unreadable file.
+inspect *files:
+    cargo run -q --release -p esync-check --bin inspect -- {{files}}
 
 # Regenerate-and-diff: run the named experiments (default: e7 w3 w4 w5
 # trace health) into a scratch directory and compare with the committed

@@ -52,8 +52,8 @@ for t in "${targets[@]}"; do
         cargo bench -q -p esync-bench --bench "$t"
     fi
     if [ "$t" = health_gen ]; then
-        echo "=== health_check ==="
-        cargo run -q --release -p esync-check --bin health_check -- HEALTH_exp_h1.jsonl
+        echo "=== inspect ==="
+        cargo run -q --release -p esync-check --bin inspect -- "${BENCH_OUT_DIR:-$PWD}/HEALTH_exp_h1.jsonl"
     fi
 done
 

@@ -196,7 +196,7 @@ fn stable_run_trips_no_watchdogs_under_the_live_bound() {
         .pre_stability(PreStability::silent())
         .build()
         .unwrap();
-    // The same deadline the offline trace_check replays: ε admission
+    // The same deadline the offline `inspect` replays: ε admission
     // slack on top of the analytic ε + 3τ + 5δ.
     let bound = BoundSpec {
         ts_ns: cfg.ts.as_nanos(),

@@ -3,7 +3,7 @@
 //!
 //! 1. **Determinism** — same seed ⇒ byte-identical `TRACE_*.jsonl` on
 //!    the simulator backend (and the JSONL round-trips through the
-//!    hand-rolled parser).
+//!    parser, which rejects mutated artifact lines without panicking).
 //! 2. **Noop bit-identity** — tracing disabled is behaviorally inert:
 //!    the summary, events and message counts reproduce the untraced run
 //!    seed-for-seed on the simulator, and the threaded runtime's
@@ -154,4 +154,39 @@ fn noop_tracing_preserves_runtime_outcomes() {
     assert!(!traced.trace.is_empty(), "runtime collection works");
     let phases = traced.summary.phase_latency.expect("decomposition attached");
     assert_eq!(phases.decisions, COMMANDS);
+}
+
+/// Feeds `parses` every truncation and every single-byte substitution
+/// of the first 40 lines of the committed artifact `file`; returns how
+/// many inputs it fed. A panic in the codec fails the calling test.
+fn feed_mutated_lines(file: &str, parses: fn(&str) -> bool) -> usize {
+    const SUBSTITUTES: [&str; 14] =
+        ["\"", "\\", "{", "}", "[", "]", ",", ":", "9", "n", " ", "δ", "\\u", "\\uD800"];
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    let text = std::fs::read_to_string(path).expect("committed artifact");
+    let mut cases = 0;
+    for line in text.lines().take(40) {
+        assert!(parses(line), "{file}: the unmutated line parses: {line}");
+        for (at, c) in line.char_indices() {
+            let (head, rest) = (&line[..at], &line[at + c.len_utf8()..]);
+            parses(head);
+            for sub in SUBSTITUTES {
+                parses(&format!("{head}{sub}{rest}"));
+            }
+            cases += 1 + SUBSTITUTES.len();
+        }
+    }
+    cases
+}
+
+#[test]
+fn codecs_survive_mutated_artifact_lines() {
+    // Malformed input must come back from either codec as `Ok` or `Err`,
+    // never as a panic.
+    let cases = feed_mutated_lines("TRACE_exp_w3.jsonl", |line| {
+        esync::trace::jsonl::parse_line(line).is_ok()
+    }) + feed_mutated_lines("HEALTH_exp_h1.jsonl", |line| {
+        esync::metrics::parse_health_line(line).is_ok()
+    });
+    assert!(cases > 10_000, "{cases} mutations checked");
 }

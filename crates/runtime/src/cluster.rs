@@ -347,7 +347,6 @@ where
             let transport = Transport::new(
                 senders.clone(),
                 delayer_tx.clone(),
-                start,
                 stable_at,
                 cfg.loss_prob,
                 max_extra_delay,

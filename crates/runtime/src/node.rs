@@ -1,5 +1,10 @@
 //! One OS thread per process: inbox, wall-clock timers, drifting local
 //! clock.
+//!
+//! The loop reads the wall clock once per wake-up. The local reading, the
+//! trace stamp, commit and decision times, timer deadlines and the
+//! unstable-window test of every event handled in that wake-up are all
+//! derived from that one [`Instant`].
 
 use crate::cluster::{Commit, Decision, NodeStats};
 use crate::transport::{Transport, Wire};
@@ -10,7 +15,6 @@ use esync_core::time::LocalInstant;
 use esync_core::types::{ProcessId, TimerId};
 use esync_metrics::{MetricsSnapshot, WatchdogConfig, WatchdogFiring, Watchdogs};
 use esync_trace::{TraceBuffer, TraceRecord};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +35,15 @@ impl LocalClock {
 
     /// The local reading now.
     pub fn now(&self) -> LocalInstant {
-        LocalInstant::from_nanos((self.start.elapsed().as_nanos() as f64 * self.rate) as u64)
+        self.at(Instant::now())
+    }
+
+    /// The local reading at wall instant `at` (zero before the clock's
+    /// start) — the view of one wall reading the node loop hands its
+    /// process.
+    pub fn at(&self, at: Instant) -> LocalInstant {
+        let wall = at.saturating_duration_since(self.start);
+        LocalInstant::from_nanos((wall.as_nanos() as f64 * self.rate) as u64)
     }
 
     /// The wall duration spanned by a local duration.
@@ -55,7 +67,7 @@ pub struct NodeMetricsCfg {
 /// [`NodeStats`] on exit.
 struct NodeMetrics {
     interval: Duration,
-    /// Next snapshot boundary on the `transport.elapsed()` axis.
+    /// Next snapshot boundary, as wall time since cluster start.
     next_at: Duration,
     node: u32,
     watchdogs: Watchdogs,
@@ -74,11 +86,6 @@ impl NodeMetrics {
             snapshots: Vec::new(),
             firings: Vec::new(),
         }
-    }
-
-    /// How long the inbox wait may sleep before the next snapshot is due.
-    fn until_due(&self, elapsed: Duration) -> Duration {
-        self.next_at.saturating_sub(elapsed)
     }
 
     /// Takes every snapshot whose boundary has passed, stamping each at
@@ -114,16 +121,129 @@ impl NodeMetrics {
     }
 }
 
+/// Everything the actions of a handled event reach: the node's links,
+/// timers, clock, output streams and observability state.
+struct NodeCtx<M> {
+    pid: ProcessId,
+    transport: Transport<M>,
+    /// Armed deadlines indexed by [`TimerId::get`] (protocols use small
+    /// constant ids) — the simulator's per-process timer-slot shape.
+    timers: Vec<Option<Instant>>,
+    clock: LocalClock,
+    decisions: Sender<Decision>,
+    commits: Sender<Commit>,
+    /// Whether the node's single-shot decision has been reported.
+    reported: bool,
+    tracer: Option<TraceBuffer>,
+    met: Option<NodeMetrics>,
+}
+
+impl<M: Clone> NodeCtx<M> {
+    /// Wall time since cluster start at `now`.
+    fn elapsed(&self, now: Instant) -> Duration {
+        now.saturating_duration_since(self.clock.start)
+    }
+
+    fn timer_slot(&mut self, id: TimerId) -> &mut Option<Instant> {
+        let idx = id.get() as usize;
+        if idx >= self.timers.len() {
+            self.timers.resize(idx + 1, None);
+        }
+        &mut self.timers[idx]
+    }
+
+    /// The earliest armed timer deadline or snapshot boundary, if any.
+    fn next_deadline(&self) -> Option<Instant> {
+        let snapshot = self.met.as_ref().map(|m| self.clock.start + m.next_at);
+        self.timers.iter().flatten().copied().chain(snapshot).min()
+    }
+
+    /// Runs one handler for an event read at wall instant `now` and
+    /// carries out the actions it emits.
+    fn handle(&mut self, out: &mut Outbox<M>, now: Instant, handler: impl FnOnce(&mut Outbox<M>)) {
+        out.reset(self.clock.at(now));
+        handler(out);
+        self.apply(out, now);
+    }
+
+    /// Carries out the actions of an event handled at wall instant `now`.
+    ///
+    /// # Panics
+    ///
+    /// On [`Action::WabBroadcast`]: the runtime provides no external
+    /// oracle.
+    fn apply(&mut self, out: &mut Outbox<M>, now: Instant) {
+        let pid = self.pid;
+        let elapsed = self.elapsed(now);
+        if let Some(buf) = self.tracer.as_mut() {
+            // Stamp in monotonic wall nanoseconds since cluster start — the
+            // cross-node comparable axis (local clocks drift; `elapsed` does
+            // not).
+            let at_ns = elapsed.as_nanos() as u64;
+            for ev in out.drain_trace() {
+                buf.push(TraceRecord { at_ns, pid, ev });
+            }
+        }
+        for action in out.drain_iter() {
+            match action {
+                Action::Send { to, msg } => self.transport.send(now, pid, to, msg),
+                Action::Broadcast { msg } => self.transport.broadcast(now, pid, msg),
+                Action::SetTimer { id, after } => {
+                    let at = now + self.clock.wall(after);
+                    *self.timer_slot(id) = Some(at);
+                }
+                Action::CancelTimer { id } => *self.timer_slot(id) = None,
+                Action::Decide { value, shard } => {
+                    // Every decide is a commit (per-command, multi-instance)…
+                    let _ = self.commits.send(Commit {
+                        pid,
+                        shard,
+                        value,
+                        elapsed,
+                    });
+                    // …but only the first is the node's single-shot decision.
+                    if !self.reported {
+                        self.reported = true;
+                        // Live decision-bound check, at the commit itself —
+                        // the online half of the paper's `TS + ε + 3τ + 5δ`
+                        // claim (the sim's world evaluator mirrors this).
+                        if let Some(m) = self.met.as_mut() {
+                            if let Some(f) = m
+                                .watchdogs
+                                .on_decision(elapsed.as_nanos() as u64, Some(pid.as_u32()))
+                            {
+                                m.firings.push(f);
+                            }
+                        }
+                        let _ = self.decisions.send(Decision {
+                            pid,
+                            value,
+                            elapsed,
+                        });
+                    }
+                }
+                Action::WabBroadcast { .. } => {
+                    panic!(
+                        "{pid}: protocol requested an external weak-ordering \
+                         oracle; the threaded runtime provides none (use the \
+                         modified B-Consensus or run under esync-sim)"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Runs one process until a [`Wire::Stop`] arrives or `kill_flag` is
 /// raised.
 ///
-/// After every handled event the node publishes its
-/// [`Process::is_leader`] belief into `leader_flag` (cleared on exit), so
-/// the cluster can answer leader-observability queries without touching
-/// protocol state across threads. On exit it ships its final
-/// [`NodeStats`] (router epoch, per-shard load counters over `shards`
-/// shards, and — when `trace_capacity` is set — the typed trace ring)
-/// through `stats` — the runtime half of the schema-v5/v6 observability.
+/// After every wake-up the node publishes its [`Process::is_leader`]
+/// belief into `leader_flag` (cleared on exit), so the cluster can answer
+/// leader-observability queries without touching protocol state across
+/// threads. On exit it ships its final [`NodeStats`] (router epoch,
+/// per-shard load counters over `shards` shards, and — when
+/// `trace_capacity` is set — the typed trace ring) through `stats` — the
+/// runtime half of the schema-v5/v6 observability.
 ///
 /// `kill_flag` is checked before every event, so a raised flag stops the
 /// node as soon as the current handler returns instead of after the
@@ -145,7 +265,7 @@ pub fn run_node<Proc>(
     pid: ProcessId,
     mut proc: Proc,
     inbox: Receiver<Wire<Proc::Msg>>,
-    mut transport: Transport<Proc::Msg>,
+    transport: Transport<Proc::Msg>,
     clock: LocalClock,
     decisions: Sender<Decision>,
     commits: Sender<Commit>,
@@ -159,137 +279,74 @@ pub fn run_node<Proc>(
     Proc: Process,
     Proc::Msg: Clone,
 {
-    let mut timers: HashMap<TimerId, Instant> = HashMap::new();
-    let mut reported = false;
-    let mut tracer = trace_capacity.map(TraceBuffer::new);
-    let mut met = metrics.map(|cfg| NodeMetrics::new(cfg, pid));
+    let mut ctx = NodeCtx {
+        pid,
+        transport,
+        timers: Vec::new(),
+        clock,
+        decisions,
+        commits,
+        reported: false,
+        tracer: trace_capacity.map(TraceBuffer::new),
+        met: metrics.map(|cfg| NodeMetrics::new(cfg, pid)),
+    };
 
     // One outbox for the node's whole life, reset (not reallocated) per
     // event: `reset` keeps the tracing/metering enablement and the
     // metric registry — counters accumulate across events and are
     // *sampled* by snapshots, never drained.
-    let mut out = Outbox::new(clock.now());
-    out.set_tracing(tracer.is_some());
-    out.set_metering(met.is_some());
+    let mut out = Outbox::default();
+    out.set_tracing(ctx.tracer.is_some());
+    out.set_metering(ctx.met.is_some());
 
-    proc.on_start(&mut out);
-    apply(
-        pid,
-        &mut out,
-        &mut transport,
-        &mut timers,
-        &clock,
-        &decisions,
-        &commits,
-        &mut reported,
-        &mut tracer,
-        &mut met,
-    );
+    ctx.handle(&mut out, Instant::now(), |out| proc.on_start(out));
     leader_flag.store(proc.is_leader(), Ordering::Relaxed);
 
-    while !kill_flag.load(Ordering::Relaxed) {
-        // Publish every snapshot boundary that has passed before
-        // sleeping again (cheap no-op when none is due).
-        if let Some(m) = met.as_mut() {
-            let dropped = tracer.as_ref().map_or(0, TraceBuffer::dropped);
-            let loads = shard_loads_of(&proc, shards);
-            m.flush_due(&mut out, transport.elapsed(), dropped, &loads);
-        }
-        // Fire all due timers first.
-        let now = Instant::now();
-        let due: Vec<TimerId> = timers
-            .iter()
-            .filter(|(_, at)| **at <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        if !due.is_empty() {
-            for id in due {
-                if kill_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                timers.remove(&id);
-                out.reset(clock.now());
-                proc.on_timer(id, &mut out);
-                apply(
-                    pid,
-                    &mut out,
-                    &mut transport,
-                    &mut timers,
-                    &clock,
-                    &decisions,
-                    &commits,
-                    &mut reported,
-                    &mut tracer,
-                    &mut met,
-                );
-            }
-            leader_flag.store(proc.is_leader(), Ordering::Relaxed);
-            continue;
-        }
+    'run: loop {
         // Wait for a message, the next timer deadline, or the next
         // snapshot boundary — whichever comes first.
-        let timer_wait = timers
-            .values()
-            .min()
-            .map(|next| next.saturating_duration_since(Instant::now()));
-        let snap_wait = met.as_ref().map(|m| m.until_due(transport.elapsed()));
-        let wire = match (timer_wait, snap_wait) {
-            (None, None) => match inbox.recv() {
+        let wire = match ctx.next_deadline() {
+            None => match inbox.recv() {
                 Ok(w) => Some(w),
                 Err(_) => break,
             },
-            (a, b) => {
-                let wait = match (a, b) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (Some(a), None) => a,
-                    (None, Some(b)) => b,
-                    (None, None) => unreachable!("outer match handled"),
-                };
-                match inbox.recv_timeout(wait) {
-                    Ok(w) => Some(w),
-                    // Loop fires due timers / takes due snapshots.
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
+            Some(at) => match inbox.recv_deadline(at) {
+                Ok(w) => Some(w),
+                // The wake-up fires due timers / takes due snapshots.
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
+            },
         };
-        let Some(wire) = wire else { continue };
+        let now = Instant::now();
+        // Publish every snapshot boundary that has passed; the per-shard
+        // loads are gathered only when one has.
+        let elapsed = ctx.elapsed(now);
+        if let Some(m) = ctx.met.as_mut().filter(|m| m.next_at <= elapsed) {
+            let dropped = ctx.tracer.as_ref().map_or(0, TraceBuffer::dropped);
+            m.flush_due(&mut out, elapsed, dropped, &shard_loads_of(&proc, shards));
+        }
+        // Fire all due timers, then handle the message.
+        for idx in 0..ctx.timers.len() {
+            if ctx.timers[idx].is_some_and(|at| at <= now) {
+                if kill_flag.load(Ordering::Relaxed) {
+                    break 'run;
+                }
+                ctx.timers[idx] = None;
+                let id = TimerId::new(idx as u32);
+                ctx.handle(&mut out, now, |out| proc.on_timer(id, out));
+            }
+        }
         if kill_flag.load(Ordering::Relaxed) {
             break;
         }
         match wire {
-            Wire::Stop => break,
-            Wire::Msg { from, msg } => {
-                out.reset(clock.now());
-                proc.on_message(from, &msg, &mut out);
-                apply(
-                    pid,
-                    &mut out,
-                    &mut transport,
-                    &mut timers,
-                    &clock,
-                    &decisions,
-                    &commits,
-                    &mut reported,
-                    &mut tracer,
-                    &mut met,
-                );
+            None => {}
+            Some(Wire::Stop) => break,
+            Some(Wire::Msg { from, msg }) => {
+                ctx.handle(&mut out, now, |out| proc.on_message(from, &msg, out));
             }
-            Wire::Submit { value } => {
-                out.reset(clock.now());
-                proc.on_client(value, &mut out);
-                apply(
-                    pid,
-                    &mut out,
-                    &mut transport,
-                    &mut timers,
-                    &clock,
-                    &decisions,
-                    &commits,
-                    &mut reported,
-                    &mut tracer,
-                    &mut met,
-                );
+            Some(Wire::Submit { value }) => {
+                ctx.handle(&mut out, now, |out| proc.on_client(value, out));
             }
         }
         leader_flag.store(proc.is_leader(), Ordering::Relaxed);
@@ -297,11 +354,13 @@ pub fn run_node<Proc>(
     // Dead nodes lead nothing: clear the published belief on the way out
     // so `leader_hint` never points at a stopped thread.
     leader_flag.store(false, Ordering::Relaxed);
-    let trace_dropped = tracer.as_ref().map_or(0, TraceBuffer::dropped);
-    if let Some(m) = met.as_mut() {
-        m.finish(&mut out, transport.elapsed(), trace_dropped);
+    let trace_dropped = ctx.tracer.as_ref().map_or(0, TraceBuffer::dropped);
+    let exit = ctx.elapsed(Instant::now());
+    if let Some(m) = ctx.met.as_mut() {
+        m.finish(&mut out, exit, trace_dropped);
     }
-    let (snapshots, firings) = met
+    let (snapshots, firings) = ctx
+        .met
         .map(|m| (m.snapshots, m.firings))
         .unwrap_or_default();
     let _ = stats.send(NodeStats {
@@ -310,7 +369,10 @@ pub fn run_node<Proc>(
         shard_loads: (0..shards as u32)
             .map(|s| proc.shard_load(esync_core::types::ShardId::new(s)))
             .collect(),
-        trace: tracer.as_mut().map_or_else(Vec::new, TraceBuffer::take_records),
+        trace: ctx
+            .tracer
+            .as_mut()
+            .map_or_else(Vec::new, TraceBuffer::take_records),
         trace_dropped,
         snapshots,
         firings,
@@ -328,82 +390,14 @@ fn shard_loads_of<Proc: Process>(proc: &Proc, shards: usize) -> Vec<u64> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn apply<M: Clone>(
-    pid: ProcessId,
-    out: &mut Outbox<M>,
-    transport: &mut Transport<M>,
-    timers: &mut HashMap<TimerId, Instant>,
-    clock: &LocalClock,
-    decisions: &Sender<Decision>,
-    commits: &Sender<Commit>,
-    reported: &mut bool,
-    tracer: &mut Option<TraceBuffer>,
-    met: &mut Option<NodeMetrics>,
-) {
-    if let Some(buf) = tracer.as_mut() {
-        // Stamp in monotonic wall nanoseconds since cluster start — the
-        // cross-node comparable axis (local clocks drift; `elapsed` does
-        // not).
-        let at_ns = transport.elapsed().as_nanos() as u64;
-        for ev in out.drain_trace() {
-            buf.push(TraceRecord { at_ns, pid, ev });
-        }
-    }
-    for action in out.drain() {
-        match action {
-            Action::Send { to, msg } => transport.send(pid, to, msg),
-            Action::Broadcast { msg } => transport.broadcast(pid, msg),
-            Action::SetTimer { id, after } => {
-                timers.insert(id, Instant::now() + clock.wall(after));
-            }
-            Action::CancelTimer { id } => {
-                timers.remove(&id);
-            }
-            Action::Decide { value, shard } => {
-                let elapsed = transport.elapsed();
-                // Every decide is a commit (per-command, multi-instance)…
-                let _ = commits.send(Commit {
-                    pid,
-                    shard,
-                    value,
-                    elapsed,
-                });
-                // …but only the first is the node's single-shot decision.
-                if !*reported {
-                    *reported = true;
-                    // Live decision-bound check, at the commit itself —
-                    // the online half of the paper's `TS + ε + 3τ + 5δ`
-                    // claim (the sim's world evaluator mirrors this).
-                    if let Some(m) = met.as_mut() {
-                        if let Some(f) = m
-                            .watchdogs
-                            .on_decision(elapsed.as_nanos() as u64, Some(pid.as_u32()))
-                        {
-                            m.firings.push(f);
-                        }
-                    }
-                    let _ = decisions.send(Decision {
-                        pid,
-                        value,
-                        elapsed,
-                    });
-                }
-            }
-            Action::WabBroadcast { .. } => {
-                panic!(
-                    "{pid}: protocol requested an external weak-ordering \
-                     oracle; the threaded runtime provides none (use the \
-                     modified B-Consensus or run under esync-sim)"
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{Cluster, ClusterConfig};
+    use esync_core::config::TimingConfig;
+    use esync_core::outbox::Protocol;
+    use esync_core::time::LocalDuration;
+    use esync_core::types::Value;
 
     #[test]
     fn local_clock_scales_elapsed_time() {
@@ -411,6 +405,15 @@ mod tests {
         let c = LocalClock::new(2.0, start);
         let wall = c.wall(esync_core::time::LocalDuration::from_millis(10));
         assert_eq!(wall, Duration::from_millis(5), "fast clock: shorter wall");
+    }
+
+    #[test]
+    fn local_clock_at_scales_the_given_instant() {
+        let start = Instant::now();
+        let c = LocalClock::new(2.0, start);
+        let ten_ms = LocalInstant::from_nanos(10_000_000);
+        assert_eq!(c.at(start + Duration::from_millis(5)), ten_ms);
+        assert_eq!(c.at(start), LocalInstant::ZERO);
     }
 
     #[test]
@@ -426,5 +429,64 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = LocalClock::new(0.0, Instant::now());
+    }
+
+    /// Arms sparse timer ids 0 and 9 at boot, re-arms 0 with a longer
+    /// delay and cancels 9; every firing commits its timer id.
+    struct TimerProbe;
+
+    struct TimerProbeProc(ProcessId);
+
+    const EARLY_MS: u64 = 20;
+    const LATE_MS: u64 = 80;
+
+    impl Process for TimerProbeProc {
+        type Msg = ();
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+        fn on_start(&mut self, out: &mut Outbox<()>) {
+            out.set_timer(TimerId::new(0), LocalDuration::from_millis(EARLY_MS));
+            out.set_timer(TimerId::new(9), LocalDuration::from_millis(EARLY_MS));
+            out.set_timer(TimerId::new(0), LocalDuration::from_millis(LATE_MS));
+            out.cancel_timer(TimerId::new(9));
+        }
+        fn on_message(&mut self, _: ProcessId, _: &(), _: &mut Outbox<()>) {}
+        fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<()>) {
+            out.decide(Value::new(timer.get().into()));
+        }
+        fn on_restart(&mut self, _: &mut Outbox<()>) {}
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    impl Protocol for TimerProbe {
+        type Msg = ();
+        type Process = TimerProbeProc;
+        fn name(&self) -> &'static str {
+            "timer-probe"
+        }
+        fn spawn(&self, id: ProcessId, _: &TimingConfig, _: Value) -> TimerProbeProc {
+            TimerProbeProc(id)
+        }
+    }
+
+    #[test]
+    fn rearming_a_timer_replaces_it_and_cancelling_disarms_it() {
+        let cluster = Cluster::spawn(ClusterConfig::new(1), TimerProbe).unwrap();
+        // Every firing, until the stream has been quiet for well past the
+        // later deadline.
+        let mut fired = Vec::new();
+        while let Ok(c) = cluster.commits().recv_timeout(Duration::from_millis(300)) {
+            fired.push((c.value, c.elapsed));
+        }
+        cluster.shutdown();
+        assert_eq!(fired.len(), 1, "timer 0 fires once, 9 never: {fired:?}");
+        let (value, elapsed) = fired[0];
+        assert_eq!(value, Value::new(0), "{fired:?}");
+        // The later deadline in wall time, at a clock rate ≤ 1 + ρ
+        // (ρ = 10⁻³), is past 79 ms; the earlier one is at ≈ 20 ms.
+        assert!(elapsed >= Duration::from_millis(LATE_MS - 1), "{fired:?}");
     }
 }

@@ -122,7 +122,6 @@ pub(crate) fn spawn_delayer<M: Send + 'static>(
 pub struct Transport<M> {
     node_senders: Vec<Sender<Wire<M>>>,
     delayer: Sender<DelayerCmd<M>>,
-    start: Instant,
     stable_at: Instant,
     loss_prob: f64,
     max_extra_delay: Duration,
@@ -131,11 +130,9 @@ pub struct Transport<M> {
 }
 
 impl<M: Clone> Transport<M> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node_senders: Vec<Sender<Wire<M>>>,
         delayer: Sender<DelayerCmd<M>>,
-        start: Instant,
         stable_at: Instant,
         loss_prob: f64,
         max_extra_delay: Duration,
@@ -144,7 +141,6 @@ impl<M: Clone> Transport<M> {
         Transport {
             node_senders,
             delayer,
-            start,
             stable_at,
             loss_prob,
             max_extra_delay,
@@ -158,15 +154,10 @@ impl<M: Clone> Transport<M> {
         self.node_senders.len()
     }
 
-    /// Elapsed wall time since the cluster started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Sends `msg` from `from` to `to`, applying the unstable-window policy.
-    pub fn send(&mut self, from: ProcessId, to: ProcessId, msg: M) {
+    /// Sends `msg` from `from` to `to`, applying the unstable-window
+    /// policy at wall instant `now` (the sending event's).
+    pub fn send(&mut self, now: Instant, from: ProcessId, to: ProcessId, msg: M) {
         let wire = Wire::Msg { from, msg };
-        let now = Instant::now();
         if now < self.stable_at {
             if self.loss_prob > 0.0 && self.rng.gen_bool(self.loss_prob) {
                 return; // lost
@@ -188,10 +179,11 @@ impl<M: Clone> Transport<M> {
         let _ = self.node_senders[to.as_usize()].send(wire);
     }
 
-    /// Broadcasts to all endpoints, including the sender.
-    pub fn broadcast(&mut self, from: ProcessId, msg: M) {
+    /// Broadcasts to all endpoints, including the sender, at wall instant
+    /// `now`.
+    pub fn broadcast(&mut self, now: Instant, from: ProcessId, msg: M) {
         for to in 0..self.n() {
-            self.send(from, ProcessId::new(to as u32), msg.clone());
+            self.send(now, from, ProcessId::new(to as u32), msg.clone());
         }
     }
 }
@@ -218,13 +210,12 @@ mod tests {
         let mut t = Transport::new(
             senders,
             dtx.clone(),
-            now,
             now, // stable immediately
             1.0, // loss prob irrelevant after stability
             Duration::from_secs(1),
             ChaCha8Rng::seed_from_u64(1),
         );
-        t.send(ProcessId::new(0), ProcessId::new(1), 42u32);
+        t.send(now, ProcessId::new(0), ProcessId::new(1), 42u32);
         match receivers[1].recv_timeout(Duration::from_millis(100)) {
             Ok(Wire::Msg { from, msg }) => {
                 assert_eq!(from, ProcessId::new(0));
@@ -244,14 +235,13 @@ mod tests {
         let mut t = Transport::new(
             senders,
             dtx.clone(),
-            now,
             now + Duration::from_secs(3600),
             1.0, // always lose
             Duration::ZERO,
             ChaCha8Rng::seed_from_u64(2),
         );
         for _ in 0..10 {
-            t.send(ProcessId::new(0), ProcessId::new(1), 1u32);
+            t.send(now, ProcessId::new(0), ProcessId::new(1), 1u32);
         }
         assert!(
             receivers[1].recv_timeout(Duration::from_millis(50)).is_err(),
@@ -269,7 +259,6 @@ mod tests {
         let mut t = Transport::new(
             senders,
             dtx.clone(),
-            now,
             now + Duration::from_secs(3600),
             0.0,
             Duration::from_millis(30),
@@ -277,7 +266,7 @@ mod tests {
         );
         let sent_at = Instant::now();
         for _ in 0..5 {
-            t.send(ProcessId::new(0), ProcessId::new(0), 7u32);
+            t.send(sent_at, ProcessId::new(0), ProcessId::new(0), 7u32);
         }
         let mut got = 0;
         while got < 5 {
@@ -300,12 +289,11 @@ mod tests {
             senders,
             dtx.clone(),
             now,
-            now,
             0.0,
             Duration::ZERO,
             ChaCha8Rng::seed_from_u64(4),
         );
-        t.broadcast(ProcessId::new(1), 9u32);
+        t.broadcast(now, ProcessId::new(1), 9u32);
         for r in &receivers {
             assert!(matches!(
                 r.recv_timeout(Duration::from_millis(100)),

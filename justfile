@@ -98,3 +98,12 @@ benchmark:
 benchmark-quick:
     bash benchmark/run.sh --quick
     cargo test --manifest-path benchmark/Cargo.toml --release --offline
+
+# Interleaved A/B of two benchmark binaries on one workload (15 s per
+# run, untraced, order alternating by seed): one row per run, then per
+# end-to-end metric both medians (q1–q3), the ratio, pairs won and
+# whether a gain claim holds (≥ 9/10 pairs, median delta > parent IQR).
+# E.g. `just ab /tmp/parent/release/benchmark benchmark/target/release/benchmark
+# rt_log_s1_n3 1 2 3 4 5 6 7 8 9 10`.
+ab parent change workload +seeds:
+    scripts/ab.sh {{parent}} {{change}} {{workload}} {{seeds}}

@@ -118,8 +118,7 @@ impl Metric {
 /// [`Outbox::metric`](crate::outbox::Outbox::metric); drivers sample it
 /// into `esync-metrics` snapshots. Plain `u64`s, not atomics: an outbox
 /// is single-threaded by construction (one per simulator world / one per
-/// runtime node thread), so the cross-thread aggregation — where atomics
-/// belong — happens in `esync-metrics::Registry`, not here.
+/// runtime node thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricSet {
     counters: [u64; METRIC_COUNT],

@@ -4,16 +4,17 @@
 //! answers "where did each decision's latency go?" after the fact, this
 //! crate judges a run **while it executes**:
 //!
-//! * **Registry** — protocols bump the allocation-free counter registry
+//! * **Counters** — protocols bump the allocation-free counter registry
 //!   ([`Metric`], [`MetricSet`], defined in `esync-core` because the
 //!   `Outbox` owns the passive set) through the same sans-IO side
-//!   channel as tracing; [`Registry`] is the atomic cross-thread
-//!   aggregation the threaded runtime folds its per-node counters into.
-//! * **Snapshots** — drivers sample the registry on a fixed cadence into
-//!   [`MetricsSnapshot`] time series (sim time on the simulator, wall
-//!   time since cluster start on the runtime), shipped home like traces
-//!   and embedded in workload artifacts as schema v7's `health` section
-//!   ([`HealthSummary`]).
+//!   channel as tracing.
+//! * **Observer** — one [`Observer`] per snapshot stream (the sim's
+//!   world holds one for the cluster, every runtime node its own) owns
+//!   the trace ring and the metering state: it samples the registry on a
+//!   fixed cadence into [`MetricsSnapshot`] time series (sim time on the
+//!   simulator, wall time since cluster start on the runtime), runs the
+//!   watchdogs, and hands back the trace and the schema-v7 `health`
+//!   section ([`HealthSummary`]) that workload artifacts embed.
 //! * **Watchdogs** — [`Watchdogs`] evaluates online invariants on the
 //!   snapshot cadence: the live per-decision bound monitor (the paper's
 //!   `TS + ε + 3τ + 5δ`, checked the moment a decision commits), the
@@ -38,7 +39,7 @@
 
 mod health;
 pub mod jsonl;
-mod registry;
+mod observer;
 mod report;
 mod snapshot;
 mod watchdog;
@@ -47,7 +48,7 @@ pub use esync_core::metrics::{Metric, MetricSet, METRIC_COUNT};
 pub use esync_trace::{HistogramSummary, LatencyHistogram, ParseError};
 pub use health::HealthSummary;
 pub use jsonl::{parse_health_jsonl, parse_health_line, write_health_jsonl, HealthLine, HealthMeta};
-pub use registry::Registry;
+pub use observer::Observer;
 pub use report::render_report;
 pub use snapshot::MetricsSnapshot;
 pub use watchdog::{

@@ -43,7 +43,9 @@ pub fn render_report(
         "cluster health — {} (seed {}, n {}, backend {})",
         meta.exp, meta.seed, meta.n, meta.backend
     );
-    let span_ns = snapshots.last().map_or(0, |s| s.at_ns);
+    // The latest stamp of any stream: a node that stopped early must not
+    // shorten the span the throughput is computed over.
+    let span_ns = snapshots.iter().map(|s| s.at_ns).max().unwrap_or(0);
     let mut nodes: Vec<Option<u32>> = Vec::new();
     for s in snapshots {
         if !nodes.contains(&s.node) {
@@ -146,5 +148,33 @@ mod tests {
             MetricsSnapshot { at_ns: 20, node: Some(1), counters: b },
         ];
         assert_eq!(final_counters(&snapshots)[Metric::Submitted as usize], 12);
+    }
+
+    /// Node 1 stopped early and its series comes last: the span is still
+    /// the latest stamp of any node.
+    #[test]
+    fn span_is_the_latest_stamp_of_any_node() {
+        let meta = HealthMeta {
+            exp: "rt".to_string(),
+            seed: 1,
+            n: 2,
+            interval_ns: 10_000_000_000,
+            backend: "runtime".to_string(),
+        };
+        let mut decided = [0u64; METRIC_COUNT];
+        decided[Metric::Decided as usize] = 40;
+        let snap = |at_s: u64, node, counters| MetricsSnapshot {
+            at_ns: at_s * 1_000_000_000,
+            node: Some(node),
+            counters,
+        };
+        let snapshots = vec![
+            snap(10, 0, [0; METRIC_COUNT]),
+            snap(20, 0, decided),
+            snap(5, 1, decided),
+        ];
+        let report = render_report(&meta, &snapshots, &[]);
+        assert!(report.contains("spanning 20.000s"), "{report}");
+        assert!(report.contains("throughput: 4.0 decided/s"), "{report}");
     }
 }

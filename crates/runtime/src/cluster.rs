@@ -1,13 +1,14 @@
 //! Spawning and supervising a cluster of protocol threads.
 
-use crate::node::{run_node, LocalClock};
+use crate::node::{run_node, LocalClock, NodeCtx};
 use crate::transport::{make_inboxes, spawn_delayer, Transport, Wire};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use esync_core::config::TimingConfig;
 use esync_core::error::ConfigError;
 use esync_core::outbox::Protocol;
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, ShardId, Value};
+use esync_metrics::Observer;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -17,23 +18,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A decision reported by one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// The deciding process.
-    pub pid: ProcessId,
-    /// The decided value.
-    pub value: Value,
-    /// Wall time since cluster start.
-    pub elapsed: Duration,
-}
-
 /// A committed command reported by one node: one notification per
 /// `Decide` action, i.e. per command per node for the replicated-log
-/// layer (whereas [`Decision`] reports only each node's *first* decide —
-/// the single-shot interface). Workload drivers consume the commit stream
-/// to measure sustained throughput and end-to-end latency; the shard tag
-/// lets them attribute both per log-group shard.
+/// layer. A node's first commit is its single-shot decision (what
+/// [`Cluster::await_decisions`] reports). Workload drivers consume the
+/// commit stream to measure sustained throughput and end-to-end latency;
+/// the shard tag lets them attribute both per log-group shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Commit {
     /// The applying process.
@@ -283,7 +273,6 @@ pub struct Cluster<P: Protocol> {
     n: usize,
     start: Instant,
     node_senders: Vec<Sender<Wire<P::Msg>>>,
-    decisions_rx: Receiver<Decision>,
     commits_rx: Receiver<Commit>,
     /// Per-node "believes it leads" flags, published by the node threads
     /// after every event (see [`esync_core::outbox::Process::is_leader`]).
@@ -323,7 +312,6 @@ where
 
         let (senders, receivers) = make_inboxes::<P::Msg>(n);
         let (delayer_tx, delayer_handle) = spawn_delayer(senders.clone());
-        let (dec_tx, dec_rx) = unbounded::<Decision>();
         let (commit_tx, commit_rx) = unbounded::<Commit>();
         let (stats_tx, stats_rx) = unbounded::<NodeStats>();
         let shards = protocol.shard_count();
@@ -352,34 +340,20 @@ where
                 max_extra_delay,
                 ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(1 + i as u64)),
             );
+            let mut obs = Observer::default();
+            if let Some(cap) = cfg.trace_capacity {
+                obs.enable_trace(cap);
+            }
+            if let Some(interval) = cfg.metrics_interval {
+                let interval_ns = interval.as_nanos() as u64;
+                obs.enable_metrics(Some(pid.as_u32()), interval_ns, cfg.watchdog_cfg);
+            }
             let clock = LocalClock::new(rate, start);
-            let decisions = dec_tx.clone();
-            let commits = commit_tx.clone();
+            let ctx = NodeCtx::new(pid, transport, clock, commit_tx.clone(), obs);
             let stats = stats_tx.clone();
-            let trace_capacity = cfg.trace_capacity;
-            let metrics = cfg.metrics_interval.map(|interval| crate::node::NodeMetricsCfg {
-                interval,
-                watchdogs: cfg.watchdog_cfg,
-            });
             let handle = std::thread::Builder::new()
                 .name(format!("esync-node-{i}"))
-                .spawn(move || {
-                    run_node(
-                        pid,
-                        proc,
-                        inbox,
-                        transport,
-                        clock,
-                        decisions,
-                        commits,
-                        leader_flag,
-                        kill_flag,
-                        stats,
-                        shards,
-                        trace_capacity,
-                        metrics,
-                    )
-                })
+                .spawn(move || run_node(ctx, proc, inbox, leader_flag, kill_flag, stats, shards))
                 .expect("spawn node thread");
             handles.push(handle);
         }
@@ -387,7 +361,6 @@ where
             n,
             start,
             node_senders: senders,
-            decisions_rx: dec_rx,
             commits_rx: commit_rx,
             leader_flags,
             kill_flags,
@@ -452,35 +425,26 @@ where
         self.leader_flags[pid.as_usize()].store(false, Ordering::Relaxed);
     }
 
-    /// Waits until every node has reported a decision, or the deadline.
+    /// Waits until every node has decided, or the deadline: reads the
+    /// commit stream and keeps each node's first [`Commit`] — its
+    /// single-shot decision. Later commits read meanwhile are consumed.
     ///
-    /// Returns one [`Decision`] per node, ordered by process id.
+    /// Returns one decision per node, ordered by process id.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Timeout`] with the partial count on deadline.
-    pub fn await_decisions(&self, timeout: Duration) -> Result<Vec<Decision>, RuntimeError> {
+    pub fn await_decisions(&self, timeout: Duration) -> Result<Vec<Commit>, RuntimeError> {
         let deadline = Instant::now() + timeout;
-        let mut got: BTreeMap<ProcessId, Decision> = BTreeMap::new();
+        let mut got: BTreeMap<ProcessId, Commit> = BTreeMap::new();
         while got.len() < self.n {
-            let now = Instant::now();
-            if now >= deadline {
+            let Ok(c) = self.commits_rx.recv_deadline(deadline) else {
                 return Err(RuntimeError::Timeout {
                     decided: got.len(),
                     n: self.n,
                 });
-            }
-            match self.decisions_rx.recv_timeout(deadline - now) {
-                Ok(d) => {
-                    got.entry(d.pid).or_insert(d);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    return Err(RuntimeError::Timeout {
-                        decided: got.len(),
-                        n: self.n,
-                    });
-                }
-            }
+            };
+            got.entry(c.pid).or_insert(c);
         }
         Ok(got.into_values().collect())
     }

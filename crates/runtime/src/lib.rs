@@ -41,6 +41,7 @@
 //!     .stability_after(Duration::from_millis(100))
 //!     .pre_stability_loss(0.4);
 //! let cluster = Cluster::spawn(cfg, SessionPaxos::new())?;
+//! // Each node's first commit is its decision.
 //! let decisions = cluster.await_decisions(Duration::from_secs(10))?;
 //! assert!(decisions.windows(2).all(|w| w[0].value == w[1].value));
 //! cluster.shutdown();
@@ -55,4 +56,4 @@ pub mod cluster;
 pub mod node;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterConfig, Commit, Decision, NodeStats, RuntimeError};
+pub use cluster::{Cluster, ClusterConfig, Commit, NodeStats, RuntimeError};

@@ -2,19 +2,17 @@
 //! clock.
 //!
 //! The loop reads the wall clock once per wake-up. The local reading, the
-//! trace stamp, commit and decision times, timer deadlines and the
-//! unstable-window test of every event handled in that wake-up are all
-//! derived from that one [`Instant`].
+//! trace stamp, commit times, timer deadlines and the unstable-window
+//! test of every event handled in that wake-up are all derived from that
+//! one [`Instant`].
 
-use crate::cluster::{Commit, Decision, NodeStats};
+use crate::cluster::{Commit, NodeStats};
 use crate::transport::{Transport, Wire};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use esync_core::metrics::Metric;
 use esync_core::outbox::{Action, Outbox, Process};
 use esync_core::time::LocalInstant;
-use esync_core::types::{ProcessId, TimerId};
-use esync_metrics::{MetricsSnapshot, WatchdogConfig, WatchdogFiring, Watchdogs};
-use esync_trace::{TraceBuffer, TraceRecord};
+use esync_core::types::{ProcessId, ShardId, TimerId};
+use esync_metrics::Observer;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,93 +50,43 @@ impl LocalClock {
     }
 }
 
-/// Per-node metering parameters, handed to [`run_node`] when
-/// [`crate::cluster::ClusterConfig::metrics`] is enabled.
-#[derive(Debug, Clone)]
-pub struct NodeMetricsCfg {
-    /// Wall-clock snapshot cadence.
-    pub interval: Duration,
-    /// Watchdog tunables (bound spec, imbalance trip point).
-    pub watchdogs: WatchdogConfig,
-}
-
-/// A metered node's snapshot/watchdog state: the cadence clock, the
-/// online evaluator, and the accumulated series shipped in
-/// [`NodeStats`] on exit.
-struct NodeMetrics {
-    interval: Duration,
-    /// Next snapshot boundary, as wall time since cluster start.
-    next_at: Duration,
-    node: u32,
-    watchdogs: Watchdogs,
-    snapshots: Vec<MetricsSnapshot>,
-    firings: Vec<WatchdogFiring>,
-}
-
-impl NodeMetrics {
-    fn new(cfg: NodeMetricsCfg, pid: ProcessId) -> Self {
-        assert!(cfg.interval > Duration::ZERO, "interval must be positive");
-        NodeMetrics {
-            interval: cfg.interval,
-            next_at: cfg.interval,
-            node: pid.as_u32(),
-            watchdogs: Watchdogs::new(cfg.watchdogs),
-            snapshots: Vec::new(),
-            firings: Vec::new(),
-        }
-    }
-
-    /// Takes every snapshot whose boundary has passed, stamping each at
-    /// its exact boundary instant (matching the simulator's
-    /// exact-boundary stamps, so cadence math — not scheduling jitter —
-    /// defines the series). `loads` carries the node's per-shard routed
-    /// load for the imbalance watch when the protocol shards.
-    fn flush_due<M>(&mut self, out: &mut Outbox<M>, elapsed: Duration, dropped: u64, loads: &[u64]) {
-        while self.next_at <= elapsed {
-            out.metrics_mut().set(Metric::TraceDropped, dropped);
-            let snap = MetricsSnapshot {
-                at_ns: self.next_at.as_nanos() as u64,
-                node: Some(self.node),
-                counters: *out.metrics().counters(),
-            };
-            let imbalance = esync_metrics::imbalance_x1000(loads);
-            self.watchdogs.on_snapshot(&snap, imbalance, &mut self.firings);
-            self.snapshots.push(snap);
-            self.next_at += self.interval;
-        }
-    }
-
-    /// One final snapshot at node exit, stamped at the actual exit
-    /// instant, so even sub-interval runs ship the node's totals.
-    fn finish<M>(&mut self, out: &mut Outbox<M>, elapsed: Duration, dropped: u64) {
-        out.metrics_mut().set(Metric::TraceDropped, dropped);
-        let snap = MetricsSnapshot {
-            at_ns: elapsed.as_nanos() as u64,
-            node: Some(self.node),
-            counters: *out.metrics().counters(),
-        };
-        self.snapshots.push(snap);
-    }
-}
-
 /// Everything the actions of a handled event reach: the node's links,
-/// timers, clock, output streams and observability state.
-struct NodeCtx<M> {
+/// timers, clock, commit stream and observer.
+pub(crate) struct NodeCtx<M> {
     pid: ProcessId,
     transport: Transport<M>,
     /// Armed deadlines indexed by [`TimerId::get`] (protocols use small
     /// constant ids) — the simulator's per-process timer-slot shape.
     timers: Vec<Option<Instant>>,
     clock: LocalClock,
-    decisions: Sender<Decision>,
     commits: Sender<Commit>,
-    /// Whether the node's single-shot decision has been reported.
+    /// Whether the node's first decide has been seen.
     reported: bool,
-    tracer: Option<TraceBuffer>,
-    met: Option<NodeMetrics>,
+    /// The node's trace ring, snapshot series and watchdogs, stamped in
+    /// monotonic wall nanoseconds since cluster start — the cross-node
+    /// comparable axis (local clocks drift; elapsed wall time does not).
+    obs: Observer,
 }
 
 impl<M: Clone> NodeCtx<M> {
+    pub(crate) fn new(
+        pid: ProcessId,
+        transport: Transport<M>,
+        clock: LocalClock,
+        commits: Sender<Commit>,
+        obs: Observer,
+    ) -> Self {
+        NodeCtx {
+            pid,
+            transport,
+            timers: Vec::new(),
+            clock,
+            commits,
+            reported: false,
+            obs,
+        }
+    }
+
     /// Wall time since cluster start at `now`.
     fn elapsed(&self, now: Instant) -> Duration {
         now.saturating_duration_since(self.clock.start)
@@ -154,7 +102,8 @@ impl<M: Clone> NodeCtx<M> {
 
     /// The earliest armed timer deadline or snapshot boundary, if any.
     fn next_deadline(&self) -> Option<Instant> {
-        let snapshot = self.met.as_ref().map(|m| self.clock.start + m.next_at);
+        let snapshot = self.obs.next_snapshot_ns();
+        let snapshot = snapshot.map(|ns| self.clock.start + Duration::from_nanos(ns));
         self.timers.iter().flatten().copied().chain(snapshot).min()
     }
 
@@ -175,15 +124,7 @@ impl<M: Clone> NodeCtx<M> {
     fn apply(&mut self, out: &mut Outbox<M>, now: Instant) {
         let pid = self.pid;
         let elapsed = self.elapsed(now);
-        if let Some(buf) = self.tracer.as_mut() {
-            // Stamp in monotonic wall nanoseconds since cluster start — the
-            // cross-node comparable axis (local clocks drift; `elapsed` does
-            // not).
-            let at_ns = elapsed.as_nanos() as u64;
-            for ev in out.drain_trace() {
-                buf.push(TraceRecord { at_ns, pid, ev });
-            }
-        }
+        self.obs.drain_trace(out, pid, elapsed.as_nanos() as u64);
         for action in out.drain_iter() {
             match action {
                 Action::Send { to, msg } => self.transport.send(now, pid, to, msg),
@@ -201,25 +142,12 @@ impl<M: Clone> NodeCtx<M> {
                         value,
                         elapsed,
                     });
-                    // …but only the first is the node's single-shot decision.
+                    // …but only the first is the node's single-shot
+                    // decision, whose deadline the live bound check judges
+                    // at the commit itself.
                     if !self.reported {
                         self.reported = true;
-                        // Live decision-bound check, at the commit itself —
-                        // the online half of the paper's `TS + ε + 3τ + 5δ`
-                        // claim (the sim's world evaluator mirrors this).
-                        if let Some(m) = self.met.as_mut() {
-                            if let Some(f) = m
-                                .watchdogs
-                                .on_decision(elapsed.as_nanos() as u64, Some(pid.as_u32()))
-                            {
-                                m.firings.push(f);
-                            }
-                        }
-                        let _ = self.decisions.send(Decision {
-                            pid,
-                            value,
-                            elapsed,
-                        });
+                        self.obs.on_first_decision(elapsed.as_nanos() as u64);
                     }
                 }
                 Action::WabBroadcast { .. } => {
@@ -241,63 +169,37 @@ impl<M: Clone> NodeCtx<M> {
 /// belief into `leader_flag` (cleared on exit), so the cluster can answer
 /// leader-observability queries without touching protocol state across
 /// threads. On exit it ships its final [`NodeStats`] (router epoch,
-/// per-shard load counters over `shards` shards, and — when
-/// `trace_capacity` is set — the typed trace ring) through `stats` — the
-/// runtime half of the schema-v5/v6 observability.
+/// per-shard load counters over `shards` shards, and whatever its
+/// observer collected) through `stats`.
 ///
 /// `kill_flag` is checked before every event, so a raised flag stops the
 /// node as soon as the current handler returns instead of after the
 /// inbox backlog drains — [`crate::cluster::Cluster::kill`]'s prompt
 /// path.
 ///
-/// With `trace_capacity = Some(cap)` every outbox runs with typed
-/// tracing enabled; drained [`esync_core::trace::TraceEvent`]s are
-/// stamped with monotonic nanoseconds since cluster start and collected
-/// into a node-local bounded ring shipped in [`NodeStats::trace`].
-///
 /// # Panics
 ///
 /// Panics if the protocol requests a weak-ordering-oracle broadcast
 /// ([`Action::WabBroadcast`]): the runtime provides no external oracle.
 /// Use the *modified* B-Consensus (in-process oracle) instead.
-#[allow(clippy::too_many_arguments)]
-pub fn run_node<Proc>(
-    pid: ProcessId,
+pub(crate) fn run_node<Proc>(
+    mut ctx: NodeCtx<Proc::Msg>,
     mut proc: Proc,
     inbox: Receiver<Wire<Proc::Msg>>,
-    transport: Transport<Proc::Msg>,
-    clock: LocalClock,
-    decisions: Sender<Decision>,
-    commits: Sender<Commit>,
     leader_flag: Arc<AtomicBool>,
     kill_flag: Arc<AtomicBool>,
     stats: Sender<NodeStats>,
     shards: usize,
-    trace_capacity: Option<usize>,
-    metrics: Option<NodeMetricsCfg>,
 ) where
     Proc: Process,
     Proc::Msg: Clone,
 {
-    let mut ctx = NodeCtx {
-        pid,
-        transport,
-        timers: Vec::new(),
-        clock,
-        decisions,
-        commits,
-        reported: false,
-        tracer: trace_capacity.map(TraceBuffer::new),
-        met: metrics.map(|cfg| NodeMetrics::new(cfg, pid)),
-    };
-
     // One outbox for the node's whole life, reset (not reallocated) per
     // event: `reset` keeps the tracing/metering enablement and the
     // metric registry — counters accumulate across events and are
     // *sampled* by snapshots, never drained.
     let mut out = Outbox::default();
-    out.set_tracing(ctx.tracer.is_some());
-    out.set_metering(ctx.met.is_some());
+    ctx.obs.arm(&mut out);
 
     ctx.handle(&mut out, Instant::now(), |out| proc.on_start(out));
     leader_flag.store(proc.is_leader(), Ordering::Relaxed);
@@ -318,13 +220,14 @@ pub fn run_node<Proc>(
             },
         };
         let now = Instant::now();
-        // Publish every snapshot boundary that has passed; the per-shard
-        // loads are gathered only when one has.
-        let elapsed = ctx.elapsed(now);
-        if let Some(m) = ctx.met.as_mut().filter(|m| m.next_at <= elapsed) {
-            let dropped = ctx.tracer.as_ref().map_or(0, TraceBuffer::dropped);
-            m.flush_due(&mut out, elapsed, dropped, &shard_loads_of(&proc, shards));
-        }
+        // Publish every snapshot boundary at or before `now`; the
+        // per-shard routed loads are gathered only when one is due.
+        let end_ns = ctx.elapsed(now).as_nanos() as u64 + 1;
+        let loads = || {
+            let load = |s| proc.shard_load(ShardId::new(s)).submitted;
+            (0..shards as u32).map(load).collect()
+        };
+        ctx.obs.sample_before(&mut out, end_ns, loads);
         // Fire all due timers, then handle the message.
         for idx in 0..ctx.timers.len() {
             if ctx.timers[idx].is_some_and(|at| at <= now) {
@@ -354,40 +257,22 @@ pub fn run_node<Proc>(
     // Dead nodes lead nothing: clear the published belief on the way out
     // so `leader_hint` never points at a stopped thread.
     leader_flag.store(false, Ordering::Relaxed);
-    let trace_dropped = ctx.tracer.as_ref().map_or(0, TraceBuffer::dropped);
-    let exit = ctx.elapsed(Instant::now());
-    if let Some(m) = ctx.met.as_mut() {
-        m.finish(&mut out, exit, trace_dropped);
-    }
-    let (snapshots, firings) = ctx
-        .met
-        .map(|m| (m.snapshots, m.firings))
-        .unwrap_or_default();
+    let exit_ns = ctx.elapsed(Instant::now()).as_nanos() as u64;
+    ctx.obs.sample_exit(&mut out, exit_ns);
+    let trace_dropped = ctx.obs.trace_dropped();
+    let (trace, health) = ctx.obs.take();
+    let health = health.unwrap_or_default();
     let _ = stats.send(NodeStats {
-        pid,
+        pid: ctx.pid,
         router_epoch: proc.router_epoch(),
         shard_loads: (0..shards as u32)
-            .map(|s| proc.shard_load(esync_core::types::ShardId::new(s)))
+            .map(|s| proc.shard_load(ShardId::new(s)))
             .collect(),
-        trace: ctx
-            .tracer
-            .as_mut()
-            .map_or_else(Vec::new, TraceBuffer::take_records),
+        trace,
         trace_dropped,
-        snapshots,
-        firings,
+        snapshots: health.snapshots,
+        firings: health.firings,
     });
-}
-
-/// The node's per-shard routed (`submitted`) load, for the imbalance
-/// watch — empty for unsharded protocols, where the ratio means nothing.
-fn shard_loads_of<Proc: Process>(proc: &Proc, shards: usize) -> Vec<u64> {
-    if shards < 2 {
-        return Vec::new();
-    }
-    (0..shards as u32)
-        .map(|s| proc.shard_load(esync_core::types::ShardId::new(s)).submitted)
-        .collect()
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@ use crate::time::SimTime;
 use esync_core::outbox::{Action, Outbox, Process, Protocol};
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, TimerId, Value};
+use esync_metrics::Observer;
 use fabric::Fabric;
-use observe::Observation;
 use procs::{BitSet, ProcHarness, Procs};
 
 /// What every event touches.
@@ -43,7 +43,9 @@ pub struct World<P: Protocol> {
     lp: Loop<P::Msg>,
     fabric: Fabric,
     procs: Procs<P::Process>,
-    obs: Observation,
+    /// The trace ring, snapshot series and watchdogs; the scratch
+    /// outbox's tracing/metering flags are on exactly while it collects.
+    obs: Observer,
     leader: LeaderOracle,
     initial_values: Vec<Value>,
     /// Every `Action::Decide` with its instant — one record per command
@@ -69,7 +71,7 @@ impl<P: Protocol> World<P> {
             },
             fabric: Fabric::new(&cfg),
             procs: Procs::new(),
-            obs: Observation::default(),
+            obs: Observer::default(),
             leader: LeaderOracle::new(cfg.leader_announce_after),
             cfg,
             protocol,
@@ -117,7 +119,7 @@ impl<P: Protocol> World<P> {
         self.leader = LeaderOracle::new(cfg.leader_announce_after);
         self.cfg = cfg;
         self.commits.clear();
-        self.reset_observation();
+        self.obs.reset(&mut self.scratch);
         self.populate();
     }
 
@@ -464,12 +466,7 @@ impl<P: Protocol> World<P> {
         // Drain the trace side channel first, stamping each event with
         // the simulated instant of the event being applied — same-seed
         // runs therefore produce byte-identical trace files.
-        if let Some(tt) = self.obs.typed_trace.as_mut() {
-            let at_ns = now.as_nanos();
-            for ev in self.scratch.drain_trace() {
-                tt.push(esync_trace::TraceRecord { at_ns, pid, ev });
-            }
-        }
+        self.obs.drain_trace(&mut self.scratch, pid, now.as_nanos());
         let (queue, fabric) = (&mut self.lp.queue, &mut self.fabric);
         for action in self.scratch.drain_iter() {
             match action {
@@ -518,11 +515,7 @@ impl<P: Protocol> World<P> {
                         // Live bound monitor: each process's *first*
                         // decision is the one the paper's deadline
                         // `TS + ε + 3τ + 5δ` speaks about.
-                        if let Some(state) = self.obs.metrics.as_mut() {
-                            state
-                                .firings
-                                .extend(state.watchdogs.on_decision(now.as_nanos(), None));
-                        }
+                        self.obs.on_first_decision(now.as_nanos());
                     }
                 }
                 Action::WabBroadcast { msg } => {

@@ -1,39 +1,14 @@
-//! Observation of a run: the typed trace collector, the metrics snapshot
-//! series and the online watchdogs. None of it feeds back into the run.
+//! Observation of a run: the typed trace, the metrics snapshot series
+//! and the online watchdogs, all collected by the world's one
+//! [`Observer`](esync_metrics::Observer) (cluster-wide, `node = None`, stamped in simulated
+//! nanoseconds). None of it feeds back into the run.
 
 use crate::time::SimTime;
 use crate::world::World;
-use esync_core::metrics::Metric;
 use esync_core::outbox::{Process, Protocol};
 use esync_core::time::RealDuration;
 use esync_core::types::ShardId;
-use esync_metrics::{MetricsSnapshot, WatchdogConfig, WatchdogFiring, Watchdogs};
-
-/// What a run is watched through; both halves are off (`None`) unless
-/// the application enabled them.
-#[derive(Debug, Default)]
-pub(super) struct Observation {
-    /// The typed trace collector ([`World::enable_typed_trace`]); the
-    /// scratch outbox's tracing flag is on exactly while this is `Some`.
-    pub(super) typed_trace: Option<esync_trace::TraceBuffer>,
-    /// Metrics snapshots and watchdogs ([`World::enable_metrics`]); the
-    /// scratch outbox's metering flag is on exactly while this is `Some`.
-    pub(super) metrics: Option<MetricsState>,
-}
-
-/// Live metrics state ([`World::enable_metrics`]): the snapshot cadence,
-/// the collected series, and the online watchdog evaluator. The counters
-/// themselves live in the scratch outbox's passive
-/// [`MetricSet`](esync_core::metrics::MetricSet) — one cluster-wide
-/// registry, since one scratch outbox serves every process.
-#[derive(Debug)]
-pub(super) struct MetricsState {
-    interval: RealDuration,
-    next_at: SimTime,
-    pub(super) watchdogs: Watchdogs,
-    snapshots: Vec<MetricsSnapshot>,
-    pub(super) firings: Vec<WatchdogFiring>,
-}
+use esync_metrics::{HealthSummary, MetricsSnapshot, WatchdogConfig, WatchdogFiring};
 
 impl<P: Protocol> World<P> {
     /// Starts collecting typed protocol trace events
@@ -48,24 +23,8 @@ impl<P: Protocol> World<P> {
     ///
     /// Panics if `cap` is zero.
     pub fn enable_typed_trace(&mut self, cap: usize) {
-        self.obs.typed_trace = Some(esync_trace::TraceBuffer::new(cap));
-        self.scratch.set_tracing(true);
-    }
-
-    /// The typed trace collector, if [`World::enable_typed_trace`] was
-    /// called.
-    pub fn typed_trace(&self) -> Option<&esync_trace::TraceBuffer> {
-        self.obs.typed_trace.as_ref()
-    }
-
-    /// Takes the collected typed trace records (oldest first), leaving
-    /// collection enabled. Empty when tracing was never enabled.
-    pub fn take_typed_trace(&mut self) -> Vec<esync_trace::TraceRecord> {
-        self.obs
-            .typed_trace
-            .as_mut()
-            .map(|tt| tt.take_records())
-            .unwrap_or_default()
+        self.obs.enable_trace(cap);
+        self.obs.arm(&mut self.scratch);
     }
 
     /// Starts metering: protocols bump the cluster-wide counter registry
@@ -84,109 +43,44 @@ impl<P: Protocol> World<P> {
     ///
     /// Panics if `interval` is zero.
     pub fn enable_metrics(&mut self, interval: RealDuration, cfg: WatchdogConfig) {
-        assert!(interval > RealDuration::ZERO, "a snapshot cadence is required");
-        self.obs.metrics = Some(MetricsState {
-            interval,
-            next_at: SimTime::ZERO + interval,
-            watchdogs: Watchdogs::new(cfg),
-            snapshots: Vec::new(),
-            firings: Vec::new(),
-        });
-        self.scratch.set_metering(true);
+        self.obs.enable_metrics(None, interval.as_nanos(), cfg);
+        self.obs.arm(&mut self.scratch);
     }
 
     /// The snapshot series so far, if [`World::enable_metrics`] was
     /// called.
     pub fn metric_snapshots(&self) -> &[MetricsSnapshot] {
-        self.obs.metrics.as_ref().map_or(&[], |m| &m.snapshots)
+        self.obs.snapshots()
     }
 
     /// Every watchdog firing so far, in observation order.
     pub fn watchdog_firings(&self) -> &[WatchdogFiring] {
-        self.obs.metrics.as_ref().map_or(&[], |m| &m.firings)
+        self.obs.firings()
     }
 
-    /// The metering cadence, if [`World::enable_metrics`] was called.
-    pub fn metrics_interval(&self) -> Option<RealDuration> {
-        self.obs.metrics.as_ref().map(|m| m.interval)
-    }
-
-    /// Takes the collected snapshots and firings, leaving metering
-    /// enabled. Empty when metering was never enabled.
-    pub fn take_metrics(&mut self) -> (Vec<MetricsSnapshot>, Vec<WatchdogFiring>) {
-        self.obs
-            .metrics
-            .as_mut()
-            .map(|m| (std::mem::take(&mut m.snapshots), std::mem::take(&mut m.firings)))
-            .unwrap_or_default()
-    }
-
-    /// Clears the trace and restarts the metrics series for a fresh run;
-    /// whatever was enabled stays enabled.
-    pub(super) fn reset_observation(&mut self) {
-        if let Some(tt) = self.obs.typed_trace.as_mut() {
-            tt.clear();
-        }
-        if let Some(state) = self.obs.metrics.as_mut() {
-            state.next_at = SimTime::ZERO + state.interval;
-            state.snapshots.clear();
-            state.firings.clear();
-            state.watchdogs = Watchdogs::new(*state.watchdogs.config());
-            // Outbox::reset keeps counters (registries are sampled, not
-            // drained); a fresh run starts its series from zero.
-            self.scratch.metrics_mut().reset();
-        }
-    }
-
-    /// Samples the registry into a snapshot stamped with the due boundary,
-    /// evaluating the window watchdogs. `TraceDropped` is surfaced from the
-    /// typed-trace collector first, and the shard-imbalance ratio is probed
-    /// from the same per-shard `submitted` counters the rebalance trigger
-    /// reads (sharded protocols only).
-    fn take_metric_snapshot(&mut self) {
-        let Some(state) = self.obs.metrics.as_mut() else {
-            return;
-        };
-        let dropped = self
-            .obs
-            .typed_trace
-            .as_ref()
-            .map_or(0, esync_trace::TraceBuffer::dropped);
-        self.scratch.metrics_mut().set(Metric::TraceDropped, dropped);
-        let shards = self.protocol.shard_count();
-        let imbalance = if shards > 1 {
-            let loads: Vec<u64> = (0..shards as u32)
-                .map(|s| {
-                    let shard = ShardId::new(s);
-                    self.procs
-                        .harness
-                        .iter()
-                        .map(|h| h.proc.shard_load(shard).submitted)
-                        .sum()
-                })
-                .collect();
-            esync_metrics::imbalance_x1000(&loads)
-        } else {
-            None
-        };
-        let snap = MetricsSnapshot {
-            at_ns: state.next_at.as_nanos(),
-            node: None,
-            counters: *self.scratch.metrics().counters(),
-        };
-        state.watchdogs.on_snapshot(&snap, imbalance, &mut state.firings);
-        state.snapshots.push(snap);
-        state.next_at = state.next_at + state.interval;
+    /// Takes what the observer collected — the typed trace (oldest
+    /// first; empty unless [`World::enable_typed_trace`] was called) and
+    /// the health section (`None` unless [`World::enable_metrics`] was)
+    /// — leaving both enabled.
+    pub fn take_observation(&mut self) -> (Vec<esync_trace::TraceRecord>, Option<HealthSummary>) {
+        self.obs.take()
     }
 
     /// Flushes every snapshot boundary strictly before `end`. `step` passes
     /// the next event's instant: by then all events at instants `≤` the
     /// boundary have been applied and none after, so the sample is exact.
-    /// One `Option` test per call when metering is off or nothing is due.
+    /// The shard-imbalance probe reads the same per-shard `submitted`
+    /// counters the rebalance trigger reads. One `Option` test per call
+    /// when metering is off or nothing is due.
     #[inline]
     pub(super) fn flush_metric_snapshots(&mut self, end: SimTime) {
-        while self.obs.metrics.as_ref().is_some_and(|m| m.next_at < end) {
-            self.take_metric_snapshot();
-        }
+        let (protocol, harness) = (&self.protocol, &self.procs.harness);
+        let loads = || {
+            let shards = (0..protocol.shard_count() as u32).map(ShardId::new);
+            let load = |s| harness.iter().map(move |h| h.proc.shard_load(s).submitted);
+            shards.map(|s| load(s).sum()).collect()
+        };
+        let end_ns = end.as_nanos();
+        self.obs.sample_before(&mut self.scratch, end_ns, loads);
     }
 }

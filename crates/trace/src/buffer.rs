@@ -3,7 +3,7 @@
 
 use esync_core::trace::TraceEvent;
 use esync_core::types::ProcessId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One stamped trace event: what happened ([`TraceEvent`]), where (the
 /// process the driver was running), and when (driver time — simulated
@@ -21,14 +21,12 @@ pub struct TraceRecord {
 
 /// A bounded ring buffer of [`TraceRecord`]s: pushes beyond the capacity
 /// evict the **oldest** record (most-recent-wins, the useful tail for a
-/// post-mortem) and count as dropped. Per-kind counts are kept for every
-/// push, evicted or not, so aggregate statistics survive the ring.
+/// post-mortem) and count as dropped.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     cap: usize,
     records: VecDeque<TraceRecord>,
     dropped: u64,
-    by_kind: BTreeMap<&'static str, u64>,
 }
 
 impl TraceBuffer {
@@ -43,38 +41,16 @@ impl TraceBuffer {
             cap,
             records: VecDeque::with_capacity(cap.min(1 << 16)),
             dropped: 0,
-            by_kind: BTreeMap::new(),
         }
-    }
-
-    /// The capacity the buffer was created with.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Appends a record, evicting the oldest when full.
     pub fn push(&mut self, record: TraceRecord) {
-        *self.by_kind.entry(record.ev.kind()).or_insert(0) += 1;
         if self.records.len() == self.cap {
             self.records.pop_front();
             self.dropped += 1;
         }
         self.records.push_back(record);
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the buffer holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Records evicted by the ring since creation (or the last
@@ -83,22 +59,16 @@ impl TraceBuffer {
         self.dropped
     }
 
-    /// Pushes per event kind, including evicted records.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.by_kind
-    }
-
     /// Takes the held records (oldest first), leaving the buffer empty
-    /// but keeping the per-kind counts and dropped tally.
+    /// but keeping the dropped tally.
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
         self.records.drain(..).collect()
     }
 
-    /// Empties the buffer and resets every counter.
+    /// Empties the buffer and resets the dropped tally.
     pub fn clear(&mut self) {
         self.records.clear();
         self.dropped = 0;
-        self.by_kind.clear();
     }
 }
 
@@ -120,14 +90,14 @@ mod tests {
         for i in 0..5 {
             b.push(rec(i));
         }
-        assert_eq!(b.len(), 3);
         assert_eq!(b.dropped(), 2);
-        let kept: Vec<u64> = b.records().map(|r| r.at_ns).collect();
+        let kept: Vec<u64> = b.take_records().iter().map(|r| r.at_ns).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest evicted first");
-        assert_eq!(b.counts().get("submit"), Some(&5), "counts see every push");
+        assert_eq!(b.take_records(), vec![], "taking empties the ring");
+        assert_eq!(b.dropped(), 2, "taking keeps the tally");
+        b.push(rec(5));
         b.clear();
-        assert!(b.is_empty());
+        assert_eq!(b.take_records(), vec![]);
         assert_eq!(b.dropped(), 0);
-        assert!(b.counts().is_empty());
     }
 }

@@ -3,9 +3,11 @@
 use esync_core::outbox::ShardLoad;
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, ShardId, Value};
+use esync_metrics::HealthSummary;
 use esync_sim::metrics::{LatencyHistogram, ShardSummary, ThroughputTimeline, WorkloadSummary};
 use esync_sim::scenario::kv_id;
 use esync_sim::SimTime;
+use esync_trace::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One shard's slice of the measurements (see
@@ -253,12 +255,28 @@ impl Collector {
                     .collect()
             },
             shard_imbalance,
-            // Attached by the driver after the run when typed tracing
+            // Attached by `observed_summary` when typed tracing
             // (respectively metering) was enabled — the collector sees
             // neither trace records nor metric snapshots.
             phase_latency: None,
             health: None,
         }
+    }
+
+    /// [`Collector::summary`] plus what the run's observers collected,
+    /// for both drivers: the phase decomposition of a non-empty `trace`
+    /// and the `health` section.
+    pub(crate) fn observed_summary(
+        &self,
+        trace: &[TraceRecord],
+        health: Option<HealthSummary>,
+    ) -> WorkloadSummary {
+        let mut summary = self.summary();
+        if !trace.is_empty() {
+            summary.phase_latency = Some(esync_trace::decompose(trace));
+        }
+        summary.health = health;
+        summary
     }
 }
 

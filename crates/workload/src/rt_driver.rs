@@ -12,9 +12,11 @@
 use crate::collect::Collector;
 use crate::gen::{ClosedLoopSpec, CommandGen};
 use esync_core::outbox::{Protocol, ShardLoad};
+use esync_metrics::HealthSummary;
 use esync_sim::metrics::WorkloadSummary;
 use esync_sim::scenario::{kv_id, SubmitStream};
 use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
+use esync_trace::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -33,25 +35,7 @@ pub struct RtWorkloadOutcome {
     /// records are stamped on the shared wall axis — monotonic
     /// nanoseconds since cluster start). Empty unless the cluster was
     /// configured with [`ClusterConfig::tracing`].
-    pub trace: Vec<esync_trace::TraceRecord>,
-}
-
-/// Sums the nodes' final per-shard load counters into the collector's
-/// schema-v5 fields and extracts the per-node router epochs.
-fn fold_node_stats(
-    collector: &mut Collector,
-    stats: &[NodeStats],
-    shards: usize,
-) -> Vec<u64> {
-    let mut loads = vec![ShardLoad::default(); shards];
-    for node in stats {
-        for (s, load) in node.shard_loads.iter().enumerate().take(shards) {
-            loads[s].submitted += load.submitted;
-            loads[s].admitted += load.admitted;
-        }
-    }
-    collector.set_shard_loads(&loads);
-    stats.iter().map(|s| s.router_epoch).collect()
+    pub trace: Vec<TraceRecord>,
 }
 
 /// How long the drivers wait on the commit channel per poll.
@@ -121,45 +105,46 @@ where
         }
     }
     let stats = cluster.shutdown_stats();
-    let router_epochs = fold_node_stats(&mut collector, &stats, shards);
-    Ok(finish(collector, applied, router_epochs, stats, metrics_interval))
+    Ok(finish(collector, applied, stats, shards, metrics_interval))
 }
 
-/// Assembles the outcome, attaching the nodes' typed traces (and the
-/// summary's phase decomposition) when the cluster collected any, and —
-/// when the cluster was metered — the per-node health series
-/// interleaved in pid order (each node's snapshots stay internally
-/// time-ordered; the `node` tag distinguishes the streams).
+/// Assembles the outcome from the nodes' final stats: the per-shard load
+/// counters summed into the collector's schema-v5 fields, the router
+/// epochs, and what the nodes' observers collected — the traces
+/// concatenated in pid order and, when the cluster was metered, one
+/// health section (the `node` tag distinguishes the streams).
 fn finish(
-    collector: Collector,
+    mut collector: Collector,
     applied_per_node: Vec<BTreeSet<u64>>,
-    router_epochs: Vec<u64>,
     stats: Vec<NodeStats>,
+    shards: usize,
     metrics_interval: Option<Duration>,
 ) -> RtWorkloadOutcome {
-    let trace_dropped: u64 = stats.iter().map(|s| s.trace_dropped).sum();
-    let mut snapshots = Vec::new();
-    let mut firings = Vec::new();
-    let mut trace: Vec<esync_trace::TraceRecord> = Vec::new();
+    let mut loads = vec![ShardLoad::default(); shards];
+    let mut router_epochs = Vec::with_capacity(stats.len());
+    let mut trace = Vec::new();
+    let mut health = HealthSummary {
+        interval_ns: metrics_interval.map_or(0, |i| i.as_nanos() as u64),
+        ..HealthSummary::default()
+    };
     for s in stats {
-        snapshots.extend(s.snapshots);
-        firings.extend(s.firings);
+        for (total, load) in loads.iter_mut().zip(&s.shard_loads) {
+            total.submitted += load.submitted;
+            total.admitted += load.admitted;
+        }
+        router_epochs.push(s.router_epoch);
         trace.extend(s.trace);
+        health.snapshots.extend(s.snapshots);
+        health.firings.extend(s.firings);
+        health.trace_dropped += s.trace_dropped;
     }
-    let mut summary = collector.summary();
-    if !trace.is_empty() {
-        summary.phase_latency = Some(esync_trace::decompose(&trace));
-    }
-    if let Some(interval) = metrics_interval {
-        summary.health = Some(esync_metrics::HealthSummary {
-            interval_ns: interval.as_nanos() as u64,
-            snapshots,
-            firings,
-            trace_dropped,
-        });
-    }
+    // The per-node series merged in `(at_ns, node)` order, the order
+    // `HealthSummary` promises: a node that stopped early interleaves.
+    health.snapshots.sort_by_key(|s| (s.at_ns, s.node));
+    health.firings.sort_by_key(|f| (f.at_ns, f.node));
+    collector.set_shard_loads(&loads);
     RtWorkloadOutcome {
-        summary,
+        summary: collector.observed_summary(&trace, metrics_interval.map(|_| health)),
         applied_per_node,
         router_epochs,
         trace,
@@ -233,8 +218,7 @@ where
         drain(&mut collector, &mut applied, POLL);
     }
     let stats = cluster.shutdown_stats();
-    let router_epochs = fold_node_stats(&mut collector, &stats, shards);
-    Ok(finish(collector, applied, router_epochs, stats, metrics_interval))
+    Ok(finish(collector, applied, stats, shards, metrics_interval))
 }
 
 /// Issues the next command for `client`, if the budget allows.
@@ -283,5 +267,41 @@ mod tests {
         for (i, ids) in out.applied_per_node.iter().enumerate() {
             assert_eq!(ids.len(), 12, "node {i} misses commands");
         }
+    }
+
+    /// Node 1 stopped early (as after `Cluster::kill`): its series must
+    /// interleave with node 0's by time, not follow it.
+    #[test]
+    fn health_series_merge_in_time_then_node_order() {
+        use esync_core::types::ProcessId;
+        use esync_metrics::{MetricsSnapshot, METRIC_COUNT};
+        let node = |pid: u32, at: &[u64]| NodeStats {
+            pid: ProcessId::new(pid),
+            router_epoch: 0,
+            shard_loads: Vec::new(),
+            trace: Vec::new(),
+            trace_dropped: pid.into(),
+            snapshots: at
+                .iter()
+                .map(|&at_ns| MetricsSnapshot {
+                    at_ns,
+                    node: Some(pid),
+                    counters: [0; METRIC_COUNT],
+                })
+                .collect(),
+            firings: Vec::new(),
+        };
+        let run = |interval| {
+            let collector = Collector::new(None, esync_core::time::RealDuration::from_millis(50));
+            let stats = vec![node(0, &[10, 20]), node(1, &[5, 10])];
+            let out = finish(collector, Vec::new(), stats, 1, interval);
+            out.summary.health
+        };
+        let health = run(Some(Duration::from_nanos(10))).expect("metered");
+        let order: Vec<_> = health.snapshots.iter().map(|s| (s.at_ns, s.node)).collect();
+        let merged = [(5, Some(1)), (10, Some(0)), (10, Some(1)), (20, Some(0))];
+        assert_eq!(order, merged);
+        assert_eq!((health.interval_ns, health.trace_dropped), (10, 1));
+        assert_eq!(run(None), None, "unmetered");
     }
 }

@@ -119,32 +119,15 @@ where
     finish(collector, &mut world)
 }
 
-/// Assembles the outcome, attaching the typed trace (and the summary's
-/// phase decomposition) when the world collected one.
+/// Assembles the outcome, attaching what the world's observer collected.
 fn finish<P>(collector: Collector, world: &mut World<P>) -> SimWorkloadOutcome
 where
     P: Protocol,
     P::Process: ShardedLogView,
 {
-    let traced = world.typed_trace().is_some();
-    let trace_dropped = world.typed_trace().map_or(0, esync_trace::TraceBuffer::dropped);
-    let metered = world.metrics_interval();
-    let trace = world.take_typed_trace();
-    let mut summary = collector.summary();
-    if traced {
-        summary.phase_latency = Some(esync_trace::decompose(&trace));
-    }
-    if let Some(interval) = metered {
-        let (snapshots, firings) = world.take_metrics();
-        summary.health = Some(esync_metrics::HealthSummary {
-            interval_ns: interval.as_nanos(),
-            snapshots,
-            firings,
-            trace_dropped,
-        });
-    }
+    let (trace, health) = world.take_observation();
     SimWorkloadOutcome {
-        summary,
+        summary: collector.observed_summary(&trace, health),
         report: world.report(),
         end: world.now(),
         log_agreement: logs_agree(world),

@@ -22,6 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("threaded cluster: 5 nodes, δ=5ms, unstable for 150ms (40% loss)");
     let cluster = Cluster::spawn(cfg, SessionPaxos::new())?;
+    // Each node's first commit is its decision.
     let decisions = cluster.await_decisions(Duration::from_secs(30))?;
 
     for d in &decisions {

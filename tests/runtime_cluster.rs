@@ -10,7 +10,7 @@ use esync_core::types::{ProcessId, Value};
 use esync_runtime::{Cluster, ClusterConfig};
 use std::time::Duration;
 
-fn assert_agreement(decisions: &[esync_runtime::Decision]) {
+fn assert_agreement(decisions: &[esync_runtime::Commit]) {
     let v = decisions[0].value;
     for d in decisions {
         assert_eq!(d.value, v, "{decisions:?}");

@@ -35,7 +35,12 @@ fn main() {
     );
     let mut table = Table::new(
         "E10: worst measured decision delay vs the analytic bound (n=9, 20 seeds each)",
-        &["environment", "worst decide−TS", "paper bound ε+3τ+5δ", "impl bound +ε"],
+        &[
+            "environment",
+            "worst decide−TS",
+            "paper bound ε+3τ+5δ",
+            "impl bound +ε",
+        ],
     );
 
     let cfg0 = base(n, 0, PreStability::chaos());

@@ -35,34 +35,44 @@ fn main() {
 
     // One job per k; the job index IS k (deterministic ordering).
     let trad = runner
-        .sweep_fn("traditional k=0..=8 (record index = k injected obsolete ballots)", 9, Some(cfg(n, true)), |k| {
-            let mut w = World::new(cfg(n, true), TraditionalPaxos::new());
-            for (at, from, to, msg) in adversary::obsolete_ballots_traditional(
-                n,
-                k as usize,
-                first_at,
-                gap,
-                ProcessId::new(0),
-            ) {
-                w.inject_message(at, from, to, msg);
-            }
-            w.run_to_completion()
-        })
+        .sweep_fn(
+            "traditional k=0..=8 (record index = k injected obsolete ballots)",
+            9,
+            Some(cfg(n, true)),
+            |k| {
+                let mut w = World::new(cfg(n, true), TraditionalPaxos::new());
+                for (at, from, to, msg) in adversary::obsolete_ballots_traditional(
+                    n,
+                    k as usize,
+                    first_at,
+                    gap,
+                    ProcessId::new(0),
+                ) {
+                    w.inject_message(at, from, to, msg);
+                }
+                w.run_to_completion()
+            },
+        )
         .expect("traditional completes");
     let sess = runner
-        .sweep_fn("session k=0..=8 (record index = k injected obsolete ballots)", 9, Some(cfg(n, false)), |k| {
-            let mut w = World::new(cfg(n, false), SessionPaxos::new());
-            for (at, from, to, msg) in adversary::obsolete_ballots_session(
-                n,
-                k as usize,
-                first_at,
-                gap,
-                ProcessId::new(0),
-            ) {
-                w.inject_message(at, from, to, msg);
-            }
-            w.run_to_completion()
-        })
+        .sweep_fn(
+            "session k=0..=8 (record index = k injected obsolete ballots)",
+            9,
+            Some(cfg(n, false)),
+            |k| {
+                let mut w = World::new(cfg(n, false), SessionPaxos::new());
+                for (at, from, to, msg) in adversary::obsolete_ballots_session(
+                    n,
+                    k as usize,
+                    first_at,
+                    gap,
+                    ProcessId::new(0),
+                ) {
+                    w.inject_message(at, from, to, msg);
+                }
+                w.run_to_completion()
+            },
+        )
         .expect("session completes");
 
     let mut table = Table::new(

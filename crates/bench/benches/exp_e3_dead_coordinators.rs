@@ -44,8 +44,18 @@ fn sweep<P: Protocol>(
 fn main() {
     let n = 11; // up to f = 5 dead
     let runner = SweepRunner::new();
-    let rot = sweep(&runner, n, "rotating f=0..=5 (record index = f dead coordinators)", RotatingCoordinator::new);
-    let sess = sweep(&runner, n, "session f=0..=5 (record index = f dead coordinators)", SessionPaxos::new);
+    let rot = sweep(
+        &runner,
+        n,
+        "rotating f=0..=5 (record index = f dead coordinators)",
+        RotatingCoordinator::new,
+    );
+    let sess = sweep(
+        &runner,
+        n,
+        "session f=0..=5 (record index = f dead coordinators)",
+        SessionPaxos::new,
+    );
     let mut table = Table::new(
         "E3: decision delay vs f dead coordinators (n=11, synchronous from t=0)",
         &["f", "rotating coordinator", "modified Paxos"],

@@ -45,7 +45,12 @@ fn main() {
                 .expect("valid config")
         };
         let outcome = runner
-            .sweep_seeds(&format!("eps={eps_frac}delta"), seeds, mk, SessionPaxos::new)
+            .sweep_seeds(
+                &format!("eps={eps_frac}delta"),
+                seeds,
+                mk,
+                SessionPaxos::new,
+            )
             .expect("completes");
         assert!(outcome.reports.iter().all(|r| r.agreement()));
         let bound = {
@@ -58,9 +63,7 @@ fn main() {
             .reports
             .iter()
             .map(|r| {
-                (r.msgs_sent - r.msgs_sent_after_ts) as f64
-                    / n as f64
-                    / (TS_MS as f64 / 1000.0)
+                (r.msgs_sent - r.msgs_sent_after_ts) as f64 / n as f64 / (TS_MS as f64 / 1000.0)
             })
             .sum::<f64>()
             / outcome.reports.len() as f64;

@@ -23,8 +23,7 @@ use std::time::Instant;
 /// time (when the LAST process learns it).
 fn commit_time(world: &mut World<MultiPaxos>, n: usize, value: Value) -> SimTime {
     loop {
-        let all = ProcessId::all(n)
-            .all(|p| world.process(p).log_values().any(|v| v == value));
+        let all = ProcessId::all(n).all(|p| world.process(p).log_values().any(|v| v == value));
         if all {
             return world.now();
         }
@@ -71,8 +70,7 @@ fn main() {
         let submit_at = world.now() + RealDuration::from_millis(20);
         world.submit(submit_at, target, value);
         let committed = commit_time(&mut world, n, value);
-        let latency =
-            committed.since(submit_at).as_nanos() as f64 / delta.as_nanos() as f64;
+        let latency = committed.since(submit_at).as_nanos() as f64 / delta.as_nanos() as f64;
         if label == "leader" {
             worst_leader = worst_leader.max(latency);
         } else {

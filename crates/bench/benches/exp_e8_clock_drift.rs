@@ -47,7 +47,10 @@ fn main() {
         let min_sigma = TimingConfig::min_sigma(delta, rho);
         table.row_owned(vec![
             format!("{rho}"),
-            format!("{:.2}δ", min_sigma.as_nanos() as f64 / delta.as_nanos() as f64),
+            format!(
+                "{:.2}δ",
+                min_sigma.as_nanos() as f64 / delta.as_nanos() as f64
+            ),
             fmt_stats(decision_stats(&outcome.reports)),
             format!("{bound:.1}δ"),
         ]);

@@ -116,8 +116,10 @@ fn main() {
                     4,
                     Some(cfg(0, pre.clone(), None)),
                     |seed| {
-                        let mut w =
-                            World::new(cfg(seed, pre.clone(), None), SessionPaxos::with_ablation(ab));
+                        let mut w = World::new(
+                            cfg(seed, pre.clone(), None),
+                            SessionPaxos::with_ablation(ab),
+                        );
                         if let Some((k, gated)) = inj {
                             inject(&mut w, k, gated);
                         }

@@ -96,7 +96,10 @@ fn main() {
                 .with_extra("p50_ms", s.latency.p50_ns as f64 / 1e6)
                 .with_extra("p99_ms", s.latency.p99_ns as f64 / 1e6)
                 .with_extra("p999_ms", s.latency.p999_ns as f64 / 1e6)
-                .with_extra("events_per_command", out.report.events as f64 / COMMANDS as f64),
+                .with_extra(
+                    "events_per_command",
+                    out.report.events as f64 / COMMANDS as f64,
+                ),
             );
         }
         let base = per_batch[0].1;

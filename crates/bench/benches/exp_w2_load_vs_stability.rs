@@ -31,7 +31,9 @@ fn main() {
         "open-loop Poisson load across TS: pre-TS submissions pay the instability, post-TS ones commit in a few delta",
     );
     let mut table = Table::new(
-        &format!("W2: open-loop Poisson rates across TS={TS_MS}ms (n={N}, chaos pre-TS, batching 16/8)"),
+        &format!(
+            "W2: open-loop Poisson rates across TS={TS_MS}ms (n={N}, chaos pre-TS, batching 16/8)"
+        ),
         &[
             "rate",
             "commands",

@@ -72,7 +72,11 @@ fn main() {
             "S={shards}: not all commands committed"
         );
         let s = &out.summary;
-        assert_eq!(s.per_shard.len(), shards, "S={shards}: missing shard slices");
+        assert_eq!(
+            s.per_shard.len(),
+            shards,
+            "S={shards}: missing shard slices"
+        );
         assert_eq!(
             s.per_shard.iter().map(|x| x.committed).sum::<u64>(),
             COMMANDS,
@@ -129,7 +133,10 @@ fn main() {
             .with_extra("p50_ms", s.latency.p50_ns as f64 / 1e6)
             .with_extra("p99_ms", s.latency.p99_ns as f64 / 1e6)
             .with_extra("worst_shard_post_ts_p99_ms", worst_shard_p99 as f64 / 1e6)
-            .with_extra("events_per_command", out.report.events as f64 / COMMANDS as f64),
+            .with_extra(
+                "events_per_command",
+                out.report.events as f64 / COMMANDS as f64,
+            ),
         );
     }
     println!("{}", table.render());

@@ -91,8 +91,7 @@ fn main() {
         let before = world.report();
         world.run_until(IDLE_TO);
         let after = world.report();
-        let idle_secs =
-            (IDLE_TO.as_nanos() - IDLE_FROM.as_nanos()) as f64 / 1e9;
+        let idle_secs = (IDLE_TO.as_nanos() - IDLE_FROM.as_nanos()) as f64 / 1e9;
         let idle_msgs_per_sec = (after.msgs_sent - before.msgs_sent) as f64 / idle_secs;
         let kind_rate = |kind: &str| {
             (after.msgs_by_kind.get(kind).copied().unwrap_or(0)
@@ -128,7 +127,10 @@ fn main() {
                 world.now() < reanchor_deadline,
                 "S={shards}: no re-election within 60s of the anchor crash"
             );
-            assert!(world.step(), "S={shards}: world went quiescent mid-re-election");
+            assert!(
+                world.step(),
+                "S={shards}: world went quiescent mid-re-election"
+            );
             if world.now() <= crash_at {
                 continue;
             }
@@ -140,8 +142,7 @@ fn main() {
                 break l;
             }
         };
-        let reanchor_ms =
-            (world.now().as_nanos() - crash_at.as_nanos()) as f64 / 1e6;
+        let reanchor_ms = (world.now().as_nanos() - crash_at.as_nanos()) as f64 / 1e6;
         let wall = started.elapsed();
 
         let speedup = baseline.map_or(1.0, |b| idle_msgs_per_sec / b);

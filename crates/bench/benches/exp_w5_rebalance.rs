@@ -51,7 +51,9 @@ const KEYS: u64 = 1 << 10;
 
 /// The static even split of the key space over 8 shards.
 fn even_bounds() -> Vec<u64> {
-    (1..SHARDS as u64).map(|i| i * (KEYS / SHARDS as u64)).collect()
+    (1..SHARDS as u64)
+        .map(|i| i * (KEYS / SHARDS as u64))
+        .collect()
 }
 
 fn run(dist: KeyDist, seed: u64, live: bool) -> SimWorkloadOutcome {
@@ -92,7 +94,14 @@ fn main() {
         &["skew", "router", "commits/s", "vs static", "imbalance", "moves", "dups"],
     );
     let cases: [(&str, KeyDist, u64); 2] = [
-        ("hotspot", KeyDist::Hotspot { frac: 0.9, span: 64 }, 500),
+        (
+            "hotspot",
+            KeyDist::Hotspot {
+                frac: 0.9,
+                span: 64,
+            },
+            500,
+        ),
         ("shifting", KeyDist::Shifting { period: 150 }, 520),
     ];
     for (name, dist, seed) in cases {
@@ -103,7 +112,10 @@ fn main() {
             let wall = started.elapsed();
             let s = &out.summary;
             let router = if live { "live" } else { "static" };
-            assert!(out.log_agreement, "{name}/{router}: per-shard logs diverged");
+            assert!(
+                out.log_agreement,
+                "{name}/{router}: per-shard logs diverged"
+            );
             assert_eq!(
                 s.committed, COMMANDS,
                 "{name}/{router}: not all commands committed"

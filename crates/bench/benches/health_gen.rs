@@ -23,7 +23,9 @@ fn out_dir() -> PathBuf {
     let dir = std::env::var_os("BENCH_OUT_DIR").map_or_else(
         || {
             // crates/bench → workspace root.
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("..")
+                .join("..")
         },
         PathBuf::from,
     );

@@ -441,8 +441,14 @@ fn bench_event_queue_recover_depth(c: &mut Criterion) {
         let (mut filling, mut tick) = (true, 0x2545_f491_4f6c_dd1du64);
         b.iter(|| {
             let e = q.pop().unwrap();
-            filling = if filling { q.len() < 46_000 } else { q.len() < 18_000 };
-            tick = tick.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            filling = if filling {
+                q.len() < 46_000
+            } else {
+                q.len() < 18_000
+            };
+            tick = tick
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let rate = if filling { filling_rate } else { draining_rate };
             if (tick >> 33) % 1000 < rate {
                 let EventKind::Deliver { to, .. } = e.kind else {

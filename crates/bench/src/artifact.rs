@@ -150,7 +150,8 @@ impl SweepSummary {
     ) -> SweepSummary {
         let records: Vec<SweepRecord> = reports.iter().map(SweepRecord::from_report).collect();
         let wall_secs = wall.as_secs_f64();
-        let mut by_kind: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+        let mut by_kind: std::collections::BTreeMap<String, u64> =
+            std::collections::BTreeMap::new();
         for r in reports {
             for (k, v) in &r.msgs_by_kind {
                 *by_kind.entry(k.clone()).or_insert(0) += v;

@@ -92,7 +92,8 @@ impl Table {
     /// Panics if the cell count differs from the header count.
     pub fn row(&mut self, cells: &[&str]) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
     /// Appends a row of already-owned cells.

@@ -31,7 +31,11 @@ use serde_json::Value;
 use std::process::ExitCode;
 
 /// What `inspect` with no arguments reads.
-const COMMITTED: [&str; 3] = ["TRACE_exp_e1.jsonl", "TRACE_exp_w3.jsonl", "HEALTH_exp_h1.jsonl"];
+const COMMITTED: [&str; 3] = [
+    "TRACE_exp_e1.jsonl",
+    "TRACE_exp_w3.jsonl",
+    "HEALTH_exp_h1.jsonl",
+];
 
 /// Inspects one file; returns `false` when the file fails.
 fn inspect_file(path: &str) -> bool {
@@ -42,7 +46,10 @@ fn inspect_file(path: &str) -> bool {
             return false;
         }
     };
-    let header = text.lines().find(|l| !l.trim().is_empty()).unwrap_or_default();
+    let header = text
+        .lines()
+        .find(|l| !l.trim().is_empty())
+        .unwrap_or_default();
     let is_health = header
         .parse::<Value>()
         .is_ok_and(|v| v.get("meta").and_then(|m| m.get("interval_ns")).is_some());
@@ -127,7 +134,11 @@ fn check_bound(meta: &TraceMeta, records: &[TraceRecord]) -> bool {
     );
     for (pid, at_ns) in &report.first_decisions {
         let after_ts = at_ns.saturating_sub(meta.ts_ns) as f64 / delta;
-        let verdict = if *at_ns <= report.deadline_ns { "ok" } else { "VIOLATION" };
+        let verdict = if *at_ns <= report.deadline_ns {
+            "ok"
+        } else {
+            "VIOLATION"
+        };
         println!("    {pid}: decided TS + {after_ts:.2}δ — {verdict}");
     }
     if report.first_decisions.is_empty() {
@@ -141,7 +152,10 @@ fn check_bound(meta: &TraceMeta, records: &[TraceRecord]) -> bool {
         );
         true
     } else {
-        println!("  bound VIOLATED by {} process(es)", report.violations.len());
+        println!(
+            "  bound VIOLATED by {} process(es)",
+            report.violations.len()
+        );
         false
     }
 }

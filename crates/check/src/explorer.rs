@@ -261,7 +261,11 @@ mod tests {
             .max_states(60_000)
             .explore();
         assert!(report.violation.is_none(), "{:?}", report.violation);
-        assert!(report.states_seen > 1_000, "covered {} states", report.states_seen);
+        assert!(
+            report.states_seen > 1_000,
+            "covered {} states",
+            report.states_seen
+        );
     }
 
     #[test]

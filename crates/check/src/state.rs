@@ -199,11 +199,9 @@ where
         let i = pid.as_usize();
         for action in out.drain() {
             match action {
-                Action::Send { to, msg } => self.inflight.push(Envelope::Msg {
-                    from: pid,
-                    to,
-                    msg,
-                }),
+                Action::Send { to, msg } => {
+                    self.inflight.push(Envelope::Msg { from: pid, to, msg })
+                }
                 Action::Broadcast { msg } => {
                     for to in ProcessId::all(n) {
                         self.inflight.push(Envelope::Msg {

@@ -567,9 +567,12 @@ mod tests {
         // Second delivery of the round does not re-echo.
         p.on_wab_deliver(wmsg(1, 0, 55), &mut o);
         assert!(
-            !o.drain()
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: BcMsg::Echo { .. } })),
+            !o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: BcMsg::Echo { .. }
+                }
+            )),
             "only the first w-delivery counts"
         );
     }
@@ -581,7 +584,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &BcMsg::Echo {
                     round: 0,
                     value: Value::new(7),
@@ -603,14 +607,16 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &BcMsg::Echo {
                 round: 0,
                 value: Value::new(7),
             },
             &mut o,
         );
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Echo {
                 round: 0,
                 value: Value::new(8),
@@ -620,7 +626,12 @@ mod tests {
         let acts = o.drain();
         assert!(acts.iter().any(|a| matches!(
             a,
-            Action::Broadcast { msg: BcMsg::Vote { round: 0, vote: BcVote::Bottom } }
+            Action::Broadcast {
+                msg: BcMsg::Vote {
+                    round: 0,
+                    vote: BcVote::Bottom
+                }
+            }
         )));
     }
 
@@ -631,7 +642,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         for from in [1u32, 2, 3] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &BcMsg::Echo {
                     round: 0,
                     value: Value::new(7),
@@ -642,21 +654,31 @@ mod tests {
         let votes = o
             .drain()
             .iter()
-            .filter(|a| matches!(a, Action::Broadcast { msg: BcMsg::Vote { .. } }))
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Broadcast {
+                        msg: BcMsg::Vote { .. }
+                    }
+                )
+            })
             .count();
         assert_eq!(votes, 1);
         // A fourth echo does not re-vote.
-        p.on_message(ProcessId::new(4),
+        p.on_message(
+            ProcessId::new(4),
             &BcMsg::Echo {
                 round: 0,
                 value: Value::new(7),
             },
             &mut o,
         );
-        assert!(!o
-            .drain()
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: BcMsg::Vote { .. } })));
+        assert!(!o.drain().iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: BcMsg::Vote { .. }
+            }
+        )));
     }
 
     #[test]
@@ -666,7 +688,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &BcMsg::Vote {
                     round: 0,
                     vote: BcVote::Locked(Value::new(7)),
@@ -687,14 +710,16 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &BcMsg::Vote {
                 round: 0,
                 vote: BcVote::Locked(Value::new(7)),
             },
             &mut o,
         );
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Vote {
                 round: 0,
                 vote: BcVote::Bottom,
@@ -715,7 +740,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &BcMsg::Vote {
                     round: 0,
                     vote: BcVote::Bottom,
@@ -733,7 +759,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Echo {
                 round: 5,
                 value: Value::new(1),
@@ -743,7 +770,8 @@ mod tests {
         assert_eq!(p.round(), 5);
         let acts = o.drain();
         assert!(
-            acts.iter().any(|a| matches!(a, Action::WabBroadcast { msg } if msg.round == 5)),
+            acts.iter()
+                .any(|a| matches!(a, Action::WabBroadcast { msg } if msg.round == 5)),
             "re-w-broadcasts First for the new round"
         );
     }
@@ -755,7 +783,8 @@ mod tests {
         let mut p = spawn_original(5, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(3),
+        p.on_message(
+            ProcessId::new(3),
             &BcMsg::Echo {
                 round: 1,
                 value: Value::new(1),
@@ -775,7 +804,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &BcMsg::Echo {
                 round: 0,
                 value: Value::new(3),
@@ -797,7 +827,8 @@ mod tests {
         // A stamped First from p2 arrives; it must NOT be handled before
         // the 2δ wait.
         let stamp = Timestamp::new(50, ProcessId::new(2));
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Stamped {
                 stamp,
                 inner: wmsg(2, 0, 99),
@@ -806,9 +837,12 @@ mod tests {
         );
         let acts = o.drain();
         assert!(
-            !acts
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: BcMsg::Echo { .. } })),
+            !acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: BcMsg::Echo { .. }
+                }
+            )),
             "no echo before the oracle wait"
         );
         let deadline = acts
@@ -835,7 +869,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Stamped {
                 stamp: Timestamp::new(50, ProcessId::new(2)),
                 inner: wmsg(2, 4, 99),
@@ -850,7 +885,8 @@ mod tests {
         let mut p = spawn_original(3, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &BcMsg::Decided {
                 value: Value::new(3),
             },
@@ -858,7 +894,8 @@ mod tests {
         );
         assert_eq!(p.decision(), Some(Value::new(3)));
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Echo {
                 round: 9,
                 value: Value::new(1),
@@ -883,9 +920,12 @@ mod tests {
         assert!(acts
             .iter()
             .any(|a| matches!(a, Action::WabBroadcast { msg } if msg.round == 0)));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: BcMsg::Echo { round: 0, .. } })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: BcMsg::Echo { round: 0, .. }
+            }
+        )));
         assert!(acts
             .iter()
             .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_BC_ROUND)));
@@ -902,14 +942,16 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         assert_eq!(p.estimate(), Value::new(10));
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &BcMsg::Vote {
                 round: 0,
                 vote: BcVote::Locked(Value::new(12)),
             },
             &mut o,
         );
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &BcMsg::Vote {
                 round: 0,
                 vote: BcVote::Bottom,

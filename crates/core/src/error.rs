@@ -45,7 +45,10 @@ impl fmt::Display for ConfigError {
                 write!(f, "retransmission interval epsilon must be positive")
             }
             ConfigError::InvalidRho { rho } => {
-                write!(f, "clock-rate error bound rho must be in [0, 0.5), got {rho}")
+                write!(
+                    f,
+                    "clock-rate error bound rho must be in [0, 0.5), got {rho}"
+                )
             }
             ConfigError::SigmaTooSmall { sigma, min } => write!(
                 f,

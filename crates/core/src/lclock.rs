@@ -130,7 +130,9 @@ mod tests {
     #[test]
     fn causal_chain_is_monotone() {
         // m0 -> m1 -> m2 passed around a ring must have increasing stamps.
-        let mut clocks: Vec<_> = (0..3).map(|i| LamportClock::new(ProcessId::new(i))).collect();
+        let mut clocks: Vec<_> = (0..3)
+            .map(|i| LamportClock::new(ProcessId::new(i)))
+            .collect();
         let mut last = clocks[0].stamp_send();
         for hop in 1..10 {
             let next_idx = hop % 3;

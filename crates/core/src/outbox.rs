@@ -531,7 +531,10 @@ mod tests {
         };
         let mut out = Outbox::new(LocalInstant::ZERO);
         e.on_leader_change(ProcessId::new(1), &mut out);
-        e.on_wab_deliver(WabMessage::new(ProcessId::new(1), 0, Value::new(0)), &mut out);
+        e.on_wab_deliver(
+            WabMessage::new(ProcessId::new(1), 0, Value::new(0)),
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 

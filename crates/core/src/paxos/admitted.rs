@@ -123,11 +123,10 @@ impl AdmittedSet {
         if floor == 0 {
             return;
         }
-        self.entries
-            .retain(|_, status| match status {
-                None => true,
-                Some(slot) => *slot >= floor,
-            });
+        self.entries.retain(|_, status| match status {
+            None => true,
+            Some(slot) => *slot >= floor,
+        });
     }
 
     /// Removes and returns every entry matching `pred` (which sees the

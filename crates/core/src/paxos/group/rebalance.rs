@@ -95,7 +95,11 @@ pub struct UpdateDecodeError {
 
 impl fmt::Display for UpdateDecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid RouterUpdate encoding: {} at byte {}", self.what, self.at)
+        write!(
+            f,
+            "invalid RouterUpdate encoding: {} at byte {}",
+            self.what, self.at
+        )
     }
 }
 
@@ -546,7 +550,10 @@ mod tests {
     fn byte_codec_rejects_corrupt_input() {
         let u = update(7, vec![10, 20]);
         let bytes = u.encode();
-        assert!(RouterUpdate::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
+        assert!(
+            RouterUpdate::decode(&bytes[..bytes.len() - 1]).is_err(),
+            "truncated"
+        );
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(RouterUpdate::decode(&trailing).is_err(), "trailing bytes");
@@ -589,7 +596,10 @@ mod tests {
         }
         let bounds = moved.expect("hotspot must trigger a boundary move");
         assert_eq!(bounds.len(), 3);
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "ascending: {bounds:?}");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "ascending: {bounds:?}"
+        );
         // The hot span is split: at least two boundaries inside [0, 8].
         assert!(
             bounds.iter().filter(|b| **b <= 8).count() >= 2,
@@ -606,7 +616,10 @@ mod tests {
         }
         let bounds = r.check(&router, 4).expect("one hot key triggers");
         assert_eq!(bounds.len(), 3);
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "padded ascending: {bounds:?}");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "padded ascending: {bounds:?}"
+        );
     }
 
     /// Notes a 16-command window whose hottest shard sits at exactly
@@ -628,7 +641,10 @@ mod tests {
         for _ in 0..16 {
             r.note(1);
         }
-        assert!(r.check(&router, 4).is_some(), "first trigger fires as before");
+        assert!(
+            r.check(&router, 4).is_some(),
+            "first trigger fires as before"
+        );
         // ...then at-the-trigger jitter is held by the disarmed band (the
         // old single-threshold rule would fire on every one of these
         // checks, since the unit router never moves).
@@ -646,7 +662,10 @@ mod tests {
         for _ in 0..64 {
             r.note(1);
         }
-        assert!(r.check(&router, 4).is_some(), "re-armed trigger fires again");
+        assert!(
+            r.check(&router, 4).is_some(),
+            "re-armed trigger fires again"
+        );
     }
 
     #[test]

@@ -331,9 +331,7 @@ impl Process for SessionPaxosProcess {
                             let reached_now = q.record(from, last_vote);
                             if reached_now {
                                 out.metric(Metric::PromiseQuorum);
-                                out.trace(|| TraceEvent::PromiseQuorum {
-                                    ballot: mbal.get(),
-                                });
+                                out.trace(|| TraceEvent::PromiseQuorum { ballot: mbal.get() });
                                 let value = q.pick_value(self.initial);
                                 self.chosen = Some((mbal, value));
                             }
@@ -347,10 +345,7 @@ impl Process for SessionPaxosProcess {
                                         slot: 0,
                                         value: cv.get(),
                                     });
-                                    out.broadcast(PaxosMsg::P2a {
-                                        mbal,
-                                        value: cv,
-                                    });
+                                    out.broadcast(PaxosMsg::P2a { mbal, value: cv });
                                     self.last_p1a2a = Some(out.now());
                                 }
                             }
@@ -408,9 +403,7 @@ impl Process for SessionPaxosProcess {
                 } else if self.ablation.epsilon_retransmit {
                     let idle = match self.last_p1a2a {
                         None => true,
-                        Some(t) => {
-                            out.now().saturating_since(t) >= self.cfg.epsilon_timer_local()
-                        }
+                        Some(t) => out.now().saturating_since(t) >= self.cfg.epsilon_timer_local(),
                     };
                     if idle {
                         if self.ack_suppression {
@@ -532,14 +525,16 @@ mod tests {
         assert_eq!(p.session(), Session::new(1));
         assert!(sends_of(&o.drain()).is_empty());
         // Hear session-1 messages from itself and p2: majority of 3.
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(4),
             },
             &mut o,
         );
         assert_eq!(p.session(), Session::new(1), "own echo alone insufficient");
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(5),
             },
@@ -557,7 +552,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         // 1a for ballot 12 (session 2, owner p2).
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(12),
             },
@@ -586,14 +582,16 @@ mod tests {
         let mut p = spawn(5, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(12),
             },
             &mut o,
         );
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(12),
             },
@@ -602,7 +600,10 @@ mod tests {
         let acts = o.drain();
         assert!(acts.iter().any(|a| matches!(
             a,
-            Action::Send { msg: PaxosMsg::P1b { .. }, .. }
+            Action::Send {
+                msg: PaxosMsg::P1b { .. },
+                ..
+            }
         )));
         assert!(
             !acts
@@ -617,14 +618,16 @@ mod tests {
         let mut p = spawn(5, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(12),
             },
             &mut o,
         );
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(6),
             },
@@ -647,7 +650,8 @@ mod tests {
         o.drain();
         let b = Ballot::new(4);
         // p0 reports an old vote; p2 reports none.
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &PaxosMsg::P1b {
                 mbal: b,
                 last_vote: Some(crate::paxos::messages::Vote::new(
@@ -658,7 +662,8 @@ mod tests {
             &mut o,
         );
         assert!(sends_of(&o.drain()).is_empty(), "one 1b is not a majority");
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1b {
                 mbal: b,
                 last_vote: None,
@@ -684,7 +689,8 @@ mod tests {
         o.drain();
         let b = Ballot::new(4);
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &PaxosMsg::P1b {
                     mbal: b,
                     last_vote: None,
@@ -708,14 +714,16 @@ mod tests {
         p.on_timer(TIMER_SESSION, &mut o); // ballot 4
         o.drain();
         // 1b for a ballot we do not own / never started.
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &PaxosMsg::P1b {
                 mbal: Ballot::new(3),
                 last_vote: None,
             },
             &mut o,
         );
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1b {
                 mbal: Ballot::new(3),
                 last_vote: None,
@@ -723,9 +731,12 @@ mod tests {
             &mut o,
         );
         assert!(
-            !o.drain()
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::P2a { .. } })),
+            !o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: PaxosMsg::P2a { .. }
+                }
+            )),
             "no 2a for a ballot we are not collecting"
         );
     }
@@ -736,7 +747,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P2a {
                 mbal: Ballot::new(4),
                 value: Value::new(9),
@@ -757,14 +769,16 @@ mod tests {
         let mut p = spawn(3, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(7),
             },
             &mut o,
         );
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P2a {
                 mbal: Ballot::new(4),
                 value: Value::new(9),
@@ -772,9 +786,12 @@ mod tests {
             &mut o,
         );
         assert!(
-            !o.drain()
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::P2b { .. } })),
+            !o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: PaxosMsg::P2b { .. }
+                }
+            )),
             "stale 2a must not be voted for"
         );
     }
@@ -787,15 +804,25 @@ mod tests {
         o.drain();
         let b = Ballot::new(4);
         let v = Value::new(9);
-        p.on_message(ProcessId::new(1), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
         assert_eq!(p.decision(), None);
-        p.on_message(ProcessId::new(2), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(2),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
         assert_eq!(p.decision(), Some(v));
         let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(a, Action::Decide { value, .. } if *value == v)));
         assert!(acts
             .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::Decided { value } } if *value == v)));
+            .any(|a| matches!(a, Action::Decide { value, .. } if *value == v)));
+        assert!(acts.iter().any(
+            |a| matches!(a, Action::Broadcast { msg: PaxosMsg::Decided { value } } if *value == v)
+        ));
     }
 
     #[test]
@@ -805,14 +832,16 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         let v = Value::new(9);
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P2b {
                 mbal: Ballot::new(4),
                 value: v,
             },
             &mut o,
         );
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P2b {
                 mbal: Ballot::new(7),
                 value: v,
@@ -829,10 +858,19 @@ mod tests {
         p.on_start(&mut o);
         let b = Ballot::new(4);
         let v = Value::new(9);
-        p.on_message(ProcessId::new(1), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
-        p.on_message(ProcessId::new(2), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
+        p.on_message(
+            ProcessId::new(2),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(100),
             },
@@ -854,11 +892,22 @@ mod tests {
         p.on_start(&mut o);
         let v = Value::new(9);
         let b = Ballot::new(4);
-        p.on_message(ProcessId::new(1), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
-        p.on_message(ProcessId::new(2), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
+        p.on_message(
+            ProcessId::new(2),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
         o.drain();
         p.on_message(ProcessId::new(1), &PaxosMsg::Decided { value: v }, &mut o);
-        assert!(o.drain().is_empty(), "Decided to a decided process: silence");
+        assert!(
+            o.drain().is_empty(),
+            "Decided to a decided process: silence"
+        );
     }
 
     #[test]
@@ -867,7 +916,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::Decided {
                 value: Value::new(5),
             },
@@ -887,9 +937,12 @@ mod tests {
         let mut o2 = Outbox::new(later);
         p.on_timer(TIMER_EPSILON, &mut o2);
         let acts = o2.drain();
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::P1a { .. } })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: PaxosMsg::P1a { .. }
+            }
+        )));
         assert!(acts
             .iter()
             .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_EPSILON)));
@@ -906,9 +959,12 @@ mod tests {
         let mut o2 = Outbox::new(soon);
         p.on_timer(TIMER_EPSILON, &mut o2);
         assert!(
-            !o2.drain()
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::P1a { .. } })),
+            !o2.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: PaxosMsg::P1a { .. }
+                }
+            )),
             "sent recently: no retransmission yet"
         );
     }
@@ -920,14 +976,24 @@ mod tests {
         p.on_start(&mut o);
         let b = Ballot::new(4);
         let v = Value::new(9);
-        p.on_message(ProcessId::new(1), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
-        p.on_message(ProcessId::new(2), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
+        p.on_message(
+            ProcessId::new(2),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
         o.drain();
         p.on_timer(TIMER_EPSILON, &mut o);
-        assert!(o
-            .drain()
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::Decided { .. } })));
+        assert!(o.drain().iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: PaxosMsg::Decided { .. }
+            }
+        )));
     }
 
     #[test]
@@ -958,14 +1024,22 @@ mod tests {
         p.on_start(&mut o);
         let b = Ballot::new(4);
         let v = Value::new(9);
-        p.on_message(ProcessId::new(1), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
-        p.on_message(ProcessId::new(2), &PaxosMsg::P2b { mbal: b, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
+        p.on_message(
+            ProcessId::new(2),
+            &PaxosMsg::P2b { mbal: b, value: v },
+            &mut o,
+        );
         o.drain();
         p.on_restart(&mut o);
         let acts = o.drain();
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: PaxosMsg::Decided { value } } if *value == v)));
+        assert!(acts.iter().any(
+            |a| matches!(a, Action::Broadcast { msg: PaxosMsg::Decided { value } } if *value == v)
+        ));
         assert!(
             !acts
                 .iter()
@@ -994,7 +1068,8 @@ mod tests {
         let mut p = spawn(5, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(6), // session 1
             },
@@ -1004,7 +1079,8 @@ mod tests {
         assert_eq!(p.session(), Session::new(1));
         assert_eq!(p.session_heard_count(), 1);
         // A stale session-0 message does not count.
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &PaxosMsg::P1a {
                 mbal: Ballot::new(2),
             },
@@ -1040,7 +1116,8 @@ mod tests {
         o.drain();
         // Hear session-0 messages from p1 and p2: they have acknowledged.
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &PaxosMsg::P1a {
                     mbal: Ballot::new(from as u64),
                 },
@@ -1078,7 +1155,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         for from in 0..n as u32 {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &PaxosMsg::P1a {
                     mbal: Ballot::new(from as u64),
                 },
@@ -1094,8 +1172,7 @@ mod tests {
         // re-arm.
         let acts = o2.drain();
         assert!(
-            acts.iter()
-                .all(|a| matches!(a, Action::SetTimer { .. })),
+            acts.iter().all(|a| matches!(a, Action::SetTimer { .. })),
             "fully acknowledged: silence, got {acts:?}"
         );
     }

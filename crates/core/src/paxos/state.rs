@@ -173,8 +173,7 @@ impl DecisionTracker {
                     if let Some((cb, t, v)) = cur.take() {
                         self.older.insert(cb, (t, v));
                     }
-                    let (_, tracker, stored) =
-                        cur.insert((bal, QuorumTracker::new(n), value));
+                    let (_, tracker, stored) = cur.insert((bal, QuorumTracker::new(n), value));
                     tally(tracker, *stored, value, from)
                 } else {
                     let (tracker, stored) = self
@@ -284,7 +283,11 @@ mod tests {
         let b5 = Ballot::new(5);
         let b9 = Ballot::new(9);
         assert_eq!(d.record(3, pid(0), b5, Value::new(1)), None);
-        assert_eq!(d.record(3, pid(0), b9, Value::new(2)), None, "cache moves to b9");
+        assert_eq!(
+            d.record(3, pid(0), b9, Value::new(2)),
+            None,
+            "cache moves to b9"
+        );
         assert_eq!(
             d.record(3, pid(1), b5, Value::new(1)),
             Some(Value::new(1)),

@@ -383,8 +383,7 @@ impl Process for TraditionalPaxosProcess {
                 let stalled = match self.attempt_started {
                     None => true,
                     Some(t) => {
-                        out.now().saturating_since(t)
-                            >= self.cfg.local_at_least(self.retry_real)
+                        out.now().saturating_since(t) >= self.cfg.local_at_least(self.retry_real)
                     }
                 };
                 if stalled {
@@ -505,7 +504,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         // Leader p0's ballot 3 < 92: reject to owner p0.
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &TradMsg::Paxos(PaxosMsg::P1a {
                 mbal: Ballot::new(3),
             }),
@@ -525,7 +525,8 @@ mod tests {
             .with_preloaded_ballots(vec![(ProcessId::new(2), Ballot::new(92))]);
         let mut p = proto.spawn(ProcessId::new(2), &cfg(3), Value::new(1));
         let mut o = out();
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &TradMsg::Paxos(PaxosMsg::P2a {
                 mbal: Ballot::new(3),
                 value: Value::new(7),
@@ -533,13 +534,20 @@ mod tests {
             &mut o,
         );
         let acts = o.drain();
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Send { msg: TradMsg::Paxos(PaxosMsg::Rejected { .. }), .. })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Send {
+                msg: TradMsg::Paxos(PaxosMsg::Rejected { .. }),
+                ..
+            }
+        )));
         assert!(
-            !acts
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: TradMsg::Paxos(PaxosMsg::P2b { .. }) })),
+            !acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: TradMsg::Paxos(PaxosMsg::P2b { .. })
+                }
+            )),
             "must not vote for a stale 2a"
         );
     }
@@ -552,7 +560,8 @@ mod tests {
         p.on_leader_change(ProcessId::new(1), &mut o);
         o.drain();
         let before = p.mbal();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &TradMsg::Paxos(PaxosMsg::Rejected {
                 mbal: Ballot::new(92),
             }),
@@ -572,7 +581,8 @@ mod tests {
         p.on_leader_change(ProcessId::new(1), &mut o);
         o.drain();
         let before = p.mbal();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &TradMsg::Paxos(PaxosMsg::Rejected {
                 mbal: Ballot::new(0),
             }),
@@ -618,7 +628,8 @@ mod tests {
         let bal = p1a(&o.drain()).unwrap();
         // Two 1b's (majority) -> 2a with own value (no prior votes).
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &TradMsg::Paxos(PaxosMsg::P1b {
                     mbal: bal,
                     last_vote: None,
@@ -634,7 +645,8 @@ mod tests {
         )));
         // Two 2b's decide.
         for from in [1u32, 2] {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &TradMsg::Paxos(PaxosMsg::P2b {
                     mbal: bal,
                     value: Value::new(50),
@@ -654,9 +666,12 @@ mod tests {
         let acts = o.drain();
         assert!(p0.believes_leader());
         assert!(p1a(&acts).is_some(), "initial leader starts phase 1");
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: TradMsg::Omega(OmegaMsg::Heartbeat) })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: TradMsg::Omega(OmegaMsg::Heartbeat)
+            }
+        )));
     }
 
     #[test]
@@ -680,7 +695,8 @@ mod tests {
         let n = 3;
         let mut p = TraditionalPaxos::new().spawn(ProcessId::new(0), &cfg(n), Value::new(50));
         let mut o = out();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &TradMsg::Paxos(PaxosMsg::Decided {
                 value: Value::new(5),
             }),
@@ -688,7 +704,8 @@ mod tests {
         );
         assert_eq!(p.decision(), Some(Value::new(5)));
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &TradMsg::Paxos(PaxosMsg::P1a {
                 mbal: Ballot::new(30),
             }),

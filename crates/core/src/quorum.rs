@@ -92,7 +92,10 @@ impl QuorumTracker {
         let word = if idx < INLINE_BITS {
             self.inline[idx / 64]
         } else {
-            self.spill.get((idx - INLINE_BITS) / 64).copied().unwrap_or(0)
+            self.spill
+                .get((idx - INLINE_BITS) / 64)
+                .copied()
+                .unwrap_or(0)
         };
         word & (1u64 << (idx % 64)) != 0
     }

@@ -124,7 +124,12 @@ impl Protocol for RotatingCoordinator {
         msg.kind()
     }
 
-    fn spawn(&self, id: ProcessId, cfg: &TimingConfig, initial: Value) -> RotatingCoordinatorProcess {
+    fn spawn(
+        &self,
+        id: ProcessId,
+        cfg: &TimingConfig,
+        initial: Value,
+    ) -> RotatingCoordinatorProcess {
         RotatingCoordinatorProcess {
             id,
             cfg: *cfg,
@@ -425,7 +430,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &RoundMsg::Estimate {
                 round: 0,
                 est: Value::new(10),
@@ -433,8 +439,14 @@ mod tests {
             },
             &mut o,
         );
-        assert!(o.drain().iter().all(|a| !matches!(a, Action::Broadcast { msg: RoundMsg::Propose { .. } })));
-        p.on_message(ProcessId::new(1),
+        assert!(o.drain().iter().all(|a| !matches!(
+            a,
+            Action::Broadcast {
+                msg: RoundMsg::Propose { .. }
+            }
+        )));
+        p.on_message(
+            ProcessId::new(1),
             &RoundMsg::Estimate {
                 round: 0,
                 est: Value::new(77),
@@ -457,7 +469,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         for from in 0..3u32 {
-            p.on_message(ProcessId::new(from),
+            p.on_message(
+                ProcessId::new(from),
                 &RoundMsg::Estimate {
                     round: 0,
                     est: Value::new(5),
@@ -466,10 +479,12 @@ mod tests {
                 &mut o,
             );
         }
-        assert!(!o
-            .drain()
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: RoundMsg::Propose { .. } })));
+        assert!(!o.drain().iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: RoundMsg::Propose { .. }
+            }
+        )));
     }
 
     #[test]
@@ -478,7 +493,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &RoundMsg::Propose {
                 round: 0,
                 value: Value::new(99),
@@ -503,9 +519,17 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         let v = Value::new(99);
-        p.on_message(ProcessId::new(0), &RoundMsg::Ack { round: 0, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(0),
+            &RoundMsg::Ack { round: 0, value: v },
+            &mut o,
+        );
         assert_eq!(p.decision(), None);
-        p.on_message(ProcessId::new(1), &RoundMsg::Ack { round: 0, value: v }, &mut o);
+        p.on_message(
+            ProcessId::new(1),
+            &RoundMsg::Ack { round: 0, value: v },
+            &mut o,
+        );
         assert_eq!(p.decision(), Some(v));
         assert!(o
             .drain()
@@ -519,7 +543,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &RoundMsg::Estimate {
                 round: 7,
                 est: Value::new(1),
@@ -531,7 +556,9 @@ mod tests {
         let acts = o.drain();
         assert!(acts.iter().any(|a| matches!(
             a,
-            Action::Broadcast { msg: RoundMsg::Estimate { round: 7, .. } }
+            Action::Broadcast {
+                msg: RoundMsg::Estimate { round: 7, .. }
+            }
         )));
     }
 
@@ -540,7 +567,8 @@ mod tests {
         let mut p = spawn(3, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &RoundMsg::Estimate {
                 round: 7,
                 est: Value::new(1),
@@ -549,7 +577,8 @@ mod tests {
             &mut o,
         );
         o.drain();
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &RoundMsg::Propose {
                 round: 3,
                 value: Value::new(5),
@@ -557,9 +586,12 @@ mod tests {
             &mut o,
         );
         assert!(
-            !o.drain()
-                .iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: RoundMsg::Ack { .. } })),
+            !o.drain().iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: RoundMsg::Ack { .. }
+                }
+            )),
             "stale proposal must not be acked"
         );
     }
@@ -571,7 +603,8 @@ mod tests {
         let mut p = spawn(5, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(3),
+        p.on_message(
+            ProcessId::new(3),
             &RoundMsg::Estimate {
                 round: 1,
                 est: Value::new(1),
@@ -593,7 +626,8 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         // p1's estimate shows round 0 has majority occupancy {p0, p1}.
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &RoundMsg::Estimate {
                 round: 0,
                 est: Value::new(11),
@@ -607,7 +641,9 @@ mod tests {
         let acts = o.drain();
         assert!(acts.iter().any(|a| matches!(
             a,
-            Action::Broadcast { msg: RoundMsg::Estimate { round: 1, .. } }
+            Action::Broadcast {
+                msg: RoundMsg::Estimate { round: 1, .. }
+            }
         )));
     }
 
@@ -616,7 +652,8 @@ mod tests {
         let mut p = spawn(5, 1);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &RoundMsg::Propose {
                 round: 0,
                 value: Value::new(4),
@@ -626,12 +663,19 @@ mod tests {
         o.drain();
         p.on_timer(TIMER_ROUND, &mut o);
         let acts = o.drain();
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: RoundMsg::Estimate { .. } })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: RoundMsg::Estimate { .. }
+            }
+        )));
         assert!(
-            acts.iter()
-                .any(|a| matches!(a, Action::Broadcast { msg: RoundMsg::Ack { .. } })),
+            acts.iter().any(|a| matches!(
+                a,
+                Action::Broadcast {
+                    msg: RoundMsg::Ack { .. }
+                }
+            )),
             "acked value is retransmitted"
         );
     }
@@ -641,7 +685,8 @@ mod tests {
         let mut p = spawn(3, 0);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(1),
+        p.on_message(
+            ProcessId::new(1),
             &RoundMsg::Decided {
                 value: Value::new(3),
             },
@@ -649,7 +694,8 @@ mod tests {
         );
         assert_eq!(p.decision(), Some(Value::new(3)));
         o.drain();
-        p.on_message(ProcessId::new(2),
+        p.on_message(
+            ProcessId::new(2),
             &RoundMsg::Estimate {
                 round: 9,
                 est: Value::new(1),
@@ -670,7 +716,8 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         p.on_start(&mut o);
-        p.on_message(ProcessId::new(0),
+        p.on_message(
+            ProcessId::new(0),
             &RoundMsg::Propose {
                 round: 0,
                 value: Value::new(4),
@@ -683,12 +730,18 @@ mod tests {
         assert!(acts
             .iter()
             .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_ROUND)));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: RoundMsg::Estimate { round: 0, .. } })));
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, Action::Broadcast { msg: RoundMsg::Ack { round: 0, .. } })));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: RoundMsg::Estimate { round: 0, .. }
+            }
+        )));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Broadcast {
+                msg: RoundMsg::Ack { round: 0, .. }
+            }
+        )));
     }
 
     #[test]
@@ -706,7 +759,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         assert_eq!(p.occupancy(0), 5, "everyone begins in round 0");
-        p.on_message(ProcessId::new(3),
+        p.on_message(
+            ProcessId::new(3),
             &RoundMsg::Estimate {
                 round: 2,
                 est: Value::new(0),

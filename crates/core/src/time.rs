@@ -222,7 +222,11 @@ impl LocalInstant {
 impl Add<LocalDuration> for LocalInstant {
     type Output = LocalInstant;
     fn add(self, rhs: LocalDuration) -> LocalInstant {
-        LocalInstant(self.0.checked_add(rhs.as_nanos()).expect("instant overflow"))
+        LocalInstant(
+            self.0
+                .checked_add(rhs.as_nanos())
+                .expect("instant overflow"),
+        )
     }
 }
 
@@ -298,10 +302,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(RealDuration::from_millis(10).to_string(), "10.000ms");
-        assert_eq!(
-            LocalDuration::from_millis(2).to_string(),
-            "2.000ms(local)"
-        );
+        assert_eq!(LocalDuration::from_millis(2).to_string(), "2.000ms(local)");
     }
 
     #[test]

@@ -125,7 +125,10 @@ pub fn parse_health_line(line: &str) -> Result<HealthLine, ParseError> {
     let u64_of = |obj: &Value, key| obj.get(key).and_then(Value::as_u64).ok_or(Field(key));
     let u32_of = |obj: &Value, key| u32::try_from(u64_of(obj, key)?).map_err(|_| Field(key));
     let str_of = |obj: &Value, key| {
-        obj.get(key).and_then(Value::as_str).map(str::to_string).ok_or(Field(key))
+        obj.get(key)
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or(Field(key))
     };
     if let Some(meta) = v.get("meta") {
         return Ok(HealthLine::Meta(HealthMeta {
@@ -142,7 +145,10 @@ pub fn parse_health_line(line: &str) -> Result<HealthLine, ParseError> {
         _ => Some(u32_of(&v, "node")?),
     };
     if let Some(name) = v.get("watchdog") {
-        let kind = name.as_str().and_then(WatchdogKind::from_name).ok_or(Field("watchdog"))?;
+        let kind = name
+            .as_str()
+            .and_then(WatchdogKind::from_name)
+            .ok_or(Field("watchdog"))?;
         return Ok(HealthLine::Firing(WatchdogFiring {
             kind,
             at_ns,
@@ -150,7 +156,10 @@ pub fn parse_health_line(line: &str) -> Result<HealthLine, ParseError> {
             value: u64_of(&v, "value")?,
         }));
     }
-    let pairs = v.get("counters").and_then(Value::as_array).ok_or(Field("counters"))?;
+    let pairs = v
+        .get("counters")
+        .and_then(Value::as_array)
+        .ok_or(Field("counters"))?;
     Ok(HealthLine::Snapshot(MetricsSnapshot {
         at_ns,
         node,
@@ -205,8 +214,16 @@ mod tests {
         counters[Metric::Decided as usize] = 11;
         counters[Metric::Submitted as usize] = 12;
         let snapshots = vec![
-            MetricsSnapshot { at_ns: 500, node: None, counters: [0; METRIC_COUNT] },
-            MetricsSnapshot { at_ns: 1000, node: Some(2), counters },
+            MetricsSnapshot {
+                at_ns: 500,
+                node: None,
+                counters: [0; METRIC_COUNT],
+            },
+            MetricsSnapshot {
+                at_ns: 1000,
+                node: Some(2),
+                counters,
+            },
         ];
         let firings = vec![WatchdogFiring {
             kind: WatchdogKind::AnchorChurn,
@@ -224,7 +241,10 @@ mod tests {
     #[test]
     fn exp_names_are_escaped() {
         for exp in ["h\tx", "h_δ"] {
-            let meta = HealthMeta { exp: exp.to_string(), ..sample_meta() };
+            let meta = HealthMeta {
+                exp: exp.to_string(),
+                ..sample_meta()
+            };
             let text = write_health_jsonl(&meta, &[], &[]);
             let (back, _, _) = parse_health_jsonl(&text).expect("escaped header parses");
             assert_eq!(back, meta);
@@ -233,7 +253,8 @@ mod tests {
 
     #[test]
     fn missing_counter_names_read_as_zero() {
-        let line = "{\"at_ns\":7,\"node\":null,\"counters\":[[\"decided\",3],[\"future_counter\",9]]}";
+        let line =
+            "{\"at_ns\":7,\"node\":null,\"counters\":[[\"decided\",3],[\"future_counter\",9]]}";
         let HealthLine::Snapshot(s) = parse_health_line(line).expect("parses") else {
             panic!("expected a snapshot line");
         };
@@ -244,7 +265,10 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         assert!(parse_health_line("{\"at_ns\":1").is_err());
-        assert!(parse_health_line("{\"at_ns\":1,\"node\":0,\"watchdog\":\"nope\",\"value\":1}").is_err());
+        assert!(
+            parse_health_line("{\"at_ns\":1,\"node\":0,\"watchdog\":\"nope\",\"value\":1}")
+                .is_err()
+        );
         assert!(parse_health_jsonl("{\"at_ns\":1,\"node\":null,\"counters\":[]}\n").is_err());
     }
 }

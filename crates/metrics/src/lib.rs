@@ -47,7 +47,9 @@ mod watchdog;
 pub use esync_core::metrics::{Metric, MetricSet, METRIC_COUNT};
 pub use esync_trace::{HistogramSummary, LatencyHistogram, ParseError};
 pub use health::HealthSummary;
-pub use jsonl::{parse_health_jsonl, parse_health_line, write_health_jsonl, HealthLine, HealthMeta};
+pub use jsonl::{
+    parse_health_jsonl, parse_health_line, write_health_jsonl, HealthLine, HealthMeta,
+};
 pub use observer::Observer;
 pub use report::render_report;
 pub use snapshot::MetricsSnapshot;

@@ -60,8 +60,16 @@ pub fn render_report(
         nodes.len().max(1),
         span_ns as f64 / 1e9,
     );
-    let verdict = if firings.is_empty() { "HEALTHY" } else { "DEGRADED" };
-    let _ = writeln!(out, "status: {verdict} ({} watchdog firings)", firings.len());
+    let verdict = if firings.is_empty() {
+        "HEALTHY"
+    } else {
+        "DEGRADED"
+    };
+    let _ = writeln!(
+        out,
+        "status: {verdict} ({} watchdog firings)",
+        firings.len()
+    );
     let totals = final_counters(snapshots);
     out.push_str("final counters:\n");
     for m in Metric::ALL {
@@ -116,8 +124,16 @@ mod tests {
         let mut counters = [0u64; METRIC_COUNT];
         counters[Metric::Decided as usize] = 60;
         let snapshots = vec![
-            MetricsSnapshot { at_ns: 1_000_000_000, node: None, counters: [0; METRIC_COUNT] },
-            MetricsSnapshot { at_ns: 2_000_000_000, node: None, counters },
+            MetricsSnapshot {
+                at_ns: 1_000_000_000,
+                node: None,
+                counters: [0; METRIC_COUNT],
+            },
+            MetricsSnapshot {
+                at_ns: 2_000_000_000,
+                node: None,
+                counters,
+            },
         ];
         let clean = render_report(&meta, &snapshots, &[]);
         assert!(clean.contains("status: HEALTHY (0 watchdog firings)"));
@@ -143,9 +159,21 @@ mod tests {
         let mut b = [0u64; METRIC_COUNT];
         b[Metric::Submitted as usize] = 7;
         let snapshots = vec![
-            MetricsSnapshot { at_ns: 10, node: Some(0), counters: [0; METRIC_COUNT] },
-            MetricsSnapshot { at_ns: 20, node: Some(0), counters: a },
-            MetricsSnapshot { at_ns: 20, node: Some(1), counters: b },
+            MetricsSnapshot {
+                at_ns: 10,
+                node: Some(0),
+                counters: [0; METRIC_COUNT],
+            },
+            MetricsSnapshot {
+                at_ns: 20,
+                node: Some(0),
+                counters: a,
+            },
+            MetricsSnapshot {
+                at_ns: 20,
+                node: Some(1),
+                counters: b,
+            },
         ];
         assert_eq!(final_counters(&snapshots)[Metric::Submitted as usize], 12);
     }

@@ -229,7 +229,10 @@ impl ClusterConfig {
     ///
     /// Panics if `interval` is zero.
     pub fn metrics(mut self, interval: Duration) -> Self {
-        assert!(interval > Duration::ZERO, "metrics interval must be positive");
+        assert!(
+            interval > Duration::ZERO,
+            "metrics interval must be positive"
+        );
         self.metrics_interval = Some(interval);
         self
     }
@@ -588,7 +591,9 @@ mod tests {
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         cluster.await_decisions(Duration::from_secs(10)).unwrap();
         let stats = cluster.shutdown_stats();
-        assert!(stats.iter().all(|s| s.snapshots.is_empty() && s.firings.is_empty()));
+        assert!(stats
+            .iter()
+            .all(|s| s.snapshots.is_empty() && s.firings.is_empty()));
     }
 
     #[test]

@@ -163,7 +163,9 @@ impl<M: Clone> Transport<M> {
                 return; // lost
             }
             if !self.max_extra_delay.is_zero() {
-                let extra_ns = self.rng.gen_range(0..=self.max_extra_delay.as_nanos() as u64);
+                let extra_ns = self
+                    .rng
+                    .gen_range(0..=self.max_extra_delay.as_nanos() as u64);
                 if extra_ns > 0 {
                     self.seq += 1;
                     let _ = self.delayer.send(DelayerCmd::Park(Parked {
@@ -244,7 +246,9 @@ mod tests {
             t.send(now, ProcessId::new(0), ProcessId::new(1), 1u32);
         }
         assert!(
-            receivers[1].recv_timeout(Duration::from_millis(50)).is_err(),
+            receivers[1]
+                .recv_timeout(Duration::from_millis(50))
+                .is_err(),
             "everything lost in the unstable window"
         );
         let _ = dtx.send(DelayerCmd::Stop);

@@ -63,8 +63,7 @@ pub fn obsolete_ballots_traditional(
             // own minimal ballot bumps, so every release kills the current
             // attempt (the pre-TS leader could raise its ballot arbitrarily,
             // so these are all legitimately reachable).
-            let mbal =
-                Ballot::new(1_000 * (i as u64 + 1) * n as u64 + owner.as_u32() as u64);
+            let mbal = Ballot::new(1_000 * (i as u64 + 1) * n as u64 + owner.as_u32() as u64);
             (
                 start + gap * i as u64,
                 owner,
@@ -95,7 +94,14 @@ pub fn obsolete_ballots_session(
     let owner = ProcessId::new(n as u32 - 1);
     let mbal = Ballot::new(n as u64 + owner.as_u32() as u64); // session 1
     (0..count)
-        .map(|i| (start + gap * i as u64, owner, victim, PaxosMsg::P1a { mbal }))
+        .map(|i| {
+            (
+                start + gap * i as u64,
+                owner,
+                victim,
+                PaxosMsg::P1a { mbal },
+            )
+        })
         .collect()
 }
 

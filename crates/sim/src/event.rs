@@ -472,9 +472,7 @@ impl<M> EventQueue<M> {
             // front run holding every pending event at or before the base
             // bucket (descending, minimum at the back), so ordering
             // against the ring (strictly later buckets) is preserved.
-            let pos = self
-                .cur
-                .partition_point(|k| k.order() > key.order());
+            let pos = self.cur.partition_point(|k| k.order() > key.order());
             self.cur.insert(pos, key);
             self.near_len += 1;
         } else if idx - self.base_idx < RING_BUCKETS as u64 {
@@ -846,8 +844,11 @@ mod tests {
                         (r % 8 < 5).then_some((ProcessId::new(to), at))
                     })
                     .collect();
-                let scheduled =
-                    q.push_fanout(ProcessId::new(from), MsgPayload::Owned(payload), recipients.clone());
+                let scheduled = q.push_fanout(
+                    ProcessId::new(from),
+                    MsgPayload::Owned(payload),
+                    recipients.clone(),
+                );
                 assert_eq!(scheduled, recipients.len());
                 fanned += scheduled;
                 for (i, (to, at)) in recipients.into_iter().enumerate() {
@@ -859,15 +860,25 @@ mod tests {
             adapted |= q.bucket_width_shift() != 12;
             while let Some(got) = q.pop() {
                 let ((at, seq), want) = reference.pop_first().unwrap();
-                assert_eq!((got.at, got.seq, got.kind), (at, seq, want), "drain, trial {trial}");
+                assert_eq!(
+                    (got.at, got.seq, got.kind),
+                    (at, seq, want),
+                    "drain, trial {trial}"
+                );
             }
             assert!(reference.is_empty());
             assert_eq!((q.len(), q.control_pending()), (0, 0));
             // Every record was recycled: none is left holding a payload.
             assert_eq!(q.fan_free.len(), q.fan.len());
         }
-        assert!(adapted, "wide horizons must re-bucket with fan-outs in flight");
-        assert!(fanned > 10_000, "fan-outs must dominate the trial: {fanned}");
+        assert!(
+            adapted,
+            "wide horizons must re-bucket with fan-outs in flight"
+        );
+        assert!(
+            fanned > 10_000,
+            "fan-outs must dominate the trial: {fanned}"
+        );
     }
 
     #[test]
@@ -894,7 +905,11 @@ mod tests {
         let to = |p: u32| (ProcessId::new(p), SimTime::from_millis(u64::from(p)));
         let shared = || MsgPayload::Shared(Arc::clone(&held));
         q.push_fanout(ProcessId::new(9), shared(), [to(1), to(2), to(3)]);
-        assert_eq!(Arc::strong_count(&held), 2, "one reference for three recipients");
+        assert_eq!(
+            Arc::strong_count(&held),
+            2,
+            "one reference for three recipients"
+        );
         for p in 1..=3u32 {
             let got = q.pop().expect("three recipients").kind;
             let want = EventKind::Deliver {
@@ -921,10 +936,19 @@ mod tests {
         let mut q: EventQueue<u64> = EventQueue::new();
         let at = SimTime::from_millis(1);
         let wide = ProcessId::new(FAN_TO_LIMIT + 5);
-        let n = q.push_fanout(ProcessId::new(1), MsgPayload::Owned(42), [(ProcessId::new(3), at), (wide, at)]);
+        let n = q.push_fanout(
+            ProcessId::new(1),
+            MsgPayload::Owned(42),
+            [(ProcessId::new(3), at), (wide, at)],
+        );
         assert_eq!((n, q.len()), (2, 2));
-        let got: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| (e.seq, e.kind)).collect();
-        assert_eq!(got, vec![(0, deliver(1, 3, 42)), (1, deliver(1, wide.as_u32(), 42))]);
+        let got: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.seq, e.kind))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(0, deliver(1, 3, 42)), (1, deliver(1, wide.as_u32(), 42))]
+        );
     }
 
     #[test]

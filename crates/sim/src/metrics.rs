@@ -95,7 +95,8 @@ impl Report {
 
     /// Whether every process alive at the end has decided.
     pub fn all_alive_decided(&self) -> bool {
-        (0..self.n).all(|i| !(self.alive_at_end[i] && self.started[i]) || self.decisions[i].is_some())
+        (0..self.n)
+            .all(|i| !(self.alive_at_end[i] && self.started[i]) || self.decisions[i].is_some())
     }
 
     /// Decision delay after `TS` for one process (`None` if undecided).
@@ -478,7 +479,10 @@ mod tests {
         let p999 = h.quantile(0.999).unwrap() as f64;
         assert!((p50 - 5_000_000.0).abs() / 5_000_000.0 < 0.04, "p50={p50}");
         assert!((p99 - 9_900_000.0).abs() / 9_900_000.0 < 0.04, "p99={p99}");
-        assert!((p999 - 9_990_000.0).abs() / 9_990_000.0 < 0.04, "p999={p999}");
+        assert!(
+            (p999 - 9_990_000.0).abs() / 9_990_000.0 < 0.04,
+            "p999={p999}"
+        );
         assert_eq!(h.mean_ns(), Some(5_000_500), "mean is exact, not bucketed");
     }
 

@@ -261,7 +261,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..100 {
             assert_eq!(
-                n.classify(SimTime::ZERO, ProcessId::new(0), ProcessId::new(1), &mut rng),
+                n.classify(
+                    SimTime::ZERO,
+                    ProcessId::new(0),
+                    ProcessId::new(1),
+                    &mut rng
+                ),
                 Delivery::Drop
             );
         }
@@ -273,15 +278,30 @@ mod tests {
         let n = net(pre);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         assert_eq!(
-            n.classify(SimTime::ZERO, ProcessId::new(0), ProcessId::new(2), &mut rng),
+            n.classify(
+                SimTime::ZERO,
+                ProcessId::new(0),
+                ProcessId::new(2),
+                &mut rng
+            ),
             Delivery::Drop
         );
         assert_eq!(
-            n.classify(SimTime::ZERO, ProcessId::new(2), ProcessId::new(0), &mut rng),
+            n.classify(
+                SimTime::ZERO,
+                ProcessId::new(2),
+                ProcessId::new(0),
+                &mut rng
+            ),
             Delivery::Drop
         );
         assert!(matches!(
-            n.classify(SimTime::ZERO, ProcessId::new(0), ProcessId::new(1), &mut rng),
+            n.classify(
+                SimTime::ZERO,
+                ProcessId::new(0),
+                ProcessId::new(1),
+                &mut rng
+            ),
             Delivery::At(_)
         ));
         // After TS the isolation lifts.
@@ -311,8 +331,12 @@ mod tests {
         let deadline = n.ts() + RealDuration::from_millis(10);
         let mut delivered = 0;
         for _ in 0..2000 {
-            match n.classify(SimTime::from_millis(1), ProcessId::new(0), ProcessId::new(1), &mut rng)
-            {
+            match n.classify(
+                SimTime::from_millis(1),
+                ProcessId::new(0),
+                ProcessId::new(1),
+                &mut rng,
+            ) {
                 Delivery::At(t) => {
                     assert!(t <= deadline, "{t} past TS+δ");
                     delivered += 1;

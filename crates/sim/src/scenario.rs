@@ -228,7 +228,10 @@ impl KeySampler {
                 Some((zetan, alpha, eta))
             }
             KeyDist::Hotspot { frac, span } => {
-                assert!((0.0..=1.0).contains(&frac), "hot fraction in [0, 1], got {frac}");
+                assert!(
+                    (0.0..=1.0).contains(&frac),
+                    "hot fraction in [0, 1], got {frac}"
+                );
                 assert!(span >= 1, "the hot span holds at least one key");
                 None
             }
@@ -442,7 +445,8 @@ mod tests {
 
     #[test]
     fn down_between_expands() {
-        let s = Scenario::none().down_between(pid(2), SimTime::from_millis(1), SimTime::from_millis(9));
+        let s =
+            Scenario::none().down_between(pid(2), SimTime::from_millis(1), SimTime::from_millis(9));
         assert_eq!(s.crashes, vec![(pid(2), SimTime::from_millis(1))]);
         assert_eq!(s.restarts, vec![(pid(2), SimTime::from_millis(9))]);
     }
@@ -450,7 +454,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "restart must follow")]
     fn down_between_validates_order() {
-        let _ = Scenario::none().down_between(pid(0), SimTime::from_millis(9), SimTime::from_millis(1));
+        let _ =
+            Scenario::none().down_between(pid(0), SimTime::from_millis(9), SimTime::from_millis(1));
     }
 
     #[test]
@@ -500,13 +505,13 @@ mod tests {
 
     #[test]
     fn fixed_rate_stream_is_evenly_spaced() {
-        let s = SubmitStream::fixed_rate(
-            SimTime::from_millis(100),
-            RealDuration::from_millis(10),
-            4,
-        );
+        let s =
+            SubmitStream::fixed_rate(SimTime::from_millis(100), RealDuration::from_millis(10), 4);
         let cmds = s.expand(3);
-        let ats: Vec<u64> = cmds.iter().map(|(at, ..)| at.as_nanos() / 1_000_000).collect();
+        let ats: Vec<u64> = cmds
+            .iter()
+            .map(|(at, ..)| at.as_nanos() / 1_000_000)
+            .collect();
         assert_eq!(ats, vec![100, 110, 120, 130]);
         let pids: Vec<u32> = cmds.iter().map(|(_, p, _)| p.as_u32()).collect();
         assert_eq!(pids, vec![0, 1, 2, 0], "round-robin over n=3");
@@ -550,7 +555,9 @@ mod tests {
         let sampler = KeySampler::new(KeyDist::Zipfian { theta: 0.99 }, 1024);
         let draw = || {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-            (0..2000u64).map(|i| sampler.sample(&mut rng, i)).collect::<Vec<_>>()
+            (0..2000u64)
+                .map(|i| sampler.sample(&mut rng, i))
+                .collect::<Vec<_>>()
         };
         let keys = draw();
         assert_eq!(keys, draw(), "same seed, same key sequence");
@@ -568,7 +575,10 @@ mod tests {
     #[test]
     fn hotspot_dist_concentrates_on_the_span() {
         let sampler = KeySampler::new(
-            KeyDist::Hotspot { frac: 0.9, span: 64 },
+            KeyDist::Hotspot {
+                frac: 0.9,
+                span: 64,
+            },
             1 << 10,
         );
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
@@ -584,7 +594,9 @@ mod tests {
         let sampler = KeySampler::new(KeyDist::Shifting { period: 500 }, ks);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let phase = |base: u64, rng: &mut rand_chacha::ChaCha8Rng| {
-            (0..500u64).map(|i| sampler.sample(rng, base + i)).collect::<Vec<_>>()
+            (0..500u64)
+                .map(|i| sampler.sample(rng, base + i))
+                .collect::<Vec<_>>()
         };
         let a = phase(0, &mut rng);
         let b = phase(500, &mut rng);
@@ -592,7 +604,10 @@ mod tests {
             keys.iter().filter(|k| (lo..hi).contains(*k)).count() as f64 / keys.len() as f64
         };
         assert!(in_span(&a, 0, 64) > 0.8, "phase 0 hot span at [0, 64)");
-        assert!(in_span(&b, 64, 128) > 0.8, "phase 1 hot span advanced to [64, 128)");
+        assert!(
+            in_span(&b, 64, 128) > 0.8,
+            "phase 1 hot span advanced to [64, 128)"
+        );
         assert!(in_span(&b, 0, 64) < 0.2, "the old span cooled off");
     }
 

@@ -202,9 +202,7 @@ impl SimConfigBuilder {
             post_delay_range: self.post_delay_range,
             max_time: self.max_time,
             leader_oracle: self.leader_oracle,
-            leader_announce_after: self
-                .leader_announce_after
-                .unwrap_or(self.delta * 2),
+            leader_announce_after: self.leader_announce_after.unwrap_or(self.delta * 2),
             initial_values: self.initial_values,
             scenario: self.scenario,
         })

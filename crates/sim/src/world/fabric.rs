@@ -33,7 +33,12 @@ pub(super) struct Fabric {
 impl Fabric {
     pub(super) fn new(cfg: &SimConfig) -> Self {
         Fabric {
-            network: Network::new(cfg.ts, cfg.timing.delta(), cfg.post_delay_range, cfg.pre.clone()),
+            network: Network::new(
+                cfg.ts,
+                cfg.timing.delta(),
+                cfg.post_delay_range,
+                cfg.pre.clone(),
+            ),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             n: cfg.timing.n(),
             msgs_sent: 0,

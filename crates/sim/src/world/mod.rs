@@ -112,7 +112,9 @@ impl<P: Protocol> World<P> {
     /// The protocol factory is kept; trace recording and metering stay
     /// enabled if they were.
     pub fn reset(&mut self, cfg: SimConfig) {
-        self.lp.queue.reset(Self::width_shift(&cfg), Self::queue_cap(&cfg));
+        self.lp
+            .queue
+            .reset(Self::width_shift(&cfg), Self::queue_cap(&cfg));
         self.lp.now = SimTime::ZERO;
         self.lp.events = 0;
         self.fabric = Fabric::new(&cfg);
@@ -235,7 +237,9 @@ impl<P: Protocol> World<P> {
 
     /// Schedules a client submission (multi-instance protocols).
     pub fn submit(&mut self, at: SimTime, pid: ProcessId, value: Value) {
-        self.lp.queue.push(at, EventKind::ClientSubmit { pid, value });
+        self.lp
+            .queue
+            .push(at, EventKind::ClientSubmit { pid, value });
     }
 
     /// Schedules a crash at `at`, bypassing the scenario script — the
@@ -489,7 +493,11 @@ impl<P: Protocol> World<P> {
                     if slot.next_pending.is_none_or(|p| p > fire_at) {
                         slot.next_pending = Some(fire_at);
                         let epoch = slot.epoch;
-                        let fire = EventKind::TimerFire { pid, timer: id, epoch };
+                        let fire = EventKind::TimerFire {
+                            pid,
+                            timer: id,
+                            epoch,
+                        };
                         queue.push(fire_at, fire);
                     }
                 }
@@ -540,8 +548,16 @@ impl<P: Protocol> World<P> {
             decisions: procs.harness.iter().map(|h| h.decided_value).collect(),
             alive_at_end: flags(&procs.alive),
             started: flags(&procs.started),
-            crashes: procs.harness.iter().map(|h| h.crash_times.clone()).collect(),
-            restarts: procs.harness.iter().map(|h| h.restart_times.clone()).collect(),
+            crashes: procs
+                .harness
+                .iter()
+                .map(|h| h.crash_times.clone())
+                .collect(),
+            restarts: procs
+                .harness
+                .iter()
+                .map(|h| h.restart_times.clone())
+                .collect(),
             initial_values: self.initial_values.clone(),
             msgs_sent: fabric.msgs_sent,
             msgs_sent_after_ts: fabric.msgs_sent_after_ts,
@@ -786,16 +802,13 @@ mod tests {
 
     #[test]
     fn submit_streams_drive_the_log() {
-        use crate::scenario::{SubmitStream, kv_id};
+        use crate::scenario::{kv_id, SubmitStream};
         use esync_core::paxos::multi::MultiPaxos;
         use esync_core::time::RealDuration;
-        let stream = SubmitStream::fixed_rate(
-            SimTime::from_millis(500),
-            RealDuration::from_millis(10),
-            6,
-        )
-        .keyed(8)
-        .seed(3);
+        let stream =
+            SubmitStream::fixed_rate(SimTime::from_millis(500), RealDuration::from_millis(10), 6)
+                .keyed(8)
+                .seed(3);
         let cfg = SimConfig::builder(3)
             .seed(12)
             .stability_at_millis(0)
@@ -850,7 +863,10 @@ mod tests {
         // run, for a flat-message and a heap-owning protocol alike.
         reused.reset(quick_cfg(9, 5));
         reused.run_until(SimTime::from_millis(60));
-        assert!(reused.lp.queue.len() > 100, "chaos keeps broadcasts in flight");
+        assert!(
+            reused.lp.queue.len() > 100,
+            "chaos keeps broadcasts in flight"
+        );
         reused.reset(cfg());
         assert_eq!(fresh, reused.run_to_completion().unwrap());
         use esync_core::paxos::multi::MultiPaxos;
@@ -858,7 +874,10 @@ mod tests {
         fresh.run_until(SimTime::from_millis(400));
         let mut reused = World::new(quick_cfg(7, 3), MultiPaxos::new());
         reused.run_until(SimTime::from_millis(60));
-        assert!(reused.lp.queue.len() > 100, "chaos keeps broadcasts in flight");
+        assert!(
+            reused.lp.queue.len() > 100,
+            "chaos keeps broadcasts in flight"
+        );
         reused.reset(quick_cfg(5, 9));
         reused.run_until(SimTime::from_millis(400));
         assert_eq!(fresh.report(), reused.report());
@@ -873,15 +892,28 @@ mod tests {
         use esync_core::paxos::multi::MultiPaxos;
         fn pin(r: &Report) -> ([u64; 4], u64, u64, Vec<(&str, u64)>) {
             let decided: u64 = r.decided_at.iter().flatten().map(|t| t.as_nanos()).sum();
-            let kinds = r.msgs_by_kind.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            let kinds = r
+                .msgs_by_kind
+                .iter()
+                .map(|(k, v)| (k.as_str(), *v))
+                .collect();
             let counts = [r.events, r.msgs_sent, r.msgs_sent_after_ts, r.msgs_dropped];
             (counts, r.end_time.as_nanos(), decided, kinds)
         }
         let r = World::new(quick_cfg(9, 77), SessionPaxos::new())
             .run_to_completion()
             .unwrap();
-        let kinds = vec![("1a", 6417), ("1b", 531), ("2a", 693), ("2b", 783), ("decided", 221)];
-        assert_eq!(pin(&r), ([4935, 8645, 2313, 1880], 217_511_386, 1_952_232_893, kinds));
+        let kinds = vec![
+            ("1a", 6417),
+            ("1b", 531),
+            ("2a", 693),
+            ("2b", 783),
+            ("decided", 221),
+        ];
+        assert_eq!(
+            pin(&r),
+            ([4935, 8645, 2313, 1880], 217_511_386, 1_952_232_893, kinds)
+        );
         let cfg = SimConfig::builder(5)
             .seed(78)
             .stability_at_millis(150)
@@ -894,8 +926,23 @@ mod tests {
             .unwrap();
         let mut w = World::new(cfg, MultiPaxos::new());
         w.run_until(SimTime::from_secs(1));
-        let kinds = vec![("1a", 9560), ("1b", 8231), ("2a", 35), ("2b", 175), ("decided", 78), ("forward", 107)];
-        assert_eq!(pin(&w.report()), ([19673, 18186, 16472, 520], 1_000_000_000, 832_240_076, kinds));
+        let kinds = vec![
+            ("1a", 9560),
+            ("1b", 8231),
+            ("2a", 35),
+            ("2b", 175),
+            ("decided", 78),
+            ("forward", 107),
+        ];
+        assert_eq!(
+            pin(&w.report()),
+            (
+                [19673, 18186, 16472, 520],
+                1_000_000_000,
+                832_240_076,
+                kinds
+            )
+        );
         assert_eq!(w.commits().len(), 10);
     }
 
@@ -929,7 +976,11 @@ mod tests {
             assert_eq!(s.node, None);
         }
         for w in snaps.windows(2) {
-            assert!(w[0].counters.iter().zip(w[1].counters.iter()).all(|(a, b)| a <= b));
+            assert!(w[0]
+                .counters
+                .iter()
+                .zip(w[1].counters.iter())
+                .all(|(a, b)| a <= b));
         }
         let last = snaps.last().unwrap();
         assert!(last.counter(esync_core::metrics::Metric::OneASent) > 0);
@@ -955,7 +1006,10 @@ mod tests {
             RealDuration::from_millis(50),
             esync_metrics::WatchdogConfig {
                 // An absurdly tight injected deadline: 1ns after TS=0.
-                bound: Some(esync_metrics::BoundSpec { ts_ns: 0, bound_ns: 1 }),
+                bound: Some(esync_metrics::BoundSpec {
+                    ts_ns: 0,
+                    bound_ns: 1,
+                }),
                 ..Default::default()
             },
         );
@@ -965,7 +1019,10 @@ mod tests {
             .iter()
             .filter(|f| f.kind == esync_metrics::WatchdogKind::Bound)
             .count();
-        assert_eq!(fired, 5, "every first decision is past the injected deadline");
+        assert_eq!(
+            fired, 5,
+            "every first decision is past the injected deadline"
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use crate::buffer::TraceRecord;
 use crate::hist::{HistogramSummary, LatencyHistogram};
+use crate::jsonl::TraceMeta;
 use esync_core::trace::TraceEvent;
 use esync_core::types::ProcessId;
-use crate::jsonl::TraceMeta;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

@@ -222,9 +222,8 @@ mod tests {
     fn hist_index_is_monotone_and_in_range() {
         let mut values: Vec<u64> = (0..64u32)
             .flat_map(|shift| {
-                [0u64, 1, 3].map(|near| {
-                    (1u64 << shift).saturating_add(near << shift.saturating_sub(4))
-                })
+                [0u64, 1, 3]
+                    .map(|near| (1u64 << shift).saturating_add(near << shift.saturating_sub(4)))
             })
             .chain([0, 1, 31, 32, 33, u64::MAX])
             .collect();

@@ -143,7 +143,8 @@ pub fn record_line(r: &TraceRecord) -> String {
         TraceEvent::Admitted { shard, value } | TraceEvent::ReplySent { shard, value } => {
             let _ = write!(out, ",\"shard\":{shard},\"value\":{value}");
         }
-        TraceEvent::Proposed { shard, slot, value } | TraceEvent::Decided { shard, slot, value } => {
+        TraceEvent::Proposed { shard, slot, value }
+        | TraceEvent::Decided { shard, slot, value } => {
             let _ = write!(out, ",\"shard\":{shard},\"slot\":{slot},\"value\":{value}");
         }
         TraceEvent::Chosen { shard, slot } => {
@@ -179,7 +180,9 @@ pub fn write_jsonl<'a>(
 }
 
 fn u64_of(obj: &Value, key: &'static str) -> Result<u64, ParseError> {
-    obj.get(key).and_then(Value::as_u64).ok_or(ParseError::Field(key))
+    obj.get(key)
+        .and_then(Value::as_u64)
+        .ok_or(ParseError::Field(key))
 }
 
 fn u32_of(obj: &Value, key: &'static str) -> Result<u32, ParseError> {
@@ -187,7 +190,9 @@ fn u32_of(obj: &Value, key: &'static str) -> Result<u32, ParseError> {
 }
 
 fn str_of<'v>(obj: &'v Value, key: &'static str) -> Result<&'v str, ParseError> {
-    obj.get(key).and_then(Value::as_str).ok_or(ParseError::Field(key))
+    obj.get(key)
+        .and_then(Value::as_str)
+        .ok_or(ParseError::Field(key))
 }
 
 fn event_of(fields: &Value) -> Result<TraceEvent, ParseError> {
@@ -329,14 +334,25 @@ mod tests {
             TraceEvent::Submit { value: 7 },
             TraceEvent::ForwardSent { value: 7 },
             TraceEvent::Admitted { shard: 1, value: 7 },
-            TraceEvent::Proposed { shard: 1, slot: 3, value: 7 },
+            TraceEvent::Proposed {
+                shard: 1,
+                slot: 3,
+                value: 7,
+            },
             TraceEvent::Chosen { shard: 1, slot: 3 },
-            TraceEvent::Decided { shard: 1, slot: 3, value: 7 },
+            TraceEvent::Decided {
+                shard: 1,
+                slot: 3,
+                value: 7,
+            },
             TraceEvent::ReplySent { shard: 1, value: 7 },
             TraceEvent::RebalanceFreeze { epoch: 1 },
             TraceEvent::RebalanceDrain { epoch: 1 },
             TraceEvent::RebalanceCommit { epoch: 1 },
-            TraceEvent::RebalanceReforward { epoch: 1, count: 12 },
+            TraceEvent::RebalanceReforward {
+                epoch: 1,
+                count: 12,
+            },
             TraceEvent::RebalanceAbort { epoch: 2 },
         ];
         let records: Vec<TraceRecord> = events
@@ -366,7 +382,10 @@ mod tests {
             record_line(&r),
             "{\"at_ns\":5,\"pid\":2,\"kind\":\"chosen\",\"shard\":0,\"slot\":9}"
         );
-        assert_eq!(write_jsonl(&sample_meta(), [&r]), write_jsonl(&sample_meta(), [&r]));
+        assert_eq!(
+            write_jsonl(&sample_meta(), [&r]),
+            write_jsonl(&sample_meta(), [&r])
+        );
     }
 
     #[test]
@@ -391,7 +410,13 @@ mod tests {
 
     #[test]
     fn exp_names_are_escaped() {
-        for exp in ["odd \"name\"\\with\nnoise", "exp_δ", "tab\there", "cr\rhere", "ctl\u{1}here"] {
+        for exp in [
+            "odd \"name\"\\with\nnoise",
+            "exp_δ",
+            "tab\there",
+            "cr\rhere",
+            "ctl\u{1}here",
+        ] {
             let mut meta = sample_meta();
             meta.exp = exp.to_string();
             let line = meta_line(&meta);

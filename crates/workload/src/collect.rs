@@ -296,8 +296,16 @@ mod tests {
         let mut c = Collector::new(None, RealDuration::from_millis(10));
         let v = kv_command(3, 0);
         c.on_submit(v, 5 * MS);
-        assert_eq!(c.on_commit(pid(0), ShardId::ZERO, v, 9 * MS), Some(0), "first commit");
-        assert_eq!(c.on_commit(pid(1), ShardId::ZERO, v, 10 * MS), None, "fan-out, not first");
+        assert_eq!(
+            c.on_commit(pid(0), ShardId::ZERO, v, 9 * MS),
+            Some(0),
+            "first commit"
+        );
+        assert_eq!(
+            c.on_commit(pid(1), ShardId::ZERO, v, 10 * MS),
+            None,
+            "fan-out, not first"
+        );
         let s = c.summary();
         assert_eq!(s.submitted, 1);
         assert_eq!(s.committed, 1);
@@ -435,15 +443,25 @@ mod tests {
             c.on_commit(pid(0), ShardId::new(shard), v, (id + 1) * MS);
         }
         c.set_shard_loads(&[
-            ShardLoad { submitted: 7, admitted: 3 },
-            ShardLoad { submitted: 2, admitted: 1 },
+            ShardLoad {
+                submitted: 7,
+                admitted: 3,
+            },
+            ShardLoad {
+                submitted: 2,
+                admitted: 1,
+            },
         ]);
         let s = c.summary();
         assert_eq!(s.per_shard[0].submitted, 7);
         assert_eq!(s.per_shard[0].admitted, 3);
         assert_eq!(s.per_shard[1].submitted, 2);
         assert_eq!(s.per_shard[1].admitted, 1);
-        assert!((s.shard_imbalance - 1.5).abs() < 1e-9, "{}", s.shard_imbalance);
+        assert!(
+            (s.shard_imbalance - 1.5).abs() < 1e-9,
+            "{}",
+            s.shard_imbalance
+        );
         // Without loads the counters default to zero, and an empty run
         // reports zero imbalance.
         let empty = Collector::new(None, RealDuration::from_millis(10)).summary();
@@ -470,7 +488,11 @@ mod tests {
         }
         let s = c.summary();
         // 10 commits over exactly 1 second (0 .. 1000ms).
-        assert!((s.commits_per_sec - 10.0).abs() < 1e-9, "{}", s.commits_per_sec);
+        assert!(
+            (s.commits_per_sec - 10.0).abs() < 1e-9,
+            "{}",
+            s.commits_per_sec
+        );
         assert_eq!(s.timeline.iter().sum::<u64>(), 10);
     }
 }

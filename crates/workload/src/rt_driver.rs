@@ -13,9 +13,9 @@ use crate::collect::Collector;
 use crate::gen::{ClosedLoopSpec, CommandGen};
 use esync_core::outbox::{Protocol, ShardLoad};
 use esync_metrics::HealthSummary;
+use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
 use esync_sim::metrics::WorkloadSummary;
 use esync_sim::scenario::{kv_id, SubmitStream};
-use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
 use esync_trace::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};

@@ -430,14 +430,22 @@ mod tests {
         assert!(out.log_agreement, "per-shard slot agreement");
         assert_eq!(out.summary.per_shard.len(), 4, "all shards saw traffic");
         assert_eq!(
-            out.summary.per_shard.iter().map(|s| s.committed).sum::<u64>(),
+            out.summary
+                .per_shard
+                .iter()
+                .map(|s| s.committed)
+                .sum::<u64>(),
             80,
             "shard split partitions the commits"
         );
         assert!(
             out.summary.per_shard.iter().all(|s| s.committed > 0),
             "uniform keys reach every shard: {:?}",
-            out.summary.per_shard.iter().map(|s| s.committed).collect::<Vec<_>>()
+            out.summary
+                .per_shard
+                .iter()
+                .map(|s| s.committed)
+                .collect::<Vec<_>>()
         );
     }
 
@@ -458,7 +466,11 @@ mod tests {
         let traced = run(true);
         assert!(plain.trace.is_empty() && plain.summary.phase_latency.is_none());
         assert!(!traced.trace.is_empty());
-        let phases = traced.summary.phase_latency.as_ref().expect("decomposition");
+        let phases = traced
+            .summary
+            .phase_latency
+            .as_ref()
+            .expect("decomposition");
         assert_eq!(phases.decisions, 40, "every command decomposed");
         assert_eq!(phases.queue.count, 40);
         assert_eq!(phases.quorum.count, 40);

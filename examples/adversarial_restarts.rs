@@ -40,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("obsolete-ballot adversary, n={N}, δ=10ms, TS={TS_MS}ms");
     println!();
-    println!("{:<22}{:>14}{:>14}", "k obsolete ballots", "traditional", "modified");
+    println!(
+        "{:<22}{:>14}{:>14}",
+        "k obsolete ballots", "traditional", "modified"
+    );
 
     for k in [0usize, 1, 2, 3, 4] {
         let mut trad = World::new(cfg(true), TraditionalPaxos::new());

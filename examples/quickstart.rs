@@ -44,8 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match (report.decided_at[i], report.decisions[i]) {
             (Some(at), Some(v)) => println!(
                 "  {pid} decided {v} at {at}  (TS + {:.2}δ)",
-                at.saturating_since(report.ts).as_nanos() as f64
-                    / report.delta.as_nanos() as f64
+                at.saturating_since(report.ts).as_nanos() as f64 / report.delta.as_nanos() as f64
             ),
             _ => println!("  {pid} did not decide"),
         }

@@ -91,11 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for pid in ProcessId::all(n) {
         let proc = world.process(pid);
         let kv = apply(&table, proc.log_values());
-        println!(
-            "{pid}: {} log entries, kv state {:?}",
-            proc.log().len(),
-            kv
-        );
+        println!("{pid}: {} log entries, kv state {:?}", proc.log().len(), kv);
         assert_eq!(kv, reference, "replica state diverged");
     }
 

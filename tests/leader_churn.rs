@@ -18,7 +18,7 @@ use esync::core::types::ProcessId;
 use esync::sim::scenario::kv_id;
 use esync::sim::{PreStability, SimConfig, SimTime, World};
 use esync::workload::gen::ClosedLoopSpec;
-use esync::workload::{sim_driver, CommandGen, Collector};
+use esync::workload::{sim_driver, Collector, CommandGen};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -187,7 +187,10 @@ fn crashing_the_group_anchor_with_four_shards_recovers_all_shards_at_once() {
         .targets(targets);
     let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(120));
 
-    assert!(out.log_agreement, "per-shard logs diverged across the churn");
+    assert!(
+        out.log_agreement,
+        "per-shard logs diverged across the churn"
+    );
     assert_eq!(
         out.report.crashes[leader.as_usize()].len(),
         1,
@@ -205,11 +208,7 @@ fn crashing_the_group_anchor_with_four_shards_recovers_all_shards_at_once() {
         out.summary.duplicate_commits
     );
     // Throughput recovered: commits kept landing AFTER the anchor died.
-    let after_crash = world
-        .commits()
-        .iter()
-        .filter(|c| c.at > crash_at)
-        .count();
+    let after_crash = world.commits().iter().filter(|c| c.at > crash_at).count();
     assert!(
         after_crash > 0,
         "no commit landed after the group anchor crashed"
@@ -217,7 +216,11 @@ fn crashing_the_group_anchor_with_four_shards_recovers_all_shards_at_once() {
     // Every shard saw traffic, and the split partitions the total.
     assert_eq!(out.summary.per_shard.len(), SHARDS);
     assert_eq!(
-        out.summary.per_shard.iter().map(|s| s.committed).sum::<u64>(),
+        out.summary
+            .per_shard
+            .iter()
+            .map(|s| s.committed)
+            .sum::<u64>(),
         COMMANDS
     );
     // A new process holds ALL the shard anchors (one re-election, not S).

@@ -20,8 +20,8 @@ use esync::core::metrics::Metric;
 use esync::core::outbox::Process;
 use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
-use esync::core::types::ProcessId;
 use esync::core::time::RealDuration;
+use esync::core::types::ProcessId;
 use esync::metrics::{BoundSpec, WatchdogConfig, WatchdogKind};
 use esync::sim::{PreStability, SimConfig, SimTime, World};
 use esync::workload::gen::ClosedLoopSpec;
@@ -57,8 +57,16 @@ fn metered_outcome(seed: u64) -> sim_driver::SimWorkloadOutcome {
 fn same_seed_gives_identical_snapshot_series() {
     let a = metered_outcome(5);
     let b = metered_outcome(5);
-    let ha = a.summary.health.clone().expect("metered run attaches health");
-    let hb = b.summary.health.clone().expect("metered run attaches health");
+    let ha = a
+        .summary
+        .health
+        .clone()
+        .expect("metered run attaches health");
+    let hb = b
+        .summary
+        .health
+        .clone()
+        .expect("metered run attaches health");
     assert!(!ha.snapshots.is_empty(), "cadence produced samples");
     assert_eq!(ha, hb, "same seed must sample identically");
     // Down to the artifact bytes.
@@ -75,7 +83,10 @@ fn same_seed_gives_identical_snapshot_series() {
     );
     // And the series is not trivially constant: a different seed diverges.
     let hc = metered_outcome(6).summary.health.expect("health attached");
-    assert_ne!(ha.snapshots, hc.snapshots, "different seed, different series");
+    assert_ne!(
+        ha.snapshots, hc.snapshots,
+        "different seed, different series"
+    );
 }
 
 #[test]
@@ -96,7 +107,10 @@ fn noop_metering_is_bit_identical_on_the_simulator() {
     let mut stripped = metered.summary.clone();
     stripped.health = None;
     assert_eq!(stripped, plain.summary, "summary is metering-invariant");
-    assert_eq!(metered.report, plain.report, "events + msgs_by_kind identical");
+    assert_eq!(
+        metered.report, plain.report,
+        "events + msgs_by_kind identical"
+    );
     assert_eq!(metered.end, plain.end);
 
     // Single-shot world: same invariant on the session protocol.
@@ -107,7 +121,11 @@ fn noop_metering_is_bit_identical_on_the_simulator() {
         }
         w.run_to_completion().expect("decides")
     };
-    assert_eq!(run(false), run(true), "single-shot report is metering-invariant");
+    assert_eq!(
+        run(false),
+        run(true),
+        "single-shot report is metering-invariant"
+    );
 }
 
 /// Counters do not depend on tracing: the same seeded log run, metered
@@ -236,7 +254,10 @@ fn tight_bound_fires_exactly_once_per_first_decision() {
     w.enable_metrics(
         INTERVAL,
         WatchdogConfig {
-            bound: Some(BoundSpec { ts_ns: 0, bound_ns: 1 }),
+            bound: Some(BoundSpec {
+                ts_ns: 0,
+                bound_ns: 1,
+            }),
             ..WatchdogConfig::default()
         },
     );

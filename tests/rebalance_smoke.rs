@@ -47,12 +47,18 @@ fn hotspot_migration_completes_on_the_simulator_with_epoch_agreement() {
     let spec = ClosedLoopSpec::new(N, 8, COMMANDS)
         .seed(7)
         .key_space(KEYS)
-        .dist(KeyDist::Hotspot { frac: 0.9, span: 64 });
+        .dist(KeyDist::Hotspot {
+            frac: 0.9,
+            span: 64,
+        });
     let mut world = World::new(cfg, proto);
     world.run_until(SimTime::from_millis(500));
     let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(300));
 
-    assert_eq!(out.summary.committed, COMMANDS, "100% completion across the migration");
+    assert_eq!(
+        out.summary.committed, COMMANDS,
+        "100% completion across the migration"
+    );
     assert!(out.log_agreement, "per-shard logs agree across replicas");
     assert!(
         out.summary.duplicate_commits <= dup_bound(N as u64, 8, N as u64),
@@ -113,7 +119,10 @@ fn traced_metered_rebalancing_run_is_pinned() {
     let spec = ClosedLoopSpec::new(3, 8, 200)
         .seed(8)
         .key_space(KEYS)
-        .dist(KeyDist::Hotspot { frac: 0.9, span: 64 });
+        .dist(KeyDist::Hotspot {
+            frac: 0.9,
+            span: 64,
+        });
     let mut world = World::new(cfg, proto);
     world.enable_typed_trace(1 << 16);
     world.enable_metrics(RealDuration::from_millis(50), WatchdogConfig::default());
@@ -121,7 +130,11 @@ fn traced_metered_rebalancing_run_is_pinned() {
     let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(300));
 
     assert_eq!(out.summary.committed, 200);
-    assert_eq!(out.router_epochs, [1, 1, 1], "exactly one committed boundary move");
+    assert_eq!(
+        out.router_epochs,
+        [1, 1, 1],
+        "exactly one committed boundary move"
+    );
     assert!(
         !world.commits().iter().any(|c| is_ctrl_value(c.value)),
         "control values never surface as commits"
@@ -160,7 +173,10 @@ fn hotspot_migration_completes_on_the_threaded_runtime() {
     let spec = ClosedLoopSpec::new(N, 4, COMMANDS)
         .seed(9)
         .key_space(KEYS)
-        .dist(KeyDist::Hotspot { frac: 0.9, span: 64 });
+        .dist(KeyDist::Hotspot {
+            frac: 0.9,
+            span: 64,
+        });
     let out = rt_driver::run_closed_loop(
         cfg,
         proto,
@@ -170,7 +186,10 @@ fn hotspot_migration_completes_on_the_threaded_runtime() {
     )
     .expect("rebalancing workload completes over threads");
 
-    assert_eq!(out.summary.committed, COMMANDS, "100% completion across the migration");
+    assert_eq!(
+        out.summary.committed, COMMANDS,
+        "100% completion across the migration"
+    );
     assert!(
         out.summary.duplicate_commits <= dup_bound(N as u64, 4, N as u64),
         "dup rate unbounded: {}",
@@ -190,6 +209,10 @@ fn hotspot_migration_completes_on_the_threaded_runtime() {
     assert!(
         out.summary.per_shard.iter().all(|s| s.committed > 0),
         "rebalancing never spread the load: {:?}",
-        out.summary.per_shard.iter().map(|s| s.committed).collect::<Vec<_>>()
+        out.summary
+            .per_shard
+            .iter()
+            .map(|s| s.committed)
+            .collect::<Vec<_>>()
     );
 }

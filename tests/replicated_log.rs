@@ -147,8 +147,16 @@ fn log_survives_chaotic_prestability() {
         .pre_stability(PreStability::chaos())
         .scenario(
             Scenario::none()
-                .submit(ProcessId::new(1), SimTime::from_millis(50), Value::new(9001))
-                .submit(ProcessId::new(2), SimTime::from_millis(600), Value::new(9002)),
+                .submit(
+                    ProcessId::new(1),
+                    SimTime::from_millis(50),
+                    Value::new(9001),
+                )
+                .submit(
+                    ProcessId::new(2),
+                    SimTime::from_millis(600),
+                    Value::new(9002),
+                ),
         )
         .build()
         .unwrap();

@@ -28,7 +28,10 @@ fn violated(sessions: &[u64], alive_sessions_count: usize) -> Option<String> {
     }
     let at_least_prev = sessions.iter().filter(|&&s| s + 1 >= max).count();
     (at_least_prev < majority(n)).then(|| {
-        format!("a process reached session {max} but only {at_least_prev} of {n} are at {} or higher", max - 1)
+        format!(
+            "a process reached session {max} but only {at_least_prev} of {n} are at {} or higher",
+            max - 1
+        )
     })
 }
 

@@ -104,7 +104,10 @@ fn noop_tracing_is_bit_identical_on_the_simulator() {
     let mut stripped = traced.summary.clone();
     stripped.phase_latency = None;
     assert_eq!(stripped, plain.summary, "summary is trace-invariant");
-    assert_eq!(traced.report, plain.report, "events + msgs_by_kind identical");
+    assert_eq!(
+        traced.report, plain.report,
+        "events + msgs_by_kind identical"
+    );
     assert_eq!(traced.end, plain.end);
 
     // Single-shot world: same invariant on the session protocol.
@@ -115,7 +118,11 @@ fn noop_tracing_is_bit_identical_on_the_simulator() {
         }
         w.run_to_completion().expect("decides")
     };
-    assert_eq!(run(false), run(true), "single-shot report is trace-invariant");
+    assert_eq!(
+        run(false),
+        run(true),
+        "single-shot report is trace-invariant"
+    );
 }
 
 #[test]
@@ -152,7 +159,10 @@ fn noop_tracing_preserves_runtime_outcomes() {
         "same deterministic command set on both runs"
     );
     assert!(!traced.trace.is_empty(), "runtime collection works");
-    let phases = traced.summary.phase_latency.expect("decomposition attached");
+    let phases = traced
+        .summary
+        .phase_latency
+        .expect("decomposition attached");
     assert_eq!(phases.decisions, COMMANDS);
 }
 
@@ -160,8 +170,9 @@ fn noop_tracing_preserves_runtime_outcomes() {
 /// of the first 40 lines of the committed artifact `file`; returns how
 /// many inputs it fed. A panic in the codec fails the calling test.
 fn feed_mutated_lines(file: &str, parses: fn(&str) -> bool) -> usize {
-    const SUBSTITUTES: [&str; 14] =
-        ["\"", "\\", "{", "}", "[", "]", ",", ":", "9", "n", " ", "δ", "\\u", "\\uD800"];
+    const SUBSTITUTES: [&str; 14] = [
+        "\"", "\\", "{", "}", "[", "]", ",", ":", "9", "n", " ", "δ", "\\u", "\\uD800",
+    ];
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
     let text = std::fs::read_to_string(path).expect("committed artifact");
     let mut cases = 0;

@@ -83,7 +83,10 @@ where
         .unwrap();
     let mut world = World::new(cfg, protocol);
     let leader = loop {
-        if let Some(p) = (0..N).map(ProcessId::new).find(|p| world.process(*p).is_leader()) {
+        if let Some(p) = (0..N)
+            .map(ProcessId::new)
+            .find(|p| world.process(*p).is_leader())
+        {
             break p;
         }
         assert!(world.step(), "quiescent before any leader anchored");
@@ -95,22 +98,42 @@ where
     let spec = ClosedLoopSpec::new(4, 2, 60)
         .seed(seed)
         .key_space(256)
-        .targets((0..N).map(ProcessId::new).filter(|p| *p != leader).collect());
+        .targets(
+            (0..N)
+                .map(ProcessId::new)
+                .filter(|p| *p != leader)
+                .collect(),
+        );
     let mut out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(120));
-    assert_eq!(out.summary.committed, 60, "seed {seed}: the drive completes");
-    assert_eq!(out.report.crashes[leader.as_usize()].len(), 1, "seed {seed}: crash mid-drive");
+    assert_eq!(
+        out.summary.committed, 60,
+        "seed {seed}: the drive completes"
+    );
+    assert_eq!(
+        out.report.crashes[leader.as_usize()].len(),
+        1,
+        "seed {seed}: crash mid-drive"
+    );
     // The restart may land after the last commit: run past it, so the
     // compared report covers the restarted leader's re-announcement too.
     world.run_until(restart_at + RealDuration::from_millis(100));
     out.end = world.now();
     out.report = world.report();
-    assert_eq!(out.report.restarts[leader.as_usize()].len(), 1, "seed {seed}: restarted");
+    assert_eq!(
+        out.report.restarts[leader.as_usize()].len(),
+        1,
+        "seed {seed}: restarted"
+    );
     out
 }
 
 /// `sim_driver::run_closed_loop` with the typed trace and the metric
 /// registry both switched on before the warm-up.
-fn observed_closed_loop<P>(cfg: SimConfig, protocol: P, spec: &ClosedLoopSpec) -> sim_driver::SimWorkloadOutcome
+fn observed_closed_loop<P>(
+    cfg: SimConfig,
+    protocol: P,
+    spec: &ClosedLoopSpec,
+) -> sim_driver::SimWorkloadOutcome
 where
     P: Protocol,
     P::Process: ShardedLogView,
@@ -156,12 +179,20 @@ fn log_group_s1_bit_identical_to_multipaxos() {
             SimTime::from_millis(400),
             SimTime::from_secs(60),
         );
-        let churn_plain = crash_the_anchored_leader_mid_drive(seed, MultiPaxos::new().with_batching(2, 4));
-        let churn_grouped = crash_the_anchored_leader_mid_drive(seed, LogGroup::new(1).with_batching(2, 4));
+        let churn_plain =
+            crash_the_anchored_leader_mid_drive(seed, MultiPaxos::new().with_batching(2, 4));
+        let churn_grouped =
+            crash_the_anchored_leader_mid_drive(seed, LogGroup::new(1).with_batching(2, 4));
         let seen_plain = observed_closed_loop(cfg(), MultiPaxos::new().with_batching(4, 2), &spec);
         let seen_grouped = observed_closed_loop(cfg(), LogGroup::new(1).with_batching(4, 2), &spec);
-        assert!(seen_plain.trace.len() > 500, "seed {seed}: the observed run is traced");
-        assert!(seen_plain.summary.health.is_some(), "seed {seed}: … and metered");
+        assert!(
+            seen_plain.trace.len() > 500,
+            "seed {seed}: the observed run is traced"
+        );
+        assert!(
+            seen_plain.summary.health.is_some(),
+            "seed {seed}: … and metered"
+        );
         for (case, plain, grouped) in [
             ("pre-TS chaos", plain, grouped),
             ("leader crash + restart", churn_plain, churn_grouped),
@@ -175,7 +206,10 @@ fn log_group_s1_bit_identical_to_multipaxos() {
                 plain.summary, grouped.summary,
                 "seed {seed}, {case}: S=1 group diverged from the plain log"
             );
-            assert_eq!(plain.end, grouped.end, "seed {seed}, {case}: end instants differ");
+            assert_eq!(
+                plain.end, grouped.end,
+                "seed {seed}, {case}: end instants differ"
+            );
             assert_eq!(
                 plain.report.events, grouped.report.events,
                 "seed {seed}, {case}: event counts differ"
@@ -208,10 +242,17 @@ fn sharded_closed_loop_smoke_over_simulator() {
         SimTime::from_secs(60),
     );
     assert_eq!(out.summary.committed, COMMANDS, "all commands commit");
-    assert!(out.log_agreement, "per-shard slot agreement across replicas");
+    assert!(
+        out.log_agreement,
+        "per-shard slot agreement across replicas"
+    );
     assert_eq!(out.summary.per_shard.len(), 4);
     assert_eq!(
-        out.summary.per_shard.iter().map(|s| s.committed).sum::<u64>(),
+        out.summary
+            .per_shard
+            .iter()
+            .map(|s| s.committed)
+            .sum::<u64>(),
         COMMANDS,
         "shard split partitions the commits"
     );
@@ -236,10 +277,18 @@ fn sharded_closed_loop_smoke_over_threaded_runtime() {
     assert!(
         out.summary.per_shard.iter().all(|s| s.committed > 0),
         "both shards must actually commit: {:?}",
-        out.summary.per_shard.iter().map(|s| s.committed).collect::<Vec<_>>()
+        out.summary
+            .per_shard
+            .iter()
+            .map(|s| s.committed)
+            .collect::<Vec<_>>()
     );
     assert_eq!(
-        out.summary.per_shard.iter().map(|s| s.committed).sum::<u64>(),
+        out.summary
+            .per_shard
+            .iter()
+            .map(|s| s.committed)
+            .sum::<u64>(),
         COMMANDS,
         "shard split partitions the commits"
     );

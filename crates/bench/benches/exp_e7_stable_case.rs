@@ -15,7 +15,7 @@
 use esync_bench::{ExperimentArtifact, SweepSummary, Table};
 use esync_core::paxos::multi::MultiPaxos;
 use esync_core::time::RealDuration;
-use esync_core::types::{ProcessId, Value};
+use esync_core::types::{ProcessId, ShardId, Value};
 use esync_sim::{PreStability, SimConfig, SimTime, World};
 use std::time::Instant;
 
@@ -23,7 +23,13 @@ use std::time::Instant;
 /// time (when the LAST process learns it).
 fn commit_time(world: &mut World<MultiPaxos>, n: usize, value: Value) -> SimTime {
     loop {
-        let all = ProcessId::all(n).all(|p| world.process(p).log_values().any(|v| v == value));
+        let all = ProcessId::all(n).all(|p| {
+            world
+                .process(p)
+                .shard(ShardId::ZERO)
+                .log_values()
+                .any(|v| v == value)
+        });
         if all {
             return world.now();
         }

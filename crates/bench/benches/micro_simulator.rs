@@ -137,44 +137,37 @@ fn bench_promise_truncation(c: &mut Criterion) {
     let cfg = TimingConfig::for_n_processes(3).unwrap();
     let build = || {
         let mut p = MultiPaxos::new().spawn(ProcessId::new(0), &cfg, Value::new(0));
-        let mut out: Outbox<MultiMsg> = Outbox::new(LocalInstant::ZERO);
+        let mut out: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
         p.on_start(&mut out);
         out.drain();
         // 4096 chosen slots (learned decisions), plus an in-flight window
         // of 4 accepted-but-unchosen votes above the prefix.
-        for slot in 0..4096u64 {
-            p.on_message(
-                ProcessId::new(1),
-                &MultiMsg::LogDecided {
-                    slot,
-                    batch: batch_of([Value::new(slot)]),
-                },
-                &mut out,
-            );
-            out.drain();
-        }
-        for slot in 4097..=4100u64 {
-            p.on_message(
-                ProcessId::new(1),
-                &MultiMsg::M2a {
-                    mbal: Ballot::new(4),
-                    slot,
-                    batch: batch_of([Value::new(slot)]),
-                },
-                &mut out,
-            );
+        let decided = (0..4096u64).map(|slot| MultiMsg::LogDecided {
+            slot,
+            batch: batch_of([Value::new(slot)]),
+        });
+        let voted = (4097..=4100u64).map(|slot| MultiMsg::M2a {
+            mbal: Ballot::new(4),
+            slot,
+            batch: batch_of([Value::new(slot)]),
+        });
+        for msg in decided.chain(voted) {
+            let shard = ShardId::ZERO;
+            p.on_message(ProcessId::new(1), &GroupMsg::Shard { shard, msg }, &mut out);
             out.drain();
         }
         p
     };
     c.bench_function("promise_reply_log4096_caught_up_caller", |b| {
         let p = build();
-        let prefix = p.chosen_prefix();
-        b.iter(|| black_box(p.vote_report(prefix).votes.len()));
+        let log = p.shard(ShardId::ZERO);
+        let prefix = log.chosen_prefix();
+        b.iter(|| black_box(log.vote_report(prefix).votes.len()));
     });
     c.bench_function("promise_reply_log4096_cold_caller", |b| {
         let p = build();
-        b.iter(|| black_box(p.vote_report(0).chosen.len()));
+        let log = p.shard(ShardId::ZERO);
+        b.iter(|| black_box(log.vote_report(0).chosen.len()));
     });
     c.bench_function("slotmap_tail_window4_log4096", |b| {
         let mut m: SlotMap<u64> = SlotMap::new();

@@ -1,8 +1,7 @@
 //! The windowed admitted-command set of a replicated-log process.
 //!
-//! Every [`MultiPaxosProcess`](crate::paxos::multi::MultiPaxosProcess)
-//! deduplicates retried command submissions against the set of values it
-//! has already seen. Keeping that set unbounded makes dedup perfect but
+//! Every [`LogShard`](crate::paxos::multi::LogShard) deduplicates retried
+//! command submissions against the set of values it has already seen. Keeping that set unbounded makes dedup perfect but
 //! grows it with the log itself — for a long-lived process, strictly
 //! worse asymptotics than the log (which at least amortizes into cold
 //! shards). [`AdmittedSet`] bounds it instead: once a command's slot

@@ -15,9 +15,8 @@
 //! shards**:
 //!
 //! * A [`LogGroup`] spawns, per process, `S` [`LogShard`]s — each its
-//!   own log, slot pipeline, batching and admission dedup, the same type
-//!   the plain log hosts once — under **one** `LogSession`: one ballot,
-//!   one session timer, one ε tick.
+//!   own log, slot pipeline, batching and admission dedup — under
+//!   **one** `LogSession`: one ballot, one session timer, one ε tick.
 //! * Phase 1 is a single [`GroupMsg::G1a`]/[`GroupMsg::G1b`] exchange
 //!   whose 1b payload is a [`GroupPromise`] aggregating *every* shard's
 //!   highest-accepted votes; the quorum anchors all `S` shards at once.
@@ -33,12 +32,9 @@
 //! * Client commands are routed by their KV key through a pluggable
 //!   [`ShardRouter`] (default: `kv_key(value) % S`).
 //!
-//! **`S = 1` is bit-identical to the plain [`MultiPaxos`] layer**: both
-//! host the same session type over the same shard type — same timer ids,
-//! same suppression and gating rules, same action order per event, with
-//! `G1a`/`G1b` standing in for `M1a`/`M1b` one for one — so the workload
-//! smoke suite asserts equal `WorkloadSummary`s, event counts and
-//! per-kind message counts seed for seed.
+//! **The plain log is this host with one shard**: [`MultiPaxos`] spawns a
+//! [`LogGroupProcess`] over one modulo-routed, non-rebalancing shard, so
+//! there is one session host, one phase-1 wire and one trace order.
 //!
 //! Shards are independent by design: there is **no cross-shard
 //! ordering**. The group exposes a merged committed-prefix view
@@ -65,8 +61,8 @@ use crate::outbox::{Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
 use crate::paxos::log_session::LogSession;
 use crate::paxos::multi::{
-    batch_of, Batch, BatchVote, LogShard, MultiMsg, MultiPaxos, MultiPaxosProcess, ReportFold,
-    ShardOut, ShardWire, SlotVote, VoteReport,
+    batch_of, Batch, BatchVote, LogShard, MultiMsg, MultiPaxos, ReportFold, ShardOut, SlotVote,
+    VoteReport,
 };
 use crate::paxos::slotlog::SlotMap;
 use crate::trace::TraceEvent;
@@ -79,15 +75,14 @@ pub use crate::paxos::multi::{TIMER_EPSILON, TIMER_SESSION};
 pub use crate::types::ShardId;
 
 /// The phase-1b payload of a group-level session: for each shard of the
-/// promising process, its truncated [`VoteReport`] — the plain layer's
-/// phase-1b payload, one per shard. One `GroupPromise` replaces the `S`
-/// separate per-shard `M1b`s of a per-shard-session design; the ballot
-/// owner folds a majority of promises into one [`ReportFold`] per shard
-/// ([`GroupPromise::fold_into`]) and anchors all shards from them.
-/// Reports are truncated at the all-chosen prefix, so a promise is
+/// promising process, its truncated [`VoteReport`]. One `GroupPromise`
+/// replaces the `S` separate per-shard 1bs of a per-shard-session design;
+/// the ballot owner folds a majority of promises into one [`ReportFold`]
+/// per shard ([`GroupPromise::fold_into`]) and anchors all shards from
+/// them. Reports are truncated at the all-chosen prefix, so a promise is
 /// `O(in-flight window)` per shard, not `O(log length)`; once the ballot
-/// is in phase 2 (see [`MultiPaxosProcess::phase2_seen`]) the reply to an
-/// ε re-announcement carries no report at all.
+/// is in phase 2 — the replier voted for a 2a at it, or is anchored at it
+/// — the reply to an ε re-announcement carries no report at all.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupPromise {
     /// Per-shard reports, indexed by shard; `shards.len()` is the
@@ -259,8 +254,9 @@ pub enum GroupMsg {
         /// The group ballot being started (or re-announced on ε ticks).
         mbal: Ballot,
         /// The caller's per-shard all-chosen prefixes: repliers truncate
-        /// each shard's report at the matching prefix (the group analogue
-        /// of [`MultiMsg::M1a`]'s `prefix`).
+        /// each shard's report at the matching prefix (everything below
+        /// it is already committed at the caller), which keeps
+        /// steady-state promises `O(in-flight window)`.
         prefixes: Vec<u64>,
     },
     /// Group-level phase 1b: one promise carrying every shard's
@@ -305,10 +301,9 @@ impl GroupMsg {
         }
     }
 
-    /// A short static label for message-count metrics. Group phase-1
-    /// messages share the single-log labels ("1a"/"1b"): one `G1a` is the
-    /// session's one 1a however many shards it anchors — which is exactly
-    /// the amortization experiment W4 counts.
+    /// A short static label for message-count metrics. One `G1a` is the
+    /// session's one "1a" however many shards it anchors — which is
+    /// exactly the amortization experiment W4 counts.
     pub fn kind(&self) -> &'static str {
         match self {
             GroupMsg::G1a { .. } => "1a",
@@ -316,12 +311,6 @@ impl GroupMsg {
             GroupMsg::Shard { msg, .. } => msg.kind(),
             GroupMsg::Reroute { .. } => "reroute",
         }
-    }
-}
-
-impl ShardWire for GroupMsg {
-    fn of_shard(shard: ShardId, msg: MultiMsg) -> Self {
-        GroupMsg::Shard { shard, msg }
     }
 }
 
@@ -394,8 +383,14 @@ impl LogGroup {
     /// Panics if `shards` is zero.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a log group holds at least one shard");
+        LogGroup::of_shards(MultiPaxos::new(), shards)
+    }
+
+    /// `shards` logs configured by `inner`, modulo-routed and not
+    /// rebalancing — with one shard, what [`MultiPaxos`] spawns.
+    pub(crate) fn of_shards(inner: MultiPaxos, shards: usize) -> Self {
         LogGroup {
-            inner: MultiPaxos::new(),
+            inner,
             shards,
             router: ShardRouter::Modulo,
             rebalance: None,
@@ -505,7 +500,7 @@ impl Protocol for LogGroup {
 pub struct LogGroupProcess {
     /// The shared session; its election folds one [`ReportFold`] per
     /// shard out of the [`GroupPromise`]s.
-    session: LogSession<Vec<ReportFold>>,
+    session: LogSession,
     shards: Vec<LogShard>,
     router: ShardRouter,
     /// The router epoch this process has applied: bumped once per
@@ -568,8 +563,7 @@ impl LogGroupProcess {
 
     /// Whether this process is the anchored group leader: the shared
     /// phase 1 completed at its ballot, so **all** shards propose with a
-    /// single 2a/2b round trip. The group-level analogue of
-    /// [`MultiPaxosProcess::is_anchored`].
+    /// single 2a/2b round trip.
     pub fn is_anchored(&self) -> bool {
         self.session.is_anchored()
     }
@@ -659,11 +653,7 @@ impl LogGroupProcess {
 
     /// The paper's **Start Phase 1**, once for the whole group.
     fn try_start_phase1(&mut self, out: &mut Outbox<GroupMsg>) {
-        let shards = self.shards.len();
-        if self
-            .session
-            .try_start_phase1(|| vec![ReportFold::default(); shards], out)
-        {
+        if self.session.try_start_phase1(self.shards.len(), out) {
             self.announce(out);
         }
     }
@@ -673,9 +663,8 @@ impl LogGroupProcess {
     /// flush per shard, in shard order.
     fn anchor(&mut self, folds: Vec<ReportFold>, out: &mut Outbox<GroupMsg>) {
         let bal = self.session.mbal();
-        // This host's order, pinned by the trace: `Anchored` is stamped
-        // once for the group, before any shard learns or proposes (the
-        // plain log learns the reported-chosen entries first).
+        // Pinned by the trace: `Anchored` is stamped once for the group,
+        // before any shard learns or proposes.
         out.metric(Metric::Anchored);
         out.trace(|| TraceEvent::Anchored { ballot: bal.get() });
         for (s, fold) in folds.iter().enumerate() {
@@ -685,8 +674,7 @@ impl LogGroupProcess {
 
     /// Runs one step of shard `shard` against its view of the driver's
     /// outbox: messages leave shard-tagged and decides carry the shard id
-    /// as they are emitted — with `S = 1` the stream is the plain log's,
-    /// message for message. Control values stay out of the decide stream
+    /// as they are emitted. Control values stay out of the decide stream
     /// of a rebalancing group (the epoch switch happens in the shard-0
     /// prefix walk, `scan_ctrl`). A shard's 2a broadcast also stamps the
     /// session's idle clock: any shard's 2a counts, so one busy shard
@@ -695,7 +683,7 @@ impl LogGroupProcess {
         &mut self,
         shard: ShardId,
         out: &mut Outbox<GroupMsg>,
-        step: impl FnOnce(&mut LogShard, &mut ShardOut<'_, GroupMsg>),
+        step: impl FnOnce(&mut LogShard, &mut ShardOut<'_>),
     ) {
         let mut view = ShardOut::new(out, shard, self.rebalance.is_some());
         step(&mut self.shards[shard.as_usize()], &mut view);
@@ -1106,7 +1094,7 @@ impl Process for LogGroupProcess {
                 }
             }
             GroupMsg::G1b { mbal, promise } => {
-                let fold = |folds: &mut Vec<ReportFold>| {
+                let fold = |folds: &mut [ReportFold]| {
                     // The owner proposes (2a) only after the election was
                     // consumed, so no replier had seen phase 2 of `mbal`
                     // when it built a promise folded here: never a
@@ -1131,17 +1119,10 @@ impl Process for LogGroupProcess {
                     debug_assert!(false, "message for unknown shard {shard}");
                     return;
                 }
-                if matches!(msg, MultiMsg::M1a { .. } | MultiMsg::M1b { .. }) {
-                    // Phase 1 is group-level; per-shard 1a/1b are not part
-                    // of this protocol.
-                    debug_assert!(false, "per-shard phase-1 message under a group session");
-                    return;
-                }
                 match msg {
                     // A higher-ballot 2a is a leadership claim over the
                     // whole group (ballots are group-level): adopt
-                    // *before* the shard votes — the same place the plain
-                    // log adopts in its 2a arm. A stale one is dropped.
+                    // *before* the shard votes. A stale one is dropped.
                     MultiMsg::M2a { mbal, .. } => {
                         if *mbal > self.session.mbal() {
                             self.adopt(*mbal, out);
@@ -1247,8 +1228,8 @@ impl Process for LogGroupProcess {
         self.rebalance_tick(out);
     }
 
-    /// The single-shot interface reads shard 0 (with `S = 1`, exactly the
-    /// plain layer's decision).
+    /// The single-shot interface reads the first command of shard 0's
+    /// first log entry.
     fn decision(&self) -> Option<Value> {
         self.shards[0].log_entry(0).and_then(|b| b.first().copied())
     }
@@ -1287,17 +1268,6 @@ pub trait ShardedLogView {
     ///
     /// May panic if `shard` is out of range.
     fn shard_log(&self, shard: ShardId) -> &SlotMap<Batch>;
-}
-
-impl ShardedLogView for MultiPaxosProcess {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_log(&self, shard: ShardId) -> &SlotMap<Batch> {
-        assert_eq!(shard, ShardId::ZERO, "a plain log has exactly one shard");
-        self.log()
-    }
 }
 
 impl ShardedLogView for LogGroupProcess {
@@ -1404,6 +1374,16 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = LogGroup::new(0);
+    }
+
+    /// One message sits in every slot of the simulator's event-queue slab
+    /// and of every runtime channel, so its size is paid per queued
+    /// delivery on both log paths: a variant that grows it has to say so
+    /// here.
+    #[test]
+    fn wire_message_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<MultiMsg>(), 40);
+        assert_eq!(std::mem::size_of::<GroupMsg>(), 48);
     }
 
     #[test]

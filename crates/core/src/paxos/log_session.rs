@@ -3,12 +3,10 @@
 //! A ballot *session* may only advance after a majority of the current
 //! session was heard; a session timer triggers Start Phase 1, session
 //! entry re-arms it and announces a 1a, and an ε tick retransmits while
-//! idle. [`LogSession`] is that machine and nothing else. It is hosted
-//! twice — by the plain log ([`multi`](crate::paxos::multi), one
-//! [`LogShard`](crate::paxos::multi::LogShard)) and by the log group
-//! ([`group`](crate::paxos::group), `S` shards) — and is agnostic to what
-//! a promise carries: the host supplies the 1a message and folds 1b
-//! payloads into its own `F` (one `ReportFold`, or one per shard).
+//! idle. [`LogSession`] is that machine and nothing else. Its one host is
+//! the log group ([`group`](crate::paxos::group), `S` shards; the plain
+//! log is the group with one), which supplies the 1a message and folds
+//! each 1b's payload into the election's one `ReportFold` per shard.
 //!
 //! Single-shot [`session`](crate::paxos::session) keeps its own copy of
 //! these rules on purpose: it has no anchoring and no suppression, stops
@@ -19,7 +17,7 @@ use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
 use crate::metrics::Metric;
 use crate::outbox::Outbox;
-use crate::paxos::multi::{TIMER_EPSILON, TIMER_SESSION};
+use crate::paxos::multi::{ReportFold, TIMER_EPSILON, TIMER_SESSION};
 use crate::quorum::QuorumTracker;
 use crate::time::LocalInstant;
 use crate::trace::TraceEvent;
@@ -36,7 +34,7 @@ pub(crate) struct Adopted {
 
 /// One process's ballot session for a replicated log.
 #[derive(Debug, Clone)]
-pub(crate) struct LogSession<F> {
+pub(crate) struct LogSession {
     id: ProcessId,
     cfg: TimingConfig,
     mbal: Ballot,
@@ -46,10 +44,10 @@ pub(crate) struct LogSession<F> {
     /// The ballot of the last 2a this process voted for, in any slot of
     /// any shard (see [`Self::phase2_seen`]).
     phase2_at: Option<Ballot>,
-    /// The election we started at `mbal`: who promised, and the host's
+    /// The election we started at `mbal`: who promised, and per shard the
     /// fold of what they reported. Dropped when a higher ballot is
     /// adopted, consumed when the majority is crossed.
-    election: Option<(QuorumTracker, F)>,
+    election: Option<(QuorumTracker, Vec<ReportFold>)>,
     /// Processes heard from with a ballot of our current session
     /// (Start Phase 1 condition (ii)).
     heard: QuorumTracker,
@@ -58,7 +56,7 @@ pub(crate) struct LogSession<F> {
     last_p1a2a: Option<LocalInstant>,
 }
 
-impl<F> LogSession<F> {
+impl LogSession {
     pub(crate) fn new(id: ProcessId, cfg: &TimingConfig) -> Self {
         LogSession {
             id,
@@ -166,38 +164,36 @@ impl<F> LogSession<F> {
     /// The paper's **Start Phase 1**: once the session timer has expired,
     /// an unanchored process that heard a majority of its session (or is
     /// still in session 0) moves to its own ballot of the next session,
-    /// opens an election with the host's `blank` fold and enters the
-    /// session. Returns whether it did; the host then announces. An
-    /// anchored leader never restarts: its phase 1 already covers every
-    /// slot (§4 "Reducing Message Complexity").
-    pub(crate) fn try_start_phase1<M>(
-        &mut self,
-        blank: impl FnOnce() -> F,
-        out: &mut Outbox<M>,
-    ) -> bool {
+    /// opens an election with a blank fold for each of its `shards` and
+    /// enters the session. Returns whether it did; the host then
+    /// announces. An anchored leader never restarts: its phase 1 already
+    /// covers every slot (§4 "Reducing Message Complexity").
+    pub(crate) fn try_start_phase1<M>(&mut self, shards: usize, out: &mut Outbox<M>) -> bool {
         let may_start = self.timer_expired
             && !self.is_anchored()
             && (self.session() == Session::ZERO || self.heard.reached());
         if may_start {
             self.mbal = self.mbal.next_session(self.id, self.cfg.n());
-            self.election = Some((QuorumTracker::new(self.cfg.n()), blank()));
+            let blank = vec![ReportFold::default(); shards];
+            self.election = Some((QuorumTracker::new(self.cfg.n()), blank));
             self.enter_session(out);
         }
         may_start
     }
 
     /// Counts `from`'s promise for ballot `b` toward our election,
-    /// letting the host `fold` its payload in. Returns the completed fold
-    /// when this promise crosses the majority: phase 1 is over and the
-    /// session is anchored (counted and traced as the promise quorum; the
-    /// host anchors its shards and stamps `Anchored` in its own order).
+    /// letting the host `fold` its payload into the per-shard folds.
+    /// Returns the completed folds when this promise crosses the
+    /// majority: phase 1 is over and the session is anchored (counted and
+    /// traced as the promise quorum; the host stamps `Anchored` and
+    /// anchors its shards).
     pub(crate) fn promised<M>(
         &mut self,
         b: Ballot,
         from: ProcessId,
-        fold: impl FnOnce(&mut F),
+        fold: impl FnOnce(&mut [ReportFold]),
         out: &mut Outbox<M>,
-    ) -> Option<F> {
+    ) -> Option<Vec<ReportFold>> {
         if b != self.mbal {
             return None;
         }
@@ -266,10 +262,11 @@ impl<F> LogSession<F> {
 mod tests {
     use super::*;
     use crate::outbox::Action;
+    use crate::paxos::multi::batch_of;
 
     const N: usize = 5;
 
-    fn session(id: u32) -> LogSession<()> {
+    fn session(id: u32) -> LogSession {
         let cfg = TimingConfig::for_n_processes(N).unwrap();
         LogSession::new(ProcessId::new(id), &cfg)
     }
@@ -289,7 +286,7 @@ mod tests {
     /// Start Phase 1, attempted after `setup`; every row is p1 of 5.
     #[test]
     fn start_phase1_precondition_table() {
-        type Setup = fn(&mut LogSession<()>, &mut Outbox<()>);
+        type Setup = fn(&mut LogSession, &mut Outbox<()>);
         let rows: [(&str, Setup, bool); 6] = [
             ("timer not expired", |_, _| {}, false),
             (
@@ -301,7 +298,7 @@ mod tests {
                 "session 1 without a majority heard",
                 |s, o| {
                     s.session_timer_expired();
-                    assert!(s.try_start_phase1(|| (), o));
+                    assert!(s.try_start_phase1(1, o));
                     s.heard_from(p(0), s.mbal(), o);
                     s.session_timer_expired();
                 },
@@ -311,7 +308,7 @@ mod tests {
                 "session 1 with a majority heard",
                 |s, o| {
                     s.session_timer_expired();
-                    assert!(s.try_start_phase1(|| (), o));
+                    assert!(s.try_start_phase1(1, o));
                     for from in 0..3 {
                         s.heard_from(p(from), s.mbal(), o);
                     }
@@ -323,7 +320,7 @@ mod tests {
                 "previous-session ballots do not count as heard",
                 |s, o| {
                     s.session_timer_expired();
-                    assert!(s.try_start_phase1(|| (), o));
+                    assert!(s.try_start_phase1(1, o));
                     for from in 0..3 {
                         s.heard_from(p(from), Ballot::initial(p(from)), o);
                     }
@@ -335,11 +332,11 @@ mod tests {
                 "an anchored owner never restarts",
                 |s, o| {
                     s.session_timer_expired();
-                    assert!(s.try_start_phase1(|| (), o));
+                    assert!(s.try_start_phase1(1, o));
                     let b = s.mbal();
                     for from in 0..3 {
                         s.heard_from(p(from), b, o);
-                        s.promised(b, p(from), |()| {}, o);
+                        s.promised(b, p(from), |_| {}, o);
                     }
                     assert!(s.is_anchored());
                     s.session_timer_expired();
@@ -352,7 +349,7 @@ mod tests {
             let mut o = out();
             setup(&mut s, &mut o);
             let before = s.mbal();
-            assert_eq!(s.try_start_phase1(|| (), &mut o), expect, "{name}");
+            assert_eq!(s.try_start_phase1(1, &mut o), expect, "{name}");
             assert_eq!(
                 s.mbal() > before,
                 expect,
@@ -366,7 +363,7 @@ mod tests {
         let mut s = session(1);
         let mut o = out();
         s.session_timer_expired();
-        assert!(s.try_start_phase1(|| (), &mut o)); // session 1
+        assert!(s.try_start_phase1(1, &mut o)); // session 1
         for from in 0..3 {
             s.heard_from(p(from), s.mbal(), &mut o);
         }
@@ -386,7 +383,7 @@ mod tests {
         assert!(rearmed, "session entry re-arms exactly the session timer");
         s.session_timer_expired();
         assert!(
-            !s.try_start_phase1(|| (), &mut o),
+            !s.try_start_phase1(1, &mut o),
             "nobody heard in session 2 yet"
         );
         // …and a ballot of the same session adopts without entering.
@@ -416,7 +413,7 @@ mod tests {
             let mut o = out();
             if me == 1 {
                 s.session_timer_expired();
-                assert!(s.try_start_phase1(|| (), &mut o));
+                assert!(s.try_start_phase1(1, &mut o));
                 assert_eq!(s.mbal(), b);
             } else {
                 s.adopt(b, &mut o);
@@ -431,41 +428,34 @@ mod tests {
         }
     }
 
+    /// `from`'s promise for `b`, folded in as slot `mark` of shard 0; the
+    /// slots marked in the completed fold, if this promise completed it.
+    fn promise(s: &mut LogSession, b: Ballot, from: u32, mark: u64) -> Option<Vec<u64>> {
+        let fold = |f: &mut [ReportFold]| {
+            f[0].chosen.insert(mark, batch_of([]));
+        };
+        let folds = s.promised(b, p(from), fold, &mut out())?;
+        assert_eq!(folds.len(), 1, "one fold per shard");
+        Some(folds[0].chosen.keys().copied().collect())
+    }
+
     #[test]
     fn promises_count_once_at_the_live_ballot_and_anchor_on_the_majority() {
-        let mut s: LogSession<Vec<u32>> =
-            LogSession::new(p(1), &TimingConfig::for_n_processes(N).unwrap());
-        let mut o: Outbox<()> = Outbox::new(LocalInstant::ZERO);
-        assert_eq!(
-            s.promised(s.mbal(), p(0), |f| f.push(0), &mut o),
-            None,
-            "no election in flight"
-        );
+        let mut s = session(1);
+        let mut o = out();
+        let b0 = s.mbal();
+        assert_eq!(promise(&mut s, b0, 0, 0), None, "no election in flight");
         s.session_timer_expired();
-        assert!(s.try_start_phase1(Vec::new, &mut o));
+        assert!(s.try_start_phase1(1, &mut o));
         let b = s.mbal();
-        assert_eq!(
-            s.promised(Ballot::new(1), p(0), |f| f.push(9), &mut o),
-            None
-        );
-        assert_eq!(s.promised(b, p(0), |f| f.push(0), &mut o), None);
-        assert_eq!(
-            s.promised(b, p(0), |f| f.push(9), &mut o),
-            None,
-            "duplicate"
-        );
-        assert_eq!(s.promised(b, p(2), |f| f.push(2), &mut o), None);
+        assert_eq!(promise(&mut s, Ballot::new(1), 0, 9), None);
+        assert_eq!(promise(&mut s, b, 0, 0), None);
+        assert_eq!(promise(&mut s, b, 0, 9), None, "duplicate");
+        assert_eq!(promise(&mut s, b, 2, 2), None);
         assert!(!s.is_anchored() && !s.phase2_seen(b));
-        assert_eq!(
-            s.promised(b, p(4), |f| f.push(4), &mut o),
-            Some(vec![0, 2, 4])
-        );
+        assert_eq!(promise(&mut s, b, 4, 4), Some(vec![0, 2, 4]));
         assert!(s.is_anchored() && s.phase2_seen(b));
-        assert_eq!(
-            s.promised(b, p(3), |f| f.push(3), &mut o),
-            None,
-            "election consumed"
-        );
+        assert_eq!(promise(&mut s, b, 3, 3), None, "election consumed");
         // A higher ballot drops the anchor, and says so.
         let adopted = s.adopt(Ballot::new(b.get() + 1), &mut o);
         assert!(adopted.unanchored && !adopted.new_session && !s.is_anchored());

@@ -11,7 +11,9 @@
 //! submitted command with a single 2a/2b exchange — decision within 3
 //! message delays of submission (forward → 2a → 2b) in the stable period,
 //! as experiment E7 measures. Everything below phase 1 is a [`LogShard`];
-//! [`MultiPaxosProcess`] is one session leading one shard.
+//! the session and its phase-1 wire are the log group's, and the plain
+//! log [`MultiPaxos`] is that group with one shard: it spawns a
+//! [`LogGroupProcess`] and speaks [`GroupMsg`].
 //!
 //! Two throughput mechanisms sit on top of the paper's construction:
 //!
@@ -37,13 +39,13 @@
 //! is an application concern (the replicated-log example and the
 //! `esync-workload` generators tag commands with unique ids).
 
-use crate::ballot::{Ballot, Session};
+use crate::ballot::Ballot;
 use crate::config::TimingConfig;
 use crate::metrics::Metric;
-use crate::outbox::{Outbox, Process, Protocol, ShardLoad};
+use crate::outbox::{Outbox, Protocol, ShardLoad};
 use crate::paxos::admitted::{Admitted, AdmittedSet, DEFAULT_ADMITTED_WINDOW};
 use crate::paxos::group::rebalance::is_ctrl_value;
-use crate::paxos::log_session::LogSession;
+use crate::paxos::group::{GroupMsg, LogGroup, LogGroupProcess};
 use crate::paxos::slotlog::SlotMap;
 use crate::quorum::QuorumTracker;
 use crate::trace::TraceEvent;
@@ -84,29 +86,11 @@ pub struct SlotVote {
     pub vote: BatchVote,
 }
 
-/// Wire messages of the replicated-log layer.
+/// One log's wire messages below phase 1 — the payload of
+/// [`GroupMsg::Shard`]. Phase 1 is the session's, one
+/// [`GroupMsg::G1a`]/[`GroupMsg::G1b`] exchange for every shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MultiMsg {
-    /// Phase 1a for **all** slots at once.
-    M1a {
-        /// The ballot being started.
-        mbal: Ballot,
-        /// The caller's all-chosen log prefix: the replier truncates its
-        /// report at this slot (everything below it is already committed
-        /// at the caller), which is what keeps steady-state promises
-        /// `O(in-flight window)` instead of `O(log length)`.
-        prefix: u64,
-    },
-    /// Phase 1b: the acceptor's **truncated** vote report (see
-    /// [`LogShard::vote_report`]) — or, once the ballot is in
-    /// phase 2, a payload-free acknowledgement (see
-    /// [`MultiPaxosProcess::phase2_seen`]).
-    M1b {
-        /// The joined ballot.
-        mbal: Ballot,
-        /// The acceptor's report.
-        report: VoteReport,
-    },
     /// Phase 2a for one slot.
     M2a {
         /// The ballot.
@@ -143,10 +127,7 @@ impl MultiMsg {
     /// The ballot carried by this message, if any.
     pub fn ballot(&self) -> Option<Ballot> {
         match self {
-            MultiMsg::M1a { mbal, .. }
-            | MultiMsg::M1b { mbal, .. }
-            | MultiMsg::M2a { mbal, .. }
-            | MultiMsg::M2b { mbal, .. } => Some(*mbal),
+            MultiMsg::M2a { mbal, .. } | MultiMsg::M2b { mbal, .. } => Some(*mbal),
             MultiMsg::Forward { .. } | MultiMsg::LogDecided { .. } => None,
         }
     }
@@ -154,8 +135,6 @@ impl MultiMsg {
     /// A short static label for message-count metrics.
     pub fn kind(&self) -> &'static str {
         match self {
-            MultiMsg::M1a { .. } => "1a",
-            MultiMsg::M1b { .. } => "1b",
             MultiMsg::M2a { .. } => "2a",
             MultiMsg::M2b { .. } => "2b",
             MultiMsg::Forward { .. } => "forward",
@@ -167,8 +146,8 @@ impl MultiMsg {
 /// One acceptor's truncated phase-1b payload: its all-chosen prefix, the
 /// chosen entries the caller is missing, and its live votes. Slots below
 /// the reporter's prefix are final, so they travel as chosen entries
-/// rather than as votes. Built by [`LogShard::vote_report`]; the
-/// payload of [`MultiMsg::M1b`], and — one per shard — of the log group's
+/// rather than as votes. Built by [`LogShard::vote_report`]; one per
+/// shard is the payload of a
 /// [`GroupPromise`](crate::paxos::group::GroupPromise). Batches are
 /// `Arc`-shared with the reporter's log, so building and folding a report
 /// copies no command.
@@ -188,9 +167,9 @@ pub struct VoteReport {
 }
 
 /// Leader-side fold of one log's phase-1b reports across a quorum — what
-/// anchoring consumes. One implementation shared by the single log's 1b
-/// quorum and the group promise fold, so the two layers can never select
-/// different values for the same reported votes.
+/// anchoring a shard consumes. The session's election keeps one per
+/// shard and folds each [`GroupPromise`](crate::paxos::group::GroupPromise)
+/// into them shard by shard.
 ///
 /// `best`/`chosen` stay `BTreeMap`s: this is a short-lived per-election
 /// structure sized by the *reported* votes, rebuilt on every ballot
@@ -344,46 +323,33 @@ impl MultiPaxos {
     }
 }
 
+/// The plain log is the log group with one shard: modulo routing over one
+/// shard, no rebalancing — the same session, wire and host. Only the name
+/// differs, which reports and artifacts carry.
 impl Protocol for MultiPaxos {
-    type Msg = MultiMsg;
-    type Process = MultiPaxosProcess;
+    type Msg = GroupMsg;
+    type Process = LogGroupProcess;
 
     fn name(&self) -> &'static str {
         "multi-session-paxos"
     }
 
-    fn kind_of(msg: &MultiMsg) -> &'static str {
+    fn kind_of(msg: &GroupMsg) -> &'static str {
         msg.kind()
     }
 
-    fn spawn(&self, id: ProcessId, cfg: &TimingConfig, _initial: Value) -> MultiPaxosProcess {
-        MultiPaxosProcess {
-            session: LogSession::new(id, cfg),
-            shard: self.spawn_shard(cfg),
-        }
-    }
-}
-
-/// How a shard's [`MultiMsg`] travels on its host's wire: as itself under
-/// [`MultiPaxosProcess`], shard-tagged under a log group.
-pub(crate) trait ShardWire {
-    /// `msg` of shard `shard`, in the host's message type.
-    fn of_shard(shard: ShardId, msg: MultiMsg) -> Self;
-}
-
-impl ShardWire for MultiMsg {
-    fn of_shard(_: ShardId, msg: MultiMsg) -> Self {
-        msg
+    fn spawn(&self, id: ProcessId, cfg: &TimingConfig, initial: Value) -> LogGroupProcess {
+        LogGroup::of_shards(self.clone(), 1).spawn(id, cfg, initial)
     }
 }
 
 /// What a [`LogShard`] writes into: the **host's** outbox, seen as shard
-/// `shard` of it. Messages are wrapped for the host's wire, decides and
-/// trace events carry the shard id, counters land in the host registry —
-/// in emission order, nothing buffered or copied. The view has no timer
-/// and no oracle method: that shards own neither is held by the type.
-pub(crate) struct ShardOut<'a, M> {
-    out: &'a mut Outbox<M>,
+/// `shard` of it. Messages leave shard-tagged, decides and trace events
+/// carry the shard id, counters land in the host registry — in emission
+/// order, nothing buffered or copied. The view has no timer and no oracle
+/// method: that shards own neither is held by the type.
+pub(crate) struct ShardOut<'a> {
+    out: &'a mut Outbox<GroupMsg>,
     shard: ShardId,
     /// Whether control values (router-epoch entries, possible only under
     /// a rebalancing host) are withheld from the decide stream: they
@@ -394,8 +360,8 @@ pub(crate) struct ShardOut<'a, M> {
     pub(crate) sent_2a: bool,
 }
 
-impl<'a, M: ShardWire> ShardOut<'a, M> {
-    pub(crate) fn new(out: &'a mut Outbox<M>, shard: ShardId, hide_ctrl: bool) -> Self {
+impl<'a> ShardOut<'a> {
+    pub(crate) fn new(out: &'a mut Outbox<GroupMsg>, shard: ShardId, hide_ctrl: bool) -> Self {
         ShardOut {
             out,
             shard,
@@ -405,12 +371,21 @@ impl<'a, M: ShardWire> ShardOut<'a, M> {
     }
 
     fn send(&mut self, to: ProcessId, msg: MultiMsg) {
-        self.out.send(to, M::of_shard(self.shard, msg));
+        self.out.send(
+            to,
+            GroupMsg::Shard {
+                shard: self.shard,
+                msg,
+            },
+        );
     }
 
     fn broadcast(&mut self, msg: MultiMsg) {
         self.sent_2a |= matches!(msg, MultiMsg::M2a { .. });
-        self.out.broadcast(M::of_shard(self.shard, msg));
+        self.out.broadcast(GroupMsg::Shard {
+            shard: self.shard,
+            msg,
+        });
     }
 
     fn decide(&mut self, value: Value) {
@@ -433,11 +408,9 @@ impl<'a, M: ShardWire> ShardOut<'a, M> {
 /// One replicated log **below phase 1**: acceptor votes, the chosen log,
 /// 2b tallies, the proposal pipeline with batching, admission dedup and
 /// load counters. It owns no ballot, no timer and no quorum, and never
-/// sends a 1a or 1b — the §4 session is its host's
-/// ([`MultiPaxosProcess`] hosts one shard, a
-/// [`LogGroupProcess`](crate::paxos::group::LogGroupProcess) hosts `S`),
-/// which tells it when phase 1 completed (`anchor`) and when that is void
-/// again (`unanchor`).
+/// sends a 1a or 1b — the §4 session is its host's (a [`LogGroupProcess`]
+/// hosts `S` shards, the plain log one), which tells it when phase 1
+/// completed (`anchor`) and when that is void again (`unanchor`).
 #[derive(Debug, Clone)]
 pub struct LogShard {
     n: usize,
@@ -561,7 +534,7 @@ impl LogShard {
         self.proposals.clear();
     }
 
-    fn propose<M: ShardWire>(&mut self, slot: u64, batch: Batch, out: &mut ShardOut<'_, M>) {
+    fn propose(&mut self, slot: u64, batch: Batch, out: &mut ShardOut<'_>) {
         let mbal = self.anchored.expect("only an anchored shard proposes");
         debug_assert!(!self.log.contains(slot), "never propose into a chosen slot");
         // Never propose two batches for the same (ballot, slot); a fresh
@@ -578,37 +551,22 @@ impl LogShard {
         out.broadcast(MultiMsg::M2a { mbal, slot, batch });
     }
 
-    /// Applies chosen entries reported by a phase-1b quorum: final by
-    /// agreement, so they are learned directly (emitting their decides
-    /// and a `LogDecided` each, exactly like any other commit) instead of
-    /// being re-proposed through a 2a/2b round. Slots already in the log
-    /// are skipped by `choose`.
-    pub(crate) fn learn_chosen<M: ShardWire>(
-        &mut self,
-        chosen: &std::collections::BTreeMap<u64, Batch>,
-        out: &mut ShardOut<'_, M>,
-    ) {
-        for (slot, batch) in chosen {
-            self.choose(*slot, batch.clone(), out);
-        }
-    }
-
     /// Becomes anchored at ballot `b`, whose phase 1 the host's session
     /// completed with `quorum` as this log's fold of the promises: learn
     /// the chosen entries the quorum reported, re-complete every reported
     /// live vote under `b`, then batch-assign fresh slots to pending
     /// commands.
-    pub(crate) fn anchor<M: ShardWire>(
-        &mut self,
-        b: Ballot,
-        quorum: &ReportFold,
-        out: &mut ShardOut<'_, M>,
-    ) {
-        // Learn reported-chosen entries BEFORE declaring ourselves
-        // anchored: `choose` flushes pending commands into fresh slots
-        // when anchored, and that must not happen until `next_slot` has
-        // been fixed up past everything the quorum reported.
-        self.learn_chosen(&quorum.chosen, out);
+    pub(crate) fn anchor(&mut self, b: Ballot, quorum: &ReportFold, out: &mut ShardOut<'_>) {
+        // Chosen entries the quorum reported are final by agreement, so
+        // they are learned directly (decides and a `LogDecided` each, like
+        // any other commit; slots already logged are skipped by `choose`)
+        // instead of being re-proposed. Learn them BEFORE declaring
+        // ourselves anchored: `choose` flushes pending commands into fresh
+        // slots when anchored, and that must not happen until `next_slot`
+        // has been fixed up past everything the quorum reported.
+        for (slot, batch) in &quorum.chosen {
+            self.choose(*slot, batch.clone(), out);
+        }
         self.anchored = Some(b);
         let best = &quorum.best;
         // Fresh slots start past the reported votes, our own log's
@@ -652,8 +610,8 @@ impl LogShard {
     }
 
     /// The truncated phase-1b payload, relative to the 1a caller's
-    /// all-chosen prefix: the plain log's `M1b` report, and one entry of
-    /// a [group promise](crate::paxos::group::GroupPromise).
+    /// all-chosen prefix: this shard's entry of a
+    /// [group promise](crate::paxos::group::GroupPromise).
     ///
     /// What travels (and why it is safe to drop the rest):
     ///
@@ -702,7 +660,7 @@ impl LogShard {
     /// (proposed-but-unchosen) slot. `proposals` holds only unchosen
     /// slots, so this is bounded by the pipeline window, not the log's
     /// history. With nothing in flight the host re-announces instead.
-    pub(crate) fn repropose<M: ShardWire>(&mut self, out: &mut ShardOut<'_, M>) {
+    pub(crate) fn repropose(&mut self, out: &mut ShardOut<'_>) {
         let undecided: Vec<(u64, Batch)> = self
             .proposals
             .iter()
@@ -719,7 +677,7 @@ impl LogShard {
     /// submission to a live process commits within O(ε + δ) of
     /// stabilization — at-least-once across instability. Commits prune
     /// `pending` (see `choose`), terminating the retry.
-    pub(crate) fn reforward<M: ShardWire>(&self, leader: ProcessId, out: &mut ShardOut<'_, M>) {
+    pub(crate) fn reforward(&self, leader: ProcessId, out: &mut ShardOut<'_>) {
         for v in &self.pending {
             out.metric(Metric::Forwarded);
             out.trace(|_| TraceEvent::ForwardSent { value: v.get() });
@@ -801,11 +759,7 @@ impl LogShard {
     /// # Panics
     ///
     /// Panics if this shard is not anchored.
-    pub(crate) fn propose_batch<M: ShardWire>(
-        &mut self,
-        batch: Batch,
-        out: &mut ShardOut<'_, M>,
-    ) -> u64 {
+    pub(crate) fn propose_batch(&mut self, batch: Batch, out: &mut ShardOut<'_>) -> u64 {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.propose(slot, batch, out);
@@ -826,7 +780,7 @@ impl LogShard {
     /// window) is dropped. A newly admitted one is assigned a slot at
     /// once if we are anchored, else held until we anchor (the submitter
     /// keeps its own retried copy). Returns whether it was new.
-    fn admit<M: ShardWire>(&mut self, value: Value, out: &mut ShardOut<'_, M>) -> bool {
+    fn admit(&mut self, value: Value, out: &mut ShardOut<'_>) -> bool {
         let fresh = self.admitted.admit(value);
         if fresh {
             self.load.admitted += 1;
@@ -845,7 +799,7 @@ impl LogShard {
 
     /// Moves pending commands into fresh slots, `max_batch` per slot, while
     /// the pipeline window has space.
-    fn drain_pending<M: ShardWire>(&mut self, out: &mut ShardOut<'_, M>) {
+    fn drain_pending(&mut self, out: &mut ShardOut<'_>) {
         debug_assert!(self.is_anchored());
         while !self.pending.is_empty() && self.proposals.len() < self.max_outstanding {
             let take = self.pending.len().min(self.max_batch);
@@ -856,7 +810,7 @@ impl LogShard {
         }
     }
 
-    fn choose<M: ShardWire>(&mut self, slot: u64, batch: Batch, out: &mut ShardOut<'_, M>) {
+    fn choose(&mut self, slot: u64, batch: Batch, out: &mut ShardOut<'_>) {
         if self.log.contains(slot) {
             return;
         }
@@ -919,11 +873,11 @@ impl LogShard {
     /// A client command submitted at this process: admitted (idempotently),
     /// then proposed if anchored, else held and forwarded to the presumed
     /// `leader` — the ε tick retries the forward ([`Self::reforward`]).
-    pub(crate) fn submit<M: ShardWire>(
+    pub(crate) fn submit(
         &mut self,
         value: Value,
         leader: Option<ProcessId>,
-        out: &mut ShardOut<'_, M>,
+        out: &mut ShardOut<'_>,
     ) {
         self.load.submitted += 1;
         out.metric(Metric::Submitted);
@@ -941,18 +895,9 @@ impl LogShard {
     /// Handles one of the four messages below phase 1. A 2a is voted for
     /// as given: comparing its ballot with the session's (and adopting a
     /// higher one) is the host's step before this call
-    /// (`LogSession::vote_2a`). The session's own 1a/1b never reach a
-    /// shard.
-    pub(crate) fn on_message<M: ShardWire>(
-        &mut self,
-        from: ProcessId,
-        msg: &MultiMsg,
-        out: &mut ShardOut<'_, M>,
-    ) {
+    /// (`LogSession::vote_2a`).
+    pub(crate) fn on_message(&mut self, from: ProcessId, msg: &MultiMsg, out: &mut ShardOut<'_>) {
         match msg {
-            MultiMsg::M1a { .. } | MultiMsg::M1b { .. } => {
-                debug_assert!(false, "phase 1 is the session's, not a shard's");
-            }
             MultiMsg::M2a { mbal, slot, batch } => {
                 if let Some(prev) = self.accepted.get(*slot) {
                     debug_assert!(*mbal >= prev.bal, "slot votes are ballot-monotone");
@@ -1010,223 +955,26 @@ impl LogShard {
     }
 }
 
-/// One replicated-log process: a `LogSession` leading one [`LogShard`],
-/// speaking [`MultiMsg`] directly. The single-shot `initial` value from
-/// [`Protocol::spawn`] is unused — commands arrive via
-/// [`Process::on_client`].
-#[derive(Debug, Clone)]
-pub struct MultiPaxosProcess {
-    session: LogSession<ReportFold>,
-    shard: LogShard,
-}
-
-/// The process reads as its one shard: `log`, `log_entry`, `log_values`,
-/// `chosen_prefix`, `pending_len`, `admitted_len`, `vote_report`, ….
-impl std::ops::Deref for MultiPaxosProcess {
-    type Target = LogShard;
-
-    fn deref(&self) -> &LogShard {
-        &self.shard
-    }
-}
-
-impl MultiPaxosProcess {
-    /// The process's current ballot.
-    pub fn mbal(&self) -> Ballot {
-        self.session.mbal()
-    }
-
-    /// The process's current session.
-    pub fn session(&self) -> Session {
-        self.session.session()
-    }
-
-    /// Whether this process is anchored (leader with phase 1 pre-executed).
-    pub fn is_anchored(&self) -> bool {
-        self.session.is_anchored()
-    }
-
-    /// Whether ballot `b` is in phase 2 as far as this process can tell —
-    /// it voted for a 2a at `b`, or is itself anchored at `b` — so that
-    /// the payload of a 1b for `b` can no longer be read and every later
-    /// 1a for `b` is answered payload-free.
-    pub fn phase2_seen(&self, b: Ballot) -> bool {
-        self.session.phase2_seen(b)
-    }
-
-    fn announce(&mut self, out: &mut Outbox<MultiMsg>) {
-        let m1a = MultiMsg::M1a {
-            mbal: self.session.mbal(),
-            prefix: self.shard.chosen_prefix(),
-        };
-        self.session.announce(m1a, out);
-    }
-
-    fn adopt(&mut self, b: Ballot, out: &mut Outbox<MultiMsg>) {
-        let adopted = self.session.adopt(b, out);
-        if adopted.unanchored {
-            self.shard.unanchor();
-        }
-        if adopted.new_session {
-            self.session.enter_session(out);
-            self.announce(out);
-        }
-    }
-
-    fn try_start_phase1(&mut self, out: &mut Outbox<MultiMsg>) {
-        if self.session.try_start_phase1(ReportFold::default, out) {
-            self.announce(out);
-        }
-    }
-
-    /// Runs one step of the shard against a view of the host outbox, and
-    /// stamps the session's ε idle clock if the step broadcast a 2a.
-    fn drive(
-        &mut self,
-        out: &mut Outbox<MultiMsg>,
-        step: impl FnOnce(&mut LogShard, &mut ShardOut<'_, MultiMsg>),
-    ) {
-        let mut view = ShardOut::new(out, ShardId::ZERO, false);
-        step(&mut self.shard, &mut view);
-        if view.sent_2a {
-            self.session.sent_1a2a(out.now());
-        }
-    }
-}
-
-impl Process for MultiPaxosProcess {
-    type Msg = MultiMsg;
-
-    fn id(&self) -> ProcessId {
-        self.session.id()
-    }
-
-    fn on_start(&mut self, out: &mut Outbox<MultiMsg>) {
-        self.session.boot(out);
-        self.announce(out);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: &MultiMsg, out: &mut Outbox<MultiMsg>) {
-        match msg {
-            MultiMsg::M1a { mbal, prefix } => {
-                let mbal = *mbal;
-                if mbal > self.session.mbal() {
-                    self.adopt(mbal, out);
-                }
-                if mbal == self.session.mbal() {
-                    let report = if self.session.phase2_seen(mbal) {
-                        VoteReport {
-                            prefix: self.shard.chosen_prefix(),
-                            ..VoteReport::default()
-                        }
-                    } else {
-                        self.shard.vote_report(*prefix)
-                    };
-                    out.send(self.session.owner(), MultiMsg::M1b { mbal, report });
-                }
-            }
-            MultiMsg::M1b { mbal, report } => {
-                let quorum = self
-                    .session
-                    .promised(*mbal, from, |fold| fold.fold(report), out);
-                if let Some(quorum) = quorum {
-                    let b = *mbal;
-                    // This host's order, pinned by the trace: the quorum's
-                    // reported-chosen entries are learned before `Anchored`
-                    // is stamped (`LogShard::anchor` would learn them after
-                    // it — the group's order).
-                    self.drive(out, |shard, o| shard.learn_chosen(&quorum.chosen, o));
-                    out.metric(Metric::Anchored);
-                    out.trace(|| TraceEvent::Anchored { ballot: b.get() });
-                    self.drive(out, |shard, o| shard.anchor(b, &quorum, o));
-                }
-            }
-            MultiMsg::M2a { mbal, .. } => {
-                if *mbal > self.session.mbal() {
-                    self.adopt(*mbal, out);
-                }
-                if self.session.vote_2a(*mbal) {
-                    self.drive(out, |shard, o| shard.on_message(from, msg, o));
-                }
-            }
-            _ => self.drive(out, |shard, o| shard.on_message(from, msg, o)),
-        }
-        if let Some(b) = msg.ballot() {
-            self.session.heard_from(from, b, out);
-        }
-        self.try_start_phase1(out);
-    }
-
-    fn on_timer(&mut self, timer: TimerId, out: &mut Outbox<MultiMsg>) {
-        match timer {
-            TIMER_SESSION => {
-                self.session.session_timer_expired();
-                self.try_start_phase1(out);
-            }
-            TIMER_EPSILON => {
-                let idle = self.session.epsilon_tick(out);
-                if idle && self.session.is_anchored() {
-                    // Re-propose undecided slots (recovery), or just
-                    // re-announce the ballot.
-                    if self.shard.has_live_proposals() {
-                        self.drive(out, LogShard::repropose);
-                    } else {
-                        self.announce(out);
-                    }
-                } else if idle {
-                    self.announce(out);
-                    if let Some(leader) = self.session.leader() {
-                        self.drive(out, |shard, o| shard.reforward(leader, o));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_restart(&mut self, out: &mut Outbox<MultiMsg>) {
-        self.session.boot(out);
-        self.announce(out);
-    }
-
-    fn on_client(&mut self, value: Value, out: &mut Outbox<MultiMsg>) {
-        let leader = self.session.leader();
-        self.drive(out, |shard, o| shard.submit(value, leader, o));
-    }
-
-    /// The replicated log never "terminates"; for the single-shot driver
-    /// interface, the decision is the first command of the first log entry.
-    fn decision(&self) -> Option<Value> {
-        self.shard.log_entry(0).and_then(|b| b.first().copied())
-    }
-
-    /// Anchored means leading: phase 1 is pre-executed for every slot.
-    fn is_leader(&self) -> bool {
-        self.is_anchored()
-    }
-
-    /// A plain log is one shard; its load counters live in shard zero.
-    fn shard_load(&self, shard: ShardId) -> ShardLoad {
-        debug_assert_eq!(shard, ShardId::ZERO, "a plain log has one shard");
-        self.shard.load()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outbox::Action;
+    use crate::ballot::Session;
+    use crate::outbox::{Action, Process};
+    use crate::paxos::group::GroupPromise;
     use crate::time::LocalInstant;
+    use crate::types::kv_command;
+
+    const S0: ShardId = ShardId::ZERO;
 
     fn cfg(n: usize) -> TimingConfig {
         TimingConfig::for_n_processes(n).unwrap()
     }
 
-    fn spawn(n: usize, id: u32) -> MultiPaxosProcess {
+    fn spawn(n: usize, id: u32) -> LogGroupProcess {
         MultiPaxos::new().spawn(ProcessId::new(id), &cfg(n), Value::new(0))
     }
 
-    fn out() -> Outbox<MultiMsg> {
+    fn out() -> Outbox<GroupMsg> {
         Outbox::new(LocalInstant::ZERO)
     }
 
@@ -1234,32 +982,88 @@ mod tests {
         batch_of([Value::new(v)])
     }
 
+    fn forward(v: u64) -> MultiMsg {
+        MultiMsg::Forward {
+            value: Value::new(v),
+        }
+    }
+
+    fn decided(slot: u64, batch: Batch) -> MultiMsg {
+        MultiMsg::LogDecided { slot, batch }
+    }
+
+    /// `msg` on the plain log's wire: tagged for its one shard.
+    fn wire(msg: MultiMsg) -> GroupMsg {
+        GroupMsg::Shard { shard: S0, msg }
+    }
+
+    /// A 1a for ballot `mbal` from a caller with nothing chosen.
+    fn g1a(mbal: u64) -> GroupMsg {
+        GroupMsg::G1a {
+            mbal: Ballot::new(mbal),
+            prefixes: vec![0],
+        }
+    }
+
+    /// The shard messages among `acts`: `(None, msg)` for a broadcast,
+    /// `(Some(to), msg)` for a send.
+    fn shard_msgs(acts: &[Action<GroupMsg>]) -> Vec<(Option<ProcessId>, &MultiMsg)> {
+        acts.iter()
+            .filter_map(|a| match a {
+                Action::Broadcast {
+                    msg: GroupMsg::Shard { msg, .. },
+                } => Some((None, msg)),
+                Action::Send {
+                    to,
+                    msg: GroupMsg::Shard { msg, .. },
+                } => Some((Some(*to), msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The batch of the 2a broadcast for `slot` among `acts`, if any.
+    fn proposed(acts: &[Action<GroupMsg>], slot: u64) -> Option<Batch> {
+        shard_msgs(acts)
+            .into_iter()
+            .find_map(|(to, msg)| match msg {
+                MultiMsg::M2a { slot: s, batch, .. } if to.is_none() && *s == slot => {
+                    Some(batch.clone())
+                }
+                _ => None,
+            })
+    }
+
     /// Drives p (id 1 of 3) to anchored state on ballot 4.
-    fn anchor_p1(p: &mut MultiPaxosProcess, o: &mut Outbox<MultiMsg>) -> Ballot {
+    fn anchor_p1(p: &mut LogGroupProcess, o: &mut Outbox<GroupMsg>) -> Ballot {
         p.on_start(o);
         p.on_timer(TIMER_SESSION, o); // session 1, ballot 4, owns it
         o.drain();
         let b = Ballot::new(4);
         for from in [0u32, 2] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M1b {
-                    mbal: b,
-                    report: VoteReport::default(),
-                },
-                o,
-            );
+            let promise = GroupPromise {
+                shards: vec![VoteReport::default()],
+            };
+            p.on_message(ProcessId::new(from), &GroupMsg::G1b { mbal: b, promise }, o);
         }
         o.drain();
         b
     }
 
-    #[test]
-    fn anchoring_after_1b_quorum() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        anchor_p1(&mut p, &mut o);
-        assert!(p.is_anchored());
+    /// Feeds `p` the 2bs of `voters` for `batch` in `slot` at `mbal`.
+    fn votes_2b(
+        p: &mut LogGroupProcess,
+        voters: [u32; 2],
+        mbal: Ballot,
+        slot: u64,
+        batch: &Batch,
+        o: &mut Outbox<GroupMsg>,
+    ) {
+        for from in voters {
+            let batch = batch.clone();
+            let m2b = MultiMsg::M2b { mbal, slot, batch };
+            p.on_message(ProcessId::new(from), &wire(m2b), o);
+        }
     }
 
     #[test]
@@ -1268,18 +1072,14 @@ mod tests {
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(77), &mut o);
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { mbal, slot: 0, batch } }
-                if *mbal == b && **batch == [Value::new(77)]
-        )));
+        let m2a = MultiMsg::M2a {
+            mbal: b,
+            slot: 0,
+            batch: one(77),
+        };
+        assert!(shard_msgs(&o.drain()).contains(&(None, &m2a)));
         p.on_client(Value::new(78), &mut o);
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                if **batch == [Value::new(78)]
-        )));
+        assert_eq!(proposed(&o.drain(), 1), Some(one(78)));
     }
 
     #[test]
@@ -1289,22 +1089,11 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         // p2's initial ballot is 2, owned by itself; adopt p1's ballot 4.
-        p.on_message(
-            ProcessId::new(1),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(1), &g1a(4), &mut o);
         o.drain();
         p.on_client(Value::new(9), &mut o);
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Send { to, msg: MultiMsg::Forward { value } }
-                if *to == ProcessId::new(1) && *value == Value::new(9)
-        )));
+        let to_leader = (Some(ProcessId::new(1)), &forward(9));
+        assert!(shard_msgs(&o.drain()).contains(&to_leader));
     }
 
     #[test]
@@ -1312,18 +1101,8 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::Forward {
-                value: Value::new(9),
-            },
-            &mut o,
-        );
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 0, batch, .. } }
-                if **batch == [Value::new(9)]
-        )));
+        p.on_message(ProcessId::new(2), &wire(forward(9)), &mut o);
+        assert_eq!(proposed(&o.drain(), 0), Some(one(9)));
     }
 
     #[test]
@@ -1334,10 +1113,9 @@ mod tests {
         o.drain();
         p.on_client(Value::new(5), &mut o); // not anchored yet: pending
         o.drain();
-        let _ = anchor_p1(&mut p, &mut o); // drains start/timer again is fine
-                                           // anchor_p1 drained the outbox; the assignment happened inside it.
-                                           // Re-check state: slot 0 proposed with the pending command.
-        assert_eq!(p.shard.proposals.get(&0), Some(&one(5)));
+        // The assignment happens inside the anchoring step.
+        anchor_p1(&mut p, &mut o);
+        assert_eq!(p.shard(S0).proposals.get(&0), Some(&one(5)));
     }
 
     #[test]
@@ -1346,22 +1124,20 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(
-            ProcessId::new(1),
-            &MultiMsg::M2a {
-                mbal: Ballot::new(4),
-                slot: 3,
-                batch: one(7),
-            },
-            &mut o,
-        );
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2b { slot: 3, batch, .. } }
-                if **batch == [Value::new(7)]
-        )));
-        assert_eq!(p.mbal(), Ballot::new(4), "adopted the 2a ballot");
+        let (mbal, slot) = (Ballot::new(4), 3);
+        let m2a = MultiMsg::M2a {
+            mbal,
+            slot,
+            batch: one(7),
+        };
+        p.on_message(ProcessId::new(1), &wire(m2a), &mut o);
+        let m2b = MultiMsg::M2b {
+            mbal,
+            slot,
+            batch: one(7),
+        };
+        assert!(shard_msgs(&o.drain()).contains(&(None, &m2b)));
+        assert_eq!(p.mbal(), mbal, "adopted the 2a ballot");
     }
 
     #[test]
@@ -1370,26 +1146,10 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        let b = Ballot::new(4);
-        for from in [1u32, 2] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: b,
-                    slot: 2,
-                    batch: one(7),
-                },
-                &mut o,
-            );
-        }
-        assert_eq!(p.log_entry(2), Some(&one(7)));
-        assert_eq!(p.log_entry(0), None);
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast {
-                msg: MultiMsg::LogDecided { slot: 2, .. }
-            }
-        )));
+        votes_2b(&mut p, [1, 2], Ballot::new(4), 2, &one(7), &mut o);
+        assert_eq!(p.shard(S0).log_entry(2), Some(&one(7)));
+        assert_eq!(p.shard(S0).log_entry(0), None);
+        assert!(shard_msgs(&o.drain()).contains(&(None, &decided(2, one(7)))));
     }
 
     #[test]
@@ -1398,101 +1158,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::LogDecided {
-                slot: 5,
-                batch: one(50),
-            },
-            &mut o,
-        );
-        assert_eq!(p.log_entry(5), Some(&one(50)));
-    }
-
-    #[test]
-    fn anchoring_recompletes_reported_slots() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        p.on_start(&mut o);
-        p.on_timer(TIMER_SESSION, &mut o);
-        o.drain();
-        let b = Ballot::new(4);
-        // p0 reports an old vote in slot 7.
-        p.on_message(
-            ProcessId::new(0),
-            &MultiMsg::M1b {
-                mbal: b,
-                report: VoteReport {
-                    votes: vec![SlotVote {
-                        slot: 7,
-                        vote: BatchVote {
-                            bal: Ballot::new(1),
-                            batch: one(70),
-                        },
-                    }],
-                    ..VoteReport::default()
-                },
-            },
-            &mut o,
-        );
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::M1b {
-                mbal: b,
-                report: VoteReport::default(),
-            },
-            &mut o,
-        );
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 7, batch, .. } }
-                if **batch == [Value::new(70)]
-        )));
-        // Fresh slots start after the highest re-completed one.
-        p.on_client(Value::new(1), &mut o);
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast {
-                msg: MultiMsg::M2a { slot: 8, .. }
-            }
-        )));
-    }
-
-    #[test]
-    fn adoption_unanchors() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        anchor_p1(&mut p, &mut o);
-        assert!(p.is_anchored());
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(8), // session 2, owner p2
-                prefix: 0,
-            },
-            &mut o,
-        );
-        o.drain();
-        assert!(!p.is_anchored());
-        assert_eq!(p.mbal(), Ballot::new(8));
-    }
-
-    #[test]
-    fn epsilon_reproposes_undecided_slots() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        anchor_p1(&mut p, &mut o);
-        p.on_client(Value::new(77), &mut o);
-        o.drain();
-        let later = LocalInstant::ZERO + cfg(3).epsilon_timer_local() * 4;
-        let mut o2 = Outbox::new(later);
-        p.on_timer(TIMER_EPSILON, &mut o2);
-        assert!(o2.drain().iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 0, batch, .. } }
-                if **batch == [Value::new(77)]
-        )));
+        p.on_message(ProcessId::new(2), &wire(decided(5, one(50))), &mut o);
+        assert_eq!(p.shard(S0).log_entry(5), Some(&one(50)));
     }
 
     #[test]
@@ -1502,17 +1169,7 @@ mod tests {
         p.on_start(&mut o);
         o.drain();
         assert_eq!(p.decision(), None);
-        for from in [1u32, 2] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: Ballot::new(4),
-                    slot: 0,
-                    batch: one(7),
-                },
-                &mut o,
-            );
-        }
+        votes_2b(&mut p, [1, 2], Ballot::new(4), 0, &one(7), &mut o);
         assert_eq!(p.decision(), Some(Value::new(7)));
     }
 
@@ -1522,14 +1179,7 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         // Adopt leader p1's ballot 4 (session 1).
-        p.on_message(
-            ProcessId::new(1),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(1), &g1a(4), &mut o);
         o.drain();
         // The session timer expires…
         p.on_timer(TIMER_SESSION, &mut o);
@@ -1538,15 +1188,12 @@ mod tests {
         o.drain();
         // Fresh leader traffic resets the timer (suppression): the timer
         // expiry flag is cleared again.
-        p.on_message(
-            ProcessId::new(1),
-            &MultiMsg::M2a {
-                mbal: Ballot::new(4),
-                slot: 0,
-                batch: one(9),
-            },
-            &mut o,
-        );
+        let m2a = MultiMsg::M2a {
+            mbal: Ballot::new(4),
+            slot: 0,
+            batch: one(9),
+        };
+        p.on_message(ProcessId::new(1), &wire(m2a), &mut o);
         let acts = o.drain();
         assert!(
             acts.iter()
@@ -1555,14 +1202,7 @@ mod tests {
         );
         // Even after hearing a majority in session 1, the cleared expiry
         // flag blocks an immediate takeover.
-        p.on_message(
-            ProcessId::new(0),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(0), &g1a(4), &mut o);
         assert_eq!(
             p.session(),
             Session::new(1),
@@ -1583,18 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn session_gating_applies_to_multi() {
-        let mut p = spawn(5, 1);
-        let mut o = out();
-        p.on_start(&mut o);
-        p.on_timer(TIMER_SESSION, &mut o); // session 0 -> 1 (exempt)
-        o.drain();
-        assert_eq!(p.session(), Session::new(1));
-        p.on_timer(TIMER_SESSION, &mut o);
-        assert_eq!(p.session(), Session::new(1), "gated without majority");
-    }
-
-    #[test]
     fn full_window_accumulates_then_batches() {
         // W = 1, B = 3: the first command occupies the only pipeline slot;
         // the next three accumulate and leave as ONE batch when it commits.
@@ -1605,44 +1233,22 @@ mod tests {
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(10), &mut o);
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 0, batch, .. } }
-                if **batch == [Value::new(10)]
-        )));
+        assert_eq!(proposed(&o.drain(), 0), Some(one(10)));
         for v in [11, 12, 13] {
             p.on_client(Value::new(v), &mut o);
         }
         assert!(
-            !o.drain().iter().any(|a| matches!(
-                a,
-                Action::Broadcast {
-                    msg: MultiMsg::M2a { .. }
-                }
-            )),
+            !shard_msgs(&o.drain())
+                .iter()
+                .any(|(_, m)| matches!(m, MultiMsg::M2a { .. })),
             "window full: no new proposal"
         );
-        assert_eq!(p.pending_len(), 3);
+        assert_eq!(p.shard(S0).pending_len(), 3);
         // Slot 0 commits: the backlog flushes as one 3-command batch.
-        for from in [0u32, 2] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: b,
-                    slot: 0,
-                    batch: one(10),
-                },
-                &mut o,
-            );
-        }
-        let acts = o.drain();
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                if **batch == [Value::new(11), Value::new(12), Value::new(13)]
-        )));
-        assert_eq!(p.pending_len(), 0);
+        votes_2b(&mut p, [0, 2], b, 0, &one(10), &mut o);
+        let backlog = batch_of([11, 12, 13].map(Value::new));
+        assert_eq!(proposed(&o.drain(), 1), Some(backlog));
+        assert_eq!(p.shard(S0).pending_len(), 0);
     }
 
     #[test]
@@ -1651,18 +1257,8 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         o.drain();
-        let batch = batch_of([Value::new(1), Value::new(2), Value::new(3)]);
-        for from in [1u32, 2] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: Ballot::new(4),
-                    slot: 0,
-                    batch: batch.clone(),
-                },
-                &mut o,
-            );
-        }
+        let batch = batch_of([1, 2, 3].map(Value::new));
+        votes_2b(&mut p, [1, 2], Ballot::new(4), 0, &batch, &mut o);
         let decides: Vec<Value> = o
             .drain()
             .iter()
@@ -1672,7 +1268,7 @@ mod tests {
             })
             .collect();
         assert_eq!(decides, vec![Value::new(1), Value::new(2), Value::new(3)]);
-        assert_eq!(p.log_values().count(), 3);
+        assert_eq!(p.shard(S0).log_values().count(), 3);
     }
 
     #[test]
@@ -1681,48 +1277,28 @@ mod tests {
         let mut o = out();
         p.on_start(&mut o);
         // Adopt leader p1's ballot 4, then submit: pending + one Forward.
-        p.on_message(
-            ProcessId::new(1),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(4),
-                prefix: 0,
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(1), &g1a(4), &mut o);
         p.on_client(Value::new(9), &mut o);
         o.drain();
         // An idle ε tick retries the forward toward the presumed leader.
         let later = LocalInstant::ZERO + cfg(3).epsilon_timer_local() * 4;
         let mut o2 = Outbox::new(later);
         p.on_timer(TIMER_EPSILON, &mut o2);
-        assert!(o2.drain().iter().any(|a| matches!(
-            a,
-            Action::Send { to, msg: MultiMsg::Forward { value } }
-                if *to == ProcessId::new(1) && *value == Value::new(9)
-        )));
+        let to_leader = (Some(ProcessId::new(1)), &forward(9));
+        assert!(shard_msgs(&o2.drain()).contains(&to_leader));
         // Once the command commits, the retry stops.
-        for from in [0u32, 1] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: Ballot::new(4),
-                    slot: 0,
-                    batch: one(9),
-                },
-                &mut o,
-            );
-        }
-        assert_eq!(p.pending_len(), 0, "commit prunes the held command");
+        votes_2b(&mut p, [0, 1], Ballot::new(4), 0, &one(9), &mut o);
+        assert_eq!(
+            p.shard(S0).pending_len(),
+            0,
+            "commit prunes the held command"
+        );
         let mut o3 = Outbox::new(later + cfg(3).epsilon_timer_local() * 4);
         p.on_timer(TIMER_EPSILON, &mut o3);
         assert!(
-            !o3.drain().iter().any(|a| matches!(
-                a,
-                Action::Send {
-                    msg: MultiMsg::Forward { .. },
-                    ..
-                }
-            )),
+            !shard_msgs(&o3.drain())
+                .iter()
+                .any(|(_, m)| matches!(m, MultiMsg::Forward { .. })),
             "no retry after commit"
         );
     }
@@ -1739,16 +1315,14 @@ mod tests {
         anchor_p1(&mut p, &mut o);
         p.on_client(Value::new(5), &mut o); // occupies the window
         for _ in 0..4 {
-            p.on_message(
-                ProcessId::new(2),
-                &MultiMsg::Forward {
-                    value: Value::new(6),
-                },
-                &mut o,
-            );
+            p.on_message(ProcessId::new(2), &wire(forward(6)), &mut o);
         }
         o.drain();
-        assert_eq!(p.pending_len(), 1, "retries of value 6 admitted once");
+        assert_eq!(
+            p.shard(S0).pending_len(),
+            1,
+            "retries of value 6 admitted once"
+        );
     }
 
     #[test]
@@ -1759,40 +1333,15 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         let b = anchor_p1(&mut p, &mut o);
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::Forward {
-                value: Value::new(9),
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(2), &wire(forward(9)), &mut o);
         o.drain();
         // Slot 0 commits at the leader.
-        for from in [0u32, 2] {
-            p.on_message(
-                ProcessId::new(from),
-                &MultiMsg::M2b {
-                    mbal: b,
-                    slot: 0,
-                    batch: one(9),
-                },
-                &mut o,
-            );
-        }
+        votes_2b(&mut p, [0, 2], b, 0, &one(9), &mut o);
         o.drain();
         // The submitter retries: it gets the decided entry back.
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::Forward {
-                value: Value::new(9),
-            },
-            &mut o,
-        );
-        assert!(o.drain().iter().any(|a| matches!(
-            a,
-            Action::Send { to, msg: MultiMsg::LogDecided { slot: 0, batch } }
-                if *to == ProcessId::new(2) && **batch == [Value::new(9)]
-        )));
+        p.on_message(ProcessId::new(2), &wire(forward(9)), &mut o);
+        let answer = (Some(ProcessId::new(2)), &decided(0, one(9)));
+        assert!(shard_msgs(&o.drain()).contains(&answer));
     }
 
     #[test]
@@ -1805,22 +1354,12 @@ mod tests {
         let mut p = spawn(3, 1);
         let mut o = out();
         anchor_p1(&mut p, &mut o);
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::LogDecided {
-                slot: 0,
-                batch: one(50),
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(2), &wire(decided(0, one(50))), &mut o);
         o.drain();
         p.on_client(Value::new(7), &mut o);
-        assert!(
-            o.drain().iter().any(|a| matches!(
-                a,
-                Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                    if **batch == [Value::new(7)]
-            )),
+        assert_eq!(
+            proposed(&o.drain(), 1),
+            Some(one(7)),
             "fresh proposal lands past the learned entry, not on slot 0"
         );
     }
@@ -1833,21 +1372,11 @@ mod tests {
         p.on_client(Value::new(7), &mut o); // proposed in slot 0
         o.drain();
         // A competing leader's different batch wins slot 0.
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::LogDecided {
-                slot: 0,
-                batch: one(50),
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(2), &wire(decided(0, one(50))), &mut o);
         // Our command is immediately re-proposed in a fresh slot.
-        assert!(
-            o.drain().iter().any(|a| matches!(
-                a,
-                Action::Broadcast { msg: MultiMsg::M2a { slot: 1, batch, .. } }
-                    if **batch == [Value::new(7)]
-            )),
+        assert_eq!(
+            proposed(&o.drain(), 1),
+            Some(one(7)),
             "losing batch re-proposed past the stolen slot"
         );
     }
@@ -1860,265 +1389,18 @@ mod tests {
         p.on_client(Value::new(7), &mut o); // proposed in slot 0, unchosen
         o.drain();
         // The same command commits elsewhere (slot 5) via another leader.
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::LogDecided {
-                slot: 5,
-                batch: one(7),
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(2), &wire(decided(5, one(7))), &mut o);
         o.drain();
         // Unanchoring must NOT requeue it: it is committed, and a requeue
         // would re-forward it every ε forever (commits never prune it
         // again).
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(8),
-                prefix: 0,
-            },
-            &mut o,
-        );
+        p.on_message(ProcessId::new(2), &g1a(8), &mut o); // session 2, owner p2
         o.drain();
         assert!(!p.is_anchored());
-        assert_eq!(p.pending_len(), 0, "committed command not requeued");
-    }
-
-    #[test]
-    fn unanchoring_requeues_unchosen_proposals() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        anchor_p1(&mut p, &mut o);
-        p.on_client(Value::new(42), &mut o); // proposed in slot 0, unchosen
-        o.drain();
-        assert_eq!(p.pending_len(), 0);
-        // A higher ballot takes over: the command must fall back to
-        // pending, not vanish.
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::M1a {
-                mbal: Ballot::new(8),
-                prefix: 0,
-            },
-            &mut o,
-        );
-        o.drain();
-        assert!(!p.is_anchored());
-        assert_eq!(p.pending_len(), 1, "unchosen proposal requeued");
-    }
-
-    /// The report `p` sends in reply to a 1a for `mbal` from `from`.
-    fn reply_to_1a(p: &mut MultiPaxosProcess, from: u32, mbal: Ballot) -> VoteReport {
-        let mut o = out();
-        p.on_message(
-            ProcessId::new(from),
-            &MultiMsg::M1a { mbal, prefix: 0 },
-            &mut o,
-        );
-        let mut reports = o.drain().into_iter().filter_map(|a| match a {
-            Action::Send {
-                to,
-                msg: MultiMsg::M1b { mbal: b, report },
-            } => {
-                assert_eq!(
-                    (to, b),
-                    (mbal.owner(3), mbal),
-                    "1b goes to the ballot owner"
-                );
-                Some(report)
-            }
-            _ => None,
-        });
-        let report = reports.next().expect("every 1a for our ballot is answered");
-        assert!(reports.next().is_none());
-        report
-    }
-
-    fn vote_2a(p: &mut MultiPaxosProcess, from: u32, mbal: Ballot, slot: u64, v: u64) {
-        let mut o = out();
-        p.on_message(
-            ProcessId::new(from),
-            &MultiMsg::M2a {
-                mbal,
-                slot,
-                batch: one(v),
-            },
-            &mut o,
-        );
-    }
-
-    #[test]
-    fn m1b_is_full_until_the_ballot_reaches_phase2_then_payload_free() {
-        let mut p = spawn(3, 0);
-        p.on_start(&mut out());
-        vote_2a(&mut p, 1, Ballot::new(1), 0, 10);
-        // Ballot 4 opens: nothing proves its phase 1 is over, so the old
-        // vote travels — on every re-announcement.
-        let b4 = Ballot::new(4);
-        for _ in 0..2 {
-            let r = reply_to_1a(&mut p, 1, b4);
-            assert_eq!(r.votes.iter().map(|v| v.slot).collect::<Vec<_>>(), vec![0]);
-        }
-        // Its first 2a proves the owner consumed its quorum.
-        vote_2a(&mut p, 1, b4, 1, 11);
-        let r = reply_to_1a(&mut p, 1, b4);
         assert_eq!(
-            r,
-            VoteReport::default(),
-            "phase 2 seen: acknowledgement only"
-        );
-        // Log decisions move the reported prefix, nothing else.
-        p.on_message(
-            ProcessId::new(1),
-            &MultiMsg::LogDecided {
-                slot: 0,
-                batch: one(10),
-            },
-            &mut out(),
-        );
-        let r = reply_to_1a(&mut p, 1, b4);
-        assert_eq!((r.prefix, r.chosen.len(), r.votes.len()), (1, 0, 0));
-        // A higher ballot is a new election: full reports again (the
-        // chosen entry the caller lacks, and the live vote) …
-        let b8 = Ballot::new(8);
-        let r = reply_to_1a(&mut p, 2, b8);
-        assert_eq!(r.chosen, vec![(0, one(10))]);
-        assert_eq!(
-            r.votes
-                .iter()
-                .map(|v| (v.slot, v.vote.bal))
-                .collect::<Vec<_>>(),
-            vec![(1, b4)]
-        );
-        // … until that ballot's own first 2a.
-        vote_2a(&mut p, 2, b8, 1, 11);
-        assert!(reply_to_1a(&mut p, 2, b8).votes.is_empty());
-    }
-
-    #[test]
-    fn anchored_owner_elides_its_self_addressed_1b() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        vote_2a(&mut p, 1, Ballot::new(1), 0, 10); // a vote it would report
-        let b = anchor_p1(&mut p, &mut o);
-        assert!(
-            p.phase2_seen(b),
-            "anchored at b, though its last 2a vote was at ballot 1"
-        );
-        assert_eq!(reply_to_1a(&mut p, 1, b), VoteReport::default());
-        assert_eq!(
-            p.vote_report(0).votes.len(),
-            1,
-            "the full report is still there"
-        );
-    }
-
-    /// Trace + action order of the two events whose order is the plain
-    /// host's own (see the comments in `anchor` and `adopt`).
-    #[test]
-    fn order_of_anchoring_a_reported_chosen_entry_and_of_adopt_while_anchored() {
-        let mut p = spawn(3, 1);
-        let mut o = out();
-        o.set_tracing(true);
-        p.on_start(&mut o);
-        p.on_timer(TIMER_SESSION, &mut o); // ballot 4
-        o.drain();
-        o.drain_trace();
-        let b = Ballot::new(4);
-        let reported = VoteReport {
-            prefix: 1,
-            chosen: vec![(0, one(5))],
-            votes: vec![],
-        };
-        p.on_message(
-            ProcessId::new(0),
-            &MultiMsg::M1b {
-                mbal: b,
-                report: reported,
-            },
-            &mut o,
-        );
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::M1b {
-                mbal: b,
-                report: VoteReport::default(),
-            },
-            &mut o,
-        );
-        assert_eq!(
-            o.drain_trace().collect::<Vec<_>>(),
-            vec![
-                TraceEvent::PromiseQuorum { ballot: 4 },
-                TraceEvent::Decided {
-                    shard: 0,
-                    slot: 0,
-                    value: 5
-                },
-                TraceEvent::Anchored { ballot: 4 },
-            ],
-            "the reported-chosen entry is learned before Anchored is stamped"
-        );
-        assert_eq!(
-            o.drain(),
-            vec![
-                Action::Decide {
-                    value: Value::new(5),
-                    shard: crate::types::ShardId::ZERO
-                },
-                Action::Broadcast {
-                    msg: MultiMsg::LogDecided {
-                        slot: 0,
-                        batch: one(5)
-                    }
-                },
-            ]
-        );
-        // Adopt while anchored, one proposal in flight.
-        p.on_client(Value::new(7), &mut o);
-        o.drain();
-        o.drain_trace();
-        let b8 = Ballot::new(8);
-        p.on_message(
-            ProcessId::new(2),
-            &MultiMsg::M1a {
-                mbal: b8,
-                prefix: 0,
-            },
-            &mut o,
-        );
-        assert_eq!(
-            o.drain_trace().collect::<Vec<_>>(),
-            vec![
-                TraceEvent::Unanchored { ballot: 4 },
-                TraceEvent::OneASent { ballot: 8 }
-            ]
-        );
-        let acts = o.drain();
-        assert_eq!(acts.len(), 4, "{acts:?}");
-        assert!(matches!(&acts[0], Action::SetTimer { id, .. } if *id == TIMER_SESSION));
-        assert_eq!(
-            acts[1],
-            Action::Broadcast {
-                msg: MultiMsg::M1a {
-                    mbal: b8,
-                    prefix: 1
-                }
-            }
-        );
-        assert!(matches!(
-            &acts[2],
-            Action::Send { to, msg: MultiMsg::M1b { mbal, .. } } if *to == ProcessId::new(2) && *mbal == b8
-        ));
-        assert!(
-            matches!(&acts[3], Action::SetTimer { id, .. } if *id == TIMER_SESSION),
-            "the 1a came from the new ballot's owner: leader traffic re-arms the timer last"
-        );
-        assert_eq!(
-            p.pending_len(),
-            1,
-            "the in-flight command fell back to pending"
+            p.shard(S0).pending_len(),
+            0,
+            "committed command not requeued"
         );
     }
 
@@ -2137,71 +1419,43 @@ mod tests {
 
     // ---- the shard's view of its host's outbox ----
 
-    use crate::paxos::group::GroupMsg;
-    use crate::types::kv_command;
-
     /// One send, decide, trace event and broadcast through a view of
-    /// shard 2: the host outbox's actions and trace events.
-    fn through_view<M: ShardWire>(v: Value) -> (Vec<Action<M>>, Vec<TraceEvent>) {
-        let mut o: Outbox<M> = Outbox::new(LocalInstant::ZERO);
-        o.set_tracing(true);
-        let mut view = ShardOut::new(&mut o, ShardId::new(2), false);
-        view.send(ProcessId::new(1), MultiMsg::Forward { value: v });
-        view.decide(v);
-        view.trace(|shard| TraceEvent::Chosen { shard, slot: 7 });
-        let batch = batch_of([v]);
-        view.broadcast(MultiMsg::LogDecided { slot: 7, batch });
-        let trace = o.drain_trace().collect();
-        (o.drain(), trace)
-    }
-
+    /// shard 2 land in the host outbox shard-tagged, in emission order.
     #[test]
-    fn view_writes_through_in_emission_order_tagged_for_either_wire() {
+    fn view_writes_through_in_emission_order_shard_tagged() {
         let v = Value::new(5);
         let shard = ShardId::new(2);
-        let forward = MultiMsg::Forward { value: v };
-        let decided = MultiMsg::LogDecided {
-            slot: 7,
-            batch: one(5),
-        };
-        let to = ProcessId::new(1);
-        let (plain, plain_trace) = through_view::<MultiMsg>(v);
-        assert_eq!(
-            plain,
-            vec![
-                Action::Send {
-                    to,
-                    msg: forward.clone()
-                },
-                Action::Decide { value: v, shard },
-                Action::Broadcast {
-                    msg: decided.clone()
-                },
-            ]
-        );
-        assert_eq!(plain_trace, [TraceEvent::Chosen { shard: 2, slot: 7 }]);
-        let (grouped, grouped_trace) = through_view::<GroupMsg>(v);
+        let mut o = out();
+        o.set_tracing(true);
+        let mut view = ShardOut::new(&mut o, shard, false);
+        view.send(ProcessId::new(1), forward(5));
+        view.decide(v);
+        view.trace(|shard| TraceEvent::Chosen { shard, slot: 7 });
+        view.broadcast(decided(7, one(5)));
         let tagged = |msg| GroupMsg::Shard { shard, msg };
         assert_eq!(
-            grouped,
+            o.drain_trace().collect::<Vec<_>>(),
+            [TraceEvent::Chosen { shard: 2, slot: 7 }]
+        );
+        assert_eq!(
+            o.drain(),
             vec![
                 Action::Send {
-                    to,
-                    msg: tagged(forward)
+                    to: ProcessId::new(1),
+                    msg: tagged(forward(5))
                 },
                 Action::Decide { value: v, shard },
                 Action::Broadcast {
-                    msg: tagged(decided)
+                    msg: tagged(decided(7, one(5)))
                 },
             ]
         );
-        assert_eq!(grouped_trace, plain_trace);
     }
 
     #[test]
     fn only_a_2a_broadcast_sets_sent_2a() {
         let mut o = out();
-        let mut view = ShardOut::new(&mut o, ShardId::ZERO, false);
+        let mut view = ShardOut::new(&mut o, S0, false);
         let (mbal, slot, batch) = (Ballot::new(4), 0, one(1));
         view.send(ProcessId::new(1), MultiMsg::Forward { value: batch[0] });
         view.decide(batch[0]);
@@ -2210,10 +1464,7 @@ mod tests {
             slot,
             batch: batch.clone(),
         });
-        view.broadcast(MultiMsg::LogDecided {
-            slot,
-            batch: batch.clone(),
-        });
+        view.broadcast(decided(slot, batch.clone()));
         assert!(!view.sent_2a, "no 2a so far");
         view.broadcast(MultiMsg::M2a { mbal, slot, batch });
         assert!(view.sent_2a);

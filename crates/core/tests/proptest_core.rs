@@ -247,7 +247,8 @@ proptest! {
         ops in proptest::collection::vec((0u32..3, 0u32..10_000), 1..250)
     ) {
         use esync_core::outbox::{Action, Outbox, Process, Protocol};
-        use esync_core::paxos::multi::{MultiMsg, MultiPaxos, TIMER_SESSION};
+        use esync_core::paxos::group::{GroupMsg, GroupPromise, ShardId};
+        use esync_core::paxos::multi::{MultiMsg, MultiPaxos, VoteReport, TIMER_SESSION};
         use esync_core::ballot::Ballot;
         use std::collections::BTreeMap;
 
@@ -255,14 +256,16 @@ proptest! {
         let mut p = MultiPaxos::new()
             .with_admitted_window(window)
             .spawn(ProcessId::new(1), &cfg, Value::new(0));
-        let mut o: Outbox<MultiMsg> = Outbox::new(LocalInstant::ZERO);
+        let mut o: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
+        let wire = |msg| GroupMsg::Shard { shard: ShardId::ZERO, msg };
         // Anchor p1 on ballot 4 (session 1 of n = 3).
         p.on_start(&mut o);
         p.on_timer(TIMER_SESSION, &mut o);
         o.drain();
         let bal = Ballot::new(4);
         for from in [0u32, 2] {
-            p.on_message(ProcessId::new(from), &MultiMsg::M1b { mbal: bal, report: Default::default() }, &mut o);
+            let promise = GroupPromise { shards: vec![VoteReport::default()] };
+            p.on_message(ProcessId::new(from), &GroupMsg::G1b { mbal: bal, promise }, &mut o);
         }
         o.drain();
 
@@ -271,9 +274,9 @@ proptest! {
         let mut proposed: BTreeMap<u64, Value> = BTreeMap::new();
         let mut chosen: Vec<Value> = Vec::new(); // chosen[slot] = value
         let mut fresh = 0u64;
-        let observe = |o: &mut Outbox<MultiMsg>, proposed: &mut BTreeMap<u64, Value>| {
+        let observe = |o: &mut Outbox<GroupMsg>, proposed: &mut BTreeMap<u64, Value>| {
             for a in o.drain() {
-                if let Action::Broadcast { msg: MultiMsg::M2a { slot, batch, .. } } = a {
+                if let Action::Broadcast { msg: GroupMsg::Shard { msg: MultiMsg::M2a { slot, batch, .. }, .. } } = a {
                     proposed.entry(slot).or_insert(batch[0]);
                 }
             }
@@ -301,7 +304,7 @@ proptest! {
                         .collect();
                     if !candidates.is_empty() {
                         let v = candidates[pick as usize % candidates.len()];
-                        p.on_message(ProcessId::new(2), &MultiMsg::Forward { value: v }, &mut o);
+                        p.on_message(ProcessId::new(2), &wire(MultiMsg::Forward { value: v }), &mut o);
                         observe(&mut o, &mut proposed);
                     }
                 }
@@ -315,7 +318,7 @@ proptest! {
                         for from in [0u32, 2] {
                             p.on_message(
                                 ProcessId::new(from),
-                                &MultiMsg::M2b { mbal: bal, slot, batch: batch.clone() },
+                                &wire(MultiMsg::M2b { mbal: bal, slot, batch: batch.clone() }),
                                 &mut o,
                             );
                         }
@@ -324,13 +327,14 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(p.chosen_prefix(), chosen.len() as u64, "in-order commits");
+            prop_assert_eq!(p.shard(ShardId::ZERO).chosen_prefix(), chosen.len() as u64, "in-order commits");
         }
 
         // No value committed twice — retry dedup held across every
         // compaction boundary the run crossed.
         let mut seen = std::collections::BTreeSet::new();
-        for v in p.log_values() {
+        let log = p.shard(ShardId::ZERO);
+        for v in log.log_values() {
             prop_assert!(seen.insert(v), "value {} committed in two slots", v);
         }
         prop_assert_eq!(seen.len(), chosen.len());
@@ -340,9 +344,9 @@ proptest! {
         let in_flight = fresh - chosen.len() as u64;
         let bound = window + window / 2 + 1 + in_flight;
         prop_assert!(
-            (p.admitted_len() as u64) <= bound,
+            (log.admitted_len() as u64) <= bound,
             "admitted set {} exceeds windowed bound {}",
-            p.admitted_len(),
+            log.admitted_len(),
             bound
         );
     }

@@ -579,6 +579,7 @@ mod tests {
     use crate::scenario::Scenario;
     use esync_core::config::TimingConfig;
     use esync_core::paxos::session::SessionPaxos;
+    use esync_core::types::ShardId;
 
     fn quick_cfg(n: usize, seed: u64) -> SimConfig {
         SimConfig::builder(n)
@@ -790,6 +791,7 @@ mod tests {
         w.run_until(SimTime::from_secs(2));
         let committed: Vec<u64> = w
             .process(ProcessId::new(0))
+            .shard(ShardId::ZERO)
             .log_values()
             .map(|v| v.get())
             .collect();
@@ -819,8 +821,12 @@ mod tests {
         let mut w = World::new(cfg, MultiPaxos::new());
         w.run_until(SimTime::from_secs(2));
         for pid in ProcessId::all(3) {
-            let ids: std::collections::BTreeSet<u64> =
-                w.process(pid).log_values().map(kv_id).collect();
+            let ids: std::collections::BTreeSet<u64> = w
+                .process(pid)
+                .shard(ShardId::ZERO)
+                .log_values()
+                .map(kv_id)
+                .collect();
             assert_eq!(ids, (0..6).collect(), "{pid}: stream commands missing");
         }
     }

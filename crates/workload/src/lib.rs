@@ -31,10 +31,11 @@
 //! *shifting* hotspot — so the skewed/adversarial distributions that
 //! stress a range-partitioned router (and justify its live rebalancer)
 //! are first-class, deterministic and seedable. The drivers are generic
-//! over the log protocol — the plain [`MultiPaxos`] or the sharded
+//! over the log protocol — the sharded
 //! [`LogGroup`](esync_core::paxos::group::LogGroup), whose
 //! [`ShardRouter`](esync_core::paxos::group::ShardRouter) partitions the
-//! key space across `S` independent shards *inside* the process, so the
+//! key space across `S` independent shards *inside* the process, or the
+//! plain [`MultiPaxos`], which is that group with one shard — so the
 //! submitted command sequence is bit-identical across shard counts and
 //! backends. Measurements land in
 //! [`esync_sim::metrics::WorkloadSummary`]: commits/sec, p50/p99/p999

@@ -11,7 +11,7 @@
 //! ```
 
 use esync::core::paxos::multi::MultiPaxos;
-use esync::core::types::{ProcessId, Value};
+use esync::core::types::{ProcessId, ShardId, Value};
 use esync::sim::{PreStability, Scenario, SimConfig, SimTime, World};
 use std::collections::BTreeMap;
 
@@ -87,11 +87,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("replicated KV over multi-instance session Paxos, n={n}");
     println!("anchored leader: {leader}\n");
 
-    let reference = apply(&table, world.process(ProcessId::new(0)).log_values());
+    let log_of = |pid| world.process(pid).shard(ShardId::ZERO);
+    let reference = apply(&table, log_of(ProcessId::new(0)).log_values());
     for pid in ProcessId::all(n) {
-        let proc = world.process(pid);
-        let kv = apply(&table, proc.log_values());
-        println!("{pid}: {} log entries, kv state {:?}", proc.log().len(), kv);
+        let log = log_of(pid);
+        let kv = apply(&table, log.log_values());
+        println!("{pid}: {} log entries, kv state {:?}", log.log().len(), kv);
         assert_eq!(kv, reference, "replica state diverged");
     }
 

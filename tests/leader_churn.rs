@@ -118,6 +118,7 @@ fn crashing_the_anchored_leader_mid_closed_loop_completes_on_the_simulator() {
     // missed (ROADMAP, Durability: follower catch-up).
     let reference: Vec<u64> = world
         .process(ProcessId::new(0))
+        .shard(ShardId::ZERO)
         .log_values()
         .map(kv_id)
         .collect();

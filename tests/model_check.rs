@@ -90,11 +90,12 @@ fn bconsensus_original_safe_under_adversarial_oracle() {
 /// What the two log runs below check, and what they do not: the checker
 /// never calls `on_client`, so no command is ever submitted and no slot is
 /// ever proposed. These schedules explore the **session / phase-1
-/// skeleton** of both compositions of `LogSession` — Start Phase 1, adopt,
-/// the promise quorum, anchoring on empty folds, crash/restart, arbitrary
-/// reordering and early timers — with every `debug_assert!` in the log
-/// layers as the oracle. They check nothing about log agreement; per-slot
-/// agreement under the checker is ROADMAP open item 4(a).
+/// skeleton** of the log group — the plain log (S = 1) and S = 2: Start
+/// Phase 1, adopt, the promise quorum, anchoring on empty folds,
+/// crash/restart, arbitrary reordering and early timers — with every
+/// `debug_assert!` in the log layers as the oracle. They check nothing
+/// about log agreement; per-slot agreement under the checker is ROADMAP
+/// open item 4(a).
 #[test]
 fn multipaxos_exhaustive_small_world() {
     let budgets = Budgets {
@@ -107,16 +108,16 @@ fn multipaxos_exhaustive_small_world() {
         .max_depth(7)
         .max_states(120_000)
         .explore();
-    assert!(report.violation.is_none(), "plain: {:?}", report.violation);
+    assert!(report.violation.is_none(), "S = 1: {:?}", report.violation);
     let report = Explorer::new(LogGroup::new(2), 2)
         .budgets(budgets)
         .max_depth(7)
         .max_states(120_000)
         .explore();
-    assert!(report.violation.is_none(), "group: {:?}", report.violation);
+    assert!(report.violation.is_none(), "S = 2: {:?}", report.violation);
 }
 
-/// For the two log protocols at the end, the same caveat as
+/// For the two log runs at the end (S = 1 and S = 2), the same caveat as
 /// [`multipaxos_exhaustive_small_world`]: no command is submitted, so the
 /// walks exercise the session skeleton under the debug assertions, not
 /// log agreement.
@@ -146,9 +147,9 @@ fn deep_random_walks_three_processes_all_protocols() {
     let r = Explorer::new(MultiPaxos::new(), 3)
         .budgets(budgets)
         .random_walks(25, 200, 5);
-    assert!(r.violation.is_none(), "multipaxos: {:?}", r.violation);
+    assert!(r.violation.is_none(), "log, S = 1: {:?}", r.violation);
     let r = Explorer::new(LogGroup::new(2), 3)
         .budgets(budgets)
         .random_walks(25, 200, 6);
-    assert!(r.violation.is_none(), "log group: {:?}", r.violation);
+    assert!(r.violation.is_none(), "log, S = 2: {:?}", r.violation);
 }

@@ -73,37 +73,10 @@ impl SweepRunner {
     where
         F: Fn(u64) -> Result<Report, SimError> + Sync,
     {
-        if self.threads == 1 || count <= 1 {
-            return (0..count).map(job).collect();
-        }
-        let next = AtomicU64::new(0);
-        let slots: Vec<Mutex<Option<Result<Report, SimError>>>> =
-            (0..count).map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(count as usize);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let result = job(i);
-                    *slots[i as usize].lock().expect("slot lock") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("every index was claimed exactly once")
-            })
-            .collect()
+        self.fan_out(count, || (), |(), i| job(i))
     }
 
-    /// Runs `seeds` independent simulations (the parallel equivalent of
-    /// [`esync_sim::harness::run_seeds`]).
+    /// Runs `seeds` independent simulations, seed `i` under `mk_cfg(i)`.
     ///
     /// Each worker builds **one** [`World`] for its first seed and
     /// [`World::reset`]s it for every subsequent one, so a sweep's
@@ -127,40 +100,51 @@ impl SweepRunner {
         F: Fn() -> P + Sync,
     {
         // One reusable world per worker; `None` until its first seed.
-        fn run_reusing<P: Protocol>(
-            world: &mut Option<World<P>>,
-            cfg: SimConfig,
-            mk_protocol: impl Fn() -> P,
-        ) -> Result<Report, SimError> {
-            let world = match world {
-                Some(w) => {
-                    w.reset(cfg);
-                    w
-                }
-                None => world.insert(World::new(cfg, mk_protocol())),
-            };
-            world.run_to_completion()
-        }
-        if self.threads == 1 || seeds <= 1 {
-            let mut world: Option<World<P>> = None;
-            return (0..seeds)
-                .map(|seed| run_reusing(&mut world, mk_cfg(seed), &mk_protocol))
-                .collect();
+        self.fan_out(
+            seeds,
+            || None,
+            |world: &mut Option<World<P>>, seed| {
+                let cfg = mk_cfg(seed);
+                let world = match world {
+                    Some(w) => {
+                        w.reset(cfg);
+                        w
+                    }
+                    None => world.insert(World::new(cfg, mk_protocol())),
+                };
+                world.run_to_completion()
+            },
+        )
+    }
+
+    /// The one fan-out under both runners: workers claim indices from a
+    /// shared counter, each threading its own `init()` state through its
+    /// jobs, and results land in index-ordered slots. One thread (or one
+    /// job) runs serially on the calling thread. Either way the error of
+    /// the smallest failing index is the one returned.
+    fn fan_out<S, I, J>(&self, count: u64, init: I, job: J) -> Result<Vec<Report>, SimError>
+    where
+        I: Fn() -> S + Sync,
+        J: Fn(&mut S, u64) -> Result<Report, SimError> + Sync,
+    {
+        if self.threads == 1 || count <= 1 {
+            let mut state = init();
+            return (0..count).map(|i| job(&mut state, i)).collect();
         }
         let next = AtomicU64::new(0);
         let slots: Vec<Mutex<Option<Result<Report, SimError>>>> =
-            (0..seeds).map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(seeds as usize);
+            (0..count).map(|_| Mutex::new(None)).collect();
+        let workers = self.threads.min(count as usize);
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| {
-                    let mut world: Option<World<P>> = None;
+                    let mut state = init();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= seeds {
+                        if i >= count {
                             break;
                         }
-                        let result = run_reusing(&mut world, mk_cfg(i), &mk_protocol);
+                        let result = job(&mut state, i);
                         *slots[i as usize].lock().expect("slot lock") = Some(result);
                     }
                 });

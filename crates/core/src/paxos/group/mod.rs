@@ -37,12 +37,10 @@
 //! there is one session host, one phase-1 wire and one trace order.
 //!
 //! Shards are independent by design: there is **no cross-shard
-//! ordering**. The group exposes a merged committed-prefix view
-//! ([`LogGroupProcess::merged_prefix`]) that interleaves the shards'
-//! all-chosen prefixes deterministically by `(slot, shard)`; applications
-//! needing cross-shard transactions must layer them above (each key's
-//! history is totally ordered by its shard's log, as in any range-sharded
-//! store).
+//! ordering**. Applications needing cross-shard transactions must layer
+//! them above (each key's history is totally ordered by its shard's log,
+//! as in any range-sharded store); drivers read the shard logs through
+//! [`ShardedLogView`].
 //!
 //! Range routers can additionally **rebalance live**: the
 //! [`rebalance`] submodule gives the group anchor a load-aware
@@ -61,15 +59,13 @@ use crate::outbox::{Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
 use crate::paxos::log_session::LogSession;
 use crate::paxos::multi::{
-    batch_of, Batch, BatchVote, LogShard, MultiMsg, MultiPaxos, ReportFold, ShardOut, SlotVote,
-    VoteReport,
+    batch_of, Batch, LogShard, MultiMsg, MultiPaxos, ReportFold, ShardOut, VoteReport,
 };
 use crate::paxos::slotlog::SlotMap;
 use crate::trace::TraceEvent;
 use crate::types::{kv_key, ProcessId, TimerId, Value};
 use rebalance::{is_ctrl_value, owner_of, Migration, RebalanceConfig, Rebalancer, RouterUpdate};
 use std::collections::BTreeMap;
-use std::fmt;
 
 pub use crate::paxos::multi::{TIMER_EPSILON, TIMER_SESSION};
 pub use crate::types::ShardId;
@@ -90,27 +86,6 @@ pub struct GroupPromise {
     pub shards: Vec<VoteReport>,
 }
 
-/// A [`GroupPromise`] byte string failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PromiseDecodeError {
-    /// Byte offset at which decoding failed.
-    pub at: usize,
-    /// The field being read when the input ran out or went inconsistent.
-    pub what: &'static str,
-}
-
-impl fmt::Display for PromiseDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid GroupPromise encoding: {} at byte {}",
-            self.what, self.at
-        )
-    }
-}
-
-impl std::error::Error for PromiseDecodeError {}
-
 impl GroupPromise {
     /// Folds this promise into the folding group's per-shard quorum
     /// folds ([`ReportFold::fold`], the single log's own rule, shard by
@@ -124,122 +99,6 @@ impl GroupPromise {
         for (fold, report) in folds.iter_mut().zip(&self.shards) {
             fold.fold(report);
         }
-    }
-
-    /// Encodes the promise as a self-contained byte string: all fields as
-    /// little-endian `u64`s, length-prefixed at every level
-    /// (`[S] ([prefix][chosen] ([slot][len][values…])… [votes]
-    /// ([slot][bal][len][values…])…)…`). The in-memory protocol passes
-    /// promises by value; this codec is the wire form a byte-oriented
-    /// transport would ship, and [`GroupPromise::decode`] round-trips it
-    /// exactly.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let push = |out: &mut Vec<u8>, x: u64| out.extend_from_slice(&x.to_le_bytes());
-        let push_batch = |out: &mut Vec<u8>, batch: &Batch| {
-            push(out, batch.len() as u64);
-            for val in batch.iter() {
-                push(out, val.get());
-            }
-        };
-        push(&mut out, self.shards.len() as u64);
-        for report in &self.shards {
-            push(&mut out, report.prefix);
-            push(&mut out, report.chosen.len() as u64);
-            for (slot, batch) in &report.chosen {
-                push(&mut out, *slot);
-                push_batch(&mut out, batch);
-            }
-            push(&mut out, report.votes.len() as u64);
-            for v in &report.votes {
-                push(&mut out, v.slot);
-                push(&mut out, v.vote.bal.get());
-                push_batch(&mut out, &v.vote.batch);
-            }
-        }
-        out
-    }
-
-    /// Decodes a byte string produced by [`GroupPromise::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromiseDecodeError`] if the input is truncated, carries
-    /// trailing bytes, or declares lengths its byte budget cannot hold.
-    pub fn decode(bytes: &[u8]) -> Result<GroupPromise, PromiseDecodeError> {
-        struct Reader<'a> {
-            bytes: &'a [u8],
-            at: usize,
-        }
-        impl Reader<'_> {
-            fn u64(&mut self, what: &'static str) -> Result<u64, PromiseDecodeError> {
-                let end = self.at.checked_add(8).filter(|e| *e <= self.bytes.len());
-                let Some(end) = end else {
-                    return Err(PromiseDecodeError { at: self.at, what });
-                };
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(&self.bytes[self.at..end]);
-                self.at = end;
-                Ok(u64::from_le_bytes(buf))
-            }
-            /// A length-prefixed batch of values.
-            fn batch(&mut self, what: &'static str) -> Result<Batch, PromiseDecodeError> {
-                let count = self.len(8, what)?;
-                (0..count)
-                    .map(|_| Ok(Value::new(self.u64(what)?)))
-                    .collect()
-            }
-            /// A declared element count, sanity-bounded by the remaining
-            /// byte budget (each element is at least `min_bytes`), so a
-            /// corrupt length cannot trigger a huge allocation.
-            fn len(
-                &mut self,
-                min_bytes: usize,
-                what: &'static str,
-            ) -> Result<usize, PromiseDecodeError> {
-                let at = self.at;
-                let n = self.u64(what)?;
-                let budget = (self.bytes.len() - self.at) / min_bytes.max(1);
-                if n > budget as u64 {
-                    return Err(PromiseDecodeError { at, what });
-                }
-                Ok(n as usize)
-            }
-        }
-        let mut r = Reader { bytes, at: 0 };
-        let shard_count = r.len(8, "shard count")?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let prefix = r.u64("prefix")?;
-            let chosen_count = r.len(16, "chosen count")?;
-            let mut chosen = Vec::with_capacity(chosen_count);
-            for _ in 0..chosen_count {
-                chosen.push((r.u64("chosen slot")?, r.batch("chosen values")?));
-            }
-            let vote_count = r.len(24, "vote count")?;
-            let mut votes = Vec::with_capacity(vote_count);
-            for _ in 0..vote_count {
-                let slot = r.u64("slot")?;
-                let bal = Ballot::new(r.u64("ballot")?);
-                let batch = r.batch("values")?;
-                votes.push(SlotVote {
-                    slot,
-                    vote: BatchVote { bal, batch },
-                });
-            }
-            shards.push(VoteReport {
-                prefix,
-                chosen,
-                votes,
-            });
-        }
-        if r.at != bytes.len() {
-            return Err(PromiseDecodeError {
-                at: r.at,
-                what: "trailing bytes",
-            });
-        }
-        Ok(GroupPromise { shards })
     }
 }
 
@@ -284,8 +143,7 @@ pub enum GroupMsg {
     /// is balanced (or rebalancing is disabled): a balanced group's
     /// message stream is bit-identical to the static-router engine's.
     Reroute {
-        /// The epoch bump being announced (see [`RouterUpdate::encode`]
-        /// for the byte form a wire transport would ship).
+        /// The epoch bump being announced.
         update: RouterUpdate,
     },
 }
@@ -335,7 +193,7 @@ impl ShardRouter {
         debug_assert!(shards >= 1);
         let s = match self {
             ShardRouter::Modulo => (key % shards as u64) as u32,
-            ShardRouter::Range(bounds) => bounds.partition_point(|b| key >= *b) as u32,
+            ShardRouter::Range(bounds) => owner_of(bounds, key) as u32,
         };
         debug_assert!((s as usize) < shards, "router stayed in range");
         ShardId::new(s)
@@ -445,16 +303,6 @@ impl LogGroup {
         assert!(self.shards >= 2, "rebalancing needs at least two shards");
         self.rebalance = Some(cfg);
         self
-    }
-
-    /// The number of shards per process.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The key router.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
     }
 }
 
@@ -582,34 +430,6 @@ impl LogGroupProcess {
         }
     }
 
-    /// The merged committed-prefix view: every entry of every shard's
-    /// **all-chosen prefix** (see
-    /// [`LogShard::chosen_prefix`]), deterministically
-    /// interleaved in ascending `(slot, shard)` order. The cross-shard
-    /// apply order a state machine above the group would consume.
-    pub fn merged_prefix(&self) -> Vec<(ShardId, u64, &Batch)> {
-        let mut out: Vec<(ShardId, u64, &Batch)> = Vec::new();
-        for (s, proc) in self.shards.iter().enumerate() {
-            let shard = ShardId::new(s as u32);
-            for (slot, batch) in proc.log().iter() {
-                if slot >= proc.chosen_prefix() {
-                    break;
-                }
-                out.push((shard, slot, batch));
-            }
-        }
-        out.sort_by_key(|(shard, slot, _)| (*slot, *shard));
-        out
-    }
-
-    /// Every command in the merged committed prefix, in apply order.
-    pub fn merged_prefix_values(&self) -> Vec<Value> {
-        self.merged_prefix()
-            .into_iter()
-            .flat_map(|(_, _, b)| b.iter().copied())
-            .collect()
-    }
-
     /// The group's current router epoch (0 until the first committed
     /// boundary move).
     pub fn router_epoch(&self) -> u64 {
@@ -696,6 +516,15 @@ impl LogGroupProcess {
         (0..self.shards.len() as u32).map(ShardId::new)
     }
 
+    /// The boundaries of the range router a rebalancing group runs
+    /// ([`LogGroup::with_rebalancing`] refuses any other router).
+    fn range_bounds(&self) -> &[u64] {
+        match &self.router {
+            ShardRouter::Range(b) => b,
+            ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
+        }
+    }
+
     // ---- live rebalancing (every method below is a no-op, and every
     // call site gated, when `self.rebalance` is `None`) ----
 
@@ -752,11 +581,8 @@ impl LogGroupProcess {
             // dispatch below.
             let migrating = self.rebalance.as_ref().and_then(|r| r.migration.as_ref());
             if let Some(mig) = migrating {
-                let bounds = match &self.router {
-                    ShardRouter::Range(b) => b,
-                    ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
-                };
-                let moves = owner_of(bounds, key) != owner_of(&mig.update.boundaries, key);
+                let moves =
+                    owner_of(self.range_bounds(), key) != owner_of(&mig.update.boundaries, key);
                 let chosen_here = matches!(
                     self.shards[target.as_usize()].admitted_status(value),
                     Some(Admitted::Chosen(_))
@@ -847,10 +673,7 @@ impl LogGroupProcess {
         let ep = update.epoch;
         out.metric(Metric::RebalanceFreeze);
         out.trace(|| TraceEvent::RebalanceFreeze { epoch: ep });
-        let old = match &self.router {
-            ShardRouter::Range(b) => b.clone(),
-            ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
-        };
+        let old = self.range_bounds().to_vec();
         for shard in &mut self.shards {
             let unchosen = shard.extract_pending(|v| {
                 let k = kv_key(v);
@@ -877,25 +700,21 @@ impl LogGroupProcess {
         if mig.ctrl.is_some() {
             return;
         }
-        let old = match &self.router {
-            ShardRouter::Range(b) => b.clone(),
-            ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
-        };
-        let new = mig.update.boundaries.clone();
-        let update = mig.update.clone();
+        let old = self.range_bounds();
+        let new = &mig.update.boundaries;
         let drained = !self.shards.iter().any(|s| {
             s.has_proposal_matching(|v| {
                 let k = kv_key(v);
-                !is_ctrl_value(v) && owner_of(&old, k) != owner_of(&new, k)
+                !is_ctrl_value(v) && owner_of(old, k) != owner_of(new, k)
             })
         });
         if !drained {
             return;
         }
-        let ep = update.epoch;
+        let ep = mig.update.epoch;
+        let batch = batch_of(mig.update.encode_values());
         out.metric(Metric::RebalanceDrain);
         out.trace(|| TraceEvent::RebalanceDrain { epoch: ep });
-        let batch = batch_of(update.encode_values());
         let stored = batch.clone();
         let mut slot = 0;
         self.dispatch(ShardId::ZERO, out, |p, o| {
@@ -990,8 +809,8 @@ impl LogGroupProcess {
     /// followers switch without waiting for shard-0 catch-up.
     fn apply_update(&mut self, update: RouterUpdate, out: &mut Outbox<GroupMsg>) {
         debug_assert!(update.epoch > self.epoch);
-        // The codecs validate shape and ordering but cannot know the
-        // shard count: an update whose arity does not fit this group
+        // `decode_values` validates shape and ordering but cannot know
+        // the shard count: an update whose arity does not fit this group
         // (a corrupted Reroute, or a mixed-S deployment outside the
         // model) must never install a router that maps keys to
         // nonexistent shards.
@@ -1001,10 +820,7 @@ impl LogGroupProcess {
             debug_assert!(false, "router update does not fit this group");
             return;
         }
-        let old = match &self.router {
-            ShardRouter::Range(b) => b.clone(),
-            ShardRouter::Modulo => unreachable!("rebalancing requires a Range router"),
-        };
+        let old = self.range_bounds().to_vec();
         let new = update.boundaries.clone();
         self.epoch = update.epoch;
         self.router = ShardRouter::Range(new.clone());
@@ -1285,7 +1101,7 @@ mod tests {
     use super::*;
     use crate::ballot::Ballot;
     use crate::outbox::Action;
-    use crate::paxos::multi::batch_of;
+    use crate::paxos::multi::{BatchVote, SlotVote};
     use crate::time::LocalInstant;
     use crate::types::kv_command;
 
@@ -1859,50 +1675,6 @@ mod tests {
     }
 
     #[test]
-    fn promise_codec_roundtrips() {
-        let p = GroupPromise {
-            shards: vec![
-                VoteReport::default(),
-                VoteReport {
-                    prefix: 2,
-                    chosen: vec![(0, batch_of([Value::new(40)])), (1, batch_of([]))],
-                    votes: vec![vote(3, 4, &[7, 8]), vote(9, 1, &[])],
-                },
-            ],
-        };
-        let bytes = p.encode();
-        assert_eq!(GroupPromise::decode(&bytes).unwrap(), p);
-        assert_eq!(
-            GroupPromise::decode(&GroupPromise::default().encode()).unwrap(),
-            GroupPromise::default()
-        );
-    }
-
-    #[test]
-    fn promise_codec_rejects_corrupt_input() {
-        let p = GroupPromise {
-            shards: vec![VoteReport {
-                prefix: 1,
-                chosen: vec![(0, batch_of([Value::new(9)]))],
-                votes: vec![vote(1, 2, &[3])],
-            }],
-        };
-        let bytes = p.encode();
-        assert!(
-            GroupPromise::decode(&bytes[..bytes.len() - 1]).is_err(),
-            "truncated"
-        );
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(GroupPromise::decode(&trailing).is_err(), "trailing bytes");
-        // A declared length far beyond the byte budget must not allocate.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(GroupPromise::decode(&huge).is_err(), "absurd shard count");
-        assert!(GroupPromise::decode(&bytes[..3]).is_err(), "short header");
-    }
-
-    #[test]
     fn suppression_group_leader_traffic_defers_takeover() {
         // Follower p2 adopts leader p1's ballot 4; leader traffic on ANY
         // layer (here a shard 2a) resets the single group session timer.
@@ -1935,47 +1707,6 @@ mod tests {
             acts.iter()
                 .any(|a| matches!(a, Action::SetTimer { id, .. } if *id == TIMER_SESSION)),
             "leader liveness re-arms the group session timer"
-        );
-    }
-
-    #[test]
-    fn merged_prefix_interleaves_all_chosen_prefixes() {
-        let mut p = spawn(2, 3, 0);
-        let mut o = out();
-        p.on_start(&mut o);
-        o.drain();
-        let learn =
-            |p: &mut LogGroupProcess, s: u32, slot: u64, id: u64, o: &mut Outbox<GroupMsg>| {
-                p.on_message(
-                    ProcessId::new(2),
-                    &GroupMsg::Shard {
-                        shard: ShardId::new(s),
-                        msg: MultiMsg::LogDecided {
-                            slot,
-                            batch: batch_of([kv_command(s as u64, id)]),
-                        },
-                    },
-                    o,
-                );
-            };
-        learn(&mut p, 0, 0, 10, &mut o);
-        learn(&mut p, 1, 0, 20, &mut o);
-        learn(&mut p, 1, 1, 21, &mut o);
-        // Shard 0 slot 2 is chosen but slot 1 is NOT: it is outside the
-        // all-chosen prefix and must not appear in the merged view.
-        learn(&mut p, 0, 2, 12, &mut o);
-        let merged: Vec<(u32, u64, u64)> = p
-            .merged_prefix()
-            .into_iter()
-            .map(|(s, slot, b)| (s.get(), slot, crate::types::kv_id(b[0])))
-            .collect();
-        assert_eq!(merged, vec![(0, 0, 10), (1, 0, 20), (1, 1, 21)]);
-        assert_eq!(
-            p.merged_prefix_values()
-                .iter()
-                .map(|v| crate::types::kv_id(*v))
-                .collect::<Vec<_>>(),
-            vec![10, 20, 21]
         );
     }
 

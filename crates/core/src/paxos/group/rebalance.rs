@@ -20,7 +20,8 @@
 //!    unchosen) batch of any shard still references a moving key.
 //! 3. **Commit** — the [`RouterUpdate`] (epoch + new boundaries) is
 //!    encoded into a control batch
-//!    ([`RouterUpdate::encode_values`]) and committed through **shard
+//!    ([`RouterUpdate::encode_values`], read back with
+//!    [`RouterUpdate::decode_values`]) and committed through **shard
 //!    0's log**. Every process applies control entries in slot order as
 //!    its shard-0 all-chosen prefix advances, so all processes switch
 //!    boundaries *at the same slot* — a total order even across
@@ -52,7 +53,6 @@
 
 use crate::types::{kv_command, kv_key, Value, KEY_SHIFT};
 use std::collections::BTreeMap;
-use std::fmt;
 
 use super::ShardRouter;
 
@@ -73,8 +73,8 @@ pub fn is_ctrl_value(v: Value) -> bool {
 
 /// A router-epoch switch: the new range boundaries, numbered by a
 /// strictly increasing epoch. Committed through shard 0's log in value
-/// form ([`RouterUpdate::encode_values`]) and broadcast in wire form
-/// ([`RouterUpdate::encode`]) inside [`GroupMsg::Reroute`](super::GroupMsg).
+/// form ([`RouterUpdate::encode_values`]) and broadcast as itself inside
+/// [`GroupMsg::Reroute`](super::GroupMsg).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterUpdate {
     /// The epoch this update establishes (`current + 1` when applied).
@@ -83,27 +83,6 @@ pub struct RouterUpdate {
     /// ascending).
     pub boundaries: Vec<u64>,
 }
-
-/// A [`RouterUpdate`] byte string or control batch failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpdateDecodeError {
-    /// Byte offset at which decoding failed.
-    pub at: usize,
-    /// The field being read when the input ran out or went inconsistent.
-    pub what: &'static str,
-}
-
-impl fmt::Display for UpdateDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid RouterUpdate encoding: {} at byte {}",
-            self.what, self.at
-        )
-    }
-}
-
-impl std::error::Error for UpdateDecodeError {}
 
 impl RouterUpdate {
     /// Encodes the update as the value sequence of a control batch:
@@ -159,75 +138,6 @@ impl RouterUpdate {
             epoch: head_id,
             boundaries,
         })
-    }
-
-    /// Encodes the update as a self-contained byte string (the wire form
-    /// of [`GroupMsg::Reroute`](super::GroupMsg) a byte-oriented
-    /// transport would ship): little-endian `u64`s,
-    /// `[epoch][count][b₀][b₁]…`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 8 * self.boundaries.len());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.boundaries.len() as u64).to_le_bytes());
-        for b in &self.boundaries {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes a byte string produced by [`RouterUpdate::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UpdateDecodeError`] if the input is truncated, carries
-    /// trailing bytes, declares a count its byte budget cannot hold, or
-    /// holds non-ascending boundaries.
-    pub fn decode(bytes: &[u8]) -> Result<RouterUpdate, UpdateDecodeError> {
-        struct Reader<'a> {
-            bytes: &'a [u8],
-            at: usize,
-        }
-        impl Reader<'_> {
-            fn u64(&mut self, what: &'static str) -> Result<u64, UpdateDecodeError> {
-                let end = self.at.checked_add(8).filter(|e| *e <= self.bytes.len());
-                let Some(end) = end else {
-                    return Err(UpdateDecodeError { at: self.at, what });
-                };
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(&self.bytes[self.at..end]);
-                self.at = end;
-                Ok(u64::from_le_bytes(buf))
-            }
-        }
-        let mut r = Reader { bytes, at: 0 };
-        let epoch = r.u64("epoch")?;
-        let count_at = r.at;
-        let count = r.u64("boundary count")?;
-        if count > ((bytes.len() - r.at) / 8) as u64 {
-            return Err(UpdateDecodeError {
-                at: count_at,
-                what: "boundary count",
-            });
-        }
-        let mut boundaries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let b_at = r.at;
-            let b = r.u64("boundary")?;
-            if boundaries.last().is_some_and(|p| *p >= b) {
-                return Err(UpdateDecodeError {
-                    at: b_at,
-                    what: "boundary order",
-                });
-            }
-            boundaries.push(b);
-        }
-        if r.at != bytes.len() {
-            return Err(UpdateDecodeError {
-                at: r.at,
-                what: "trailing bytes",
-            });
-        }
-        Ok(RouterUpdate { epoch, boundaries })
     }
 }
 
@@ -420,7 +330,7 @@ impl Rebalancer {
         let mut per_shard = vec![0u64; shards];
         let mut total = 0u64;
         for (key, w) in &self.key_counts {
-            per_shard[current.partition_point(|b| *key >= *b)] += w;
+            per_shard[owner_of(current, *key)] += w;
             total += w;
         }
         let hottest = per_shard.iter().copied().max().unwrap_or(0);
@@ -490,8 +400,8 @@ impl Rebalancer {
     }
 }
 
-/// The shard index `key` routes to under `bounds` (the range-router
-/// rule, shared with [`ShardRouter::route`]).
+/// The shard index `key` routes to under `bounds`: the range-router
+/// rule, which [`ShardRouter::route`] applies too.
 pub(super) fn owner_of(bounds: &[u64], key: u64) -> usize {
     bounds.partition_point(|b| key >= *b)
 }
@@ -536,40 +446,6 @@ mod tests {
         let mut tagged = good.clone();
         tagged[0] = kv_command(CTRL_KEY, BOUNDARY_TAG | 2);
         assert_eq!(RouterUpdate::decode_values(&tagged), None);
-    }
-
-    #[test]
-    fn byte_codec_roundtrips() {
-        let u = update(7, vec![1, 2, 3, u64::MAX]);
-        assert_eq!(RouterUpdate::decode(&u.encode()).unwrap(), u);
-        let empty = update(0, vec![]);
-        assert_eq!(RouterUpdate::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn byte_codec_rejects_corrupt_input() {
-        let u = update(7, vec![10, 20]);
-        let bytes = u.encode();
-        assert!(
-            RouterUpdate::decode(&bytes[..bytes.len() - 1]).is_err(),
-            "truncated"
-        );
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(RouterUpdate::decode(&trailing).is_err(), "trailing bytes");
-        // An absurd count must not allocate.
-        let mut huge = 0u64.to_le_bytes().to_vec();
-        huge.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(RouterUpdate::decode(&huge).is_err(), "absurd count");
-        assert!(RouterUpdate::decode(&bytes[..3]).is_err(), "short header");
-        // Non-ascending boundaries are rejected at decode time too.
-        let bad = update(1, vec![20, 20]);
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&bad.epoch.to_le_bytes());
-        raw.extend_from_slice(&2u64.to_le_bytes());
-        raw.extend_from_slice(&20u64.to_le_bytes());
-        raw.extend_from_slice(&20u64.to_le_bytes());
-        assert!(RouterUpdate::decode(&raw).is_err(), "boundary order");
     }
 
     #[test]

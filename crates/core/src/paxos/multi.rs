@@ -271,16 +271,6 @@ impl MultiPaxos {
         self
     }
 
-    /// The configured batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The configured pipeline-window cap.
-    pub fn max_outstanding(&self) -> usize {
-        self.max_outstanding
-    }
-
     /// Sets the admitted-set compaction window: chosen commands are
     /// remembered (for retry dedup and `Forward`-of-chosen answers) until
     /// their slot falls `window` slots below the all-chosen log prefix
@@ -294,11 +284,6 @@ impl MultiPaxos {
         assert!(window >= 1, "the admitted window keeps at least one slot");
         self.admitted_window = window;
         self
-    }
-
-    /// The configured admitted-set compaction window.
-    pub fn admitted_window(&self) -> u64 {
-        self.admitted_window
     }
 }
 
@@ -489,7 +474,7 @@ impl LogShard {
 
     /// The first slot not yet chosen locally: every slot below it is
     /// committed (the *all-chosen log prefix* — the boundary the
-    /// admitted-set compaction and the log group's merged view use).
+    /// admitted-set compaction uses).
     pub fn chosen_prefix(&self) -> u64 {
         self.chosen_prefix
     }
@@ -1406,9 +1391,20 @@ mod tests {
 
     #[test]
     fn default_batching_is_one_command_per_slot() {
-        let f = MultiPaxos::new();
-        assert_eq!(f.max_batch(), 1);
-        assert_eq!(f.max_outstanding(), usize::MAX);
+        // Three back-to-back commands at a default anchor leave at once as
+        // three one-command slots: no batching, and no window holds any
+        // of them back.
+        let mut p = spawn(3, 1);
+        let mut o = out();
+        anchor_p1(&mut p, &mut o);
+        for v in [7, 8, 9] {
+            p.on_client(Value::new(v), &mut o);
+        }
+        let acts = o.drain();
+        for (slot, v) in [(0, 7), (1, 8), (2, 9)] {
+            assert_eq!(proposed(&acts, slot), Some(one(v)), "slot {slot}");
+        }
+        assert_eq!(proposed(&acts, 3), None);
     }
 
     #[test]

@@ -353,13 +353,13 @@ proptest! {
 }
 
 proptest! {
-    /// A `GroupPromise` round-trip — built from arbitrarily interleaved
-    /// per-shard 2a acceptances at several processes, encoded to bytes,
-    /// decoded, and folded into a fresh election's per-shard anchor maps
-    /// — preserves each shard's highest-accepted vote for every slot,
-    /// whatever the interleaving and whatever order the promises fold in.
+    /// A `GroupPromise` — built from arbitrarily interleaved per-shard 2a
+    /// acceptances at several processes and folded into a fresh
+    /// election's per-shard anchor maps — preserves each shard's
+    /// highest-accepted vote for every slot, whatever the interleaving
+    /// and whatever order the promises fold in.
     #[test]
-    fn group_promise_roundtrip_preserves_highest_accepted(
+    fn group_promise_preserves_highest_accepted(
         shards in 1usize..5,
         // (process, shard, slot, ballot) acceptance events, arbitrary
         // order; the batch is a function of (slot, ballot), matching the
@@ -367,7 +367,7 @@ proptest! {
         events in proptest::collection::vec((0u32..3, 0u32..8, 0u64..16, 0u64..40), 0..120),
     ) {
         use esync_core::outbox::{Outbox, Process, Protocol};
-        use esync_core::paxos::group::{GroupMsg, GroupPromise, LogGroup, ShardId};
+        use esync_core::paxos::group::{GroupMsg, LogGroup, ShardId};
         use esync_core::paxos::multi::{batch_of, MultiMsg, ReportFold};
         use std::collections::BTreeMap;
 
@@ -407,15 +407,12 @@ proptest! {
 
         // Per process: the promise reports exactly the accepted votes
         // (nothing is chosen in this model, so reports are pure votes at
-        // prefix 0), and survives the byte codec unchanged.
+        // prefix 0).
         let mut folds = vec![ReportFold::default(); shards];
         for (p, proc) in procs.iter().enumerate() {
             let promise = proc.promise(&vec![0u64; shards]);
             prop_assert_eq!(promise.shards.len(), shards);
-            let decoded = GroupPromise::decode(&promise.encode())
-                .expect("own encoding decodes");
-            prop_assert_eq!(&decoded, &promise, "codec round-trip changed the promise");
-            for (s, report) in decoded.shards.iter().enumerate() {
+            for (s, report) in promise.shards.iter().enumerate() {
                 prop_assert_eq!(report.prefix, 0, "nothing chosen in this model");
                 prop_assert!(report.chosen.is_empty(), "no chosen entries to report");
                 let expect: Vec<(u64, Ballot, Value)> = accepted[p]
@@ -433,7 +430,7 @@ proptest! {
                     .collect::<Result<_, _>>()?;
                 prop_assert_eq!(got, expect, "p{} shard {} promise mismatch", p, s);
             }
-            decoded.fold_into(&mut folds);
+            promise.fold_into(&mut folds);
         }
 
         // Folded across all promises: the highest-ballot vote per

@@ -61,35 +61,18 @@ impl<M> Ord for Parked<M> {
     }
 }
 
-/// Commands understood by the delayer thread.
-pub(crate) enum DelayerCmd<M> {
-    /// Hold a message until its due time.
-    Park(Parked<M>),
-    /// Exit the delayer loop.
-    #[allow(dead_code)]
-    Stop,
-}
-
-impl<M> std::fmt::Debug for DelayerCmd<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DelayerCmd::Park(p) => write!(f, "Park(to={}, due={:?})", p.to, p.due),
-            DelayerCmd::Stop => write!(f, "Stop"),
-        }
-    }
-}
-
-/// Spawns the delayer thread serving all links of one cluster.
+/// Spawns the delayer thread serving all links of one cluster. It exits
+/// once every sender of its channel is dropped.
 pub(crate) fn spawn_delayer<M: Send + 'static>(
     node_senders: Vec<Sender<Wire<M>>>,
-) -> (Sender<DelayerCmd<M>>, JoinHandle<()>) {
-    let (tx, rx): (Sender<DelayerCmd<M>>, Receiver<DelayerCmd<M>>) = unbounded();
+) -> (Sender<Parked<M>>, JoinHandle<()>) {
+    let (tx, rx): (Sender<Parked<M>>, Receiver<Parked<M>>) = unbounded();
     let handle = std::thread::Builder::new()
         .name("esync-delayer".into())
         .spawn(move || {
             let mut heap: BinaryHeap<Parked<M>> = BinaryHeap::new();
             loop {
-                let cmd = if let Some(p) = heap.peek() {
+                let parked = if let Some(p) = heap.peek() {
                     let now = Instant::now();
                     if p.due <= now {
                         let p = heap.pop().expect("peeked");
@@ -97,20 +80,17 @@ pub(crate) fn spawn_delayer<M: Send + 'static>(
                         continue;
                     }
                     match rx.recv_timeout(p.due - now) {
-                        Ok(cmd) => cmd,
+                        Ok(parked) => parked,
                         Err(RecvTimeoutError::Timeout) => continue,
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
                 } else {
                     match rx.recv() {
-                        Ok(cmd) => cmd,
+                        Ok(parked) => parked,
                         Err(_) => break,
                     }
                 };
-                match cmd {
-                    DelayerCmd::Park(p) => heap.push(p),
-                    DelayerCmd::Stop => break,
-                }
+                heap.push(parked);
             }
         })
         .expect("spawn delayer thread");
@@ -121,7 +101,7 @@ pub(crate) fn spawn_delayer<M: Send + 'static>(
 #[derive(Debug)]
 pub struct Transport<M> {
     node_senders: Vec<Sender<Wire<M>>>,
-    delayer: Sender<DelayerCmd<M>>,
+    delayer: Sender<Parked<M>>,
     stable_at: Instant,
     loss_prob: f64,
     max_extra_delay: Duration,
@@ -132,7 +112,7 @@ pub struct Transport<M> {
 impl<M: Clone> Transport<M> {
     pub(crate) fn new(
         node_senders: Vec<Sender<Wire<M>>>,
-        delayer: Sender<DelayerCmd<M>>,
+        delayer: Sender<Parked<M>>,
         stable_at: Instant,
         loss_prob: f64,
         max_extra_delay: Duration,
@@ -168,12 +148,12 @@ impl<M: Clone> Transport<M> {
                     .gen_range(0..=self.max_extra_delay.as_nanos() as u64);
                 if extra_ns > 0 {
                     self.seq += 1;
-                    let _ = self.delayer.send(DelayerCmd::Park(Parked {
+                    let _ = self.delayer.send(Parked {
                         due: now + Duration::from_nanos(extra_ns),
                         seq: self.seq,
                         to: to.as_usize(),
                         wire,
-                    }));
+                    });
                     return;
                 }
             }
@@ -211,7 +191,7 @@ mod tests {
         let now = Instant::now();
         let mut t = Transport::new(
             senders,
-            dtx.clone(),
+            dtx,
             now, // stable immediately
             1.0, // loss prob irrelevant after stability
             Duration::from_secs(1),
@@ -225,7 +205,7 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-        let _ = dtx.send(DelayerCmd::Stop);
+        drop(t);
         dh.join().unwrap();
     }
 
@@ -236,7 +216,7 @@ mod tests {
         let now = Instant::now();
         let mut t = Transport::new(
             senders,
-            dtx.clone(),
+            dtx,
             now + Duration::from_secs(3600),
             1.0, // always lose
             Duration::ZERO,
@@ -251,7 +231,7 @@ mod tests {
                 .is_err(),
             "everything lost in the unstable window"
         );
-        let _ = dtx.send(DelayerCmd::Stop);
+        drop(t);
         dh.join().unwrap();
     }
 
@@ -262,7 +242,7 @@ mod tests {
         let now = Instant::now();
         let mut t = Transport::new(
             senders,
-            dtx.clone(),
+            dtx,
             now + Duration::from_secs(3600),
             0.0,
             Duration::from_millis(30),
@@ -280,7 +260,7 @@ mod tests {
             }
         }
         assert!(sent_at.elapsed() <= Duration::from_millis(400));
-        let _ = dtx.send(DelayerCmd::Stop);
+        drop(t);
         dh.join().unwrap();
     }
 
@@ -291,7 +271,7 @@ mod tests {
         let now = Instant::now();
         let mut t = Transport::new(
             senders,
-            dtx.clone(),
+            dtx,
             now,
             0.0,
             Duration::ZERO,
@@ -304,7 +284,7 @@ mod tests {
                 Ok(Wire::Msg { msg: 9, .. })
             ));
         }
-        let _ = dtx.send(DelayerCmd::Stop);
+        drop(t);
         dh.join().unwrap();
     }
 }

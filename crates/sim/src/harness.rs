@@ -1,34 +1,6 @@
-//! One-call experiment runners: protocol × configuration × seeds → reports.
+//! Summary statistics over a set of run reports.
 
-use crate::error::SimError;
 use crate::metrics::{Report, Stats};
-use crate::world::{SimConfig, World};
-use esync_core::outbox::Protocol;
-
-/// Runs one protocol under one configuration to completion.
-///
-/// # Errors
-///
-/// Propagates [`SimError::Timeout`] if the run does not complete by its
-/// horizon.
-pub fn run<P: Protocol>(cfg: SimConfig, protocol: P) -> Result<Report, SimError> {
-    World::new(cfg, protocol).run_to_completion()
-}
-
-/// Runs `seeds` independent runs, building the configuration and protocol
-/// afresh per seed.
-///
-/// # Errors
-///
-/// Fails on the first seed whose run errors.
-pub fn run_seeds<P, C, F>(seeds: u64, mk_cfg: C, mk_protocol: F) -> Result<Vec<Report>, SimError>
-where
-    P: Protocol,
-    C: Fn(u64) -> SimConfig,
-    F: Fn() -> P,
-{
-    (0..seeds).map(|s| run(mk_cfg(s), mk_protocol())).collect()
-}
 
 /// Statistics of `max(decide − TS)` in units of `δ` over a set of runs.
 pub fn decision_stats(reports: &[Report]) -> Option<Stats> {
@@ -54,6 +26,7 @@ pub fn restart_recovery_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::{SimConfig, World};
     use esync_core::paxos::session::SessionPaxos;
 
     fn cfg(seed: u64) -> SimConfig {
@@ -64,9 +37,16 @@ mod tests {
             .unwrap()
     }
 
+    fn run_seeds(seeds: u64) -> Vec<Report> {
+        (0..seeds)
+            .map(|s| World::new(cfg(s), SessionPaxos::new()).run_to_completion())
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
+
     #[test]
     fn run_seeds_produces_one_report_each() {
-        let reports = run_seeds(5, cfg, SessionPaxos::new).unwrap();
+        let reports = run_seeds(5);
         assert_eq!(reports.len(), 5);
         assert!(reports.iter().all(|r| r.agreement()));
         let stats = decision_stats(&reports).unwrap();
@@ -76,7 +56,7 @@ mod tests {
 
     #[test]
     fn restart_stats_empty_without_restarts() {
-        let reports = run_seeds(2, cfg, SessionPaxos::new).unwrap();
+        let reports = run_seeds(2);
         assert!(restart_recovery_stats(&reports, esync_core::types::ProcessId::new(0)).is_none());
     }
 }

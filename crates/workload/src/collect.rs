@@ -4,14 +4,17 @@ use esync_core::outbox::ShardLoad;
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, ShardId, Value};
 use esync_metrics::HealthSummary;
-use esync_sim::metrics::{LatencyHistogram, ShardSummary, ThroughputTimeline, WorkloadSummary};
+use esync_sim::metrics::{
+    HistogramSummary, LatencyHistogram, ShardSummary, ThroughputTimeline, WorkloadSummary,
+};
 use esync_sim::scenario::kv_id;
 use esync_sim::SimTime;
 use esync_trace::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One shard's slice of the measurements (see
-/// [`ShardSummary`]). Grown on demand as shard tags appear in the feed.
+/// One slice of the measurements: a shard's (see [`ShardSummary`]),
+/// or the whole run's. Shard slices grow on demand as shard tags appear
+/// in the feed.
 #[derive(Debug, Default)]
 struct ShardAcc {
     committed: u64,
@@ -21,6 +24,60 @@ struct ShardAcc {
     post_ts: LatencyHistogram,
     first_submit_ns: Option<u64>,
     last_commit_ns: Option<u64>,
+}
+
+/// A slice's summary section: its measured span, the throughput over it,
+/// and its latency histograms.
+struct Section {
+    measured_secs: f64,
+    commits_per_sec: f64,
+    latency: HistogramSummary,
+    pre_ts: Option<HistogramSummary>,
+    post_ts: Option<HistogramSummary>,
+}
+
+impl ShardAcc {
+    /// Records the first commit, at `at_ns`, of a command submitted at
+    /// `submit`; `ts_ns` splits the pre/post histograms.
+    fn record(&mut self, ts_ns: Option<u64>, submit: u64, at_ns: u64) {
+        let lat = at_ns.saturating_sub(submit);
+        self.committed += 1;
+        self.latency.record(lat);
+        match ts_ns {
+            Some(ts) if submit < ts => self.pre_ts.record(lat),
+            Some(_) => self.post_ts.record(lat),
+            None => {}
+        }
+        if self.first_submit_ns.is_none_or(|t| submit < t) {
+            self.first_submit_ns = Some(submit);
+        }
+        if self.last_commit_ns.is_none_or(|t| at_ns > t) {
+            self.last_commit_ns = Some(at_ns);
+        }
+    }
+
+    /// The slice's section: throughput over first submit → last commit,
+    /// and the pre/post histograms only if the run has a `TS` (`split`)
+    /// and they are non-empty.
+    fn section(&self, split: bool) -> Section {
+        let span_ns = match (self.first_submit_ns, self.last_commit_ns) {
+            (Some(a), Some(b)) if b > a => b - a,
+            _ => 0,
+        };
+        let measured_secs = span_ns as f64 / 1e9;
+        let nonempty = |h: &LatencyHistogram| (split && !h.is_empty()).then(|| h.summary());
+        Section {
+            measured_secs,
+            commits_per_sec: if span_ns > 0 {
+                self.committed as f64 / measured_secs
+            } else {
+                0.0
+            },
+            latency: self.latency.summary(),
+            pre_ts: nonempty(&self.pre_ts),
+            post_ts: nonempty(&self.post_ts),
+        }
+    }
 }
 
 /// Accumulates a workload run's measurements from its submit and commit
@@ -52,10 +109,9 @@ pub struct Collector {
     committed: BTreeSet<u64>,
     /// `(pid, id)` pairs seen, to detect per-process re-application.
     applied: BTreeSet<(u32, u64)>,
-    duplicates: u64,
-    latency: LatencyHistogram,
-    pre_ts: LatencyHistogram,
-    post_ts: LatencyHistogram,
+    /// The aggregate slice. Its first submit is taken at submission, so
+    /// never-committed commands open the aggregate span too.
+    total: ShardAcc,
     timeline: ThroughputTimeline,
     /// Per-shard accumulators, indexed by shard; shard 0 exists from the
     /// first commit, higher shards as their tags appear.
@@ -63,8 +119,6 @@ pub struct Collector {
     /// Protocol-level per-shard load counters (schema v5), installed by
     /// the driver after the run via [`Collector::set_shard_loads`].
     shard_loads: Vec<ShardLoad>,
-    first_submit_ns: Option<u64>,
-    last_commit_ns: Option<u64>,
 }
 
 impl Collector {
@@ -75,15 +129,10 @@ impl Collector {
             submit_ns: BTreeMap::new(),
             committed: BTreeSet::new(),
             applied: BTreeSet::new(),
-            duplicates: 0,
-            latency: LatencyHistogram::new(),
-            pre_ts: LatencyHistogram::new(),
-            post_ts: LatencyHistogram::new(),
+            total: ShardAcc::default(),
             timeline: ThroughputTimeline::new(timeline_window),
             shards: Vec::new(),
             shard_loads: Vec::new(),
-            first_submit_ns: None,
-            last_commit_ns: None,
         }
     }
 
@@ -112,8 +161,8 @@ impl Collector {
     pub fn on_submit(&mut self, value: Value, at_ns: u64) {
         let id = kv_id(value);
         self.submit_ns.entry(id).or_insert(at_ns);
-        if self.first_submit_ns.is_none_or(|t| at_ns < t) {
-            self.first_submit_ns = Some(at_ns);
+        if self.total.first_submit_ns.is_none_or(|t| at_ns < t) {
+            self.total.first_submit_ns = Some(at_ns);
         }
     }
 
@@ -135,37 +184,15 @@ impl Collector {
             self.shards.resize_with(s + 1, ShardAcc::default);
         }
         if !self.applied.insert((pid.as_u32(), id)) {
-            self.duplicates += 1;
+            self.total.duplicates += 1;
             self.shards[s].duplicates += 1;
         }
         if !self.committed.insert(id) {
             return None;
         }
-        let lat = at_ns.saturating_sub(submit);
-        self.latency.record(lat);
-        match self.ts_ns {
-            Some(ts) if submit < ts => self.pre_ts.record(lat),
-            Some(_) => self.post_ts.record(lat),
-            None => {}
-        }
+        self.total.record(self.ts_ns, submit, at_ns);
+        self.shards[s].record(self.ts_ns, submit, at_ns);
         self.timeline.record(SimTime::from_nanos(at_ns));
-        if self.last_commit_ns.is_none_or(|t| at_ns > t) {
-            self.last_commit_ns = Some(at_ns);
-        }
-        let acc = &mut self.shards[s];
-        acc.committed += 1;
-        acc.latency.record(lat);
-        match self.ts_ns {
-            Some(ts) if submit < ts => acc.pre_ts.record(lat),
-            Some(_) => acc.post_ts.record(lat),
-            None => {}
-        }
-        if acc.first_submit_ns.is_none_or(|t| submit < t) {
-            acc.first_submit_ns = Some(submit);
-        }
-        if acc.last_commit_ns.is_none_or(|t| at_ns > t) {
-            acc.last_commit_ns = Some(at_ns);
-        }
         Some(id)
     }
 
@@ -181,11 +208,8 @@ impl Collector {
 
     /// Builds the summary of everything recorded.
     pub fn summary(&self) -> WorkloadSummary {
-        let span_ns = match (self.first_submit_ns, self.last_commit_ns) {
-            (Some(a), Some(b)) if b > a => b - a,
-            _ => 0,
-        };
-        let measured_secs = span_ns as f64 / 1e9;
+        let split = self.ts_ns.is_some();
+        let total = self.total.section(split);
         // Max-over-mean of the per-shard committed counts (v5): 1.0 is
         // balanced, S is one-shard-takes-all, 0.0 is nothing committed.
         let shard_imbalance = {
@@ -201,18 +225,12 @@ impl Collector {
         WorkloadSummary {
             submitted: self.submitted(),
             committed: self.committed(),
-            duplicate_commits: self.duplicates,
-            measured_secs,
-            commits_per_sec: if span_ns > 0 {
-                self.committed() as f64 / measured_secs
-            } else {
-                0.0
-            },
-            latency: self.latency.summary(),
-            pre_ts: (self.ts_ns.is_some() && !self.pre_ts.is_empty())
-                .then(|| self.pre_ts.summary()),
-            post_ts: (self.ts_ns.is_some() && !self.post_ts.is_empty())
-                .then(|| self.post_ts.summary()),
+            duplicate_commits: self.total.duplicates,
+            measured_secs: total.measured_secs,
+            commits_per_sec: total.commits_per_sec,
+            latency: total.latency,
+            pre_ts: total.pre_ts,
+            post_ts: total.post_ts,
             timeline: self.timeline.counts().to_vec(),
             timeline_window_ms: self.timeline.window().as_millis_f64(),
             // Schema v3 guarantees at least a shard-0 entry (mirroring
@@ -229,10 +247,7 @@ impl Collector {
                 accs.iter()
                     .enumerate()
                     .map(|(s, acc)| {
-                        let span_ns = match (acc.first_submit_ns, acc.last_commit_ns) {
-                            (Some(a), Some(b)) if b > a => b - a,
-                            _ => 0,
-                        };
+                        let section = acc.section(split);
                         let load = self.shard_loads.get(s).copied().unwrap_or_default();
                         ShardSummary {
                             shard: s as u32,
@@ -240,16 +255,10 @@ impl Collector {
                             admitted: load.admitted,
                             committed: acc.committed,
                             duplicate_commits: acc.duplicates,
-                            commits_per_sec: if span_ns > 0 {
-                                acc.committed as f64 / (span_ns as f64 / 1e9)
-                            } else {
-                                0.0
-                            },
-                            latency: acc.latency.summary(),
-                            pre_ts: (self.ts_ns.is_some() && !acc.pre_ts.is_empty())
-                                .then(|| acc.pre_ts.summary()),
-                            post_ts: (self.ts_ns.is_some() && !acc.post_ts.is_empty())
-                                .then(|| acc.post_ts.summary()),
+                            commits_per_sec: section.commits_per_sec,
+                            latency: section.latency,
+                            pre_ts: section.pre_ts,
+                            post_ts: section.post_ts,
                         }
                     })
                     .collect()

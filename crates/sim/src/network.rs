@@ -106,13 +106,60 @@ pub enum Delivery {
     At(SimTime),
 }
 
+/// A delay range `[lo, hi]·δ` as `lo` and `hi − lo`, the two values a
+/// draw `lo + u·(hi − lo)` reads.
+#[derive(Debug, Clone, Copy)]
+struct DelayRange {
+    lo: f64,
+    span: f64,
+}
+
+impl DelayRange {
+    fn new((lo, hi): (f64, f64)) -> Self {
+        DelayRange { lo, span: hi - lo }
+    }
+}
+
+/// The pre-`TS` loss verdict, fixed per configuration.
+#[derive(Debug, Clone, Copy)]
+enum Loss {
+    /// `loss_prob == 0`: nothing is dropped and nothing is drawn.
+    Never,
+    /// `loss_prob >= 1`: everything is dropped and nothing is drawn.
+    Always,
+    /// One draw `x` per message; it drops when `x >> 11` is below this
+    /// threshold, `⌈p·2⁵³⌉`. That is `Rng::gen_bool(p)` without floats: its
+    /// unit float `(x >> 11)·2⁻⁵³` and `p·2⁵³` are both exact in `f64`.
+    Below(u64),
+}
+
+impl Loss {
+    fn new(p: f64) -> Self {
+        if p >= 1.0 {
+            Loss::Always
+        } else if p > 0.0 {
+            Loss::Below((p * UNIT_STEPS).ceil() as u64)
+        } else {
+            Loss::Never
+        }
+    }
+}
+
+/// `2⁵³`: a draw `x` gives the unit float `(x >> 11) / 2⁵³` in `[0, 1)`,
+/// as the vendored `rand` samples `f64`s.
+const UNIT_STEPS: f64 = (1u64 << 53) as f64;
+
 /// The network: pre-`TS` policy plus the post-`TS` `δ` guarantee.
 #[derive(Debug, Clone)]
 pub struct Network {
     ts: SimTime,
     delta: RealDuration,
+    /// `δ` in nanoseconds, the factor every sampled delay scales.
+    delta_ns: f64,
     /// Post-`TS` delays are uniform in `[min, max]·δ` with `max ≤ 1`.
-    post_delay_range: (f64, f64),
+    post_delay: DelayRange,
+    pre_delay: DelayRange,
+    loss: Loss,
     pre: PreStability,
 }
 
@@ -141,14 +188,19 @@ impl Network {
             pre.loss_prob
         );
         assert!(
-            pre.delay_delta_range.0 >= 0.0 && pre.delay_delta_range.0 <= pre.delay_delta_range.1,
+            pre.delay_delta_range.0 >= 0.0
+                && pre.delay_delta_range.0 <= pre.delay_delta_range.1
+                && pre.delay_delta_range.1.is_finite(),
             "pre-stability delay range malformed: {:?}",
             pre.delay_delta_range
         );
         Network {
             ts,
             delta,
-            post_delay_range,
+            delta_ns: delta.as_nanos() as f64,
+            post_delay: DelayRange::new(post_delay_range),
+            pre_delay: DelayRange::new(pre.delay_delta_range),
+            loss: Loss::new(pre.loss_prob),
             pre,
         }
     }
@@ -168,17 +220,20 @@ impl Network {
     ) -> Delivery {
         if at >= self.ts {
             // Stability: delivered within δ, no exceptions.
-            Delivery::At(at + self.sample_delay(self.post_delay_range, rng))
+            Delivery::At(at + self.sample_delay(self.post_delay, rng))
         } else {
             if self.pre.isolated.contains(&from) || self.pre.isolated.contains(&to) {
                 return Delivery::Drop;
             }
-            if self.pre.loss_prob >= 1.0
-                || (self.pre.loss_prob > 0.0 && rng.gen_bool(self.pre.loss_prob))
-            {
+            let lost = match self.loss {
+                Loss::Never => false,
+                Loss::Always => true,
+                Loss::Below(t) => rng.next_u64() >> 11 < t,
+            };
+            if lost {
                 return Delivery::Drop;
             }
-            let arrival = at + self.sample_delay(self.pre.delay_delta_range, rng);
+            let arrival = at + self.sample_delay(self.pre_delay, rng);
             if self.pre.carryover_bounded {
                 // §1 variant: "either lost or delivered by time TS + δ".
                 Delivery::At(arrival.min(self.ts + self.delta))
@@ -188,13 +243,18 @@ impl Network {
         }
     }
 
-    fn sample_delay<R: Rng>(&self, range: (f64, f64), rng: &mut R) -> RealDuration {
-        let frac = if range.0 == range.1 {
-            range.0
+    /// `δ·(lo + u·(hi − lo))` for a unit draw `u`, rounded as
+    /// [`RealDuration::mul_f64`] rounds: the same float operations as
+    /// `delta.mul_f64(rng.gen_range(lo..=hi))`, with the per-call
+    /// constants taken from `new`. `hi − lo` is zero exactly when
+    /// `lo == hi`, which draws nothing.
+    fn sample_delay<R: Rng>(&self, range: DelayRange, rng: &mut R) -> RealDuration {
+        let frac = if range.span == 0.0 {
+            range.lo
         } else {
-            rng.gen_range(range.0..=range.1)
+            range.lo + (rng.next_u64() >> 11) as f64 * (1.0 / UNIT_STEPS) * range.span
         };
-        let d = self.delta.mul_f64(frac);
+        let d = RealDuration::from_nanos((self.delta_ns * frac + 0.5) as u64);
         // Delivery is never instantaneous.
         d.max(RealDuration::from_nanos(1))
     }
@@ -203,7 +263,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn net(pre: PreStability) -> Network {
@@ -349,12 +409,112 @@ mod tests {
 
     #[test]
     fn delivery_is_never_instantaneous() {
-        let mut n = net(PreStability::lossless());
-        n.post_delay_range = (0.0, 0.0);
+        let n = Network::new(
+            SimTime::from_millis(100),
+            RealDuration::from_millis(10),
+            (0.0, 0.0),
+            PreStability::lossless(),
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         match n.classify(n.ts(), ProcessId::new(0), ProcessId::new(0), &mut rng) {
             Delivery::At(t) => assert!(t > n.ts()),
             Delivery::Drop => panic!(),
+        }
+    }
+
+    /// An RNG whose every draw is the one word `x`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn loss_threshold_agrees_with_gen_bool() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        for p in [0.3, 0.5, 1.0 / 3.0, 1e-12, 1.0 - f64::EPSILON / 2.0] {
+            let Loss::Below(t) = Loss::new(p) else {
+                panic!("{p} draws");
+            };
+            let draws = (0..100_000).map(|_| rng.next_u64());
+            // The edge mantissas: the largest one that drops, the smallest
+            // one that does not.
+            let edges = [t - 1, t].map(|m| m << 11);
+            for x in draws.chain(edges) {
+                assert_eq!(x >> 11 < t, Fixed(x).gen_bool(p), "p {p}, x {x:#x}");
+            }
+            assert!(Fixed((t - 1) << 11).gen_bool(p) && !Fixed(t << 11).gen_bool(p));
+        }
+    }
+
+    /// `Network::classify` as it was before the precomputed threshold and
+    /// delay constants: `gen_bool` for the loss, `gen_range` and `mul_f64`
+    /// for the delay.
+    fn classify_via_gen_bool<R: Rng>(
+        ts: SimTime,
+        delta: RealDuration,
+        post: (f64, f64),
+        pre: &PreStability,
+        (at, from, to): (SimTime, ProcessId, ProcessId),
+        rng: &mut R,
+    ) -> Delivery {
+        let delay = |range: (f64, f64), rng: &mut R| {
+            let frac = if range.0 == range.1 {
+                range.0
+            } else {
+                rng.gen_range(range.0..=range.1)
+            };
+            delta.mul_f64(frac).max(RealDuration::from_nanos(1))
+        };
+        if at >= ts {
+            return Delivery::At(at + delay(post, rng));
+        }
+        if pre.isolated.contains(&from) || pre.isolated.contains(&to) {
+            return Delivery::Drop;
+        }
+        if pre.loss_prob >= 1.0 || (pre.loss_prob > 0.0 && rng.gen_bool(pre.loss_prob)) {
+            return Delivery::Drop;
+        }
+        let arrival = at + delay(pre.delay_delta_range, rng);
+        if pre.carryover_bounded {
+            Delivery::At(arrival.min(ts + delta))
+        } else {
+            Delivery::At(arrival)
+        }
+    }
+
+    #[test]
+    fn classify_keeps_the_gen_bool_verdicts_and_draw_count() {
+        let (ts, delta) = (SimTime::from_millis(100), RealDuration::from_micros(10_007));
+        for loss_prob in [0.0, 0.3, 1.0] {
+            for (delay_delta_range, carryover_bounded) in [((0.0, 12.0), false), ((2.0, 2.0), true)]
+            {
+                let pre = PreStability {
+                    loss_prob,
+                    delay_delta_range,
+                    carryover_bounded,
+                    ..PreStability::chaos().with_isolated([ProcessId::new(4)])
+                };
+                let n = Network::new(ts, delta, (0.1, 1.0), pre.clone());
+                let mut a = ChaCha8Rng::seed_from_u64(13);
+                let mut b = a.clone();
+                for i in 0..10_000u64 {
+                    // Send times on both sides of TS; process 4 is isolated.
+                    let at = SimTime::from_nanos(i * 19_997 % 200_000_000);
+                    let (from, to) = (ProcessId::new(i as u32 % 5), ProcessId::new(i as u32 % 3));
+                    assert_eq!(
+                        n.classify(at, from, to, &mut a),
+                        classify_via_gen_bool(ts, delta, (0.1, 1.0), &pre, (at, from, to), &mut b),
+                        "loss {loss_prob}, range {delay_delta_range:?}, message {i}"
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "loss {loss_prob}: draw count");
+            }
         }
     }
 

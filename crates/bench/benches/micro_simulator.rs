@@ -454,6 +454,55 @@ fn bench_event_queue_recover_depth(c: &mut Criterion) {
     });
 }
 
+/// The queue at the depth of the steady-state log workloads (`sim_log_s1`:
+/// n = 5, δ = 10 ms, post-`TS` delays uniform in `[0.1δ, δ]`). 120 keys
+/// stay pending — every fifth pop broadcasts to all five processes — in
+/// the world's δ/16 buckets, held fixed: a bucket holds 11 keys on average
+/// and at most 30 (over 2·10⁷ pops), so every bucket takes the small-sort
+/// path that most of the n = 33 row's buckets never take. (Adapting would
+/// narrow the width to 2^14 ns and leave about one key per bucket.)
+fn bench_event_queue_log_depth(c: &mut Criterion) {
+    c.bench_function("event_queue_log_depth_n5", |b| {
+        const N: u32 = 5;
+        const DELTA_NS: u64 = 10_000_000;
+        let shift = (DELTA_NS / 16).ilog2();
+        let mut q: EventQueue<PaxosMsg> = EventQueue::with_bucket_width_shift(shift, 256);
+        q.set_adaptive(false);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut broadcast = |q: &mut EventQueue<PaxosMsg>, now: u64, from: u32| {
+            let msg = MsgPayload::Owned(PaxosMsg::P1a {
+                mbal: Ballot::new(now),
+            });
+            let recipients = (0..N).map(|to| {
+                let delay = DELTA_NS / 10 + (rand() >> 8) % (DELTA_NS * 9 / 10);
+                (ProcessId::new(to), SimTime::from_nanos(now + delay))
+            });
+            q.push_fanout(ProcessId::new(from), msg, recipients);
+        };
+        for i in 0..24 {
+            broadcast(&mut q, 0, i % N);
+        }
+        let mut pops = 0u32;
+        b.iter(|| {
+            let e = q.pop().unwrap();
+            pops = pops.wrapping_add(1);
+            if pops.is_multiple_of(N) {
+                let EventKind::Deliver { to, .. } = e.kind else {
+                    unreachable!("only deliveries are scheduled")
+                };
+                broadcast(&mut q, e.at.as_nanos(), to.as_u32());
+            }
+            black_box(e.seq)
+        });
+    });
+}
+
 /// Wide-horizon calendar-queue churn: ~6000 pending timers spread over a
 /// ~4s horizon — 250× the 16.8ms ring span of the fixed 2^14ns bucket
 /// width, so the fixed queue funnels nearly every push through the far
@@ -548,7 +597,7 @@ criterion_group! {
     targets = bench_end_to_end, bench_log_group_workload, bench_chaos_run,
               bench_protocol_step, bench_promise_truncation,
               bench_decision_tracker, bench_event_queue,
-              bench_event_queue_recover_depth,
+              bench_event_queue_recover_depth, bench_event_queue_log_depth,
               bench_event_queue_wide_horizon, bench_sweep,
               bench_trace_overhead, bench_metrics_overhead
 }

@@ -4,7 +4,7 @@
 //! same-instant ties in insertion order, making every run a deterministic
 //! function of the seed.
 //!
-//! Two hot-path design points (this queue sits under every simulated
+//! Three hot-path design points (this queue sits under every simulated
 //! message):
 //!
 //! * A broadcast is **one queue record**: [`EventQueue::push_fanout`]
@@ -16,6 +16,11 @@
 //! * The queue keeps an O(1) count of pending *control* events (boots and
 //!   client submissions), so the simulator's completion check does not scan
 //!   the heap per step.
+//! * A calendar bucket is put in order when the clock reaches it, and a
+//!   large one without a comparison sort: one stable counting pass on the
+//!   top bits of each key's offset inside the bucket, then an insertion
+//!   pass that is exact on any input. An occupancy bitmap over the ring
+//!   lets the clock jump over empty buckets instead of walking them.
 
 use crate::time::SimTime;
 use esync_core::types::{ProcessId, TimerId, Value};
@@ -196,7 +201,39 @@ const RING_BUCKETS: usize = 1024;
 /// their buffers for the rest of the run and across `reset`, so the hint
 /// only spares the smallest doublings: hints from 512 B to 32 KiB moved
 /// neither ns per event (106–117 in every case) nor peak RSS (< 0.6%).
+/// A bucket's size also picks how it is ordered (see [`SMALL_BUCKET`]).
 const BUCKET_HINT_BYTES: usize = 512;
+
+/// Words of the ring's occupancy bitmap: bit `i % 64` of word `i / 64` is
+/// set exactly when ring slot `i` holds a key.
+const OCC_WORDS: usize = RING_BUCKETS / 64;
+
+/// Buckets up to this many keys are ordered by `sort_unstable`. Per key,
+/// on a 2-core Xeon, for random offsets in arrival order, `sort_unstable`
+/// against the counting pass took 10.8 / 10.6 ns at 16 keys, 10.6 / 10.5
+/// at 32, 10.5 / 6.9 at 64, 22.9 / 10.4 at 128 and 22.7 / 11.8 at 400:
+/// no gain below ~48 keys. The world's buckets hold at most 32 keys at
+/// n = 5 (`sim_log_s1`, `sim_group_s8`, `sim_failover_open_s4`) and mostly
+/// 65–256, at most 410, at n = 33 under chaos (`sim_recover_n33`), so 64
+/// keeps the first on the small sort and puts most of the second on the
+/// counting pass.
+const SMALL_BUCKET: usize = 64;
+
+/// Most top-offset bits the counting pass splits a bucket by: it binds
+/// only from 1 024 keys up, far above the world's buckets, and bounds the
+/// counters at `2^10 + 1` (4 KiB). Fewer bits than `⌊log₂ n⌋ + 1` leave
+/// several keys per digit for the insertion pass: at 400 keys, 6 and 8
+/// bits took 21.4 and 15.3 ns per key against 11.8 at 9.
+const MAX_DIGIT_BITS: u32 = 10;
+
+/// Moves per key the insertion pass may make before it hands the bucket to
+/// `sort_unstable`. After the stable counting pass a key moves only past
+/// keys of its own digit that arrived earlier but order later. On random
+/// offsets in arrival order that was at most 0.32 moves per key over 200
+/// buckets each of 65, 128, 256, 400 and 1 000 keys, so the budget does
+/// not run out on such buckets. It keeps a bucket whose keys all share
+/// one digit at O(n log n) instead of O(n²).
+const MOVE_BUDGET_PER_KEY: usize = 4;
 
 /// Pushes between adaptive re-bucketing checks (see
 /// [`EventQueue::set_adaptive`]): long enough to see a workload's real
@@ -218,11 +255,16 @@ const ADAPT_TARGET_SPAN: u64 = (RING_BUCKETS as u64) / 2;
 ///   control events) or in a fan-out record shared by a broadcast's
 ///   recipients; the time structures move only compact 16-byte keys.
 /// * Near-future events hash into a ring of `RING_BUCKETS` time buckets
-///   of `bucket_width` nanoseconds each. A push is O(1); a bucket is
-///   sorted once, when the clock reaches it.
+///   of `bucket_width` nanoseconds each. A push is O(1); a bucket is put
+///   in order once, when the clock reaches it: `sort_unstable` up to 64
+///   keys, above that a counting pass on the top bits of the in-bucket
+///   offset plus an insertion pass (linear on the buckets the simulator
+///   makes, O(n log n) at worst).
+/// * An occupancy bitmap over the ring marks its non-empty slots, so the
+///   clock jumps to the next one with `trailing_zeros` instead of walking
+///   every empty bucket.
 /// * Events beyond the ring's horizon go to a small binary-heap spill and
-///   migrate into the ring as it advances (each advance exposes exactly
-///   one new absolute bucket).
+///   migrate into the ring once per jump of the clock.
 ///
 /// Pop order is *exactly* ascending `(time, seq)` — bit-identical to the
 /// binary-heap implementation it replaces (`queue_matches_reference_heap`
@@ -243,9 +285,11 @@ pub struct EventQueue<M> {
     /// Absolute index (`at >> width_shift`) of the bucket currently being
     /// drained; every earlier bucket is empty.
     base_idx: u64,
-    /// The current bucket's remaining events, sorted **descending** by
-    /// `(time, seq)` so the minimum pops from the back in O(1).
+    /// The current bucket, sorted **ascending** by `(time, seq)`:
+    /// `cur[head..]` are its pending events, `cur[..head]` popped ones.
     cur: Vec<HeapKey>,
+    /// Read cursor into `cur`; the minimum pops from `cur[head]` in O(1).
+    head: usize,
     /// Unsorted buckets for absolute indices `base_idx+1 .. base_idx+RING_BUCKETS`;
     /// slot `i` holds exactly the events of absolute bucket `i & (RING_BUCKETS-1)`…
     /// i.e. of the unique in-horizon absolute index mapping to it.
@@ -265,6 +309,10 @@ pub struct EventQueue<M> {
     /// Pushes in the current window that landed in the far heap — the
     /// symptom the widening rule exists to cure.
     far_pushes: u32,
+    /// Which ring slots are non-empty (see [`OCC_WORDS`]).
+    occ: [u64; OCC_WORDS],
+    /// Orders each bucket as the clock reaches it.
+    sorter: BucketSorter,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -303,6 +351,7 @@ impl<M> EventQueue<M> {
             width_shift: 0,
             base_idx: 0,
             cur: Vec::new(),
+            head: 0,
             ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
             near_len: 0,
             far: BinaryHeap::new(),
@@ -310,6 +359,11 @@ impl<M> EventQueue<M> {
             pushes_since_check: 0,
             max_horizon_ns: 0,
             far_pushes: 0,
+            occ: [0; OCC_WORDS],
+            sorter: BucketSorter {
+                spare: Vec::new(),
+                counts: vec![0; (1 << MAX_DIGIT_BITS) + 1],
+            },
         };
         queue.reset(shift, cap);
         queue
@@ -367,9 +421,11 @@ impl<M> EventQueue<M> {
         self.width_shift = shift;
         self.base_idx = 0;
         self.cur.clear();
+        self.head = 0;
         for bucket in &mut self.ring {
             bucket.clear();
         }
+        self.occ = [0; OCC_WORDS];
         self.near_len = 0;
         self.far.clear();
         self.pushes_since_check = 0;
@@ -468,11 +524,16 @@ impl<M> EventQueue<M> {
         if idx <= self.base_idx {
             // Into the bucket currently being drained — or an earlier one
             // (legal as long as nothing later was popped, e.g. scheduling
-            // a time-0 boot after a later crash): `cur` is the sorted
-            // front run holding every pending event at or before the base
-            // bucket (descending, minimum at the back), so ordering
-            // against the ring (strictly later buckets) is preserved.
-            let pos = self.cur.partition_point(|k| k.order() > key.order());
+            // a time-0 boot after a later crash): `cur[head..]` is the
+            // sorted front run holding every pending event at or before
+            // the base bucket, so ordering against the ring (strictly
+            // later buckets) is preserved.
+            if self.head == self.cur.len() {
+                self.cur.clear();
+                self.head = 0;
+            }
+            let pos =
+                self.head + self.cur[self.head..].partition_point(|k| k.order() < key.order());
             self.cur.insert(pos, key);
             self.near_len += 1;
         } else if idx - self.base_idx < RING_BUCKETS as u64 {
@@ -495,11 +556,13 @@ impl<M> EventQueue<M> {
 
     /// Appends `key` to the ring bucket of absolute index `idx`.
     fn ring_push(&mut self, idx: u64, key: HeapKey) {
-        let bucket = &mut self.ring[(idx as usize) & (RING_BUCKETS - 1)];
+        let slot = (idx as usize) & (RING_BUCKETS - 1);
+        let bucket = &mut self.ring[slot];
         if bucket.capacity() == 0 {
             bucket.reserve(BUCKET_HINT_BYTES / std::mem::size_of::<HeapKey>());
         }
         bucket.push(key);
+        self.occ[slot / 64] |= 1 << (slot % 64);
         self.near_len += 1;
     }
 
@@ -529,10 +592,13 @@ impl<M> EventQueue<M> {
     /// differentially through repeated re-bucketings).
     fn rebucket(&mut self, new_shift: u32) {
         let mut keys: Vec<HeapKey> = Vec::with_capacity(self.len);
-        keys.append(&mut self.cur);
+        keys.extend_from_slice(&self.cur[self.head..]);
+        self.cur.clear();
+        self.head = 0;
         for bucket in &mut self.ring {
             keys.append(bucket);
         }
+        self.occ = [0; OCC_WORDS];
         keys.extend(self.far.drain());
         self.near_len = 0;
         self.width_shift = new_shift;
@@ -551,16 +617,19 @@ impl<M> EventQueue<M> {
                 self.far.push(key);
             }
         }
-        // `cur` is the sorted front run (descending, minimum at the back).
-        self.cur
-            .sort_unstable_by_key(|k| std::cmp::Reverse(k.order()));
+        debug_assert!(self.occupancy_is_exact());
+        let start = self.base_idx << self.width_shift;
+        self.sorter
+            .order_bucket(&mut self.cur, start, self.width_shift);
     }
 
     /// Advances `base_idx` to the next non-empty bucket, loading and
-    /// sorting it into `cur`. Caller guarantees the queue is non-empty and
+    /// ordering it into `cur`. Caller guarantees the queue is non-empty and
     /// `cur` is exhausted.
     fn advance(&mut self) {
-        debug_assert!(self.cur.is_empty());
+        debug_assert_eq!(self.head, self.cur.len());
+        self.cur.clear();
+        self.head = 0;
         if self.near_len == 0 {
             // Everything pending lives in the far heap: jump the ring
             // forward to the earliest far bucket, then migrate its horizon.
@@ -568,25 +637,62 @@ impl<M> EventQueue<M> {
             self.base_idx = self.bucket_of(min_at);
             self.migrate_far();
         }
-        loop {
-            // Expose the bucket at `base_idx`; its ring slot holds exactly
-            // the events of this absolute index (see `push`).
-            let slot = (self.base_idx as usize) & (RING_BUCKETS - 1);
-            if !self.ring[slot].is_empty() {
-                std::mem::swap(&mut self.cur, &mut self.ring[slot]);
-                // Descending sort: minimum (time, seq) at the back.
-                self.cur
-                    .sort_unstable_by_key(|k| std::cmp::Reverse(k.order()));
-                return;
-            }
-            self.base_idx += 1;
+        let mut slot = (self.base_idx as usize) & (RING_BUCKETS - 1);
+        let skip = self.next_occupied(slot);
+        if skip > 0 {
+            // Every far key has `idx ≥ base_idx + RING_BUCKETS`, so no key
+            // `migrate_far` moves in can land in a skipped bucket: the jump
+            // exposes the earliest pending bucket, as stepping would.
+            debug_assert!(self
+                .far
+                .peek()
+                .is_none_or(|k| self.bucket_of(k.at) >= self.base_idx + RING_BUCKETS as u64));
+            debug_assert!((0..skip).all(|i| self.ring[(slot + i) & (RING_BUCKETS - 1)].is_empty()));
+            self.base_idx += skip as u64;
+            slot = (slot + skip) & (RING_BUCKETS - 1);
             self.migrate_far();
         }
+        // Expose the bucket at `base_idx`; its ring slot holds exactly the
+        // events of this absolute index (see `push`).
+        debug_assert!(!self.ring[slot].is_empty());
+        self.occ[slot / 64] &= !(1 << (slot % 64));
+        std::mem::swap(&mut self.cur, &mut self.ring[slot]);
+        debug_assert!(self.occupancy_is_exact());
+        let start = self.base_idx << self.width_shift;
+        self.sorter
+            .order_bucket(&mut self.cur, start, self.width_shift);
     }
 
-    /// Moves far events whose bucket just entered the ring horizon
+    /// Whether each ring slot's occupancy bit is set exactly when the slot
+    /// holds a key (checked in debug builds).
+    fn occupancy_is_exact(&self) -> bool {
+        self.ring.iter().enumerate().all(|(slot, bucket)| {
+            (self.occ[slot / 64] >> (slot % 64)) & 1 != bucket.is_empty() as u64
+        })
+    }
+
+    /// Distance in slots from ring slot `from` (inclusive) to the next
+    /// non-empty one, going round the ring. Caller guarantees the ring is
+    /// non-empty.
+    fn next_occupied(&self, from: usize) -> usize {
+        let (word, bit) = (from / 64, from % 64);
+        let bits = self.occ[word] & (!0 << bit);
+        if bits != 0 {
+            return bits.trailing_zeros() as usize - bit;
+        }
+        // The last round re-reads `word`, whose bits at and above `bit` are
+        // known clear: the slots just before `from`.
+        (1..=OCC_WORDS)
+            .find_map(|i| {
+                let bits = self.occ[(word + i) % OCC_WORDS];
+                (bits != 0).then(|| i * 64 + bits.trailing_zeros() as usize - bit)
+            })
+            .expect("the ring holds a key")
+    }
+
+    /// Moves far events whose bucket entered the ring horizon
     /// (`base_idx + RING_BUCKETS - 1`) into their ring slot — called once
-    /// per `base_idx` advance, so each exposure is handled exactly once.
+    /// per move of `base_idx`, so each key migrates exactly once.
     fn migrate_far(&mut self) {
         let horizon_end = self.base_idx + RING_BUCKETS as u64;
         while let Some(k) = self.far.peek() {
@@ -608,10 +714,11 @@ impl<M> EventQueue<M> {
         if self.len == 0 {
             return None;
         }
-        if self.cur.is_empty() {
+        if self.head == self.cur.len() {
             self.advance();
         }
-        let key = self.cur.pop().expect("advance found a non-empty bucket");
+        let key = self.cur[self.head];
+        self.head += 1;
         self.near_len -= 1;
         self.len -= 1;
         let kind = if key.slot & FAN_BIT != 0 {
@@ -651,10 +758,10 @@ impl<M> EventQueue<M> {
         if self.len == 0 {
             return None;
         }
-        if self.cur.is_empty() {
+        if self.head == self.cur.len() {
             self.advance();
         }
-        self.cur.last().map(|k| k.at)
+        Some(self.cur[self.head].at)
     }
 
     /// Number of pending events.
@@ -672,6 +779,95 @@ impl<M> EventQueue<M> {
     pub fn control_pending(&self) -> usize {
         self.control_pending
     }
+}
+
+/// The bucket-ordering routine and the scratch it keeps across buckets.
+/// It does not depend on the message type, so it is compiled once instead
+/// of once per `EventQueue<M>`.
+#[derive(Debug)]
+struct BucketSorter {
+    /// The counting pass's output, swapped with the bucket at each use.
+    spare: Vec<HeapKey>,
+    /// The counting pass's digit counters, `2^MAX_DIGIT_BITS + 1` of them.
+    counts: Vec<u32>,
+}
+
+impl BucketSorter {
+    /// Puts `keys`, the keys of the bucket of `2^width_shift` ns that
+    /// begins at `start`, in ascending `(time, seq)` order.
+    ///
+    /// Small buckets go to `sort_unstable`. A larger one that is not
+    /// already in order gets one stable counting pass on the top `b` bits
+    /// of its keys' offsets inside the bucket, which leaves every key in
+    /// its digit in arrival order, then an insertion pass on `(time, seq)`.
+    /// The insertion pass is exact on any input; stability only makes it
+    /// cheap. Past a move budget of [`MOVE_BUDGET_PER_KEY`] per key,
+    /// `sort_unstable` finishes the bucket instead.
+    fn order_bucket(&mut self, keys: &mut Vec<HeapKey>, start: u64, width_shift: u32) {
+        debug_assert!(keys
+            .iter()
+            .all(|k| k.at.as_nanos() >> width_shift == start >> width_shift));
+        let n = keys.len();
+        if n <= SMALL_BUCKET {
+            keys.sort_unstable_by_key(HeapKey::order);
+            return;
+        }
+        if keys.windows(2).all(|w| w[0].order() < w[1].order()) {
+            return;
+        }
+        let b = (n.ilog2() + 1).min(MAX_DIGIT_BITS).min(width_shift);
+        let shift = width_shift - b;
+        let digit = |k: &HeapKey| ((k.at.as_nanos() - start) >> shift) as usize;
+        let counts = &mut self.counts[..=1 << b];
+        counts.fill(0);
+        for k in keys.iter() {
+            counts[digit(k) + 1] += 1;
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        self.spare.clear();
+        self.spare.extend_from_slice(keys);
+        for k in keys.iter() {
+            let pos = &mut counts[digit(k)];
+            self.spare[*pos as usize] = *k;
+            *pos += 1;
+        }
+        std::mem::swap(keys, &mut self.spare);
+        if !insertion_pass(keys, MOVE_BUDGET_PER_KEY * n) {
+            #[cfg(test)]
+            FALLBACKS.with(|c| c.set(c.get() + 1));
+            keys.sort_unstable_by_key(HeapKey::order);
+        }
+    }
+}
+
+/// Insertion-sorts `keys` by `(time, seq)` while the keys moved stay
+/// within `budget`; returns `false`, with `keys` a permutation of its
+/// input but not in order, once a key would overrun it.
+fn insertion_pass(keys: &mut [HeapKey], budget: usize) -> bool {
+    let mut moves = 0;
+    for i in 1..keys.len() {
+        let key = keys[i];
+        let mut j = i;
+        while j > 0 && keys[j - 1].order() > key.order() {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+        moves += i - j;
+        if moves > budget {
+            return false;
+        }
+    }
+    true
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Buckets this thread's queues handed to `sort_unstable` after the
+    /// insertion pass ran out of moves.
+    static FALLBACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1088,6 +1284,153 @@ mod tests {
             assert_eq!(q.len(), 0);
         }
         assert!(adapted, "wide-horizon trials must exercise re-bucketing");
+    }
+
+    type Reference = std::collections::BTreeMap<(SimTime, u64), EventKind<u64>>;
+
+    /// Pushes a uniquely tagged delivery at `at_ns` into both queues.
+    fn push_both(q: &mut EventQueue<u64>, reference: &mut Reference, at_ns: u64) {
+        let at = SimTime::from_nanos(at_ns);
+        let kind = deliver(0, 1, q.next_seq);
+        let seq = q.push(at, kind.clone());
+        assert!(reference.insert((at, seq), kind).is_none());
+    }
+
+    /// Pops `count` events (all, for `usize::MAX`) from both queues and
+    /// checks they agree; returns the last popped time.
+    fn pop_both(q: &mut EventQueue<u64>, reference: &mut Reference, count: usize) -> u64 {
+        let mut now = 0;
+        for _ in 0..count {
+            let Some(((at, seq), want)) = reference.pop_first() else {
+                assert!(q.is_empty() && q.pop().is_none());
+                break;
+            };
+            let got = q.pop().expect("reference non-empty");
+            assert_eq!((got.at, got.seq, got.kind), (at, seq, want));
+            now = at.as_nanos();
+        }
+        now
+    }
+
+    fn fallbacks() -> usize {
+        FALLBACKS.with(|c| c.get())
+    }
+
+    /// Differential check of `order_bucket` on the buckets that stress it,
+    /// against the reference sorted map: sizes either side of
+    /// [`SMALL_BUCKET`]; `at` reversed against `seq`; 10⁴ same-instant
+    /// keys, in `seq` order and out of it; a bucket whose keys all share one counting digit in random
+    /// order (the move budget runs out and `sort_unstable` finishes, which
+    /// must happen there and only there); far-migrated keys mixed with
+    /// direct pushes; the first bucket after a re-bucketing; and pushes
+    /// into the current bucket while its cursor is mid-bucket.
+    #[test]
+    fn bucket_order_matches_reference_on_adversarial_buckets() {
+        let mut x = 0x853c_49e6_748f_ea9bu64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        const W: u32 = 20;
+        const WIDTH: u64 = 1 << W;
+        let fixed = |shift: u32| {
+            let mut q = EventQueue::with_bucket_width_shift(shift, 0);
+            q.set_adaptive(false);
+            (q, Reference::new())
+        };
+        // One bucket at index 5 behind a time-0 sentinel, so it fills in
+        // the ring and is ordered when the clock reaches it.
+        let one_bucket = |offsets: &[u64], fallback: bool| {
+            let (mut q, mut reference) = fixed(W);
+            push_both(&mut q, &mut reference, 0);
+            for off in offsets {
+                push_both(&mut q, &mut reference, 5 * WIDTH + off);
+            }
+            let before = fallbacks();
+            pop_both(&mut q, &mut reference, 2);
+            assert_eq!(q.cur.len(), offsets.len());
+            pop_both(&mut q, &mut reference, usize::MAX);
+            assert_eq!(fallbacks() > before, fallback, "{} keys", offsets.len());
+        };
+        for n in [63, 64, 65, 1000] {
+            let offsets: Vec<u64> = (0..n).map(|_| rand() % WIDTH).collect();
+            one_bucket(&offsets, false);
+        }
+        let reversed: Vec<u64> = (0..1000).rev().map(|i| i * 1000).collect();
+        one_bucket(&reversed, false);
+        one_bucket(&[777; 10_000], false);
+        // The same 10⁴ keys gathered by a re-bucketing from the far heap,
+        // whose array order the earlier keys' migration scrambled: one
+        // instant, `seq` out of order.
+        let (mut q, mut reference) = fixed(W);
+        push_both(&mut q, &mut reference, 0);
+        for _ in 0..500 {
+            push_both(
+                &mut q,
+                &mut reference,
+                1100 * WIDTH + rand() % (800 * WIDTH),
+            );
+        }
+        for _ in 0..10_000 {
+            push_both(&mut q, &mut reference, 5000 * WIDTH + 777);
+        }
+        pop_both(&mut q, &mut reference, 501);
+        assert_eq!((q.len(), q.far.len()), (10_000, 10_000));
+        q.rebucket(W);
+        pop_both(&mut q, &mut reference, usize::MAX);
+        // 1 000 keys get 10-bit digits of 2^10 ns: all inside digit 4.
+        let one_digit: Vec<u64> = (0..1000).map(|_| (4 << 10) + rand() % 1024).collect();
+        one_bucket(&one_digit, true);
+
+        // Far keys of bucket 1500 migrate into the ring when the clock
+        // reaches bucket 600; direct pushes then join them.
+        let (mut q, mut reference) = fixed(W);
+        push_both(&mut q, &mut reference, 0);
+        for _ in 0..300 {
+            push_both(&mut q, &mut reference, 1500 * WIDTH + rand() % WIDTH);
+        }
+        push_both(&mut q, &mut reference, 600 * WIDTH);
+        assert_eq!(q.far.len(), 300);
+        pop_both(&mut q, &mut reference, 2);
+        assert!(q.far.is_empty());
+        for _ in 0..300 {
+            push_both(&mut q, &mut reference, 1500 * WIDTH + rand() % WIDTH);
+        }
+        pop_both(&mut q, &mut reference, usize::MAX);
+
+        // Re-bucketing from 2^16 ns to 2^22 ns buckets puts ~700 of 3 000
+        // keys over 16 ms in the first bucket, gathered from the ring
+        // slot by slot.
+        let (mut q, mut reference) = fixed(16);
+        for _ in 0..3000 {
+            push_both(&mut q, &mut reference, rand() % (1 << 24));
+        }
+        pop_both(&mut q, &mut reference, 100);
+        q.rebucket(22);
+        assert!(q.cur.len() - q.head > SMALL_BUCKET);
+        pop_both(&mut q, &mut reference, usize::MAX);
+
+        // Pushes into the bucket being drained, at, after and between its
+        // pending keys, interleaved with pops.
+        let (mut q, mut reference) = fixed(W);
+        push_both(&mut q, &mut reference, 0);
+        for _ in 0..500 {
+            push_both(&mut q, &mut reference, 3 * WIDTH + rand() % WIDTH);
+        }
+        let mut now = pop_both(&mut q, &mut reference, 201);
+        for i in 0..300u64 {
+            assert!(q.head > 0 && q.head < q.cur.len());
+            let at = match i % 3 {
+                0 => now,
+                1 => 4 * WIDTH - 1,
+                _ => now + rand() % (4 * WIDTH - now),
+            };
+            push_both(&mut q, &mut reference, at);
+            now = pop_both(&mut q, &mut reference, 1);
+        }
+        pop_both(&mut q, &mut reference, usize::MAX);
     }
 
     /// Differential check: the calendar queue pops in exactly the same

@@ -84,10 +84,15 @@ impl<P: Protocol> World<P> {
     }
 
     /// Bucket width ~δ/16 spreads in-flight messages across the calendar
-    /// ring. Measured against δ/4 (with the adaptive span matched to it):
-    /// 2–7% fewer ns per event on n = 33 chaos runs, but `sim_log_s1` and
-    /// `sim_group_s8` ran 8–9% slower with 16–23% more resident memory, so
-    /// the narrower width stays.
+    /// ring; the queue's adaptive rule narrows it further where the horizon
+    /// allows (to 2^16 ns within the first window of `sim_log_s1`). Against
+    /// δ/4, while buckets were comparison-sorted: 2–7% fewer ns per event
+    /// on n = 33 chaos runs, but `sim_log_s1` and `sim_group_s8` 8–9%
+    /// slower with 16–23% more resident memory. Against δ/8, with large
+    /// buckets ordered by a counting pass (10 interleaved pairs each, on
+    /// 2 cores): `sim_recover_n33` ×1.001 µs per op (5/10 pairs; peak RSS
+    /// ×0.864, as the rule narrows δ/8 to 2^17 ns at once) and `sim_log_s1`
+    /// ×1.065 (3/10). Neither wider width wins, so δ/16 stays.
     fn width_shift(cfg: &SimConfig) -> u32 {
         (cfg.timing.delta().as_nanos() / 16).max(1024).ilog2()
     }

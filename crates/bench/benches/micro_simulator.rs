@@ -254,12 +254,12 @@ fn bench_decision_tracker(c: &mut Criterion) {
     });
 }
 
-/// Typed-tracing overhead (the ISSUE-7 ≤5% budget): the identical
-/// closed-loop drive with tracing disabled (`trace_overhead_noop` — the
-/// default every other benchmark runs under) vs enabled
-/// (`trace_overhead_on` — every protocol event stamped and ring-buffered).
-/// Compare the two entries in `BENCH_micro.json`; tracing must cost no
-/// more than 5% of the run.
+/// Typed-tracing cost on one closed-loop drive (`MultiPaxos`, n = 3,
+/// 4 clients × 4 outstanding, 120 commands, a fresh seed per iteration):
+/// `trace_overhead_noop` runs it untraced, the default every other
+/// benchmark runs under; `trace_overhead_on` runs it with every protocol
+/// event stamped into a 2¹⁸-record ring. The pair is reported, not
+/// gated: no script compares the two rows.
 fn bench_trace_overhead(c: &mut Criterion) {
     use esync_core::paxos::multi::MultiPaxos;
     use esync_workload::gen::ClosedLoopSpec;
@@ -300,10 +300,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
 }
 
 /// The metrics registry's cost on the same closed-loop drive as
-/// `bench_trace_overhead`: `metrics_overhead_on` (counters metered,
-/// snapshots every 50ms, all watchdogs armed) must stay within 3% of
-/// `metrics_overhead_noop` — the "always-on" bar ISSUE 10 sets, gated
-/// by `scripts/bench.sh`.
+/// `bench_trace_overhead`: `metrics_overhead_noop` runs it unmetered;
+/// `metrics_overhead_on` runs it with counters metered, a snapshot every
+/// 50 ms of simulated time and every watchdog armed. The pair is
+/// reported, not gated: no script compares the two rows.
 fn bench_metrics_overhead(c: &mut Criterion) {
     use esync_core::paxos::multi::MultiPaxos;
     use esync_core::time::RealDuration;

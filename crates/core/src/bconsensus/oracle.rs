@@ -107,11 +107,6 @@ impl TimestampOracle {
     pub fn pending(&self) -> usize {
         self.buffer.len()
     }
-
-    /// The current logical-clock reading (for tests and diagnostics).
-    pub fn logical_time(&self) -> u64 {
-        self.clock.time()
-    }
 }
 
 #[cfg(test)]

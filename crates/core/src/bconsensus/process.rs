@@ -127,7 +127,6 @@ impl BcMsg {
 #[derive(Debug, Clone, Default)]
 pub struct BConsensus {
     mode: WabMode,
-    round_timeout: Option<RealDuration>,
 }
 
 impl BConsensus {
@@ -135,7 +134,6 @@ impl BConsensus {
     pub fn original() -> Self {
         BConsensus {
             mode: WabMode::External,
-            round_timeout: None,
         }
     }
 
@@ -143,15 +141,7 @@ impl BConsensus {
     pub fn modified() -> Self {
         BConsensus {
             mode: WabMode::Timestamp,
-            round_timeout: None,
         }
-    }
-
-    /// Overrides the round timeout (default `8δ`, sized for
-    /// w-broadcast + `2δ` oracle wait + echo + vote).
-    pub fn with_round_timeout(mut self, timeout: RealDuration) -> Self {
-        self.round_timeout = Some(timeout);
-        self
     }
 
     /// The configured oracle mode.
@@ -196,7 +186,8 @@ impl Protocol for BConsensus {
             want_advance: false,
             max_round_of: vec![0; cfg.n()],
             decided: None,
-            round_timeout: self.round_timeout.unwrap_or(cfg.delta() * 8),
+            // Sized for w-broadcast + `2δ` oracle wait + echo + vote.
+            round_timeout: cfg.delta() * 8,
             started: false,
         }
     }

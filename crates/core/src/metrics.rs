@@ -1,30 +1,33 @@
 //! Passive protocol metrics: the counter half of the observability seam.
 //!
 //! Like tracing ([`crate::trace`]), metrics ride the sans-IO seam as a
-//! **side channel** on the [`Outbox`](crate::outbox::Outbox): protocols
-//! bump named counters with [`Outbox::metric`](crate::outbox::Outbox::metric)
-//! at the same instrument points that emit [`TraceEvent`](crate::trace::TraceEvent)s,
-//! and drivers read the accumulated [`MetricSet`] on their snapshot
-//! cadence. Counters never feed back into protocol behaviour, and with
-//! metering disabled (the default) the increment is a single predictable
-//! branch — disabled runs are bit-identical to uninstrumented ones
-//! (tier-1 `tests/metrics_smoke.rs` asserts this on both backends).
+//! **side channel** on the [`Outbox`](crate::outbox::Outbox): the one
+//! [`Outbox::event`](crate::outbox::Outbox::event) call that reports a
+//! milestone bumps its [`TraceEvent::metric`](crate::trace::TraceEvent::metric)
+//! counter, and drivers read the accumulated [`MetricSet`] on their
+//! snapshot cadence. Counters never feed back into protocol behaviour,
+//! and with metering disabled (the default) the increment is a single
+//! predictable branch — disabled runs are bit-identical to
+//! uninstrumented ones (tier-1 `tests/metrics_smoke.rs` asserts this on
+//! both backends).
 //!
-//! The counter taxonomy mirrors the trace taxonomy one-for-one (session
-//! lifecycle, command journey, rebalance protocol), plus driver-fed
-//! counters such as [`Metric::TraceDropped`] that surface collector-side
-//! loss. The time-series / watchdog layer built on these counters lives
-//! in `esync-metrics`; this module is only the allocation-free registry
-//! core, here because the `Outbox` must know the type.
+//! The counter taxonomy **is** the trace taxonomy: every protocol-fed
+//! [`Metric`] is one [`TraceEvent`](crate::trace::TraceEvent) kind, and
+//! [`Metric::name`] is the one table of kind names that both the trace
+//! and the health codecs read (see [`Metric::from_name`]). Driver-fed
+//! counters such as [`Metric::TraceDropped`], which surfaces
+//! collector-side loss, come last. The time-series / watchdog layer
+//! built on these counters lives in `esync-metrics`; this module is
+//! only the allocation-free registry core, here because the `Outbox`
+//! must know the type.
 
 /// Number of distinct metrics in the registry (the length of
 /// [`Metric::ALL`]).
 pub const METRIC_COUNT: usize = 17;
 
-/// One named counter in the registry. Variants mirror the
-/// [`TraceEvent`](crate::trace::TraceEvent) taxonomy — every trace
-/// instrument point bumps the matching counter — with extra driver-fed
-/// entries at the end.
+/// One named counter in the registry. Every variant but the driver-fed
+/// ones at the end is the kind of one
+/// [`TraceEvent`](crate::trace::TraceEvent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Metric {
@@ -88,8 +91,9 @@ impl Metric {
         Metric::TraceDropped,
     ];
 
-    /// A short static label naming the counter (the serialization key;
-    /// matches the trace `kind` label where a trace twin exists).
+    /// A short static label naming the counter: the serialization key of
+    /// health snapshots and, for protocol-fed counters, the trace `kind`
+    /// label. The only table of these names.
     pub fn name(self) -> &'static str {
         match self {
             Metric::OneASent => "1a_sent",
@@ -111,11 +115,16 @@ impl Metric {
             Metric::TraceDropped => "trace_dropped",
         }
     }
+
+    /// Inverse of [`name`](Self::name), for the artifact parsers.
+    pub fn from_name(name: &str) -> Option<Metric> {
+        Metric::ALL.into_iter().find(|m| m.name() == name)
+    }
 }
 
 /// A fixed-size, allocation-free set of counters — one slot per
 /// [`Metric`]. This is the passive registry protocols write through
-/// [`Outbox::metric`](crate::outbox::Outbox::metric); drivers sample it
+/// [`Outbox::event`](crate::outbox::Outbox::event); drivers sample it
 /// into `esync-metrics` snapshots. Plain `u64`s, not atomics: an outbox
 /// is single-threaded by construction (one per simulator world / one per
 /// runtime node thread).
@@ -191,6 +200,14 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), METRIC_COUNT, "duplicate metric names");
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for m in Metric::ALL {
+            assert_eq!(Metric::from_name(m.name()), Some(m));
+        }
+        assert_eq!(Metric::from_name("nope"), None);
     }
 
     #[test]

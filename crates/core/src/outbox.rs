@@ -13,7 +13,7 @@
 //! *same* algorithm.
 
 use crate::config::TimingConfig;
-use crate::metrics::{Metric, MetricSet};
+use crate::metrics::MetricSet;
 use crate::time::{LocalDuration, LocalInstant};
 use crate::trace::TraceEvent;
 use crate::types::{ProcessId, ShardId, TimerId, Value};
@@ -87,18 +87,16 @@ pub struct ShardLoad {
 /// Collects the [`Action`]s emitted while handling one event, and exposes
 /// the process's current local-clock reading.
 ///
-/// The outbox also carries the **trace side channel**: when a driver has
-/// enabled tracing ([`Outbox::set_tracing`]), protocols' [`Outbox::trace`]
-/// calls buffer [`TraceEvent`]s for the driver to drain and timestamp.
-/// Tracing never feeds back into behaviour — the action stream is
-/// identical with it on or off — and with it off (the default) the event
-/// closure is never even invoked, so untraced runs pay one branch per
-/// emit site and build nothing.
-///
-/// With enabled metering ([`Outbox::set_metering`]), [`Outbox::metric`]
-/// calls bump counters in a passive [`MetricSet`] sampled by the driver
-/// on its snapshot cadence (`esync-metrics`). Same contract as tracing:
-/// never feeds back into behaviour, one branch per site when off.
+/// The outbox also carries the **observability side channel**: a
+/// protocol reports each milestone with one [`Outbox::event`] call. When
+/// metering is on ([`Outbox::set_metering`]) the call bumps the event's
+/// [`Metric`](crate::metrics::Metric) in a passive [`MetricSet`]; when
+/// tracing is on ([`Outbox::set_tracing`]) it buffers the [`TraceEvent`]
+/// for the driver to drain and timestamp. A counter and its trace record
+/// therefore cannot disagree. Neither gate ever feeds back into
+/// behaviour — the action stream is identical with them on or off — and
+/// with both off (the default) an emit is two predictable branches and
+/// builds nothing the optimiser keeps.
 #[derive(Debug, Clone)]
 pub struct Outbox<M> {
     now: LocalInstant,
@@ -151,23 +149,16 @@ impl<M> Outbox<M> {
         }
     }
 
-    /// Whether the trace side channel is enabled.
-    pub fn tracing(&self) -> bool {
-        self.trace_on
-    }
-
-    /// Emits a trace event. The closure is only invoked when tracing is
-    /// enabled, so disabled runs never construct the event.
+    /// Reports a protocol milestone: counts `ev.metric()` when metering
+    /// is on and buffers `ev` when tracing is on.
     #[inline]
-    pub fn trace(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if self.trace_on {
-            self.trace_buf.push(ev());
+    pub fn event(&mut self, ev: TraceEvent) {
+        if self.metrics_on {
+            self.metrics.inc(ev.metric());
         }
-    }
-
-    /// The trace events buffered since the last drain, in emission order.
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        &self.trace_buf
+        if self.trace_on {
+            self.trace_buf.push(ev);
+        }
     }
 
     /// Removes and returns the buffered trace events as an iterator,
@@ -186,20 +177,6 @@ impl<M> Outbox<M> {
         }
     }
 
-    /// Whether the metrics side channel is enabled.
-    pub fn metering(&self) -> bool {
-        self.metrics_on
-    }
-
-    /// Bumps counter `m` in the passive registry. A single predictable
-    /// branch when metering is disabled.
-    #[inline]
-    pub fn metric(&mut self, m: Metric) {
-        if self.metrics_on {
-            self.metrics.inc(m);
-        }
-    }
-
     /// The accumulated metric registry (drivers sample this on their
     /// snapshot cadence).
     pub fn metrics(&self) -> &MetricSet {
@@ -207,8 +184,8 @@ impl<M> Outbox<M> {
     }
 
     /// Mutable access to the registry, for driver-fed counters (e.g.
-    /// [`Metric::TraceDropped`] sampled from a collector) and for
-    /// re-zeroing on a driver reset.
+    /// [`Metric::TraceDropped`](crate::metrics::Metric::TraceDropped)
+    /// sampled from a collector) and for re-zeroing on a driver reset.
     pub fn metrics_mut(&mut self) -> &mut MetricSet {
         &mut self.metrics
     }
@@ -398,6 +375,7 @@ pub trait Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
     use crate::time::LocalDuration;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -425,56 +403,62 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn trace_channel_is_off_by_default_and_lazy() {
-        let mut out: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
-        assert!(!out.tracing());
-        let mut built = false;
-        out.trace(|| {
-            built = true;
-            TraceEvent::Anchored { ballot: 1 }
-        });
-        assert!(!built, "disabled tracing must not construct events");
-        assert!(out.trace_events().is_empty());
-
-        out.set_tracing(true);
-        out.trace(|| TraceEvent::Anchored { ballot: 2 });
-        out.trace(|| TraceEvent::Submit { value: 9 });
-        assert_eq!(out.trace_events().len(), 2);
-        let drained: Vec<_> = out.drain_trace().collect();
-        assert_eq!(drained[0], TraceEvent::Anchored { ballot: 2 });
-        assert_eq!(drained[1], TraceEvent::Submit { value: 9 });
-        assert!(out.trace_events().is_empty());
-
-        // Reset keeps enablement but clears any leftover events.
-        out.trace(|| TraceEvent::Anchored { ballot: 3 });
-        out.reset(LocalInstant::from_nanos(1));
-        assert!(out.tracing());
-        assert!(out.trace_events().is_empty());
-
-        // Disabling clears the buffer.
-        out.trace(|| TraceEvent::Anchored { ballot: 4 });
-        out.set_tracing(false);
-        assert!(out.trace_events().is_empty());
+    fn drained(out: &mut Outbox<Ping>) -> Vec<TraceEvent> {
+        out.drain_trace().collect()
     }
 
     #[test]
-    fn metric_counts_only_when_metering() {
-        use crate::metrics::Metric;
+    fn event_buffers_only_when_tracing() {
         let mut out: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
-        out.metric(Metric::Decided);
+        out.event(TraceEvent::Anchored { ballot: 1 });
+        assert!(drained(&mut out).is_empty(), "tracing is off by default");
+
+        out.set_tracing(true);
+        out.event(TraceEvent::Anchored { ballot: 2 });
+        out.event(TraceEvent::Submit { value: 9 });
+        assert_eq!(
+            drained(&mut out),
+            [
+                TraceEvent::Anchored { ballot: 2 },
+                TraceEvent::Submit { value: 9 }
+            ]
+        );
+        assert!(drained(&mut out).is_empty());
+
+        // Reset keeps enablement but clears any leftover events.
+        out.event(TraceEvent::Anchored { ballot: 3 });
+        out.reset(LocalInstant::from_nanos(1));
+        assert!(drained(&mut out).is_empty());
+        out.event(TraceEvent::Anchored { ballot: 4 });
+        assert_eq!(drained(&mut out).len(), 1, "reset kept tracing on");
+
+        // Disabling clears the buffer.
+        out.event(TraceEvent::Anchored { ballot: 5 });
+        out.set_tracing(false);
+        assert!(drained(&mut out).is_empty());
+        assert_eq!(out.metrics().get(Metric::Anchored), 0, "metering is off");
+    }
+
+    #[test]
+    fn event_counts_only_when_metering() {
+        let decided = TraceEvent::Decided {
+            shard: 0,
+            slot: 0,
+            value: 1,
+        };
+        let mut out: Outbox<Ping> = Outbox::new(LocalInstant::ZERO);
+        out.event(decided);
         assert_eq!(out.metrics().get(Metric::Decided), 0, "off by default");
         out.set_metering(true);
-        assert!(out.metering());
-        out.metric(Metric::Decided);
-        out.metric(Metric::Decided);
+        out.event(decided);
+        out.event(decided);
         // Reset keeps enablement and the accumulated counters (the
         // registry is sampled, never drained).
         out.reset(LocalInstant::from_nanos(1));
-        assert!(out.metering());
-        out.metric(Metric::Chosen);
+        out.event(TraceEvent::Chosen { shard: 0, slot: 0 });
         assert_eq!(out.metrics().get(Metric::Decided), 2);
         assert_eq!(out.metrics().get(Metric::Chosen), 1);
+        assert!(drained(&mut out).is_empty(), "tracing is off");
         // Disabling zeroes the registry.
         out.set_metering(false);
         assert_eq!(out.metrics().get(Metric::Decided), 0);

@@ -54,7 +54,6 @@ pub mod rebalance;
 
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
-use crate::metrics::Metric;
 use crate::outbox::{Outbox, Process, Protocol};
 use crate::paxos::admitted::Admitted;
 use crate::paxos::log_session::LogSession;
@@ -485,8 +484,7 @@ impl LogGroupProcess {
         let bal = self.session.mbal();
         // Pinned by the trace: `Anchored` is stamped once for the group,
         // before any shard learns or proposes.
-        out.metric(Metric::Anchored);
-        out.trace(|| TraceEvent::Anchored { ballot: bal.get() });
+        out.event(TraceEvent::Anchored { ballot: bal.get() });
         for (s, fold) in folds.iter().enumerate() {
             self.dispatch(ShardId::new(s as u32), out, |p, o| p.anchor(bal, fold, o));
         }
@@ -550,8 +548,7 @@ impl LogGroupProcess {
             // it — without this it would commit twice).
             if let Some((shard, slot)) = self.moved.get(&value).copied() {
                 if let Some(from) = from {
-                    out.metric(Metric::Replied);
-                    out.trace(|| TraceEvent::ReplySent {
+                    out.event(TraceEvent::ReplySent {
                         shard: shard.get(),
                         value: value.get(),
                     });
@@ -593,8 +590,7 @@ impl LogGroupProcess {
                         // the command only enters a shard at the flush —
                         // the frozen wait is queue latency and must show
                         // in the decomposition.
-                        out.metric(Metric::Submitted);
-                        out.trace(|| TraceEvent::submit(value));
+                        out.event(TraceEvent::submit(value));
                     }
                     self.frozen.push(value);
                     // The eventual flush dispatches (and counts) the
@@ -671,8 +667,7 @@ impl LogGroupProcess {
             boundaries: bounds,
         };
         let ep = update.epoch;
-        out.metric(Metric::RebalanceFreeze);
-        out.trace(|| TraceEvent::RebalanceFreeze { epoch: ep });
+        out.event(TraceEvent::RebalanceFreeze { epoch: ep });
         let old = self.range_bounds().to_vec();
         for shard in &mut self.shards {
             let unchosen = shard.extract_pending(|v| {
@@ -713,8 +708,7 @@ impl LogGroupProcess {
         }
         let ep = mig.update.epoch;
         let batch = batch_of(mig.update.encode_values());
-        out.metric(Metric::RebalanceDrain);
-        out.trace(|| TraceEvent::RebalanceDrain { epoch: ep });
+        out.event(TraceEvent::RebalanceDrain { epoch: ep });
         let stored = batch.clone();
         let mut slot = 0;
         self.dispatch(ShardId::ZERO, out, |p, o| {
@@ -732,8 +726,7 @@ impl LogGroupProcess {
         let taken = self.rebalance.as_mut().and_then(|r| r.migration.take());
         if let Some(m) = &taken {
             let ep = m.update.epoch;
-            out.metric(Metric::RebalanceAbort);
-            out.trace(|| TraceEvent::RebalanceAbort { epoch: ep });
+            out.event(TraceEvent::RebalanceAbort { epoch: ep });
         }
         if taken.is_none() && self.frozen.is_empty() {
             return;
@@ -825,8 +818,7 @@ impl LogGroupProcess {
         self.epoch = update.epoch;
         self.router = ShardRouter::Range(new.clone());
         let ep = self.epoch;
-        out.metric(Metric::RebalanceCommit);
-        out.trace(|| TraceEvent::RebalanceCommit { epoch: ep });
+        out.event(TraceEvent::RebalanceCommit { epoch: ep });
         // Migrate held state: per shard, pull out every moving key's
         // pending commands and admitted entries. Unchosen values
         // re-enter through the new routing; chosen ones join the moved
@@ -865,8 +857,7 @@ impl LogGroupProcess {
         reinject.extend(std::mem::take(&mut self.frozen));
         if !reinject.is_empty() {
             let count = reinject.len() as u64;
-            out.metric(Metric::RebalanceReforward);
-            out.trace(|| TraceEvent::RebalanceReforward { epoch: ep, count });
+            out.event(TraceEvent::RebalanceReforward { epoch: ep, count });
         }
         for v in reinject {
             self.admit_value(None, v, out);

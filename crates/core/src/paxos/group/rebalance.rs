@@ -226,23 +226,6 @@ impl RebalanceConfig {
         self
     }
 
-    /// Sets the escape (regime-change) ratio (consumed-and-returned for
-    /// chaining).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `escape >= threshold` — an escape below the trigger
-    /// would re-arm on jitter the band exists to hold.
-    #[must_use]
-    pub fn escape(mut self, escape: f64) -> Self {
-        assert!(
-            escape >= self.threshold,
-            "the escape ratio must sit at or above the trigger"
-        );
-        self.escape = escape;
-        self
-    }
-
     /// Sets the check interval.
     ///
     /// # Panics

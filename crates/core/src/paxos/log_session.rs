@@ -15,7 +15,6 @@
 
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
-use crate::metrics::Metric;
 use crate::outbox::Outbox;
 use crate::paxos::multi::{ReportFold, TIMER_EPSILON, TIMER_SESSION};
 use crate::quorum::QuorumTracker;
@@ -120,9 +119,9 @@ impl LogSession {
 
     /// Broadcasts `one_a`, the host's 1a for the current ballot.
     pub(crate) fn announce<M>(&mut self, one_a: M, out: &mut Outbox<M>) {
-        let ballot = self.mbal.get();
-        out.trace(|| TraceEvent::OneASent { ballot });
-        out.metric(Metric::OneASent);
+        out.event(TraceEvent::OneASent {
+            ballot: self.mbal.get(),
+        });
         out.broadcast(one_a);
         self.sent_1a2a(out.now());
     }
@@ -150,8 +149,7 @@ impl LogSession {
         self.election = None;
         let dropped = self.anchored.take();
         if let Some(dropped) = dropped {
-            out.metric(Metric::Unanchored);
-            out.trace(|| TraceEvent::Unanchored {
+            out.event(TraceEvent::Unanchored {
                 ballot: dropped.get(),
             });
         }
@@ -206,8 +204,7 @@ impl LogSession {
             return None;
         }
         self.anchored = Some(b);
-        out.metric(Metric::PromiseQuorum);
-        out.trace(|| TraceEvent::PromiseQuorum { ballot: b.get() });
+        out.event(TraceEvent::PromiseQuorum { ballot: b.get() });
         self.election.take().map(|(_, folds)| folds)
     }
 

@@ -41,7 +41,6 @@
 
 use crate::ballot::Ballot;
 use crate::config::TimingConfig;
-use crate::metrics::Metric;
 use crate::outbox::{Outbox, Protocol, ShardLoad};
 use crate::paxos::admitted::{Admitted, AdmittedSet, DEFAULT_ADMITTED_WINDOW};
 use crate::paxos::group::rebalance::is_ctrl_value;
@@ -379,14 +378,10 @@ impl<'a> ShardOut<'a> {
         }
     }
 
-    /// Emits the event `ev` builds for this view's shard id.
-    fn trace(&mut self, ev: impl FnOnce(u32) -> TraceEvent) {
-        let shard = self.shard.get();
-        self.out.trace(|| ev(shard));
-    }
-
-    fn metric(&mut self, m: Metric) {
-        self.out.metric(m);
+    /// Reports the event `ev` builds for this view's shard id.
+    #[inline]
+    fn event(&mut self, ev: impl FnOnce(u32) -> TraceEvent) {
+        self.out.event(ev(self.shard.get()));
     }
 }
 
@@ -526,8 +521,7 @@ impl LogShard {
         // proposal occupies the pipeline until its slot commits.
         let batch = self.proposals.entry(slot).or_insert(batch).clone();
         for v in batch.iter() {
-            out.metric(Metric::Proposed);
-            out.trace(|shard| TraceEvent::Proposed {
+            out.event(|shard| TraceEvent::Proposed {
                 shard,
                 slot,
                 value: v.get(),
@@ -664,8 +658,7 @@ impl LogShard {
     /// `pending` (see `choose`), terminating the retry.
     pub(crate) fn reforward(&self, leader: ProcessId, out: &mut ShardOut<'_>) {
         for v in &self.pending {
-            out.metric(Metric::Forwarded);
-            out.trace(|_| TraceEvent::ForwardSent { value: v.get() });
+            out.event(|_| TraceEvent::ForwardSent { value: v.get() });
             out.send(leader, MultiMsg::Forward { value: *v });
         }
     }
@@ -770,8 +763,7 @@ impl LogShard {
         if fresh {
             self.load.admitted += 1;
             self.pending.push(value);
-            out.metric(Metric::Admitted);
-            out.trace(|shard| TraceEvent::Admitted {
+            out.event(|shard| TraceEvent::Admitted {
                 shard,
                 value: value.get(),
             });
@@ -800,8 +792,7 @@ impl LogShard {
             return;
         }
         for v in batch.iter() {
-            out.metric(Metric::Decided);
-            out.trace(|shard| TraceEvent::Decided {
+            out.event(|shard| TraceEvent::Decided {
                 shard,
                 slot,
                 value: v.get(),
@@ -865,14 +856,12 @@ impl LogShard {
         out: &mut ShardOut<'_>,
     ) {
         self.load.submitted += 1;
-        out.metric(Metric::Submitted);
-        out.trace(|_| TraceEvent::submit(value));
+        out.event(|_| TraceEvent::submit(value));
         if !self.admit(value, out) || self.is_anchored() {
             return;
         }
         if let Some(leader) = leader {
-            out.metric(Metric::Forwarded);
-            out.trace(|_| TraceEvent::ForwardSent { value: value.get() });
+            out.event(|_| TraceEvent::ForwardSent { value: value.get() });
             out.send(leader, MultiMsg::Forward { value });
         }
     }
@@ -907,8 +896,7 @@ impl LogShard {
                     .record(self.n, from, *mbal, batch);
                 if let Some(b) = chosen {
                     let s = *slot;
-                    out.metric(Metric::Chosen);
-                    out.trace(|shard| TraceEvent::Chosen { shard, slot: s });
+                    out.event(|shard| TraceEvent::Chosen { shard, slot: s });
                     self.choose(s, b, out);
                 }
             }
@@ -923,8 +911,7 @@ impl LogShard {
                         .get(slot)
                         .expect("chosen commands are logged")
                         .clone();
-                    out.metric(Metric::Replied);
-                    out.trace(|shard| TraceEvent::ReplySent {
+                    out.event(|shard| TraceEvent::ReplySent {
                         shard,
                         value: value.get(),
                     });
@@ -1426,7 +1413,7 @@ mod tests {
         let mut view = ShardOut::new(&mut o, shard, false);
         view.send(ProcessId::new(1), forward(5));
         view.decide(v);
-        view.trace(|shard| TraceEvent::Chosen { shard, slot: 7 });
+        view.event(|shard| TraceEvent::Chosen { shard, slot: 7 });
         view.broadcast(decided(7, one(5)));
         let tagged = |msg| GroupMsg::Shard { shard, msg };
         assert_eq!(

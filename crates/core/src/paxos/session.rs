@@ -30,7 +30,6 @@
 
 use crate::ballot::{Ballot, Session};
 use crate::config::TimingConfig;
-use crate::metrics::Metric;
 use crate::outbox::{Outbox, Process, Protocol};
 use crate::paxos::messages::PaxosMsg;
 use crate::paxos::state::{DecisionTracker, P1bQuorum, VotingState};
@@ -198,8 +197,7 @@ impl SessionPaxosProcess {
 
     fn broadcast_p1a(&mut self, out: &mut Outbox<PaxosMsg>) {
         let mbal = self.voting.mbal;
-        out.trace(|| TraceEvent::OneASent { ballot: mbal.get() });
-        out.metric(Metric::OneASent);
+        out.event(TraceEvent::OneASent { ballot: mbal.get() });
         out.broadcast(PaxosMsg::P1a { mbal });
         self.last_p1a2a = Some(out.now());
     }
@@ -266,8 +264,7 @@ impl SessionPaxosProcess {
             return;
         }
         self.decided = Some(v);
-        out.metric(Metric::Decided);
-        out.trace(|| TraceEvent::Decided {
+        out.event(TraceEvent::Decided {
             shard: 0,
             slot: 0,
             value: v.get(),
@@ -330,8 +327,7 @@ impl Process for SessionPaxosProcess {
                         if q.ballot() == mbal {
                             let reached_now = q.record(from, last_vote);
                             if reached_now {
-                                out.metric(Metric::PromiseQuorum);
-                                out.trace(|| TraceEvent::PromiseQuorum { ballot: mbal.get() });
+                                out.event(TraceEvent::PromiseQuorum { ballot: mbal.get() });
                                 let value = q.pick_value(self.initial);
                                 self.chosen = Some((mbal, value));
                             }
@@ -339,8 +335,7 @@ impl Process for SessionPaxosProcess {
                                 if cb == mbal && (reached_now || q.reached()) {
                                     // (Re-)issue phase 2a — always the same
                                     // value for this ballot.
-                                    out.metric(Metric::Proposed);
-                                    out.trace(|| TraceEvent::Proposed {
+                                    out.event(TraceEvent::Proposed {
                                         shard: 0,
                                         slot: 0,
                                         value: cv.get(),

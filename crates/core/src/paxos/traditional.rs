@@ -62,7 +62,6 @@ pub enum TradMsg {
 pub struct TraditionalPaxos {
     mode: LeaderMode,
     preloaded: Vec<(ProcessId, Ballot)>,
-    retry_every: Option<RealDuration>,
 }
 
 impl TraditionalPaxos {
@@ -84,12 +83,6 @@ impl TraditionalPaxos {
     /// [module docs](self) for why this state is reachable).
     pub fn with_preloaded_ballots(mut self, ballots: Vec<(ProcessId, Ballot)>) -> Self {
         self.preloaded = ballots;
-        self
-    }
-
-    /// Overrides the leader's retry period (default `6δ`).
-    pub fn with_retry_every(mut self, period: RealDuration) -> Self {
-        self.retry_every = Some(period);
         self
     }
 }
@@ -133,7 +126,7 @@ impl Protocol for TraditionalPaxos {
             highest_seen: Ballot::initial(id),
             is_leader: false,
             omega,
-            retry_real: self.retry_every.unwrap_or(cfg.delta() * 6),
+            retry_real: cfg.delta() * 6,
             attempt_started: None,
         }
     }

@@ -94,21 +94,12 @@ impl RoundMsg {
 
 /// Protocol factory for the rotating-coordinator baseline.
 #[derive(Debug, Clone, Default)]
-pub struct RotatingCoordinator {
-    round_timeout: Option<RealDuration>,
-}
+pub struct RotatingCoordinator;
 
 impl RotatingCoordinator {
-    /// The baseline with the default `4δ` round timeout.
+    /// The baseline; its rounds time out after `4δ`.
     pub fn new() -> Self {
-        RotatingCoordinator::default()
-    }
-
-    /// Overrides the round timeout (must be `Ω(δ)` for post-`TS` rounds to
-    /// complete; the default is `4δ`).
-    pub fn with_round_timeout(mut self, timeout: RealDuration) -> Self {
-        self.round_timeout = Some(timeout);
-        self
+        RotatingCoordinator
     }
 }
 
@@ -144,7 +135,8 @@ impl Protocol for RotatingCoordinator {
             want_advance: false,
             max_round_of: vec![0; cfg.n()],
             decided: None,
-            round_timeout: self.round_timeout.unwrap_or(cfg.delta() * 4),
+            // `Ω(δ)`, so that post-`TS` rounds complete.
+            round_timeout: cfg.delta() * 4,
             started: false,
         }
     }

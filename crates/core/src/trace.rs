@@ -1,14 +1,17 @@
 //! Typed trace events emitted by the protocol state machines.
 //!
-//! Tracing is a **side channel** on the sans-IO seam: protocols push
-//! [`TraceEvent`]s into their [`Outbox`](crate::outbox::Outbox) alongside
-//! the regular actions, and drivers drain them into a collector (see
-//! `esync-trace`), stamping each with driver time — simulated time in the
-//! simulator, monotonic wall time in the threaded runtime. Events never
-//! feed back into protocol behaviour, so a traced run executes the exact
-//! same action stream as an untraced one; with tracing disabled (the
-//! default) the emit macro-path does not even construct the event, keeping
-//! disabled runs bit-identical to a build without any instrumentation.
+//! Tracing is a **side channel** on the sans-IO seam: protocols report
+//! each milestone with one [`Outbox::event`](crate::outbox::Outbox::event)
+//! call alongside the regular actions. That call has two independent
+//! gates. With tracing on, the event is buffered for the driver to drain
+//! into a collector (see `esync-trace`), stamped with driver time —
+//! simulated time in the simulator, monotonic wall time in the threaded
+//! runtime. With metering on, the event's [`Metric`] counter is bumped
+//! (see [`crate::metrics`]). Events never feed back into protocol
+//! behaviour, so a traced run executes the exact same action stream as
+//! an untraced one, and with both gates off (the default) every payload
+//! field is an integer already in hand, so the event's construction is
+//! dead code.
 //!
 //! The taxonomy follows the three stories an experiment wants to tell:
 //!
@@ -23,6 +26,7 @@
 //! 3. **Rebalance protocol** — freeze → drain → commit → re-forward (or
 //!    abort), making the live rebalancer's damping visible in traces.
 
+use crate::metrics::Metric;
 use crate::types::Value;
 
 /// One structured trace event. Fields are flat integers so that events
@@ -133,27 +137,35 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// A short static label naming the event kind (the `kind` field of
-    /// the JSONL schema; see `esync-trace`).
-    pub fn kind(&self) -> &'static str {
+    /// The counter this event bumps. Each kind has its own [`Metric`],
+    /// so this is also the event's kind.
+    #[inline]
+    pub fn metric(&self) -> Metric {
         match self {
-            TraceEvent::OneASent { .. } => "1a_sent",
-            TraceEvent::PromiseQuorum { .. } => "promise_quorum",
-            TraceEvent::Anchored { .. } => "anchored",
-            TraceEvent::Unanchored { .. } => "unanchored",
-            TraceEvent::Submit { .. } => "submit",
-            TraceEvent::ForwardSent { .. } => "forward",
-            TraceEvent::Admitted { .. } => "admitted",
-            TraceEvent::Proposed { .. } => "proposed",
-            TraceEvent::Chosen { .. } => "chosen",
-            TraceEvent::Decided { .. } => "decided",
-            TraceEvent::ReplySent { .. } => "reply",
-            TraceEvent::RebalanceFreeze { .. } => "rb_freeze",
-            TraceEvent::RebalanceDrain { .. } => "rb_drain",
-            TraceEvent::RebalanceCommit { .. } => "rb_commit",
-            TraceEvent::RebalanceReforward { .. } => "rb_reforward",
-            TraceEvent::RebalanceAbort { .. } => "rb_abort",
+            TraceEvent::OneASent { .. } => Metric::OneASent,
+            TraceEvent::PromiseQuorum { .. } => Metric::PromiseQuorum,
+            TraceEvent::Anchored { .. } => Metric::Anchored,
+            TraceEvent::Unanchored { .. } => Metric::Unanchored,
+            TraceEvent::Submit { .. } => Metric::Submitted,
+            TraceEvent::ForwardSent { .. } => Metric::Forwarded,
+            TraceEvent::Admitted { .. } => Metric::Admitted,
+            TraceEvent::Proposed { .. } => Metric::Proposed,
+            TraceEvent::Chosen { .. } => Metric::Chosen,
+            TraceEvent::Decided { .. } => Metric::Decided,
+            TraceEvent::ReplySent { .. } => Metric::Replied,
+            TraceEvent::RebalanceFreeze { .. } => Metric::RebalanceFreeze,
+            TraceEvent::RebalanceDrain { .. } => Metric::RebalanceDrain,
+            TraceEvent::RebalanceCommit { .. } => Metric::RebalanceCommit,
+            TraceEvent::RebalanceReforward { .. } => Metric::RebalanceReforward,
+            TraceEvent::RebalanceAbort { .. } => Metric::RebalanceAbort,
         }
+    }
+
+    /// A short static label naming the event kind (the `kind` field of
+    /// the JSONL schema; see `esync-trace`): its counter's
+    /// [`Metric::name`].
+    pub fn kind(&self) -> &'static str {
+        self.metric().name()
     }
 
     /// Convenience constructor for command-journey events that carry a
@@ -169,8 +181,11 @@ impl TraceEvent {
 mod tests {
     use super::*;
 
+    /// Every kind has its own protocol-bumped counter: the sixteen
+    /// events map onto every [`Metric`] but the driver-fed
+    /// [`Metric::TraceDropped`], one-for-one.
     #[test]
-    fn kinds_are_unique() {
+    fn each_kind_has_its_own_metric() {
         let all = [
             TraceEvent::OneASent { ballot: 1 },
             TraceEvent::PromiseQuorum { ballot: 1 },
@@ -197,9 +212,12 @@ mod tests {
             TraceEvent::RebalanceReforward { epoch: 1, count: 2 },
             TraceEvent::RebalanceAbort { epoch: 1 },
         ];
-        let mut kinds: Vec<&str> = all.iter().map(|e| e.kind()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds.len(), all.len(), "duplicate kind labels");
+        let metrics: Vec<Metric> = all.iter().map(TraceEvent::metric).collect();
+        let protocol_fed: Vec<Metric> = Metric::ALL
+            .into_iter()
+            .filter(|m| *m != Metric::TraceDropped)
+            .collect();
+        assert_eq!(metrics, protocol_fed);
+        assert_eq!(all[9].kind(), "decided");
     }
 }

@@ -107,7 +107,7 @@ fn counters_of(pairs: &[Value]) -> Result<[u64; METRIC_COUNT], ParseError> {
         let (Some(name), Some(v)) = (name.as_str(), v.as_u64()) else {
             return Err(Field("counters"));
         };
-        if let Some(m) = Metric::ALL.into_iter().find(|m| m.name() == name) {
+        if let Some(m) = Metric::from_name(name) {
             counters[m as usize] = v;
         }
     }

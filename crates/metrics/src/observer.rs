@@ -208,6 +208,8 @@ mod tests {
     use crate::watchdog::{BoundSpec, WatchdogKind};
     use esync_core::trace::TraceEvent;
 
+    const ANCHORED: TraceEvent = TraceEvent::Anchored { ballot: 1 };
+
     fn metered(node: Option<u32>, cfg: WatchdogConfig) -> (Observer, Outbox<()>) {
         let mut obs = Observer::default();
         obs.enable_metrics(node, 10, cfg);
@@ -243,7 +245,7 @@ mod tests {
         obs.enable_trace(1);
         obs.arm(&mut out);
         for value in 0..3 {
-            out.trace(|| TraceEvent::Submit { value });
+            out.event(TraceEvent::Submit { value });
         }
         obs.drain_trace(&mut out, ProcessId::new(0), 5);
         assert_eq!(obs.trace_dropped(), 2);
@@ -297,7 +299,7 @@ mod tests {
     #[test]
     fn reset_rebases_series_window_and_counters() {
         let (mut obs, mut out) = metered(None, WatchdogConfig::default());
-        out.metric(Metric::Anchored);
+        out.event(ANCHORED);
         obs.sample_before(&mut out, 21, Vec::new);
         obs.reset(&mut out);
         assert_eq!(obs.snapshots(), &[]);
@@ -305,8 +307,8 @@ mod tests {
         assert_eq!(out.metrics().get(Metric::Anchored), 0, "counters zeroed");
         // Two anchors after an anchored window would be churn; after a
         // reset the window starts empty, so the first sample is a base.
-        out.metric(Metric::Anchored);
-        out.metric(Metric::Anchored);
+        out.event(ANCHORED);
+        out.event(ANCHORED);
         obs.sample_before(&mut out, 11, Vec::new);
         assert_eq!(at_ns(&obs), [10]);
         assert_eq!(obs.firings(), &[]);

@@ -206,7 +206,7 @@ impl ClusterConfig {
     /// traces come back in [`NodeStats::trace`] from
     /// [`Cluster::shutdown_stats`]. Default: off — and the disabled path
     /// is behaviorally inert, not merely cheap (see
-    /// [`esync_core::outbox::Outbox::trace`]).
+    /// [`esync_core::outbox::Outbox::event`]).
     ///
     /// # Panics
     ///

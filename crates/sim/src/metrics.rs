@@ -99,12 +99,6 @@ impl Report {
             .all(|i| !(self.alive_at_end[i] && self.started[i]) || self.decisions[i].is_some())
     }
 
-    /// Decision delay after `TS` for one process (`None` if undecided).
-    /// Decisions *before* `TS` count as zero delay.
-    pub fn decision_after_ts(&self, pid: ProcessId) -> Option<RealDuration> {
-        self.decided_at[pid.as_usize()].map(|t| t.saturating_since(self.ts))
-    }
-
     /// The worst decision delay after `TS` over processes alive at the end,
     /// excluding processes that restarted after `TS` (whose bound is
     /// relative to their restart; see [`Report::decision_after_restart`]).

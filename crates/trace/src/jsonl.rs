@@ -38,6 +38,7 @@
 //! ends — so same-seed simulator runs produce byte-identical files.
 
 use crate::buffer::TraceRecord;
+use esync_core::metrics::Metric;
 use esync_core::trace::TraceEvent;
 use esync_core::types::ProcessId;
 use serde::Serializer;
@@ -196,65 +197,66 @@ fn str_of<'v>(obj: &'v Value, key: &'static str) -> Result<&'v str, ParseError> 
 }
 
 fn event_of(fields: &Value) -> Result<TraceEvent, ParseError> {
-    let kind = str_of(fields, "kind")?;
+    let kind = Metric::from_name(str_of(fields, "kind")?).ok_or(ParseError::Field("kind"))?;
     Ok(match kind {
-        "1a_sent" => TraceEvent::OneASent {
+        Metric::OneASent => TraceEvent::OneASent {
             ballot: u64_of(fields, "ballot")?,
         },
-        "promise_quorum" => TraceEvent::PromiseQuorum {
+        Metric::PromiseQuorum => TraceEvent::PromiseQuorum {
             ballot: u64_of(fields, "ballot")?,
         },
-        "anchored" => TraceEvent::Anchored {
+        Metric::Anchored => TraceEvent::Anchored {
             ballot: u64_of(fields, "ballot")?,
         },
-        "unanchored" => TraceEvent::Unanchored {
+        Metric::Unanchored => TraceEvent::Unanchored {
             ballot: u64_of(fields, "ballot")?,
         },
-        "submit" => TraceEvent::Submit {
+        Metric::Submitted => TraceEvent::Submit {
             value: u64_of(fields, "value")?,
         },
-        "forward" => TraceEvent::ForwardSent {
+        Metric::Forwarded => TraceEvent::ForwardSent {
             value: u64_of(fields, "value")?,
         },
-        "admitted" => TraceEvent::Admitted {
+        Metric::Admitted => TraceEvent::Admitted {
             shard: u32_of(fields, "shard")?,
             value: u64_of(fields, "value")?,
         },
-        "proposed" => TraceEvent::Proposed {
+        Metric::Proposed => TraceEvent::Proposed {
             shard: u32_of(fields, "shard")?,
             slot: u64_of(fields, "slot")?,
             value: u64_of(fields, "value")?,
         },
-        "chosen" => TraceEvent::Chosen {
+        Metric::Chosen => TraceEvent::Chosen {
             shard: u32_of(fields, "shard")?,
             slot: u64_of(fields, "slot")?,
         },
-        "decided" => TraceEvent::Decided {
+        Metric::Decided => TraceEvent::Decided {
             shard: u32_of(fields, "shard")?,
             slot: u64_of(fields, "slot")?,
             value: u64_of(fields, "value")?,
         },
-        "reply" => TraceEvent::ReplySent {
+        Metric::Replied => TraceEvent::ReplySent {
             shard: u32_of(fields, "shard")?,
             value: u64_of(fields, "value")?,
         },
-        "rb_freeze" => TraceEvent::RebalanceFreeze {
+        Metric::RebalanceFreeze => TraceEvent::RebalanceFreeze {
             epoch: u64_of(fields, "epoch")?,
         },
-        "rb_drain" => TraceEvent::RebalanceDrain {
+        Metric::RebalanceDrain => TraceEvent::RebalanceDrain {
             epoch: u64_of(fields, "epoch")?,
         },
-        "rb_commit" => TraceEvent::RebalanceCommit {
+        Metric::RebalanceCommit => TraceEvent::RebalanceCommit {
             epoch: u64_of(fields, "epoch")?,
         },
-        "rb_reforward" => TraceEvent::RebalanceReforward {
+        Metric::RebalanceReforward => TraceEvent::RebalanceReforward {
             epoch: u64_of(fields, "epoch")?,
             count: u64_of(fields, "count")?,
         },
-        "rb_abort" => TraceEvent::RebalanceAbort {
+        Metric::RebalanceAbort => TraceEvent::RebalanceAbort {
             epoch: u64_of(fields, "epoch")?,
         },
-        _ => return Err(ParseError::Field("kind")),
+        // Driver-fed: a counter, never a trace kind.
+        Metric::TraceDropped => return Err(ParseError::Field("kind")),
     })
 }
 
@@ -395,6 +397,10 @@ mod tests {
         assert!(
             parse_line("{\"at_ns\":1,\"pid\":0,\"kind\":\"nope\"}").is_err(),
             "unknown kind"
+        );
+        assert!(
+            parse_line("{\"at_ns\":1,\"pid\":0,\"kind\":\"trace_dropped\"}").is_err(),
+            "a counter name that is no trace kind"
         );
         assert!(
             parse_line("{\"at_ns\":1,\"pid\":0,\"kind\":\"submit\"}").is_err(),

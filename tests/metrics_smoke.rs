@@ -10,21 +10,29 @@
 //!    by enabling collection.
 //!    Counters are tracing-invariant too: metered and metered + traced
 //!    runs end with the same registry.
+//! 4. **Counters and traces agree** — each milestone is one
+//!    `Outbox::event` call, so every snapshot's counter of a kind equals
+//!    the number of that kind's trace records stamped at or before it,
+//!    on both backends, and a traced run's records do not depend on
+//!    metering.
 //! 3. **Watchdog precision** — a stable run trips nothing (the live
 //!    `TS + ε + 3τ + 5δ` bound monitor included); each injected
 //!    violation fires its watchdog: a tight bound fires exactly once per
 //!    first decision, and crashing the anchored leader mid-drive trips
 //!    both the anchor-churn and stall detectors.
 
-use esync::core::metrics::Metric;
+use esync::core::metrics::{Metric, METRIC_COUNT};
 use esync::core::outbox::Process;
+use esync::core::paxos::group::rebalance::RebalanceConfig;
+use esync::core::paxos::group::{LogGroup, ShardRouter};
 use esync::core::paxos::multi::MultiPaxos;
 use esync::core::paxos::session::SessionPaxos;
 use esync::core::time::RealDuration;
 use esync::core::types::ProcessId;
-use esync::metrics::{BoundSpec, WatchdogConfig, WatchdogKind};
+use esync::metrics::{BoundSpec, HealthSummary, MetricsSnapshot, WatchdogConfig, WatchdogKind};
 use esync::sim::{PreStability, SimConfig, SimTime, World};
-use esync::workload::gen::ClosedLoopSpec;
+use esync::trace::TraceRecord;
+use esync::workload::gen::{ClosedLoopSpec, KeyDist};
 use esync::workload::{rt_driver, sim_driver};
 use std::time::Duration;
 
@@ -363,4 +371,255 @@ fn crashing_the_anchor_trips_churn_and_stall() {
     let (again, leader2) = run();
     assert_eq!(leader2, leader);
     assert_eq!(again, firings, "watchdog firings are deterministic");
+}
+
+/// Per kind, the records of `trace` stamped at or before `at_ns`, in
+/// [`Metric::ALL`] order.
+fn trace_counts<'a>(
+    trace: impl IntoIterator<Item = &'a TraceRecord>,
+    at_ns: u64,
+) -> [u64; METRIC_COUNT] {
+    let mut counts = [0; METRIC_COUNT];
+    for r in trace.into_iter().filter(|r| r.at_ns <= at_ns) {
+        counts[r.ev.metric() as usize] += 1;
+    }
+    counts
+}
+
+/// Asserts that `snap` counted every protocol-fed kind exactly as often
+/// as `trace` recorded it up to the snapshot's instant.
+fn assert_snapshot_matches<'a>(
+    snap: &MetricsSnapshot,
+    trace: impl IntoIterator<Item = &'a TraceRecord>,
+    drive: &str,
+) {
+    let traced = trace_counts(trace, snap.at_ns);
+    for m in Metric::ALL
+        .into_iter()
+        .filter(|m| *m != Metric::TraceDropped)
+    {
+        assert_eq!(
+            snap.counter(m),
+            traced[m as usize],
+            "{drive}: `{}` counted {} times but traced {} times by {} ns (node {:?})",
+            m.name(),
+            snap.counter(m),
+            traced[m as usize],
+            snap.at_ns,
+            snap.node,
+        );
+    }
+}
+
+/// The simulator half of the agreement check: nothing was dropped, every
+/// cluster-wide snapshot agrees with the trace, and each of `must` was
+/// actually exercised by the drive.
+fn assert_sim_agreement(
+    drive: &str,
+    trace: &[TraceRecord],
+    health: &HealthSummary,
+    must: &[Metric],
+) {
+    assert_eq!(
+        health.trace_dropped, 0,
+        "{drive}: the ring must hold the run"
+    );
+    assert!(health.snapshots.len() >= 2, "{drive}: too few snapshots");
+    for snap in &health.snapshots {
+        assert_snapshot_matches(snap, trace, drive);
+    }
+    let totals = trace_counts(trace, u64::MAX);
+    for m in must {
+        assert!(
+            totals[*m as usize] > 0,
+            "{drive}: no `{}` event, so its agreement is vacuous",
+            m.name()
+        );
+    }
+}
+
+const TRACE_CAP: usize = 1 << 18;
+
+/// Off the snapshot cadence: `run_until` samples a boundary equal to its
+/// horizon before returning, so commands the drive then submits at that
+/// very instant would land after a snapshot stamped with it.
+const WARMUP: SimTime = SimTime::from_millis(520);
+
+/// Single-shot session Paxos through a chaotic pre-`TS` phase at n = 5:
+/// the §4 milestones, re-sent 1a's included. The same run traced but
+/// unmetered must record the very same events — buffering does not
+/// depend on the metering gate.
+#[test]
+fn counters_match_traces_for_session_paxos_under_chaos() {
+    let run = |metered: bool| {
+        let cfg = SimConfig::builder(5)
+            .seed(21)
+            .stability_at_millis(300)
+            .pre_stability(PreStability::chaos())
+            .build()
+            .unwrap();
+        let mut w = World::new(cfg, SessionPaxos::new());
+        w.enable_typed_trace(TRACE_CAP);
+        if metered {
+            w.enable_metrics(INTERVAL, WatchdogConfig::default());
+        }
+        let report = w.run_to_completion().expect("decides");
+        assert!(report.agreement());
+        w.take_observation()
+    };
+    let (trace, health) = run(true);
+    assert_sim_agreement(
+        "session chaos",
+        &trace,
+        &health.expect("metered"),
+        &[
+            Metric::OneASent,
+            Metric::PromiseQuorum,
+            Metric::Proposed,
+            Metric::Decided,
+        ],
+    );
+    let (unmetered, _) = run(false);
+    assert_eq!(unmetered, trace, "metering moved the trace");
+}
+
+/// The log in a closed loop whose anchored leader crashes mid-drive and
+/// restarts later: election, forwarding into the void, re-forwarding
+/// and the restarted leader's unanchor all count and trace alike.
+#[test]
+fn counters_match_traces_for_a_log_losing_its_anchor() {
+    const N: usize = 3;
+    let cfg = SimConfig::builder(N)
+        .seed(13)
+        .stability_at_millis(0)
+        .pre_stability(PreStability::lossless())
+        .max_time(SimTime::from_secs(300))
+        .build()
+        .unwrap();
+    let mut world = World::new(cfg, MultiPaxos::new());
+    world.enable_typed_trace(TRACE_CAP);
+    world.enable_metrics(INTERVAL, WatchdogConfig::default());
+    world.run_until(WARMUP);
+    let leader = (0..N as u32)
+        .map(ProcessId::new)
+        .find(|p| world.process(*p).is_leader())
+        .expect("a leader anchored during warmup");
+    let followers: Vec<ProcessId> = (0..N as u32)
+        .map(ProcessId::new)
+        .filter(|p| *p != leader)
+        .collect();
+    world.inject_crash(world.now() + RealDuration::from_millis(30), leader);
+    world.inject_restart(world.now() + RealDuration::from_millis(150), leader);
+    let spec = ClosedLoopSpec::new(2, 2, 60).seed(13).targets(followers);
+    let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(200));
+    assert_eq!(out.summary.committed, 60, "every command commits");
+    assert_eq!(world.report().crashes[leader.as_usize()].len(), 1);
+    assert_sim_agreement(
+        "log failover",
+        &out.trace,
+        &out.summary.health.expect("metered"),
+        &[
+            Metric::OneASent,
+            Metric::PromiseQuorum,
+            Metric::Anchored,
+            Metric::Unanchored,
+            Metric::Submitted,
+            Metric::Forwarded,
+            Metric::Admitted,
+            Metric::Proposed,
+            Metric::Chosen,
+            Metric::Decided,
+        ],
+    );
+}
+
+/// A range-routed, rebalancing log group under a hotspot: the rebalance
+/// protocol's milestones and the retry replies join the command
+/// journey.
+#[test]
+fn counters_match_traces_for_a_rebalancing_group() {
+    let cfg = SimConfig::builder(3)
+        .seed(53)
+        .stability_at_millis(0)
+        .pre_stability(PreStability::lossless())
+        .max_time(SimTime::from_secs(600))
+        .build()
+        .unwrap();
+    let proto = LogGroup::new(3)
+        .with_batching(1, 4)
+        .with_router(ShardRouter::Range(vec![341, 682]))
+        .with_rebalancing(RebalanceConfig::default().check_every(64));
+    let spec = ClosedLoopSpec::new(3, 8, 200)
+        .seed(8)
+        .key_space(1 << 10)
+        .dist(KeyDist::Hotspot {
+            frac: 0.9,
+            span: 64,
+        });
+    let mut world = World::new(cfg, proto);
+    world.enable_typed_trace(TRACE_CAP);
+    world.enable_metrics(INTERVAL, WatchdogConfig::default());
+    world.run_until(WARMUP);
+    let out = sim_driver::run_closed_loop_on(&mut world, &spec, SimTime::from_secs(300));
+    assert_eq!(out.summary.committed, 200);
+    assert_sim_agreement(
+        "rebalancing group",
+        &out.trace,
+        &out.summary.health.expect("metered"),
+        &[
+            Metric::Submitted,
+            Metric::Forwarded,
+            Metric::Admitted,
+            Metric::Proposed,
+            Metric::Chosen,
+            Metric::Decided,
+            Metric::Replied,
+            Metric::RebalanceFreeze,
+            Metric::RebalanceDrain,
+            Metric::RebalanceCommit,
+            Metric::RebalanceReforward,
+        ],
+    );
+}
+
+/// The threaded backend: each node's exit snapshot holds its totals, and
+/// they must equal the node's own trace, kind by kind.
+#[test]
+fn counters_match_traces_per_node_on_the_runtime() {
+    const N: u32 = 3;
+    let cfg = esync::runtime::ClusterConfig::new(N as usize)
+        .delta(Duration::from_millis(5))
+        .seed(7)
+        .tracing(TRACE_CAP)
+        .metrics(Duration::from_millis(20));
+    let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(7);
+    let out = rt_driver::run_closed_loop(
+        cfg,
+        MultiPaxos::new().with_batching(4, 2),
+        &spec,
+        Duration::from_millis(300),
+        Duration::from_secs(30),
+    )
+    .expect("threaded workload completes");
+    assert_eq!(out.summary.committed, COMMANDS);
+    let health = out.summary.health.expect("metered");
+    assert_eq!(health.trace_dropped, 0, "the rings must hold the run");
+    for pid in 0..N {
+        let exit = health
+            .snapshots
+            .iter()
+            .filter(|s| s.node == Some(pid))
+            .max_by_key(|s| s.at_ns)
+            .expect("every node ships an exit snapshot");
+        let own = out.trace.iter().filter(|r| r.pid == ProcessId::new(pid));
+        assert_snapshot_matches(exit, own.clone(), "runtime");
+        let totals = trace_counts(own, u64::MAX);
+        for m in [Metric::OneASent, Metric::Admitted, Metric::Decided] {
+            assert!(
+                totals[m as usize] > 0,
+                "node {pid}: no `{}` event",
+                m.name()
+            );
+        }
+    }
 }

@@ -10,7 +10,6 @@
 
 use esync_bench::{chaos_cfg, fmt_stats, ExperimentArtifact, SweepRunner, Table, TS_MS};
 use esync_core::paxos::session::SessionPaxos;
-use esync_sim::harness::decision_stats;
 use esync_sim::{PreStability, SimConfig};
 
 fn silent_cfg(n: usize, seed: u64) -> SimConfig {
@@ -83,8 +82,8 @@ fn main() {
         table.row_owned(vec![
             n.to_string(),
             seeds.to_string(),
-            fmt_stats(decision_stats(&silent.reports)),
-            fmt_stats(decision_stats(&chaos.reports)),
+            fmt_stats(silent.summary.delay_after_ts_delta.as_ref()),
+            fmt_stats(chaos.summary.delay_after_ts_delta.as_ref()),
             format!("{bound:.1}δ"),
         ]);
         artifact.push(silent.summary);

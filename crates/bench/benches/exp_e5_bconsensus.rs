@@ -12,7 +12,6 @@
 use esync_bench::{chaos_cfg, fmt_stats, ExperimentArtifact, SweepRunner, Table};
 use esync_core::bconsensus::BConsensus;
 use esync_core::paxos::session::SessionPaxos;
-use esync_sim::harness::decision_stats;
 
 fn main() {
     let seeds = 10;
@@ -65,9 +64,9 @@ fn main() {
         }
         table.row_owned(vec![
             n.to_string(),
-            fmt_stats(decision_stats(&modified.reports)),
-            fmt_stats(decision_stats(&original.reports)),
-            fmt_stats(decision_stats(&paxos.reports)),
+            fmt_stats(modified.summary.delay_after_ts_delta.as_ref()),
+            fmt_stats(original.summary.delay_after_ts_delta.as_ref()),
+            fmt_stats(paxos.summary.delay_after_ts_delta.as_ref()),
         ]);
         artifact.push(modified.summary);
         artifact.push(original.summary);

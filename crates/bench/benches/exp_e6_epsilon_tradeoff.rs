@@ -12,7 +12,6 @@
 use esync_bench::{fmt_stats, ExperimentArtifact, SweepRunner, Table, TS_MS};
 use esync_core::paxos::session::SessionPaxos;
 use esync_core::time::RealDuration;
-use esync_sim::harness::decision_stats;
 use esync_sim::{PreStability, SimConfig};
 
 fn main() {
@@ -69,7 +68,7 @@ fn main() {
             / outcome.reports.len() as f64;
         table.row_owned(vec![
             format!("{eps_frac}δ"),
-            fmt_stats(decision_stats(&outcome.reports)),
+            fmt_stats(outcome.summary.delay_after_ts_delta.as_ref()),
             format!("{bound:.1}δ"),
             format!("{rate:.0}"),
         ]);

@@ -11,7 +11,6 @@ use esync_bench::{fmt_stats, ExperimentArtifact, SweepRunner, Table, TS_MS};
 use esync_core::config::TimingConfig;
 use esync_core::paxos::session::SessionPaxos;
 use esync_core::time::RealDuration;
-use esync_sim::harness::decision_stats;
 use esync_sim::{PreStability, SimConfig};
 
 fn main() {
@@ -51,7 +50,7 @@ fn main() {
                 "{:.2}δ",
                 min_sigma.as_nanos() as f64 / delta.as_nanos() as f64
             ),
-            fmt_stats(decision_stats(&outcome.reports)),
+            fmt_stats(outcome.summary.delay_after_ts_delta.as_ref()),
             format!("{bound:.1}δ"),
         ]);
         artifact.push(outcome.summary.with_extra("analytic_bound_delta", bound));

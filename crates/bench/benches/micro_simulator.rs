@@ -1,224 +1,19 @@
-//! Criterion micro-benchmarks: simulator event throughput, event-queue
-//! steady-state cost, protocol step cost, parallel sweep throughput, and
-//! end-to-end run cost vs N.
+//! Criterion micro-benchmarks of what no `benchmark/` ledger row measures
+//! alone: the phase-2b tally and the event queue at fixed depths. Host
+//! cost end to end, per protocol handler, for tracing and metering, and
+//! per sweep run is measured by the `benchmark/` workloads and probes.
 //!
 //! Set `CRITERION_OUT=BENCH_micro.json` to capture the measurements as a
 //! machine-readable artifact (`scripts/bench.sh` does).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use esync_bench::SweepRunner;
+use criterion::{criterion_group, criterion_main, Criterion};
 use esync_core::ballot::Ballot;
-use esync_core::config::TimingConfig;
-use esync_core::outbox::{Outbox, Process, Protocol};
 use esync_core::paxos::messages::PaxosMsg;
-use esync_core::paxos::session::SessionPaxos;
 use esync_core::paxos::state::DecisionTracker;
-use esync_core::time::LocalInstant;
 use esync_core::types::{ProcessId, Value};
 use esync_sim::event::{EventKind, EventQueue, MsgPayload};
-use esync_sim::{PreStability, SimConfig, SimTime, World};
+use esync_sim::SimTime;
 use std::hint::black_box;
-
-fn full_run(n: usize, seed: u64) -> u64 {
-    let cfg = SimConfig::builder(n)
-        .seed(seed)
-        .stability_at_millis(100)
-        .pre_stability(PreStability::lossless())
-        .build()
-        .unwrap();
-    let mut w = World::new(cfg, SessionPaxos::new());
-    let r = w.run_to_completion().unwrap();
-    r.events
-}
-
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("end_to_end_stable_run");
-    for n in [3usize, 5, 9, 17, 33] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(full_run(n, seed))
-            });
-        });
-    }
-    group.finish();
-}
-
-/// A closed-loop drive through the sharded log group: the event loop
-/// under multi-instance load (shard-tagged messages, per-shard timers,
-/// SoA liveness flags on every deliver). The end-to-end cost of one
-/// committed command through the S=4 engine.
-fn bench_log_group_workload(c: &mut Criterion) {
-    use esync_core::paxos::group::LogGroup;
-    use esync_workload::gen::ClosedLoopSpec;
-    use esync_workload::sim_driver::run_closed_loop;
-    c.bench_function("log_group_s4_closed_loop_120_commands", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let cfg = SimConfig::builder(5)
-                .seed(seed)
-                .stability_at_millis(0)
-                .pre_stability(PreStability::lossless())
-                .build()
-                .unwrap();
-            let spec = ClosedLoopSpec::new(5, 8, 120).seed(seed).key_space(1 << 10);
-            let out = run_closed_loop(
-                cfg,
-                LogGroup::new(4),
-                &spec,
-                SimTime::from_millis(500),
-                SimTime::from_secs(120),
-            );
-            assert_eq!(out.summary.committed, 120);
-            black_box(out.report.events)
-        });
-    });
-}
-
-fn bench_chaos_run(c: &mut Criterion) {
-    c.bench_function("end_to_end_chaos_run_n5", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let cfg = SimConfig::builder(5)
-                .seed(seed)
-                .stability_at_millis(300)
-                .pre_stability(PreStability::chaos())
-                .build()
-                .unwrap();
-            let mut w = World::new(cfg, SessionPaxos::new());
-            black_box(w.run_to_completion().unwrap().events)
-        });
-    });
-}
-
-fn bench_protocol_step(c: &mut Criterion) {
-    c.bench_function("session_paxos_on_message_p1a", |b| {
-        let cfg = TimingConfig::for_n_processes(5).unwrap();
-        let proto = SessionPaxos::new();
-        let mut p = proto.spawn(ProcessId::new(0), &cfg, Value::new(1));
-        let mut out = Outbox::new(LocalInstant::ZERO);
-        p.on_start(&mut out);
-        out.drain();
-        let mut ballot = 6u64;
-        b.iter(|| {
-            ballot += 5; // fresh higher ballot every iteration
-            p.on_message(
-                ProcessId::new(1),
-                &PaxosMsg::P1a {
-                    mbal: Ballot::new(ballot),
-                },
-                &mut out,
-            );
-            black_box(out.drain().len())
-        });
-    });
-}
-
-/// Promise truncation (the ROADMAP "promise size" item): building the
-/// phase-1b reply of a replicated-log acceptor with 4096 chosen slots
-/// and a small in-flight window. The **caught-up** caller (prefix equal
-/// to the reporter's — the steady-state ε re-announcement case) costs
-/// `O(window)`; the **cold** caller (prefix 0 — a restarted process's
-/// full catch-up) pays the full `O(log length)` the old untruncated
-/// promise paid on *every* reply. The delta between these two entries is
-/// the truncation win. `slotmap_tail_window4_log4096` is the container
-/// read underneath the caught-up reply; the `group_1a_reply_*` pair is
-/// the whole `G1a` handler of an S=8 group (4096 chosen slots and a
-/// window of 4 per shard) before the ballot's first 2a (full promise)
-/// and after it (payload-free).
-fn bench_promise_truncation(c: &mut Criterion) {
-    use esync_core::paxos::group::{GroupMsg, LogGroup, ShardId};
-    use esync_core::paxos::multi::{batch_of, MultiMsg, MultiPaxos};
-    use esync_core::paxos::slotlog::SlotMap;
-
-    let cfg = TimingConfig::for_n_processes(3).unwrap();
-    let build = || {
-        let mut p = MultiPaxos::new().spawn(ProcessId::new(0), &cfg, Value::new(0));
-        let mut out: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
-        p.on_start(&mut out);
-        out.drain();
-        // 4096 chosen slots (learned decisions), plus an in-flight window
-        // of 4 accepted-but-unchosen votes above the prefix.
-        let decided = (0..4096u64).map(|slot| MultiMsg::LogDecided {
-            slot,
-            batch: batch_of([Value::new(slot)]),
-        });
-        let voted = (4097..=4100u64).map(|slot| MultiMsg::M2a {
-            mbal: Ballot::new(4),
-            slot,
-            batch: batch_of([Value::new(slot)]),
-        });
-        for msg in decided.chain(voted) {
-            let shard = ShardId::ZERO;
-            p.on_message(ProcessId::new(1), &GroupMsg::Shard { shard, msg }, &mut out);
-            out.drain();
-        }
-        p
-    };
-    c.bench_function("promise_reply_log4096_caught_up_caller", |b| {
-        let p = build();
-        let log = p.shard(ShardId::ZERO);
-        let prefix = log.chosen_prefix();
-        b.iter(|| black_box(log.vote_report(prefix).votes.len()));
-    });
-    c.bench_function("promise_reply_log4096_cold_caller", |b| {
-        let p = build();
-        let log = p.shard(ShardId::ZERO);
-        b.iter(|| black_box(log.vote_report(0).chosen.len()));
-    });
-    c.bench_function("slotmap_tail_window4_log4096", |b| {
-        let mut m: SlotMap<u64> = SlotMap::new();
-        for slot in 0..=4100u64 {
-            m.insert(slot, slot);
-        }
-        b.iter(|| black_box(m.tail(black_box(4097)).count()));
-    });
-
-    // The same log shape in every shard of an S=8 group whose last votes
-    // were cast at ballot 4 (owner p1).
-    let build_group = || {
-        let mut p = LogGroup::new(8).spawn(ProcessId::new(0), &cfg, Value::new(0));
-        let mut out: Outbox<GroupMsg> = Outbox::new(LocalInstant::ZERO);
-        p.on_start(&mut out);
-        for shard in (0..8).map(ShardId::new) {
-            let decided = (0..4096u64).map(|slot| MultiMsg::LogDecided {
-                slot,
-                batch: batch_of([Value::new(slot)]),
-            });
-            let voted = (4097..=4100u64).map(|slot| MultiMsg::M2a {
-                mbal: Ballot::new(4),
-                slot,
-                batch: batch_of([Value::new(slot)]),
-            });
-            for msg in decided.chain(voted) {
-                p.on_message(ProcessId::new(1), &GroupMsg::Shard { shard, msg }, &mut out);
-                out.drain();
-            }
-        }
-        (p, out)
-    };
-    // `from`'s re-announcement of `mbal` by a caught-up caller.
-    let reannounce = |c: &mut Criterion, name: &str, from: u32, mbal: u64| {
-        c.bench_function(name, |b| {
-            let (mut p, mut out) = build_group();
-            let g1a = GroupMsg::G1a {
-                mbal: Ballot::new(mbal),
-                prefixes: vec![4096; 8],
-            };
-            b.iter(|| {
-                p.on_message(ProcessId::new(from), &g1a, &mut out);
-                black_box(out.drain().len())
-            });
-        });
-    };
-    // Ballot 8 (owner p2) has sent no 2a: every reply is a full promise.
-    reannounce(c, "group_1a_reply_s8_window4_log4096", 2, 8);
-    // Ballot 4 is in phase 2: the reply is an acknowledgement.
-    reannounce(c, "group_1a_reply_s8_window4_log4096_phase2_seen", 1, 4);
-}
 
 /// The phase-2b tally: the current-ballot cache vs the `BTreeMap` fallback
 /// — the delta between these two is the fast path's win (a stable run is
@@ -250,104 +45,6 @@ fn bench_decision_tracker(c: &mut Criterion) {
                 Ballot::new(u64::from(i % 64)),
                 Value::new(7),
             ))
-        });
-    });
-}
-
-/// Typed-tracing cost on one closed-loop drive (`MultiPaxos`, n = 3,
-/// 4 clients × 4 outstanding, 120 commands, a fresh seed per iteration):
-/// `trace_overhead_noop` runs it untraced, the default every other
-/// benchmark runs under; `trace_overhead_on` runs it with every protocol
-/// event stamped into a 2¹⁸-record ring. The pair is reported, not
-/// gated: no script compares the two rows.
-fn bench_trace_overhead(c: &mut Criterion) {
-    use esync_core::paxos::multi::MultiPaxos;
-    use esync_workload::gen::ClosedLoopSpec;
-    use esync_workload::sim_driver::{run_closed_loop, run_closed_loop_traced};
-
-    let drive = |seed: u64, traced: bool| {
-        let cfg = SimConfig::builder(3)
-            .seed(seed)
-            .stability_at_millis(0)
-            .pre_stability(PreStability::lossless())
-            .build()
-            .unwrap();
-        let spec = ClosedLoopSpec::new(4, 4, 120).seed(seed).key_space(1 << 10);
-        let warmup = SimTime::from_millis(500);
-        let horizon = SimTime::from_secs(120);
-        let out = if traced {
-            run_closed_loop_traced(cfg, MultiPaxos::new(), &spec, warmup, horizon, 1 << 18)
-        } else {
-            run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, horizon)
-        };
-        assert_eq!(out.summary.committed, 120);
-        out.report.events
-    };
-    c.bench_function("trace_overhead_noop", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(drive(seed, false))
-        });
-    });
-    c.bench_function("trace_overhead_on", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(drive(seed, true))
-        });
-    });
-}
-
-/// The metrics registry's cost on the same closed-loop drive as
-/// `bench_trace_overhead`: `metrics_overhead_noop` runs it unmetered;
-/// `metrics_overhead_on` runs it with counters metered, a snapshot every
-/// 50 ms of simulated time and every watchdog armed. The pair is
-/// reported, not gated: no script compares the two rows.
-fn bench_metrics_overhead(c: &mut Criterion) {
-    use esync_core::paxos::multi::MultiPaxos;
-    use esync_core::time::RealDuration;
-    use esync_workload::gen::ClosedLoopSpec;
-    use esync_workload::sim_driver::{run_closed_loop, run_closed_loop_metered};
-
-    let drive = |seed: u64, metered: bool| {
-        let cfg = SimConfig::builder(3)
-            .seed(seed)
-            .stability_at_millis(0)
-            .pre_stability(PreStability::lossless())
-            .build()
-            .unwrap();
-        let spec = ClosedLoopSpec::new(4, 4, 120).seed(seed).key_space(1 << 10);
-        let warmup = SimTime::from_millis(500);
-        let horizon = SimTime::from_secs(120);
-        let out = if metered {
-            run_closed_loop_metered(
-                cfg,
-                MultiPaxos::new(),
-                &spec,
-                warmup,
-                horizon,
-                RealDuration::from_millis(50),
-                esync_metrics::WatchdogConfig::default(),
-            )
-        } else {
-            run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, horizon)
-        };
-        assert_eq!(out.summary.committed, 120);
-        out.report.events
-    };
-    c.bench_function("metrics_overhead_noop", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(drive(seed, false))
-        });
-    });
-    c.bench_function("metrics_overhead_on", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            black_box(drive(seed, true))
         });
     });
 }
@@ -553,52 +250,11 @@ fn bench_event_queue_wide_horizon(c: &mut Criterion) {
     run("event_queue_wide_horizon_adaptive", true);
 }
 
-/// Whole-sweep wall time through the parallel engine (single-thread vs
-/// all cores), so scaling regressions show up in `BENCH_micro.json`.
-fn bench_sweep(c: &mut Criterion) {
-    let mk_cfg = |seed: u64| {
-        SimConfig::builder(5)
-            .seed(seed)
-            .stability_at_millis(100)
-            .pre_stability(PreStability::lossless())
-            .build()
-            .unwrap()
-    };
-    c.bench_function("sweep_16_seeds_1_thread", |b| {
-        let runner = SweepRunner::with_threads(1);
-        b.iter(|| {
-            black_box(
-                runner
-                    .run_seeds(16, mk_cfg, SessionPaxos::new)
-                    .unwrap()
-                    .len(),
-            )
-        });
-    });
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    c.bench_function(&format!("sweep_16_seeds_{cores}_threads"), |b| {
-        let runner = SweepRunner::with_threads(cores);
-        b.iter(|| {
-            black_box(
-                runner
-                    .run_seeds(16, mk_cfg, SessionPaxos::new)
-                    .unwrap()
-                    .len(),
-            )
-        });
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_end_to_end, bench_log_group_workload, bench_chaos_run,
-              bench_protocol_step, bench_promise_truncation,
-              bench_decision_tracker, bench_event_queue,
+    targets = bench_decision_tracker, bench_event_queue,
               bench_event_queue_recover_depth, bench_event_queue_log_depth,
-              bench_event_queue_wide_horizon, bench_sweep,
-              bench_trace_overhead, bench_metrics_overhead
+              bench_event_queue_wide_horizon
 }
 criterion_main!(benches);

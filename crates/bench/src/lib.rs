@@ -1,7 +1,8 @@
 //! # esync-bench — the experiment harness
 //!
-//! One bench target per quantified claim of the paper (see `DESIGN.md`'s
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured):
+//! One bench target per quantified claim of the paper (see
+//! `docs/ARCHITECTURE.md` for the layers they exercise and
+//! `crates/bench/README.md` for each artifact and its headline):
 //!
 //! | target | claim |
 //! |---|---|
@@ -17,12 +18,18 @@
 //! | `exp_e10_bound_check` | measured worst ≤ `ε + 3τ + 5δ` (≈ 17δ) |
 //! | `exp_w1_throughput_vs_n` | closed-loop saturation: batching lifts replicated-log commits/sec ≈ `B`× at fixed pipeline window |
 //! | `exp_w2_load_vs_stability` | open-loop load across `TS`: pre-`TS` submissions pay the instability, post-`TS` ones commit in a few `δ` |
+//! | `exp_w3_shard_scaling` | a log group scales with its shard count: `S = 4` sustains ≥ 2× the commits/sec of `S = 1` |
+//! | `exp_w4_session_sharing` | one group session keeps idle traffic at `S = 8` within 2× of `S = 1`, and one crash re-anchors every shard |
+//! | `exp_w5_rebalance` | live rebalancing regains ≥ 1.5× the static router's commits/sec under a hotspot |
+//! | `trace_gen` | writes `TRACE_exp_e1.jsonl` (per-decision bound) and `TRACE_exp_w3.jsonl` (phase decomposition) |
+//! | `health_gen` | writes `HEALTH_exp_h1.jsonl`: a stable metered run that trips no watchdog |
 //!
 //! All targets are `harness = false` binaries, so `cargo bench --workspace`
 //! regenerates every table **and** its machine-readable
 //! `BENCH_<experiment>.json` artifact (see [`artifact`] and
 //! `crates/bench/README.md` for the schema); `micro_simulator` carries the
-//! Criterion micro-benchmarks.
+//! Criterion micro-benchmarks that no `benchmark/` ledger row measures
+//! alone.
 //!
 //! Sweeps run through the parallel [`sweep::SweepRunner`], which fans
 //! independent `(seed, SimConfig)` runs across every core with
@@ -159,8 +166,8 @@ pub fn fmt_delta(x: f64) -> String {
     }
 }
 
-/// Formats a [`esync_sim::metrics::Stats`] as `min/mean/max` in δ.
-pub fn fmt_stats(s: Option<esync_sim::metrics::Stats>) -> String {
+/// Formats [`DelayQuantiles`] as `min/mean/max` in δ.
+pub fn fmt_stats(s: Option<&DelayQuantiles>) -> String {
     match s {
         Some(s) => format!("{:.2}/{:.2}/{:.2}δ", s.min, s.mean, s.max),
         None => "—".to_string(),
@@ -196,8 +203,8 @@ mod tests {
         assert_eq!(fmt_delta(1.5), "1.50δ");
         assert_eq!(fmt_delta(f64::NAN), "—");
         assert_eq!(fmt_stats(None), "—");
-        let s = esync_sim::metrics::Stats::over([1.0, 2.0]).unwrap();
-        assert_eq!(fmt_stats(Some(s)), "1.00/1.50/2.00δ");
+        let s = DelayQuantiles::over([1.0, 2.0]).unwrap();
+        assert_eq!(fmt_stats(Some(&s)), "1.00/1.50/2.00δ");
     }
 
     #[test]

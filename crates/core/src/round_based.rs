@@ -238,6 +238,27 @@ impl RotatingCoordinatorProcess {
         }
     }
 
+    /// Re-sends this round's estimate, and the proposal and ack if any.
+    fn retransmit_round(&self, out: &mut Outbox<RoundMsg>) {
+        out.broadcast(RoundMsg::Estimate {
+            round: self.round,
+            est: self.est,
+            ts: self.ts,
+        });
+        if let Some(value) = self.proposed {
+            out.broadcast(RoundMsg::Propose {
+                round: self.round,
+                value,
+            });
+        }
+        if let Some(value) = self.acked {
+            out.broadcast(RoundMsg::Ack {
+                round: self.round,
+                value,
+            });
+        }
+    }
+
     fn decide(&mut self, v: Value, out: &mut Outbox<RoundMsg>) {
         if self.decided.is_some() {
             return;
@@ -330,23 +351,7 @@ impl Process for RotatingCoordinatorProcess {
         }
         // The round stalled: retransmit (messages may have been lost before
         // TS) and try to move on, gated by majority occupancy.
-        out.broadcast(RoundMsg::Estimate {
-            round: self.round,
-            est: self.est,
-            ts: self.ts,
-        });
-        if let Some(value) = self.proposed {
-            out.broadcast(RoundMsg::Propose {
-                round: self.round,
-                value,
-            });
-        }
-        if let Some(value) = self.acked {
-            out.broadcast(RoundMsg::Ack {
-                round: self.round,
-                value,
-            });
-        }
+        self.retransmit_round(out);
         self.want_advance = true;
         self.try_advance(out);
     }
@@ -357,23 +362,7 @@ impl Process for RotatingCoordinatorProcess {
             out.broadcast(RoundMsg::Decided { value: v });
             return;
         }
-        out.broadcast(RoundMsg::Estimate {
-            round: self.round,
-            est: self.est,
-            ts: self.ts,
-        });
-        if let Some(value) = self.proposed {
-            out.broadcast(RoundMsg::Propose {
-                round: self.round,
-                value,
-            });
-        }
-        if let Some(value) = self.acked {
-            out.broadcast(RoundMsg::Ack {
-                round: self.round,
-                value,
-            });
-        }
+        self.retransmit_round(out);
     }
 
     fn decision(&self) -> Option<Value> {

@@ -120,7 +120,6 @@ pub struct ClusterConfig {
     loss_prob: f64,
     max_extra_delay: Option<Duration>,
     seed: u64,
-    initial_values: Option<Vec<Value>>,
     trace_capacity: Option<usize>,
     metrics_interval: Option<Duration>,
     watchdog_cfg: esync_metrics::WatchdogConfig,
@@ -139,7 +138,6 @@ impl ClusterConfig {
             loss_prob: 0.0,
             max_extra_delay: None,
             seed: 0,
-            initial_values: None,
             trace_capacity: None,
             metrics_interval: None,
             watchdog_cfg: esync_metrics::WatchdogConfig::default(),
@@ -192,12 +190,6 @@ impl ClusterConfig {
     /// Seed for loss, delay and clock-rate sampling.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Explicit initial values (default `100 + i`).
-    pub fn initial_values(mut self, values: Vec<Value>) -> Self {
-        self.initial_values = Some(values);
         self
     }
 
@@ -307,11 +299,6 @@ where
         let start = Instant::now();
         let stable_at = start + cfg.stability_after;
         let max_extra_delay = cfg.max_extra_delay.unwrap_or(cfg.delta * 5);
-        let initial_values: Vec<Value> = cfg
-            .initial_values
-            .clone()
-            .unwrap_or_else(|| (0..n as u64).map(|i| Value::new(100 + i)).collect());
-        assert_eq!(initial_values.len(), n, "one initial value per node");
 
         let (senders, receivers) = make_inboxes::<P::Msg>(n);
         let (delayer_tx, delayer_handle) = spawn_delayer(senders.clone());
@@ -325,7 +312,7 @@ where
         let mut kill_flags = Vec::with_capacity(n);
         for (i, inbox) in receivers.into_iter().enumerate() {
             let pid = ProcessId::new(i as u32);
-            let proc = protocol.spawn(pid, &timing, initial_values[i]);
+            let proc = protocol.spawn(pid, &timing, Value::new(100 + i as u64));
             let leader_flag = Arc::new(AtomicBool::new(false));
             leader_flags.push(Arc::clone(&leader_flag));
             let kill_flag = Arc::new(AtomicBool::new(false));

@@ -23,8 +23,6 @@
 //!   coordinator algorithms: the `f = ⌈N/2⌉−1` lowest-id processes are
 //!   dead forever, so rounds `0..f` each burn a timeout before a live
 //!   coordinator is reached.
-//! * [`staggered_restarts`] — processes crash before `TS` and restart one
-//!   by one after it (experiment E4's recovery sweep).
 
 use crate::scenario::Scenario;
 use crate::time::SimTime;
@@ -115,22 +113,6 @@ pub fn dead_coordinators(f: usize) -> Scenario {
     s
 }
 
-/// Crashes each process in `pids` at `down_at` and restarts them one by
-/// one at `first_up, first_up+gap, …` (all restart times may be after
-/// `TS`; restarted processes stay up).
-pub fn staggered_restarts(
-    pids: impl IntoIterator<Item = ProcessId>,
-    down_at: SimTime,
-    first_up: SimTime,
-    gap: RealDuration,
-) -> Scenario {
-    let mut s = Scenario::none();
-    for (i, pid) in pids.into_iter().enumerate() {
-        s = s.down_between(pid, down_at, first_up + gap * i as u64);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,24 +171,6 @@ mod tests {
             .iter()
             .all(|(p, t)| p.as_usize() < 3 && *t == SimTime::ZERO));
         assert!(s.restarts.is_empty());
-    }
-
-    #[test]
-    fn staggered_restarts_space_out() {
-        let s = staggered_restarts(
-            [ProcessId::new(1), ProcessId::new(2)],
-            SimTime::from_millis(10),
-            SimTime::from_millis(200),
-            RealDuration::from_millis(50),
-        );
-        assert_eq!(s.crashes.len(), 2);
-        assert_eq!(
-            s.restarts,
-            vec![
-                (ProcessId::new(1), SimTime::from_millis(200)),
-                (ProcessId::new(2), SimTime::from_millis(250)),
-            ]
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Everything is deterministic given a seed: clock rates, network delays
 //! and event tie-breaking all derive from a [`rand_chacha`] PRNG, so every
-//! experiment in `EXPERIMENTS.md` is exactly reproducible.
+//! experiment in `crates/bench/README.md` is exactly reproducible.
 //!
 //! ## Quick example
 //!
@@ -47,7 +47,6 @@ pub mod adversary;
 pub mod clock;
 pub mod error;
 pub mod event;
-pub mod harness;
 pub mod metrics;
 pub mod network;
 pub mod oracle;

@@ -301,41 +301,6 @@ pub struct WorkloadSummary {
     pub health: Option<esync_metrics::HealthSummary>,
 }
 
-/// Aggregate statistics over a set of runs (seed sweeps).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Stats {
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Number of observations.
-    pub count: usize,
-}
-
-impl Stats {
-    /// Computes statistics over `xs`; `None` if empty.
-    pub fn over(xs: impl IntoIterator<Item = f64>) -> Option<Stats> {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for x in xs {
-            min = min.min(x);
-            max = max.max(x);
-            sum += x;
-            count += 1;
-        }
-        (count > 0).then(|| Stats {
-            min,
-            max,
-            mean: sum / count as f64,
-            count,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +384,8 @@ mod tests {
             r.decision_after_restart(ProcessId::new(2)),
             Some(RealDuration::from_millis(50))
         );
+        // A process that never restarted has no recovery time.
+        assert_eq!(r.decision_after_restart(ProcessId::new(0)), None);
     }
 
     #[test]
@@ -426,16 +393,6 @@ mod tests {
         let mut r = base_report();
         r.decided_at = vec![Some(SimTime::from_millis(50)); 3];
         assert_eq!(r.max_decision_after_ts_in_delta(), Some(0.0));
-    }
-
-    #[test]
-    fn stats_over_values() {
-        let s = Stats::over([1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.count, 3);
-        assert!(Stats::over(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -29,9 +29,10 @@ pub struct SimConfig {
     pub max_time: SimTime,
     /// Run the idealized leader-election oracle (traditional Paxos).
     pub leader_oracle: bool,
-    /// Oracle announcement delay after `TS` (default `2δ`).
+    /// Oracle announcement delay after `TS` (the builder sets `2δ`).
     pub leader_announce_after: RealDuration,
-    /// Initial values; defaults to `100 + i` for process `i`.
+    /// Initial values; `None` (what the builder sets) means `100 + i`
+    /// for process `i`.
     pub initial_values: Option<Vec<Value>>,
     /// Fault and workload script.
     pub scenario: Scenario,
@@ -52,8 +53,6 @@ impl SimConfig {
             post_delay_range: (0.1, 1.0),
             max_time: SimTime::from_secs(120),
             leader_oracle: false,
-            leader_announce_after: None,
-            initial_values: None,
             scenario: Scenario::none(),
         }
     }
@@ -73,8 +72,6 @@ pub struct SimConfigBuilder {
     post_delay_range: (f64, f64),
     max_time: SimTime,
     leader_oracle: bool,
-    leader_announce_after: Option<RealDuration>,
-    initial_values: Option<Vec<Value>>,
     scenario: Scenario,
 }
 
@@ -144,18 +141,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the oracle announcement delay after `TS` (default `2δ`).
-    pub fn leader_announce_after(mut self, d: RealDuration) -> Self {
-        self.leader_announce_after = Some(d);
-        self
-    }
-
-    /// Sets explicit initial values (defaults to `100 + i`).
-    pub fn initial_values(mut self, values: Vec<Value>) -> Self {
-        self.initial_values = Some(values);
-        self
-    }
-
     /// Sets the fault/workload script.
     pub fn scenario(mut self, scenario: Scenario) -> Self {
         self.scenario = scenario;
@@ -202,8 +187,8 @@ impl SimConfigBuilder {
             post_delay_range: self.post_delay_range,
             max_time: self.max_time,
             leader_oracle: self.leader_oracle,
-            leader_announce_after: self.leader_announce_after.unwrap_or(self.delta * 2),
-            initial_values: self.initial_values,
+            leader_announce_after: self.delta * 2,
+            initial_values: None,
             scenario: self.scenario,
         })
     }

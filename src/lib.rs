@@ -29,8 +29,9 @@
 //!   watchdogs (live decision bound, anchor churn, stall, imbalance),
 //!   and the `HEALTH_*.jsonl` cluster-health format.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and `EXPERIMENTS.md`
-//! for the paper-claim reproduction tables.
+//! See `examples/quickstart.rs` for a five-minute tour,
+//! `docs/ARCHITECTURE.md` for the layers, and `crates/bench/README.md`
+//! for the paper-claim reproduction tables and their artifacts.
 
 pub use esync_check as check;
 pub use esync_core as core;

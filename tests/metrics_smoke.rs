@@ -18,7 +18,7 @@
 //! 3. **Watchdog precision** — a stable run trips nothing (the live
 //!    `TS + ε + 3τ + 5δ` bound monitor included); each injected
 //!    violation fires its watchdog: a tight bound fires exactly once per
-//!    first decision, and crashing the anchored leader mid-drive trips
+//!    first decision on both backends, and crashing the anchored leader mid-drive trips
 //!    both the anchor-churn and stall detectors.
 
 use esync::core::metrics::{Metric, METRIC_COUNT};
@@ -284,6 +284,43 @@ fn tight_bound_fires_exactly_once_per_first_decision() {
     );
     for f in &bound_firings {
         assert!(f.value > 0, "lateness is the firing's value");
+    }
+}
+
+/// The same injected violation on the threaded backend: each node judges
+/// its own first decision against the live bound, so every node ships
+/// exactly one `Bound` firing, tagged with its pid.
+#[test]
+fn tight_bound_fires_exactly_once_per_node_on_the_runtime() {
+    const N: u32 = 3;
+    let cfg = esync::runtime::ClusterConfig::new(N as usize)
+        .delta(Duration::from_millis(5))
+        .seed(7)
+        .metrics(Duration::from_millis(20))
+        .watchdogs(WatchdogConfig {
+            bound: Some(BoundSpec {
+                ts_ns: 0,
+                bound_ns: 1,
+            }),
+            ..WatchdogConfig::default()
+        });
+    let cluster = esync::runtime::Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
+    let decisions = cluster
+        .await_decisions(Duration::from_secs(30))
+        .expect("every node decides");
+    assert_eq!(decisions.len(), N as usize);
+    let stats = cluster.shutdown_stats();
+    assert_eq!(stats.len(), N as usize);
+    for (pid, node) in (0..N).zip(&stats) {
+        assert_eq!(node.pid, ProcessId::new(pid));
+        let bound: Vec<_> = node
+            .firings
+            .iter()
+            .filter(|f| f.kind == WatchdogKind::Bound)
+            .collect();
+        assert_eq!(bound.len(), 1, "node {pid}: one firing per first decision");
+        assert_eq!(bound[0].node, Some(pid));
+        assert!(bound[0].value > 0, "lateness is the firing's value");
     }
 }
 

@@ -21,9 +21,14 @@
 //!   grow with the log (acceptor votes, chosen entries, 2b counters) live
 //!   in [`SlotMap`]s — O(1) slot
 //!   addressing with a cache-resident hot tail, instead of a `BTreeMap`
-//!   descent and rebalance per commit. (Bounded working sets — the live
-//!   proposal pipeline, a phase-1b quorum's reported votes — stay in
-//!   `BTreeMap`s.)
+//!   descent and rebalance per commit. A slot's 2b tally holds its first
+//!   ballot inline, so the one-ballot common case allocates nothing per
+//!   slot; later ballots spill into a `Vec`. The admitted-command dedup
+//!   set is hashed (see [`AdmittedSet`]). Bounded working sets whose
+//!   iteration order the protocol reads — the live proposal pipeline
+//!   (re-proposed and requeued in slot order) and a phase-1b quorum's
+//!   reported votes and chosen entries (folded per election) — stay in
+//!   `BTreeMap`s.
 //! * **Proposer-side batching** ("group commit"): an anchored leader packs
 //!   up to [`MultiPaxos::with_batching`]`(max_batch, ..)` client commands
 //!   into one slot, and pipelines at most `max_outstanding` unchosen slots.
@@ -49,6 +54,7 @@ use crate::paxos::slotlog::SlotMap;
 use crate::quorum::QuorumTracker;
 use crate::trace::TraceEvent;
 use crate::types::{ProcessId, ShardId, TimerId, Value};
+use std::fmt;
 use std::sync::Arc;
 
 /// Timer id of the session timer (shared-phase-1 machinery).
@@ -205,26 +211,61 @@ impl ReportFold {
     }
 }
 
-/// 2b counts for one slot, per ballot. Nearly always a single entry (one
-/// live ballot), so a linear scan beats any keyed structure.
-#[derive(Debug, Clone, Default)]
-struct Slot2b(Vec<(Ballot, QuorumTracker, Batch)>);
+/// One ballot's 2b tally in a slot: the ballot, the processes counted,
+/// and the batch they voted for.
+type Tally = (Ballot, QuorumTracker, Batch);
+
+/// 2b counts for one slot, per ballot. The first ballot's tally is held
+/// inline, so the common case (one live ballot per slot) costs no heap
+/// block; a slot that sees a second ballot (a leader change mid-slot)
+/// keeps the later tallies in `spill`, which stays empty otherwise.
+#[derive(Clone)]
+struct Slot2b {
+    first: Tally,
+    spill: Vec<Tally>,
+}
 
 impl Slot2b {
+    fn new(n: usize, bal: Ballot, batch: &Batch) -> Self {
+        Slot2b {
+            first: (bal, QuorumTracker::new(n), batch.clone()),
+            spill: Vec::new(),
+        }
+    }
+
     /// Records a 2b; returns the chosen batch if this crosses the
     /// majority threshold for `bal`.
     fn record(&mut self, n: usize, from: ProcessId, bal: Ballot, batch: &Batch) -> Option<Batch> {
-        let entry = match self.0.iter_mut().find(|(b, ..)| *b == bal) {
-            Some(e) => e,
-            None => {
-                self.0.push((bal, QuorumTracker::new(n), batch.clone()));
-                self.0.last_mut().expect("just pushed")
-            }
+        let entry = if self.first.0 == bal {
+            &mut self.first
+        } else if let Some(i) = self.spill.iter().position(|(b, ..)| *b == bal) {
+            &mut self.spill[i]
+        } else {
+            self.spill.push((bal, QuorumTracker::new(n), batch.clone()));
+            self.spill.last_mut().expect("just pushed")
         };
         debug_assert_eq!(&entry.2, batch, "one batch per (slot, ballot)");
         let before = entry.1.reached();
         entry.1.insert(from);
         (!before && entry.1.reached()).then(|| entry.2.clone())
+    }
+}
+
+/// Prints `Slot2b([..])`, every tally in one list in arrival order: the
+/// text state fingerprints hash is the same whether a tally is inline or
+/// spilled.
+impl fmt::Debug for Slot2b {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Tallies<'a>(&'a Slot2b);
+        impl fmt::Debug for Tallies<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let s = self.0;
+                f.debug_list()
+                    .entries(std::iter::once(&s.first).chain(&s.spill))
+                    .finish()
+            }
+        }
+        f.debug_tuple("Slot2b").field(&Tallies(self)).finish()
     }
 }
 
@@ -752,26 +793,22 @@ impl LogShard {
         self.load.submitted += 1;
     }
 
-    /// Admits a command to the held set, idempotently: a value this
-    /// process has already seen (an ε-retry duplicate, or a client
+    /// Queues a command the admitted set has just taken in for the first
+    /// time (a value it already holds — an ε-retry duplicate, or a client
     /// resubmission of a committed command still inside the admitted
-    /// window) is dropped. A newly admitted one is assigned a slot at
-    /// once if we are anchored, else held until we anchor (the submitter
-    /// keeps its own retried copy). Returns whether it was new.
-    fn admit(&mut self, value: Value, out: &mut ShardOut<'_>) -> bool {
-        let fresh = self.admitted.admit(value);
-        if fresh {
-            self.load.admitted += 1;
-            self.pending.push(value);
-            out.event(|shard| TraceEvent::Admitted {
-                shard,
-                value: value.get(),
-            });
-            if self.is_anchored() {
-                self.drain_pending(out);
-            }
+    /// window — is dropped by the caller). It is assigned a slot at once
+    /// if we are anchored, else held until we anchor (the submitter keeps
+    /// its own retried copy).
+    fn on_admitted(&mut self, value: Value, out: &mut ShardOut<'_>) {
+        self.load.admitted += 1;
+        self.pending.push(value);
+        out.event(|shard| TraceEvent::Admitted {
+            shard,
+            value: value.get(),
+        });
+        if self.is_anchored() {
+            self.drain_pending(out);
         }
-        fresh
     }
 
     /// Moves pending commands into fresh slots, `max_batch` per slot, while
@@ -857,7 +894,11 @@ impl LogShard {
     ) {
         self.load.submitted += 1;
         out.event(|_| TraceEvent::submit(value));
-        if !self.admit(value, out) || self.is_anchored() {
+        if self.admitted.admit(value).is_some() {
+            return;
+        }
+        self.on_admitted(value, out);
+        if self.is_anchored() {
             return;
         }
         if let Some(leader) = leader {
@@ -890,10 +931,11 @@ impl LogShard {
                 });
             }
             MultiMsg::M2b { mbal, slot, batch } => {
+                let n = self.n;
                 let chosen = self
                     .decisions
-                    .get_or_insert_with(*slot, Slot2b::default)
-                    .record(self.n, from, *mbal, batch);
+                    .get_or_insert_with(*slot, || Slot2b::new(n, *mbal, batch))
+                    .record(n, from, *mbal, batch);
                 if let Some(b) = chosen {
                     let s = *slot;
                     out.event(|shard| TraceEvent::Chosen { shard, slot: s });
@@ -905,19 +947,21 @@ impl LogShard {
                 // A retry of an already-chosen command means the sender
                 // missed the decision broadcasts (lost pre-TS): answer
                 // with the chosen entry so its retry loop terminates.
-                if let Some(Admitted::Chosen(slot)) = self.admitted.status(*value) {
-                    let batch = self
-                        .log
-                        .get(slot)
-                        .expect("chosen commands are logged")
-                        .clone();
-                    out.event(|shard| TraceEvent::ReplySent {
-                        shard,
-                        value: value.get(),
-                    });
-                    out.send(from, MultiMsg::LogDecided { slot, batch });
-                } else {
-                    self.admit(*value, out);
+                match self.admitted.admit(*value) {
+                    Some(Admitted::Chosen(slot)) => {
+                        let batch = self
+                            .log
+                            .get(slot)
+                            .expect("chosen commands are logged")
+                            .clone();
+                        out.event(|shard| TraceEvent::ReplySent {
+                            shard,
+                            value: value.get(),
+                        });
+                        out.send(from, MultiMsg::LogDecided { slot, batch });
+                    }
+                    Some(Admitted::Unchosen) => {}
+                    None => self.on_admitted(*value, out),
                 }
             }
             MultiMsg::LogDecided { slot, batch } => {
@@ -958,6 +1002,52 @@ mod tests {
         MultiMsg::Forward {
             value: Value::new(v),
         }
+    }
+
+    /// A slot that sees 2bs at two ballots keeps the second one's tally
+    /// in the spill: each ballot reaches its quorum exactly once and
+    /// hands back its own batch, and `Debug` prints the ballot-ordered
+    /// tally list the slot's state fingerprint has always read.
+    #[test]
+    fn slot_2b_tallies_spill_a_second_ballot() {
+        let n = 5;
+        let (low, high) = (Ballot::new(5), Ballot::new(11));
+        let (a, b) = (one(1), one(2));
+        let p = ProcessId::new;
+        let mut slot = Slot2b::new(n, low, &a);
+        assert_eq!(slot.record(n, p(0), low, &a), None);
+        assert_eq!(slot.record(n, p(1), low, &a), None);
+        // A new leader's ballot arrives before the old one's quorum.
+        assert_eq!(slot.record(n, p(0), high, &b), None);
+        assert_eq!(slot.record(n, p(1), high, &b), None);
+        assert_eq!(slot.record(n, p(1), high, &b), None, "a repeat counts once");
+        assert_eq!(slot.record(n, p(2), high, &b), Some(b.clone()));
+        assert_eq!(slot.record(n, p(3), high, &b), None, "chosen once");
+        assert_eq!(slot.record(n, p(2), low, &a), Some(a.clone()));
+        assert_eq!(slot.record(n, p(4), low, &a), None, "chosen once");
+        assert_eq!(slot.spill.len(), 1);
+
+        let tally = |bal, from: &[u32], batch: &Batch| {
+            let mut q = QuorumTracker::new(n);
+            for &i in from {
+                q.insert(p(i));
+            }
+            (bal, q, batch.clone())
+        };
+        let old = old_layout::Slot2b(vec![
+            tally(low, &[0, 1, 2, 4], &a),
+            tally(high, &[0, 1, 2, 3], &b),
+        ]);
+        assert_eq!(format!("{slot:?}"), format!("{old:?}"));
+        assert_eq!(format!("{slot:#?}"), format!("{old:#?}"));
+    }
+
+    /// The layout `Slot2b` had before its first tally moved inline: the
+    /// reference for its `Debug` text.
+    mod old_layout {
+        #[derive(Debug)]
+        #[allow(dead_code)] // the field is read through `Debug` only
+        pub(super) struct Slot2b(pub(super) Vec<super::Tally>);
     }
 
     fn decided(slot: u64, batch: Batch) -> MultiMsg {

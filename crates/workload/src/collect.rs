@@ -10,7 +10,6 @@ use esync_sim::metrics::{
 use esync_sim::scenario::kv_id;
 use esync_sim::SimTime;
 use esync_trace::TraceRecord;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One slice of the measurements: a shard's (see [`ShardSummary`]),
 /// or the whole run's. Shard slices grow on demand as shard tags appear
@@ -80,6 +79,118 @@ impl ShardAcc {
     }
 }
 
+/// A growable bitset over table indices.
+#[derive(Debug, Clone, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Sets bit `i`; returns whether it was clear.
+    fn insert(&mut self, i: usize) -> bool {
+        let w = i / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        let mask = 1 << (i % 64);
+        let was_clear = self.0[w] & mask == 0;
+        self.0[w] |= mask;
+        was_clear
+    }
+
+    /// Shifts every bit up by `words` whole words.
+    fn prepend_words(&mut self, words: usize) {
+        if !self.0.is_empty() {
+            self.0.splice(0..0, std::iter::repeat_n(0, words));
+        }
+    }
+
+    /// The indices of the set bits, ascending.
+    fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| w * 64 + b)
+        })
+    }
+}
+
+/// Per-command bookkeeping, indexed by command id minus `base`: the
+/// submit instant, whether the first commit has been seen, and which
+/// processes applied the command. Every access is an index, so a commit
+/// record costs a few array reads however many commands the run tracks.
+#[derive(Debug, Default)]
+struct Commands {
+    /// The id of index 0: the lowest tracked id, rounded down to a
+    /// multiple of 64 so that re-basing shifts the bitsets by whole words.
+    base: u64,
+    /// Submit instant per index; meaningful where `tracked` is set.
+    submit_ns: Vec<u64>,
+    tracked: Bits,
+    committed: Bits,
+    /// Per-pid applied bits, indexed by pid.
+    applied: Vec<Bits>,
+    /// Per-pid count of distinct commands applied.
+    applied_count: Vec<u64>,
+    submitted: u64,
+    committed_count: u64,
+}
+
+impl Commands {
+    /// The index of a tracked `id`.
+    fn index(&self, id: u64) -> Option<usize> {
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        self.tracked.get(i).then_some(i)
+    }
+
+    /// Starts tracking `id` with its submit instant; a resubmission keeps
+    /// the first instant.
+    fn submit(&mut self, id: u64, at_ns: u64) {
+        if self.submit_ns.is_empty() {
+            self.base = id & !63;
+        } else if id < self.base {
+            let base = id & !63;
+            let words = ((self.base - base) / 64) as usize;
+            self.submit_ns
+                .splice(0..0, std::iter::repeat_n(0, words * 64));
+            self.tracked.prepend_words(words);
+            self.committed.prepend_words(words);
+            for bits in &mut self.applied {
+                bits.prepend_words(words);
+            }
+            self.base = base;
+        }
+        let i = (id - self.base) as usize;
+        if i >= self.submit_ns.len() {
+            self.submit_ns.resize(i + 1, 0);
+        }
+        if self.tracked.insert(i) {
+            self.submit_ns[i] = at_ns;
+            self.submitted += 1;
+        }
+    }
+
+    /// Marks index `i` applied at `pid`; returns whether it was new there.
+    fn apply(&mut self, pid: usize, i: usize) -> bool {
+        if pid >= self.applied.len() {
+            self.applied.resize_with(pid + 1, Bits::default);
+            self.applied_count.resize(pid + 1, 0);
+        }
+        let fresh = self.applied[pid].insert(i);
+        self.applied_count[pid] += u64::from(fresh);
+        fresh
+    }
+
+    /// Marks index `i` committed; returns whether this is its first commit.
+    fn commit(&mut self, i: usize) -> bool {
+        let first = self.committed.insert(i);
+        self.committed_count += u64::from(first);
+        first
+    }
+}
+
 /// Accumulates a workload run's measurements from its submit and commit
 /// events, backend-agnostically: the simulator feeds nanoseconds of
 /// simulated time, the threaded runtime nanoseconds of wall time since
@@ -89,6 +200,15 @@ impl ShardAcc {
 /// re-applied at the same process under a second slot (the at-least-once
 /// path across leadership changes) counts as a duplicate, while the normal
 /// one-commit-per-process fan-out does not.
+///
+/// Per-command state lives in one table indexed by command id: the submit
+/// instant, a first-commit bit and one applied bit per process, so each
+/// submit and commit record costs a few array accesses. Its memory is
+/// proportional to the **id span** (highest tracked id minus lowest), not
+/// to the number of commands, so ids should be dense: every driver here
+/// issues consecutive ids ([`CommandGen`](crate::CommandGen) from 0, a
+/// [`SubmitStream`](esync_sim::scenario::SubmitStream) from its
+/// `id_base`). Commits of ids never submitted are ignored.
 ///
 /// Commits arrive shard-tagged (see
 /// [`CommitRecord::shard`](esync_sim::metrics::CommitRecord) and
@@ -100,15 +220,18 @@ impl ShardAcc {
 /// no shard (see `ShardSummary::commits_per_sec`).
 #[derive(Debug)]
 pub struct Collector {
+    commands: Commands,
+    accounts: Accounts,
+}
+
+/// What the collector measures from the commands' events: the
+/// aggregate and per-shard accumulators, the timeline and the load
+/// counters.
+#[derive(Debug)]
+struct Accounts {
     /// The stabilization instant splitting the pre/post histograms, if the
     /// run has one.
     ts_ns: Option<u64>,
-    /// Submit instant per tracked command id.
-    submit_ns: BTreeMap<u64, u64>,
-    /// Ids whose first commit has been seen.
-    committed: BTreeSet<u64>,
-    /// `(pid, id)` pairs seen, to detect per-process re-application.
-    applied: BTreeSet<(u32, u64)>,
     /// The aggregate slice. Its first submit is taken at submission, so
     /// never-committed commands open the aggregate span too.
     total: ShardAcc,
@@ -121,14 +244,10 @@ pub struct Collector {
     shard_loads: Vec<ShardLoad>,
 }
 
-impl Collector {
-    /// Creates a collector; `ts_ns` enables the pre/post-stability split.
-    pub fn new(ts_ns: Option<u64>, timeline_window: RealDuration) -> Self {
-        Collector {
+impl Accounts {
+    fn new(ts_ns: Option<u64>, timeline_window: RealDuration) -> Self {
+        Accounts {
             ts_ns,
-            submit_ns: BTreeMap::new(),
-            committed: BTreeSet::new(),
-            applied: BTreeSet::new(),
             total: ShardAcc::default(),
             timeline: ThroughputTimeline::new(timeline_window),
             shards: Vec::new(),
@@ -136,78 +255,39 @@ impl Collector {
         }
     }
 
-    /// Installs the protocol-level per-shard load counters (summed over
-    /// processes by the driver; see
-    /// [`Process::shard_load`](esync_core::outbox::Process::shard_load)),
-    /// which the summary surfaces as the schema-v5 `submitted`/`admitted`
-    /// fields of each [`ShardSummary`].
-    pub fn set_shard_loads(&mut self, loads: &[ShardLoad]) {
-        self.shard_loads = loads.to_vec();
-        self.reserve_shards(loads.len());
-    }
-
-    /// Pre-sizes the per-shard accounting to at least `shards` entries
-    /// (drivers pass [`Protocol::shard_count`](esync_core::outbox::Protocol::shard_count)),
-    /// so shards that never commit — skewed keys, a dead range — still
-    /// appear as explicit zeroed [`ShardSummary`]s instead of being
-    /// silently absent.
-    pub fn reserve_shards(&mut self, shards: usize) {
+    fn reserve_shards(&mut self, shards: usize) {
         if shards > self.shards.len() {
             self.shards.resize_with(shards, ShardAcc::default);
         }
     }
 
-    /// Registers a submission of `value` at `at_ns`.
-    pub fn on_submit(&mut self, value: Value, at_ns: u64) {
-        let id = kv_id(value);
-        self.submit_ns.entry(id).or_insert(at_ns);
+    /// A submission at `at_ns` opens the aggregate span.
+    fn on_submit(&mut self, at_ns: u64) {
         if self.total.first_submit_ns.is_none_or(|t| at_ns < t) {
             self.total.first_submit_ns = Some(at_ns);
         }
     }
 
-    /// Registers a commit of `value` in log-group shard `shard` at process
-    /// `pid` at `at_ns`. Returns the command id if this is the command's
-    /// **first** commit anywhere (the closed-loop driver's cue to submit a
-    /// replacement); untracked ids are ignored.
-    pub fn on_commit(
-        &mut self,
-        pid: ProcessId,
-        shard: ShardId,
-        value: Value,
-        at_ns: u64,
-    ) -> Option<u64> {
-        let id = kv_id(value);
-        let submit = *self.submit_ns.get(&id)?;
+    /// A commit record of a tracked command submitted at `submit`: a
+    /// `duplicate` re-application at its process, or its `first` commit
+    /// anywhere, or neither (the fan-out).
+    fn on_commit(&mut self, shard: ShardId, submit: u64, at_ns: u64, duplicate: bool, first: bool) {
         let s = shard.as_usize();
-        if s >= self.shards.len() {
-            self.shards.resize_with(s + 1, ShardAcc::default);
-        }
-        if !self.applied.insert((pid.as_u32(), id)) {
+        self.reserve_shards(s + 1);
+        if duplicate {
             self.total.duplicates += 1;
             self.shards[s].duplicates += 1;
         }
-        if !self.committed.insert(id) {
-            return None;
+        if first {
+            self.total.record(self.ts_ns, submit, at_ns);
+            self.shards[s].record(self.ts_ns, submit, at_ns);
+            self.timeline.record(SimTime::from_nanos(at_ns));
         }
-        self.total.record(self.ts_ns, submit, at_ns);
-        self.shards[s].record(self.ts_ns, submit, at_ns);
-        self.timeline.record(SimTime::from_nanos(at_ns));
-        Some(id)
     }
 
-    /// Commands submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submit_ns.len() as u64
-    }
-
-    /// Distinct commands committed so far.
-    pub fn committed(&self) -> u64 {
-        self.committed.len() as u64
-    }
-
-    /// Builds the summary of everything recorded.
-    pub fn summary(&self) -> WorkloadSummary {
+    /// The summary of everything recorded, for `submitted` commands of
+    /// which `committed` committed.
+    fn summary(&self, submitted: u64, committed: u64) -> WorkloadSummary {
         let split = self.ts_ns.is_some();
         let total = self.total.section(split);
         // Max-over-mean of the per-shard committed counts (v5): 1.0 is
@@ -223,8 +303,8 @@ impl Collector {
             }
         };
         WorkloadSummary {
-            submitted: self.submitted(),
-            committed: self.committed(),
+            submitted,
+            committed,
             duplicate_commits: self.total.duplicates,
             measured_secs: total.measured_secs,
             commits_per_sec: total.commits_per_sec,
@@ -271,6 +351,96 @@ impl Collector {
             health: None,
         }
     }
+}
+
+impl Collector {
+    /// Creates a collector; `ts_ns` enables the pre/post-stability split.
+    pub fn new(ts_ns: Option<u64>, timeline_window: RealDuration) -> Self {
+        Collector {
+            commands: Commands::default(),
+            accounts: Accounts::new(ts_ns, timeline_window),
+        }
+    }
+
+    /// Installs the protocol-level per-shard load counters (summed over
+    /// processes by the driver; see
+    /// [`Process::shard_load`](esync_core::outbox::Process::shard_load)),
+    /// which the summary surfaces as the schema-v5 `submitted`/`admitted`
+    /// fields of each [`ShardSummary`].
+    pub fn set_shard_loads(&mut self, loads: &[ShardLoad]) {
+        self.accounts.shard_loads = loads.to_vec();
+        self.reserve_shards(loads.len());
+    }
+
+    /// Pre-sizes the per-shard accounting to at least `shards` entries
+    /// (drivers pass [`Protocol::shard_count`](esync_core::outbox::Protocol::shard_count)),
+    /// so shards that never commit — skewed keys, a dead range — still
+    /// appear as explicit zeroed [`ShardSummary`]s instead of being
+    /// silently absent.
+    pub fn reserve_shards(&mut self, shards: usize) {
+        self.accounts.reserve_shards(shards);
+    }
+
+    /// Registers a submission of `value` at `at_ns`.
+    pub fn on_submit(&mut self, value: Value, at_ns: u64) {
+        self.commands.submit(kv_id(value), at_ns);
+        self.accounts.on_submit(at_ns);
+    }
+
+    /// Registers a commit of `value` in log-group shard `shard` at process
+    /// `pid` at `at_ns`. Returns the command id if this is the command's
+    /// **first** commit anywhere (the closed-loop driver's cue to submit a
+    /// replacement); untracked ids are ignored.
+    pub fn on_commit(
+        &mut self,
+        pid: ProcessId,
+        shard: ShardId,
+        value: Value,
+        at_ns: u64,
+    ) -> Option<u64> {
+        let id = kv_id(value);
+        let i = self.commands.index(id)?;
+        let duplicate = !self.commands.apply(pid.as_usize(), i);
+        let first = self.commands.commit(i);
+        let submit = self.commands.submit_ns[i];
+        self.accounts
+            .on_commit(shard, submit, at_ns, duplicate, first);
+        first.then_some(id)
+    }
+
+    /// Commands submitted so far.
+    pub fn submitted(&self) -> u64 {
+        self.commands.submitted
+    }
+
+    /// Distinct commands committed so far.
+    pub fn committed(&self) -> u64 {
+        self.commands.committed_count
+    }
+
+    /// Distinct tracked commands applied at `pid` so far.
+    pub(crate) fn applied_at(&self, pid: ProcessId) -> u64 {
+        self.commands
+            .applied_count
+            .get(pid.as_usize())
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The ids of the tracked commands applied at `pid`, ascending.
+    pub(crate) fn applied_ids(&self, pid: ProcessId) -> impl Iterator<Item = u64> + '_ {
+        let base = self.commands.base;
+        self.commands
+            .applied
+            .get(pid.as_usize())
+            .into_iter()
+            .flat_map(move |bits| bits.ones().map(move |i| base + i as u64))
+    }
+
+    /// Builds the summary of everything recorded.
+    pub fn summary(&self) -> WorkloadSummary {
+        self.accounts.summary(self.submitted(), self.committed())
+    }
 
     /// [`Collector::summary`] plus what the run's observers collected,
     /// for both drivers: the phase decomposition of a non-empty `trace`
@@ -293,12 +463,133 @@ impl Collector {
 mod tests {
     use super::*;
     use esync_sim::scenario::kv_command;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
     }
 
     const MS: u64 = 1_000_000;
+
+    /// The collector as it was built on ordered maps and sets, kept as the
+    /// reference the id-indexed table must match. It shares the
+    /// [`Accounts`] the two feed, so only the per-command bookkeeping
+    /// differs.
+    struct Reference {
+        submit_ns: BTreeMap<u64, u64>,
+        committed: BTreeSet<u64>,
+        applied: BTreeSet<(u32, u64)>,
+        accounts: Accounts,
+    }
+
+    impl Reference {
+        fn new(ts_ns: Option<u64>) -> Self {
+            Reference {
+                submit_ns: BTreeMap::new(),
+                committed: BTreeSet::new(),
+                applied: BTreeSet::new(),
+                accounts: Accounts::new(ts_ns, RealDuration::from_millis(10)),
+            }
+        }
+
+        fn on_submit(&mut self, value: Value, at_ns: u64) {
+            self.submit_ns.entry(kv_id(value)).or_insert(at_ns);
+            self.accounts.on_submit(at_ns);
+        }
+
+        fn on_commit(
+            &mut self,
+            pid: ProcessId,
+            shard: ShardId,
+            value: Value,
+            at_ns: u64,
+        ) -> Option<u64> {
+            let id = kv_id(value);
+            let submit = *self.submit_ns.get(&id)?;
+            let duplicate = !self.applied.insert((pid.as_u32(), id));
+            let first = self.committed.insert(id);
+            self.accounts
+                .on_commit(shard, submit, at_ns, duplicate, first);
+            first.then_some(id)
+        }
+
+        fn applied_ids(&self, pid: u32) -> Vec<u64> {
+            self.applied
+                .iter()
+                .filter(|(p, _)| *p == pid)
+                .map(|(_, id)| *id)
+                .collect()
+        }
+
+        fn summary(&self) -> WorkloadSummary {
+            self.accounts
+                .summary(self.submit_ns.len() as u64, self.committed.len() as u64)
+        }
+    }
+
+    /// An id of the test pool: a dense block starting at `offset`, and
+    /// sparse ids on both sides of it, so the table both grows and
+    /// re-bases below its first id.
+    fn pooled_id(offset: u64, pick: u64) -> u64 {
+        if pick < 100 {
+            offset + pick
+        } else {
+            (pick - 100) * 613
+        }
+    }
+
+    proptest::proptest! {
+        /// The id-indexed collector reports exactly what the ordered one
+        /// did — every `on_commit` answer, `submitted`, `committed`, the
+        /// per-pid applied sets and the whole summary — over random
+        /// submits, commits at pids 0–70 (across a bit-word boundary),
+        /// same-pid re-applications, untracked and sparse ids.
+        #[test]
+        fn id_table_matches_the_ordered_reference(
+            offset in 0u64..5_000,
+            split in proptest::option::of(0u64..2_000),
+            ops in proptest::collection::vec((0u32..8, 0u64..200, 0u32..71, 0u32..3, 0u64..50), 1..300)
+        ) {
+            let ts = split.map(|ms| ms * MS);
+            let mut c = Collector::new(ts, RealDuration::from_millis(10));
+            let mut r = Reference::new(ts);
+            let mut now = 0u64;
+            let mut last: Option<(ProcessId, ShardId, Value)> = None;
+            for (op, pick, p, shard, key) in ops {
+                now += pick * MS / 7;
+                let id = pooled_id(offset, pick);
+                let value = kv_command(key, id);
+                let (pid, shard) = (ProcessId::new(p), ShardId::new(shard));
+                let commit = match op {
+                    0..=2 => {
+                        c.on_submit(value, now);
+                        r.on_submit(value, now);
+                        None
+                    }
+                    3..=5 => Some((pid, shard, value)),
+                    // The same process applies its last command again.
+                    6 => last,
+                    // An id far outside every tracked span.
+                    _ => Some((pid, shard, kv_command(key, (1 << 40) + id))),
+                };
+                if let Some((pid, shard, value)) = commit {
+                    proptest::prop_assert_eq!(
+                        c.on_commit(pid, shard, value, now),
+                        r.on_commit(pid, shard, value, now)
+                    );
+                    last = Some((pid, shard, value));
+                }
+                proptest::prop_assert_eq!(c.submitted(), r.submit_ns.len() as u64);
+                proptest::prop_assert_eq!(c.committed(), r.committed.len() as u64);
+            }
+            for p in 0..72u32 {
+                let ids = r.applied_ids(p);
+                proptest::prop_assert_eq!(c.applied_at(ProcessId::new(p)), ids.len() as u64);
+                proptest::prop_assert_eq!(c.applied_ids(ProcessId::new(p)).collect::<Vec<_>>(), ids);
+            }
+            proptest::prop_assert_eq!(c.summary(), r.summary());
+        }
+    }
 
     #[test]
     fn first_commit_measures_latency() {

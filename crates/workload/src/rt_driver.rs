@@ -12,12 +12,13 @@
 use crate::collect::Collector;
 use crate::gen::{ClosedLoopSpec, CommandGen};
 use esync_core::outbox::{Protocol, ShardLoad};
+use esync_core::types::ProcessId;
 use esync_metrics::HealthSummary;
 use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
 use esync_sim::metrics::WorkloadSummary;
-use esync_sim::scenario::{kv_id, SubmitStream};
+use esync_sim::scenario::SubmitStream;
 use esync_trace::TraceRecord;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// A completed threaded-runtime workload run.
@@ -72,20 +73,16 @@ where
     let n = cluster.n();
     std::thread::sleep(warmup);
     let mut gen = CommandGen::for_spec(spec);
-    let mut owner: BTreeMap<u64, u32> = BTreeMap::new();
+    // The client of each issued command, by id (issued 0, 1, 2, …).
+    let mut owner: Vec<u32> = Vec::new();
     let mut collector = Collector::new(None, spec.timeline_window);
     collector.reserve_shards(shards);
-    let mut applied: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n];
     for client in 0..spec.clients as u32 {
         for _ in 0..spec.outstanding {
             submit_one(&cluster, &mut gen, &mut collector, &mut owner, client, spec);
         }
     }
-    let done = |collector: &Collector, applied: &[BTreeSet<u64>]| {
-        collector.committed() >= spec.commands
-            && applied.iter().all(|s| s.len() as u64 >= spec.commands)
-    };
-    while !done(&collector, &applied) {
+    while !applied_everywhere(&collector, n, spec.commands) {
         if cluster.elapsed() > deadline {
             let decided = collector.committed() as usize;
             cluster.shutdown();
@@ -97,29 +94,40 @@ where
         let Ok(commit) = cluster.commits().recv_timeout(POLL) else {
             continue;
         };
-        applied[commit.pid.as_usize()].insert(kv_id(commit.value));
         let at_ns = commit.elapsed.as_nanos() as u64;
         if let Some(id) = collector.on_commit(commit.pid, commit.shard, commit.value, at_ns) {
-            let client = owner[&id];
+            let client = owner[id as usize];
             submit_one(&cluster, &mut gen, &mut collector, &mut owner, client, spec);
         }
     }
     let stats = cluster.shutdown_stats();
-    Ok(finish(collector, applied, stats, shards, metrics_interval))
+    Ok(finish(collector, stats, shards, metrics_interval))
 }
 
-/// Assembles the outcome from the nodes' final stats: the per-shard load
-/// counters summed into the collector's schema-v5 fields, the router
+/// Whether `total` commands committed and every one of the `n` nodes
+/// applied `total` distinct commands: the drivers' done-condition. Every
+/// command the cluster commits was submitted through the collector
+/// first, so its per-node counts cover every commit.
+fn applied_everywhere(collector: &Collector, n: usize, total: u64) -> bool {
+    collector.committed() >= total
+        && (0..n as u32).all(|p| collector.applied_at(ProcessId::new(p)) >= total)
+}
+
+/// Assembles the outcome from the nodes' final stats (one per node): the
+/// ids each node applied, read from the collector once, the per-shard
+/// load counters summed into the collector's schema-v5 fields, the router
 /// epochs, and what the nodes' observers collected — the traces
 /// concatenated in pid order and, when the cluster was metered, one
 /// health section (the `node` tag distinguishes the streams).
 fn finish(
     mut collector: Collector,
-    applied_per_node: Vec<BTreeSet<u64>>,
     stats: Vec<NodeStats>,
     shards: usize,
     metrics_interval: Option<Duration>,
 ) -> RtWorkloadOutcome {
+    let applied_per_node: Vec<BTreeSet<u64>> = (0..stats.len() as u32)
+        .map(|p| collector.applied_ids(ProcessId::new(p)).collect())
+        .collect();
     let mut loads = vec![ShardLoad::default(); shards];
     let mut router_epochs = Vec::with_capacity(stats.len());
     let mut trace = Vec::new();
@@ -181,11 +189,9 @@ where
     let total = schedule.len() as u64;
     let mut collector = Collector::new(None, esync_core::time::RealDuration::from_millis(50));
     collector.reserve_shards(shards);
-    let mut applied: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n];
     let start = Instant::now();
-    let drain = |collector: &mut Collector, applied: &mut Vec<BTreeSet<u64>>, wait: Duration| {
+    let drain = |collector: &mut Collector, wait: Duration| {
         if let Ok(commit) = cluster.commits().recv_timeout(wait) {
-            applied[commit.pid.as_usize()].insert(kv_id(commit.value));
             collector.on_commit(
                 commit.pid,
                 commit.shard,
@@ -201,12 +207,12 @@ where
             if now >= due {
                 break;
             }
-            drain(&mut collector, &mut applied, (due - now).min(POLL));
+            drain(&mut collector, (due - now).min(POLL));
         }
         collector.on_submit(*value, cluster.elapsed().as_nanos() as u64);
         cluster.submit(*pid, *value);
     }
-    while collector.committed() < total || applied.iter().any(|s| (s.len() as u64) < total) {
+    while !applied_everywhere(&collector, n, total) {
         if cluster.elapsed() > deadline {
             let decided = collector.committed() as usize;
             cluster.shutdown();
@@ -215,10 +221,10 @@ where
                 n: total as usize,
             });
         }
-        drain(&mut collector, &mut applied, POLL);
+        drain(&mut collector, POLL);
     }
     let stats = cluster.shutdown_stats();
-    Ok(finish(collector, applied, stats, shards, metrics_interval))
+    Ok(finish(collector, stats, shards, metrics_interval))
 }
 
 /// Issues the next command for `client`, if the budget allows.
@@ -226,7 +232,7 @@ fn submit_one<P>(
     cluster: &Cluster<P>,
     gen: &mut CommandGen,
     collector: &mut Collector,
-    owner: &mut BTreeMap<u64, u32>,
+    owner: &mut Vec<u32>,
     client: u32,
     spec: &ClosedLoopSpec,
 ) where
@@ -238,7 +244,7 @@ fn submit_one<P>(
         return;
     }
     let value = gen.next_command();
-    owner.insert(kv_id(value), client);
+    owner.push(client);
     collector.on_submit(value, cluster.elapsed().as_nanos() as u64);
     cluster.submit(spec.target_of(client, cluster.n()), value);
 }
@@ -294,7 +300,7 @@ mod tests {
         let run = |interval| {
             let collector = Collector::new(None, esync_core::time::RealDuration::from_millis(50));
             let stats = vec![node(0, &[10, 20]), node(1, &[5, 10])];
-            let out = finish(collector, Vec::new(), stats, 1, interval);
+            let out = finish(collector, stats, 1, interval);
             out.summary.health
         };
         let health = run(Some(Duration::from_nanos(10))).expect("metered");

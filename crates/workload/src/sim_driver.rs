@@ -11,7 +11,6 @@ use esync_core::outbox::{Process, Protocol, ShardLoad};
 use esync_core::paxos::group::ShardedLogView;
 use esync_core::types::{ProcessId, ShardId};
 use esync_sim::metrics::WorkloadSummary;
-use esync_sim::scenario::kv_id;
 use esync_sim::{Report, SimConfig, SimTime, World};
 use std::collections::BTreeMap;
 
@@ -270,7 +269,9 @@ where
     let mut collector = Collector::new(Some(ts), spec.timeline_window);
     collector.reserve_shards(world.process(ProcessId::new(0)).shard_count());
     let mut gen = CommandGen::for_spec(spec);
-    let mut owner: BTreeMap<u64, u32> = BTreeMap::new();
+    // The client of each issued command, by id: `CommandGen` issues ids
+    // 0, 1, 2, … in order.
+    let mut owner: Vec<u32> = Vec::new();
     for client in 0..spec.clients as u32 {
         for _ in 0..spec.outstanding {
             submit_one(world, &mut gen, &mut collector, &mut owner, n, client, spec);
@@ -288,7 +289,7 @@ where
             let c = world.commits()[cursor];
             cursor += 1;
             if let Some(id) = collector.on_commit(c.pid, c.shard, c.value, c.at.as_nanos()) {
-                let client = owner[&id];
+                let client = owner[id as usize];
                 submit_one(world, &mut gen, &mut collector, &mut owner, n, client, spec);
             }
         }
@@ -302,7 +303,7 @@ fn submit_one<P: Protocol>(
     world: &mut World<P>,
     gen: &mut CommandGen,
     collector: &mut Collector,
-    owner: &mut BTreeMap<u64, u32>,
+    owner: &mut Vec<u32>,
     n: usize,
     client: u32,
     spec: &ClosedLoopSpec,
@@ -311,7 +312,7 @@ fn submit_one<P: Protocol>(
         return;
     }
     let value = gen.next_command();
-    owner.insert(kv_id(value), client);
+    owner.push(client);
     let now = world.now();
     collector.on_submit(value, now.as_nanos());
     world.submit(now, spec.target_of(client, n), value);

@@ -8,11 +8,26 @@
 # For each seed it runs `<bin> run --workload WORKLOAD --seed s --seconds 15
 # --trace 0` once with each binary, the parent first on odd seeds and the
 # change first on even ones, and prints one row per run. Then, for each
-# end-to-end metric: both sides' median (q1–q3), the change/parent ratio,
-# the pairs the change won (lower is better for all five), and whether a
-# gain claim holds: ≥ 9/10 of the pairs won and the median delta larger
-# than the parent's q1–q3 spread. Quartiles are Python's exclusive method,
-# as in `benchmark/src/measure.rs`.
+# end-to-end metric of BENCHMARK.json: both sides' median (q1–q3), the
+# change/parent ratio, the pairs the change won, whether a gain claim
+# holds (≥ 9/10 of the pairs won and the median delta larger than the
+# parent's q1–q3 spread), and a no-regression verdict against the
+# metric's `bound` from BENCHMARK.json:
+#
+#   worse       the change median is past the parent median by more than
+#               the bound (× (1 + bound) for a lower-is-better metric);
+#   unresolved  otherwise, if either side's q3 − q1 exceeds bound × its
+#               median — the runs spread too widely to tell — unless
+#               every change run beats every parent run;
+#   no worse    otherwise.
+#
+# Last, each side's failed/attempted share of operations. Quartiles are
+# Python's exclusive method, as in `benchmark/src/measure.rs`.
+#
+# The noise floor: an A/A run (the same binary passed as both PARENT_BIN
+# and CHANGE_BIN) measures how far two sides differ by chance on this
+# machine. Run one before reading a small delta, and on any workload whose
+# rows have drifted between sessions (the `rt_*` rows have).
 #
 # Build each side once, e.g. from a clone of the parent commit:
 #   CARGO_TARGET_DIR=/tmp/parent cargo build --release --offline \
@@ -26,6 +41,7 @@ if [ "$#" -lt 4 ]; then
 fi
 parent="$1" change="$2" workload="$3"
 shift 3
+spec="$(dirname "$0")/../BENCHMARK.json"
 rows="$(mktemp)"
 trap 'rm -f "$rows"' EXIT
 
@@ -55,7 +71,7 @@ for seed in "$@"; do
     fi
 done
 
-python3 - "$rows" <<'EOF'
+python3 - "$rows" "$spec" <<'EOF'
 import json, statistics, sys
 
 runs = {}
@@ -63,25 +79,42 @@ for line in open(sys.argv[1]):
     seed, side, rec = line.rstrip("\n").split("\t", 2)
     runs.setdefault(seed, {})[side] = json.loads(rec)
 seeds = [s for s in runs if len(runs[s]) == 2]
+metrics = json.load(open(sys.argv[2]))["end_to_end"]
 
 def quartiles(v):
     if len(v) == 1:
         return v[0], v[0], v[0]
     return tuple(statistics.quantiles(v, n=4))
 
+def verdict(p, c, pq, cq, bound, lower):
+    # Orient every comparison so that smaller is better.
+    sign = 1 if lower else -1
+    if sign * (cq[1] - pq[1]) > bound * abs(pq[1]):
+        return "worse"
+    wide = any(q[2] - q[0] > bound * abs(q[1]) for q in (pq, cq))
+    dominates = max(sign * x for x in c) < min(sign * x for x in p)
+    return "unresolved" if wide and not dominates else "no worse"
+
 print()
 print(f"{'metric':<15} {'parent median (q1–q3)':<28} {'change median (q1–q3)':<28}"
-      f" {'ratio':>7} {'won':>6}  claim (>= 9/10 won, delta > parent IQR)")
-for name in ["host_us_per_op", "commit_p50_ms", "commit_p99_ms", "peak_rss_mb", "setup_s"]:
+      f" {'ratio':>7} {'won':>6}  {'claim (>= 9/10 won, delta > parent IQR)':<40}"
+      f" verdict (bound)")
+for m in metrics:
+    name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
     p = [runs[s]["parent"]["metrics"][name]["value"] for s in seeds]
     c = [runs[s]["change"]["metrics"][name]["value"] for s in seeds]
     pq, cq = quartiles(p), quartiles(c)
-    won = sum(ci < pi for pi, ci in zip(p, c))
-    holds = won * 10 >= 9 * len(seeds) and pq[1] - cq[1] > pq[2] - pq[0]
+    won = sum((ci < pi) if lower else (ci > pi) for pi, ci in zip(p, c))
+    gain = pq[1] - cq[1] if lower else cq[1] - pq[1]
+    holds = won * 10 >= 9 * len(seeds) and gain > pq[2] - pq[0]
     fmt = lambda q: f"{q[1]:.4g} ({q[0]:.4g}–{q[2]:.4g})"
     ratio = cq[1] / pq[1] if pq[1] else float("nan")
     print(f"{name:<15} {fmt(pq):<28} {fmt(cq):<28} x{ratio:<6.3f} {won:>2}/{len(seeds):<3}"
-          f"  {'holds' if holds else 'does not hold'}")
-failed = {side: sum(runs[s][side]["failed"] for s in seeds) for side in ("parent", "change")}
-print(f"failed: parent {failed['parent']}, change {failed['change']}")
+          f"  {'holds' if holds else 'does not hold':<40}"
+          f" {verdict(p, c, pq, cq, bound, lower)} ({bound:g})")
+for side in ("parent", "change"):
+    failed = sum(runs[s][side]["failed"] for s in seeds)
+    attempted = sum(runs[s][side]["attempted"] for s in seeds)
+    share = failed / attempted if attempted else 0.0
+    print(f"failed {side}: {failed}/{attempted} ({share:.3%})")
 EOF

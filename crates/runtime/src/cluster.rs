@@ -1,8 +1,7 @@
 //! Spawning and supervising a cluster of protocol threads.
 
 use crate::node::{run_node, LocalClock, NodeCtx};
-use crate::transport::{make_inboxes, spawn_delayer, Transport, Wire};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::transport::{make_inboxes, recv_until, spawn_delayer, Transport, Wire};
 use esync_core::config::TimingConfig;
 use esync_core::error::ConfigError;
 use esync_core::outbox::Protocol;
@@ -14,6 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -302,8 +302,8 @@ where
 
         let (senders, receivers) = make_inboxes::<P::Msg>(n);
         let (delayer_tx, delayer_handle) = spawn_delayer(senders.clone());
-        let (commit_tx, commit_rx) = unbounded::<Commit>();
-        let (stats_tx, stats_rx) = unbounded::<NodeStats>();
+        let (commit_tx, commit_rx) = channel::<Commit>();
+        let (stats_tx, stats_rx) = channel::<NodeStats>();
         let shards = protocol.shard_count();
         let mut seed_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
@@ -428,7 +428,7 @@ where
         let deadline = Instant::now() + timeout;
         let mut got: BTreeMap<ProcessId, Commit> = BTreeMap::new();
         while got.len() < self.n {
-            let Ok(c) = self.commits_rx.recv_deadline(deadline) else {
+            let Ok(c) = recv_until(&self.commits_rx, deadline) else {
                 return Err(RuntimeError::Timeout {
                     decided: got.len(),
                     n: self.n,
@@ -485,6 +485,26 @@ mod tests {
         assert_eq!(decisions.len(), 3);
         let v = decisions[0].value;
         assert!(decisions.iter().all(|d| d.value == v), "{decisions:?}");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn queued_decisions_are_taken_after_the_deadline_has_passed() {
+        let cfg = ClusterConfig::new(3)
+            .delta(Duration::from_millis(5))
+            .seed(1);
+        let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
+        // A stable n = 3 cluster decides within a few δ; let all three
+        // commits queue up well before anyone reads them.
+        let wait = Duration::from_millis(500);
+        std::thread::sleep(wait);
+        let decisions = cluster.await_decisions(Duration::ZERO).unwrap();
+        assert_eq!(decisions.len(), 3);
+        assert!(decisions.iter().all(|d| d.elapsed < wait), "{decisions:?}");
+        assert_eq!(
+            cluster.await_decisions(Duration::ZERO),
+            Err(RuntimeError::Timeout { decided: 0, n: 3 })
+        );
         cluster.shutdown();
     }
 

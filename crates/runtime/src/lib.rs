@@ -3,7 +3,7 @@
 //! The discrete-event simulator (`esync-sim`) is the measurement
 //! instrument; this crate demonstrates that the *same* sans-IO state
 //! machines run unchanged over a real transport: one OS thread per process,
-//! crossbeam channels as links, wall-clock timers, and a delay/loss
+//! `std::sync::mpsc` channels as links, wall-clock timers, and a delay/loss
 //! injector that makes the first `stability_after` of the run behave like
 //! the paper's unstable period.
 //!

@@ -4,16 +4,18 @@
 //! The loop reads the wall clock once per wake-up. The local reading, the
 //! trace stamp, commit times, timer deadlines and the unstable-window
 //! test of every event handled in that wake-up are all derived from that
-//! one [`Instant`].
+//! one [`Instant`]. The one extra reading is taken before a sleep: when a
+//! timer or snapshot is armed and the inbox is empty, the wait until that
+//! deadline is measured from it. A queued message is taken without it.
 
 use crate::cluster::{Commit, NodeStats};
-use crate::transport::{Transport, Wire};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crate::transport::{recv_until, Transport, Wire};
 use esync_core::outbox::{Action, Outbox, Process};
 use esync_core::time::LocalInstant;
 use esync_core::types::{ProcessId, ShardId, TimerId};
 use esync_metrics::Observer;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -212,7 +214,7 @@ pub(crate) fn run_node<Proc>(
                 Ok(w) => Some(w),
                 Err(_) => break,
             },
-            Some(at) => match inbox.recv_deadline(at) {
+            Some(at) => match recv_until(&inbox, at) {
                 Ok(w) => Some(w),
                 // The wake-up fires due timers / takes due snapshots.
                 Err(RecvTimeoutError::Timeout) => None,

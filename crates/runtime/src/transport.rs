@@ -1,18 +1,18 @@
 //! Channel-based links with pre-stability loss and delay injection.
 //!
-//! Each process owns an inbox ([`crossbeam::channel`] receiver); a
-//! [`Transport`] handle fans messages out to peers. During the configured
-//! unstable window the transport drops messages with a fixed probability
-//! and routes a fraction of the survivors through a *delayer* thread that
-//! holds them for a random extra delay (possibly past the stability
-//! point — obsolete messages). After the window, sends go straight through
-//! (channel latency is far below any realistic `δ`).
+//! Each process owns an inbox (an unbounded [`std::sync::mpsc`]
+//! receiver); a [`Transport`] handle fans messages out to peers. During
+//! the configured unstable window the transport drops messages with a
+//! fixed probability and routes a fraction of the survivors through a
+//! *delayer* thread that holds them for a random extra delay (possibly
+//! past the stability point — obsolete messages). After the window, sends
+//! go straight through (channel latency is far below any realistic `δ`).
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use esync_core::types::{ProcessId, Value};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,7 +66,7 @@ impl<M> Ord for Parked<M> {
 pub(crate) fn spawn_delayer<M: Send + 'static>(
     node_senders: Vec<Sender<Wire<M>>>,
 ) -> (Sender<Parked<M>>, JoinHandle<()>) {
-    let (tx, rx): (Sender<Parked<M>>, Receiver<Parked<M>>) = unbounded();
+    let (tx, rx): (Sender<Parked<M>>, Receiver<Parked<M>>) = channel();
     let handle = std::thread::Builder::new()
         .name("esync-delayer".into())
         .spawn(move || {
@@ -173,10 +173,18 @@ impl<M: Clone> Transport<M> {
 /// The sending and receiving halves of all node inboxes.
 pub(crate) type Inboxes<M> = (Vec<Sender<Wire<M>>>, Vec<Receiver<Wire<M>>>);
 
-/// Creates the inbox channels for `n` nodes. Bounded at a generous depth so
-/// a stuck node exerts backpressure instead of ballooning memory.
+/// Creates the inbox channels for `n` nodes. Unbounded, like every other
+/// runtime channel: its blocks are allocated as messages arrive, where a
+/// bounded one would allocate its whole capacity up front.
 pub(crate) fn make_inboxes<M>(n: usize) -> Inboxes<M> {
-    (0..n).map(|_| bounded(65_536)).unzip()
+    (0..n).map(|_| channel()).unzip()
+}
+
+/// Takes a queued item without reading the clock; only an empty channel
+/// reads it, to wait until `at` (`recv_deadline` is not stable in std).
+pub(crate) fn recv_until<T>(rx: &Receiver<T>, at: Instant) -> Result<T, RecvTimeoutError> {
+    rx.try_recv()
+        .or_else(|_| rx.recv_timeout(at.saturating_duration_since(Instant::now())))
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@ use crate::scenario::Scenario;
 use crate::time::SimTime;
 use esync_core::config::TimingConfig;
 use esync_core::time::RealDuration;
-use esync_core::types::Value;
 use serde::Serialize;
 
 /// Full configuration of one simulated run.
@@ -29,11 +28,6 @@ pub struct SimConfig {
     pub max_time: SimTime,
     /// Run the idealized leader-election oracle (traditional Paxos).
     pub leader_oracle: bool,
-    /// Oracle announcement delay after `TS` (the builder sets `2δ`).
-    pub leader_announce_after: RealDuration,
-    /// Initial values; `None` (what the builder sets) means `100 + i`
-    /// for process `i`.
-    pub initial_values: Option<Vec<Value>>,
     /// Fault and workload script.
     pub scenario: Scenario,
 }
@@ -187,8 +181,6 @@ impl SimConfigBuilder {
             post_delay_range: self.post_delay_range,
             max_time: self.max_time,
             leader_oracle: self.leader_oracle,
-            leader_announce_after: self.delta * 2,
-            initial_values: None,
             scenario: self.scenario,
         })
     }

@@ -27,6 +27,11 @@ use esync_metrics::Observer;
 use fabric::Fabric;
 use procs::{BitSet, ProcHarness, Procs};
 
+/// Process `i`'s initial value: `100 + i`.
+fn initial_value(i: usize) -> Value {
+    Value::new(100 + i as u64)
+}
+
 /// What every event touches.
 #[derive(Debug)]
 struct Loop<M> {
@@ -47,7 +52,6 @@ pub struct World<P: Protocol> {
     /// outbox's tracing/metering flags are on exactly while it collects.
     obs: Observer,
     leader: LeaderOracle,
-    initial_values: Vec<Value>,
     /// Every `Action::Decide` with its instant — one record per command
     /// per process for multi-instance protocols (the workload drivers'
     /// measurement feed), one per process for single-shot ones.
@@ -72,10 +76,9 @@ impl<P: Protocol> World<P> {
             fabric: Fabric::new(&cfg),
             procs: Procs::new(),
             obs: Observer::default(),
-            leader: LeaderOracle::new(cfg.leader_announce_after),
+            leader: LeaderOracle::new(cfg.timing.delta() * 2),
             cfg,
             protocol,
-            initial_values: Vec::new(),
             commits: Vec::new(),
             scratch: Outbox::default(),
         };
@@ -123,7 +126,7 @@ impl<P: Protocol> World<P> {
         self.lp.now = SimTime::ZERO;
         self.lp.events = 0;
         self.fabric = Fabric::new(&cfg);
-        self.leader = LeaderOracle::new(cfg.leader_announce_after);
+        self.leader = LeaderOracle::new(cfg.timing.delta() * 2);
         self.cfg = cfg;
         self.commits.clear();
         self.obs.reset(&mut self.scratch);
@@ -135,15 +138,6 @@ impl<P: Protocol> World<P> {
     fn populate(&mut self) {
         let cfg = &self.cfg;
         let n = cfg.timing.n();
-        self.initial_values = cfg
-            .initial_values
-            .clone()
-            .unwrap_or_else(|| (0..n as u64).map(|i| Value::new(100 + i)).collect());
-        assert_eq!(
-            self.initial_values.len(),
-            n,
-            "one initial value per process required"
-        );
         // Reuse harness shells (and their timer-slot vectors) in place.
         let procs = &mut self.procs;
         procs.harness.truncate(n);
@@ -154,9 +148,7 @@ impl<P: Protocol> World<P> {
         procs.live_undecided = 0;
         for (i, h) in procs.harness.iter_mut().enumerate() {
             let pid = ProcessId::new(i as u32);
-            h.proc = self
-                .protocol
-                .spawn(pid, &cfg.timing, self.initial_values[i]);
+            h.proc = self.protocol.spawn(pid, &cfg.timing, initial_value(i));
             h.clock = DriftClock::sample(cfg.timing.rho(), &mut self.fabric.rng);
             h.timers.clear();
             h.decided_value = None;
@@ -166,9 +158,7 @@ impl<P: Protocol> World<P> {
         for i in procs.harness.len()..n {
             let pid = ProcessId::new(i as u32);
             procs.harness.push(ProcHarness {
-                proc: self
-                    .protocol
-                    .spawn(pid, &cfg.timing, self.initial_values[i]),
+                proc: self.protocol.spawn(pid, &cfg.timing, initial_value(i)),
                 clock: DriftClock::sample(cfg.timing.rho(), &mut self.fabric.rng),
                 timers: Vec::with_capacity(8),
                 decided_value: None,
@@ -563,7 +553,7 @@ impl<P: Protocol> World<P> {
                 .iter()
                 .map(|h| h.restart_times.clone())
                 .collect(),
-            initial_values: self.initial_values.clone(),
+            initial_values: (0..procs.harness.len()).map(initial_value).collect(),
             msgs_sent: fabric.msgs_sent,
             msgs_sent_after_ts: fabric.msgs_sent_after_ts,
             msgs_by_kind: fabric

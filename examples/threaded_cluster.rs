@@ -1,5 +1,5 @@
 //! The same state machines on a real transport: one OS thread per process,
-//! crossbeam channels, wall-clock timers, and an unstable first 150ms with
+//! `std::sync::mpsc` channels, wall-clock timers, and an unstable first 150ms with
 //! 40% loss and delayed (obsolete) messages.
 //!
 //! ```sh

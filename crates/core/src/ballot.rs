@@ -9,7 +9,6 @@
 
 use crate::types::ProcessId;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A Paxos ballot number.
 ///
@@ -27,15 +26,11 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b2.session(5), Session::new(1));
 /// assert_eq!(b2.owner(5), p2);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ballot(u64);
 
 /// A session number, `⌊ballot/N⌋`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Session(u64);
 
 impl Ballot {

@@ -40,7 +40,6 @@ use crate::quorum::majority;
 use crate::time::RealDuration;
 use crate::types::{ProcessId, TimerId, Value};
 use crate::wab::WabMessage;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Timer id of the per-round progress/retransmission timer.
@@ -62,7 +61,7 @@ pub enum WabMode {
 }
 
 /// A round-`r` vote: either locked on a value or `⊥`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BcVote {
     /// The voter saw an all-same echo majority for this value.
     Locked(Value),

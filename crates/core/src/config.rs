@@ -18,7 +18,7 @@
 
 use crate::error::ConfigError;
 use crate::time::{LocalDuration, RealDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Largest admissible clock-rate error bound; the paper assumes `ρ ≪ 1`.
 pub const MAX_RHO: f64 = 0.5;
@@ -43,7 +43,7 @@ pub const MAX_RHO: f64 = 0.5;
 /// assert!(bound_in_delta < 18.0);
 /// # Ok::<(), esync_core::error::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TimingConfig {
     n: usize,
     delta: RealDuration,

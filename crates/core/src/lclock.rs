@@ -7,15 +7,12 @@
 
 use crate::types::ProcessId;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A logical timestamp with process-id tie-breaking.
 ///
 /// Ordered lexicographically by `(time, pid)`, which is a total order on the
 /// timestamps of distinct send events.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp {
     /// The logical-clock reading.
     pub time: u64,
@@ -49,7 +46,7 @@ impl fmt::Display for Timestamp {
 /// let t2 = b.stamp_send();          // b's next send...
 /// assert!(t2 > t1);                  // ...is ordered after m1
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LamportClock {
     pid: ProcessId,
     time: u64,

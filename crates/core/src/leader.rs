@@ -20,10 +20,9 @@
 use crate::config::TimingConfig;
 use crate::time::{LocalDuration, LocalInstant};
 use crate::types::{ProcessId, TimerId};
-use serde::{Deserialize, Serialize};
 
 /// Wire message of the heartbeat elector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OmegaMsg {
     /// "I am alive" — broadcast every `ε`.
     Heartbeat,

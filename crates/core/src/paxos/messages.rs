@@ -2,11 +2,10 @@
 
 use crate::ballot::Ballot;
 use crate::types::Value;
-use serde::{Deserialize, Serialize};
 
 /// A vote cast by an acceptor: the pair `(maxVBal, maxVal)` reported in
 /// phase 1b messages, used by the leader's value-selection rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vote {
     /// The ballot in which the vote was cast.
     pub bal: Ballot,
@@ -23,7 +22,7 @@ impl Vote {
 
 /// Paxos protocol messages. Every message `m` carries its ballot `m.mbal`
 /// as in the paper; the *session* of a message is the session of its ballot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaxosMsg {
     /// Phase 1a: the owner of `mbal` (or a process relaying on its behalf —
     /// "any phase 1a message m is treated as if it were sent by process

@@ -9,11 +9,10 @@ use crate::ballot::Ballot;
 use crate::paxos::messages::Vote;
 use crate::quorum::QuorumTracker;
 use crate::types::{ProcessId, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Acceptor-side persistent voting state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VotingState {
     /// The highest ballot this process has joined (`mbal[p]`).
     pub mbal: Ballot,
@@ -51,7 +50,7 @@ impl VotingState {
 /// value of the highest-ballot vote among the reports, or the leader's own
 /// initial value if no acceptor in the quorum ever voted. This rule is what
 /// makes deciding safe across ballots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct P1bQuorum {
     bal: Ballot,
     tracker: QuorumTracker,
@@ -119,7 +118,7 @@ impl P1bQuorum {
 /// path is a single ballot comparison instead of a `BTreeMap` descent per
 /// message. Older ballots (late 2b's from superseded sessions) fall back
 /// to the map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DecisionTracker {
     /// The highest ballot with a recorded 2b, and its running count.
     current: Option<(Ballot, QuorumTracker, Value)>,

@@ -6,7 +6,6 @@
 //! strict majority.
 
 use crate::types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// Size of a strict majority of `n` processes: `⌊n/2⌋ + 1`.
 ///
@@ -37,7 +36,7 @@ pub const fn majority(n: usize) -> usize {
 /// q.insert(ProcessId::new(2));
 /// assert!(q.reached()); // 2 of 3 is a strict majority
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuorumTracker {
     n: usize,
     count: usize,

@@ -30,14 +30,13 @@ use crate::outbox::{Outbox, Process, Protocol};
 use crate::quorum::{majority, QuorumTracker};
 use crate::time::RealDuration;
 use crate::types::{ProcessId, TimerId, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Timer id of the per-round progress/retransmission timer.
 pub const TIMER_ROUND: TimerId = TimerId::new(4);
 
 /// Wire messages of the rotating-coordinator algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundMsg {
     /// Broadcast on entering a round: announces the round and carries the
     /// sender's current estimate and lock stamp for the coordinator.

@@ -18,7 +18,7 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A span of real time, in nanoseconds.
 ///
@@ -28,22 +28,16 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(delta.as_nanos(), 10_000_000);
 /// assert_eq!((delta * 4).as_millis_f64(), 40.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct RealDuration(u64);
 
 /// A span of one process's local clock, in local nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LocalDuration(u64);
 
 /// A point on one process's local clock, in local nanoseconds since that
 /// clock's (arbitrary) origin.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LocalInstant(u64);
 
 macro_rules! duration_impl {

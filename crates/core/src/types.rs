@@ -1,7 +1,7 @@
 //! Fundamental identifier and value newtypes shared by every protocol.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of one of the `N` processes, numbered `0..N-1` as in the paper.
 ///
@@ -11,9 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.as_usize(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct ProcessId(u32);
 
 impl ProcessId {
@@ -62,9 +60,7 @@ impl From<u32> for ProcessId {
 /// Consensus is oblivious to value contents, so a compact `u64` payload
 /// suffices; applications that need richer commands (see the replicated-log
 /// example) keep a side table mapping ids to commands.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct Value(u64);
 
 impl Value {
@@ -94,9 +90,7 @@ impl From<u64> for Value {
 /// Identifier of one shard (one independent consensus instance) inside a
 /// [log group](crate::paxos::group). Single-instance protocols live
 /// entirely in shard [`ShardId::ZERO`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId(u32);
 
 impl ShardId {
@@ -167,9 +161,7 @@ pub const fn kv_key(v: Value) -> u64 {
 /// timer of modified Paxos). Setting a timer with the same id replaces any
 /// pending instance, which is exactly the "reset the session timer" semantics
 /// the paper uses.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimerId(u32);
 
 impl TimerId {

@@ -16,13 +16,12 @@
 //!   the *modified* B-Consensus, which needs no simulator magic.
 
 use crate::types::{ProcessId, Value};
-use serde::{Deserialize, Serialize};
 
 /// A message handed to (and later delivered by) the weak-ordering oracle.
 ///
 /// B-Consensus w-broadcasts one `(round, estimate)` pair per round; the
 /// oracle tags it with its origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WabMessage {
     /// The process that w-broadcast the message.
     pub origin: ProcessId,

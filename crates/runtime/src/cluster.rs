@@ -1,7 +1,7 @@
 //! Spawning and supervising a cluster of protocol threads.
 
 use crate::node::{run_node, LocalClock, NodeCtx};
-use crate::transport::{make_inboxes, recv_until, spawn_delayer, Transport, Wire};
+use crate::transport::{make_inboxes, recv_until, Transport, Wire};
 use esync_core::config::TimingConfig;
 use esync_core::error::ConfigError;
 use esync_core::outbox::Protocol;
@@ -37,7 +37,7 @@ pub struct Commit {
     pub elapsed: Duration,
 }
 
-/// One node's final observability counters, shipped by its thread on
+/// One node's final observability counters, returned by its thread on
 /// exit (stop or kill): the applied router epoch and the per-shard load
 /// counters the schema-v5 imbalance metrics read. Collected with
 /// [`Cluster::shutdown_stats`].
@@ -118,7 +118,6 @@ pub struct ClusterConfig {
     rho: f64,
     stability_after: Duration,
     loss_prob: f64,
-    max_extra_delay: Option<Duration>,
     seed: u64,
     trace_capacity: Option<usize>,
     metrics_interval: Option<Duration>,
@@ -136,7 +135,6 @@ impl ClusterConfig {
             rho: 1e-3,
             stability_after: Duration::ZERO,
             loss_prob: 0.0,
-            max_extra_delay: None,
             seed: 0,
             trace_capacity: None,
             metrics_interval: None,
@@ -170,6 +168,9 @@ impl ClusterConfig {
     }
 
     /// Length of the unstable window from cluster start (default zero).
+    /// Inside it, messages are lost with the
+    /// [`pre_stability_loss`](Self::pre_stability_loss) probability and
+    /// the survivors take a random extra delay of up to `5δ`.
     pub fn stability_after(mut self, window: Duration) -> Self {
         self.stability_after = window;
         self
@@ -178,12 +179,6 @@ impl ClusterConfig {
     /// Message-loss probability inside the unstable window.
     pub fn pre_stability_loss(mut self, p: f64) -> Self {
         self.loss_prob = p;
-        self
-    }
-
-    /// Maximum extra delay inside the unstable window (default `5δ`).
-    pub fn pre_stability_max_delay(mut self, d: Duration) -> Self {
-        self.max_extra_delay = Some(d);
         self
     }
 
@@ -276,10 +271,8 @@ pub struct Cluster<P: Protocol> {
     /// the node loop before every event so a killed node stops without
     /// draining its inbox backlog first.
     kill_flags: Vec<Arc<AtomicBool>>,
-    /// Final per-node stats, sent by each node thread on exit.
-    stats_rx: Receiver<NodeStats>,
-    handles: Vec<JoinHandle<()>>,
-    delayer_handle: Option<JoinHandle<()>>,
+    /// The node threads, in pid order; each returns its final stats.
+    handles: Vec<JoinHandle<NodeStats>>,
 }
 
 impl<P> Cluster<P>
@@ -288,7 +281,7 @@ where
     P::Process: Send + 'static,
     P::Msg: Send + Clone + 'static,
 {
-    /// Spawns one thread per process plus the delay-injector thread.
+    /// Spawns one thread per process.
     ///
     /// # Errors
     ///
@@ -298,12 +291,10 @@ where
         let n = cfg.n;
         let start = Instant::now();
         let stable_at = start + cfg.stability_after;
-        let max_extra_delay = cfg.max_extra_delay.unwrap_or(cfg.delta * 5);
+        let max_extra_delay = cfg.delta * 5;
 
         let (senders, receivers) = make_inboxes::<P::Msg>(n);
-        let (delayer_tx, delayer_handle) = spawn_delayer(senders.clone());
         let (commit_tx, commit_rx) = channel::<Commit>();
-        let (stats_tx, stats_rx) = channel::<NodeStats>();
         let shards = protocol.shard_count();
         let mut seed_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
@@ -324,7 +315,6 @@ where
             };
             let transport = Transport::new(
                 senders.clone(),
-                delayer_tx.clone(),
                 stable_at,
                 cfg.loss_prob,
                 max_extra_delay,
@@ -340,10 +330,9 @@ where
             }
             let clock = LocalClock::new(rate, start);
             let ctx = NodeCtx::new(pid, transport, clock, commit_tx.clone(), obs);
-            let stats = stats_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("esync-node-{i}"))
-                .spawn(move || run_node(ctx, proc, inbox, leader_flag, kill_flag, stats, shards))
+                .spawn(move || run_node(ctx, proc, inbox, leader_flag, kill_flag, shards))
                 .expect("spawn node thread");
             handles.push(handle);
         }
@@ -354,9 +343,7 @@ where
             commits_rx: commit_rx,
             leader_flags,
             kill_flags,
-            stats_rx,
             handles,
-            delayer_handle: Some(delayer_handle),
         })
     }
 
@@ -399,13 +386,14 @@ where
     /// (threads have no restartable stable storage, so unlike the
     /// simulator's crash–restart this is crash-forever). Messages and
     /// submissions to a killed node are silently dropped, as to any dead
-    /// destination.
+    /// destination; the messages it sent that the unstable window delayed
+    /// still arrive, since their recipients hold them.
     ///
     /// The kill is *prompt*: the node's loop checks a shared flag before
     /// every event, so it exits — snapshotting its [`NodeStats`] — as
     /// soon as its current handler returns, rather than after draining
     /// whatever inbox backlog sits ahead of a queued stop message. The
-    /// stats a killed node ships therefore reflect its state at kill
+    /// stats a killed node returns therefore reflect its state at kill
     /// time, and [`Cluster::shutdown_stats`] reliably includes them.
     pub fn kill(&self, pid: ProcessId) {
         self.kill_flags[pid.as_usize()].store(true, Ordering::Relaxed);
@@ -446,27 +434,16 @@ where
 
     /// Stops all nodes, joins their threads, and returns every node's
     /// final [`NodeStats`], ordered by process id (killed nodes report
-    /// the counters they had when they died).
-    pub fn shutdown_stats(mut self) -> Vec<NodeStats> {
+    /// the counters they had when they died; a node whose thread panicked
+    /// reports nothing).
+    pub fn shutdown_stats(self) -> Vec<NodeStats> {
         for s in &self.node_senders {
             let _ = s.send(Wire::Stop);
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        let mut stats: Vec<NodeStats> = Vec::with_capacity(self.n);
-        while let Ok(s) = self.stats_rx.try_recv() {
-            stats.push(s);
-        }
-        stats.sort_by_key(|s| s.pid);
-        stats.dedup_by_key(|s| s.pid);
-        // With the node threads (and their transports) gone, dropping our
-        // channel ends drain the delayer's input; it exits on disconnect.
-        self.node_senders.clear();
-        if let Some(h) = self.delayer_handle.take() {
-            let _ = h.join();
-        }
-        stats
+        self.handles
+            .into_iter()
+            .filter_map(|h| h.join().ok())
+            .collect()
     }
 }
 

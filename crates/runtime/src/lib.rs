@@ -2,10 +2,14 @@
 //!
 //! The discrete-event simulator (`esync-sim`) is the measurement
 //! instrument; this crate demonstrates that the *same* sans-IO state
-//! machines run unchanged over a real transport: one OS thread per process,
-//! `std::sync::mpsc` channels as links, wall-clock timers, and a delay/loss
-//! injector that makes the first `stability_after` of the run behave like
-//! the paper's unstable period.
+//! machines run unchanged over a real transport: one OS thread and one
+//! `std::sync::mpsc` inbox per process, wall-clock timers, and links that
+//! make the first `stability_after` of the run behave like the paper's
+//! unstable period — they lose messages and delay others by up to `5δ`.
+//! A delayed message is held by its recipient until due, so it still
+//! arrives after its sender has stopped (the paper's obsolete messages
+//! from failed processes). The cluster's only other channel is the commit
+//! feed; each node thread returns its final [`NodeStats`] when joined.
 //!
 //! Scope: the runtime supports protocols that need no driver-side oracle —
 //! the paper's modified Paxos and modified B-Consensus (both leaderless and

@@ -1,19 +1,21 @@
 //! One OS thread per process: inbox, wall-clock timers, drifting local
-//! clock.
+//! clock, and the late messages it holds until they are due.
 //!
 //! The loop reads the wall clock once per wake-up. The local reading, the
-//! trace stamp, commit times, timer deadlines and the unstable-window
-//! test of every event handled in that wake-up are all derived from that
-//! one [`Instant`]. The one extra reading is taken before a sleep: when a
-//! timer or snapshot is armed and the inbox is empty, the wait until that
+//! trace stamp, commit times, timer deadlines, the due test of held
+//! messages and the unstable-window test of every event handled in that
+//! wake-up are all derived from that one [`Instant`]. The one extra
+//! reading is taken before a sleep: when a timer, snapshot or held
+//! message is pending and the inbox is empty, the wait until that
 //! deadline is measured from it. A queued message is taken without it.
 
 use crate::cluster::{Commit, NodeStats};
-use crate::transport::{recv_until, Transport, Wire};
+use crate::transport::{recv_until, Late, Transport, Wire};
 use esync_core::outbox::{Action, Outbox, Process};
 use esync_core::time::LocalInstant;
 use esync_core::types::{ProcessId, ShardId, TimerId};
 use esync_metrics::Observer;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -53,13 +55,18 @@ impl LocalClock {
 }
 
 /// Everything the actions of a handled event reach: the node's links,
-/// timers, clock, commit stream and observer.
+/// timers, held late messages, clock, commit stream and observer.
 pub(crate) struct NodeCtx<M> {
     pid: ProcessId,
     transport: Transport<M>,
     /// Armed deadlines indexed by [`TimerId::get`] (protocols use small
     /// constant ids) — the simulator's per-process timer-slot shape.
     timers: Vec<Option<Instant>>,
+    /// Received [`Wire::Late`] messages not yet due, keyed by `(due,
+    /// arrival number)`: handled in that order once `due` has passed.
+    late: BTreeMap<(Instant, u64), (ProcessId, M)>,
+    /// Late messages received so far (the next arrival number).
+    arrivals: u64,
     clock: LocalClock,
     commits: Sender<Commit>,
     /// Whether the node's first decide has been seen.
@@ -82,6 +89,8 @@ impl<M: Clone> NodeCtx<M> {
             pid,
             transport,
             timers: Vec::new(),
+            late: BTreeMap::new(),
+            arrivals: 0,
             clock,
             commits,
             reported: false,
@@ -102,11 +111,27 @@ impl<M: Clone> NodeCtx<M> {
         &mut self.timers[idx]
     }
 
-    /// The earliest armed timer deadline or snapshot boundary, if any.
+    /// The earliest armed timer deadline, snapshot boundary or held
+    /// message's due instant, if any.
     fn next_deadline(&self) -> Option<Instant> {
         let snapshot = self.obs.next_snapshot_ns();
         let snapshot = snapshot.map(|ns| self.clock.start + Duration::from_nanos(ns));
-        self.timers.iter().flatten().copied().chain(snapshot).min()
+        let late = self.late.keys().next().map(|&(due, _)| due);
+        let timers = self.timers.iter().flatten().copied();
+        timers.chain(snapshot).chain(late).min()
+    }
+
+    /// Holds a late message until its due instant.
+    fn hold(&mut self, late: Late<M>) {
+        self.arrivals += 1;
+        self.late
+            .insert((late.due, self.arrivals), (late.from, late.msg));
+    }
+
+    /// Takes the earliest held message if it is due at `now`.
+    fn take_due(&mut self, now: Instant) -> Option<(ProcessId, M)> {
+        let first = self.late.first_entry()?;
+        (first.key().0 <= now).then(|| first.remove())
     }
 
     /// Runs one handler for an event read at wall instant `now` and
@@ -167,12 +192,16 @@ impl<M: Clone> NodeCtx<M> {
 /// Runs one process until a [`Wire::Stop`] arrives or `kill_flag` is
 /// raised.
 ///
+/// A [`Wire::Late`] message is held and handled, like a timer, at the
+/// first wake-up at or after its due instant; held messages go in `(due,
+/// arrival)` order.
+///
 /// After every wake-up the node publishes its [`Process::is_leader`]
 /// belief into `leader_flag` (cleared on exit), so the cluster can answer
 /// leader-observability queries without touching protocol state across
-/// threads. On exit it ships its final [`NodeStats`] (router epoch,
+/// threads. On exit it returns its final [`NodeStats`] (router epoch,
 /// per-shard load counters over `shards` shards, and whatever its
-/// observer collected) through `stats`.
+/// observer collected) as the thread's result.
 ///
 /// `kill_flag` is checked before every event, so a raised flag stops the
 /// node as soon as the current handler returns instead of after the
@@ -190,9 +219,9 @@ pub(crate) fn run_node<Proc>(
     inbox: Receiver<Wire<Proc::Msg>>,
     leader_flag: Arc<AtomicBool>,
     kill_flag: Arc<AtomicBool>,
-    stats: Sender<NodeStats>,
     shards: usize,
-) where
+) -> NodeStats
+where
     Proc: Process,
     Proc::Msg: Clone,
 {
@@ -207,8 +236,9 @@ pub(crate) fn run_node<Proc>(
     leader_flag.store(proc.is_leader(), Ordering::Relaxed);
 
     'run: loop {
-        // Wait for a message, the next timer deadline, or the next
-        // snapshot boundary — whichever comes first.
+        // Wait for a message, the next timer deadline, the next snapshot
+        // boundary, or the next held message's due instant — whichever
+        // comes first.
         let wire = match ctx.next_deadline() {
             None => match inbox.recv() {
                 Ok(w) => Some(w),
@@ -216,7 +246,8 @@ pub(crate) fn run_node<Proc>(
             },
             Some(at) => match recv_until(&inbox, at) {
                 Ok(w) => Some(w),
-                // The wake-up fires due timers / takes due snapshots.
+                // The wake-up fires due timers, takes due snapshots and
+                // handles due held messages.
                 Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
             },
@@ -230,7 +261,8 @@ pub(crate) fn run_node<Proc>(
             (0..shards as u32).map(load).collect()
         };
         ctx.obs.sample_before(&mut out, end_ns, loads);
-        // Fire all due timers, then handle the message.
+        // Fire all due timers, handle the message (holding a late one),
+        // then the held messages now due.
         for idx in 0..ctx.timers.len() {
             if ctx.timers[idx].is_some_and(|at| at <= now) {
                 if kill_flag.load(Ordering::Relaxed) {
@@ -250,9 +282,16 @@ pub(crate) fn run_node<Proc>(
             Some(Wire::Msg { from, msg }) => {
                 ctx.handle(&mut out, now, |out| proc.on_message(from, &msg, out));
             }
+            Some(Wire::Late(late)) => ctx.hold(*late),
             Some(Wire::Submit { value }) => {
                 ctx.handle(&mut out, now, |out| proc.on_client(value, out));
             }
+        }
+        while let Some((from, msg)) = ctx.take_due(now) {
+            if kill_flag.load(Ordering::Relaxed) {
+                break 'run;
+            }
+            ctx.handle(&mut out, now, |out| proc.on_message(from, &msg, out));
         }
         leader_flag.store(proc.is_leader(), Ordering::Relaxed);
     }
@@ -264,7 +303,7 @@ pub(crate) fn run_node<Proc>(
     let trace_dropped = ctx.obs.trace_dropped();
     let (trace, health) = ctx.obs.take();
     let health = health.unwrap_or_default();
-    let _ = stats.send(NodeStats {
+    NodeStats {
         pid: ctx.pid,
         router_epoch: proc.router_epoch(),
         shard_loads: (0..shards as u32)
@@ -274,7 +313,7 @@ pub(crate) fn run_node<Proc>(
         trace_dropped,
         snapshots: health.snapshots,
         firings: health.firings,
-    });
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +396,75 @@ mod tests {
         fn spawn(&self, id: ProcessId, _: &TimingConfig, _: Value) -> TimerProbeProc {
             TimerProbeProc(id)
         }
+    }
+
+    /// Commits every message it receives (the message is the value).
+    struct EchoProc;
+
+    impl Process for EchoProc {
+        type Msg = u64;
+        fn id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+        fn on_start(&mut self, _: &mut Outbox<u64>) {}
+        fn on_message(&mut self, _: ProcessId, msg: &u64, out: &mut Outbox<u64>) {
+            out.decide(Value::new(*msg));
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut Outbox<u64>) {}
+        fn on_restart(&mut self, _: &mut Outbox<u64>) {}
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    #[test]
+    fn late_messages_are_handled_once_due_in_due_then_arrival_order() {
+        use crate::transport::{make_inboxes, Late};
+        use rand::SeedableRng;
+        use std::sync::mpsc::channel;
+        let start = Instant::now();
+        let stable_at = start + Duration::from_millis(40);
+        let (senders, mut receivers) = make_inboxes(1);
+        let (commit_tx, commits) = channel();
+        let rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+        let transport = Transport::new(senders.clone(), stable_at, 0.0, Duration::ZERO, rng);
+        let clock = LocalClock::new(1.0, start);
+        let ctx = NodeCtx::new(
+            ProcessId::new(0),
+            transport,
+            clock,
+            commit_tx,
+            Observer::default(),
+        );
+        let inbox = receivers.remove(0);
+        let flag = || Arc::new(AtomicBool::new(false));
+        let (leader, kill) = (flag(), flag());
+        let node = std::thread::spawn(move || run_node(ctx, EchoProc, inbox, leader, kill, 1));
+        // Message i is due `due_ms[i]` after start; 3 is due after
+        // `stable_at`, and 0 and 2 share a due instant.
+        let due_ms = [30, 10, 30, 70];
+        let from = ProcessId::new(0);
+        for (msg, ms) in due_ms.into_iter().enumerate() {
+            let due = start + Duration::from_millis(ms);
+            let late = Late {
+                due,
+                from,
+                msg: msg as u64,
+            };
+            senders[0].send(Wire::Late(Box::new(late))).unwrap();
+        }
+        let handled: Vec<_> = (0..due_ms.len())
+            .map(|_| commits.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        senders[0].send(Wire::Stop).unwrap();
+        node.join().unwrap();
+        let order: Vec<u64> = handled.iter().map(|c| c.value.get()).collect();
+        assert_eq!(order, [1, 0, 2, 3], "(due, arrival) order: {handled:?}");
+        for c in &handled {
+            let due = Duration::from_millis(due_ms[c.value.get() as usize]);
+            assert!(c.elapsed >= due, "handled before due: {c:?}");
+        }
+        assert!(start + handled[3].elapsed > stable_at);
     }
 
     #[test]

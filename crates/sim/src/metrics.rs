@@ -6,13 +6,13 @@
 use crate::time::SimTime;
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, ShardId, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One committed command observed at one process (a single
 /// `Action::Decide`). The world records these for every run; workload
 /// drivers turn them into latency and throughput measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitRecord {
     /// When the command was applied.
     pub at: SimTime,
@@ -26,7 +26,7 @@ pub struct CommitRecord {
 }
 
 /// Everything measured in one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Report {
     /// Protocol name (from [`esync_core::outbox::Protocol::name`]).
     pub protocol: String,
@@ -206,7 +206,7 @@ impl ThroughputTimeline {
 /// whose counts and latency histograms equal the aggregate's (the
 /// *span*-derived `commits_per_sec` can differ when submissions never
 /// commit — see that field).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShardSummary {
     /// The shard index.
     pub shard: u32,
@@ -243,7 +243,7 @@ pub struct ShardSummary {
 /// The steady-state workload summary a throughput experiment records per
 /// sweep point: commit throughput, end-to-end latency quantiles, and the
 /// pre- vs post-stabilization split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadSummary {
     /// Commands submitted by the generator.
     pub submitted: u64,

@@ -10,14 +10,14 @@ use crate::time::SimTime;
 use esync_core::time::RealDuration;
 use esync_core::types::ProcessId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Behaviour of the network before the stabilization time `TS`.
 ///
 /// Delays are expressed as multiples of `δ` so that one policy scales
 /// across experiments with different `δ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PreStability {
     /// Probability that a pre-`TS` message is lost.
     pub loss_prob: f64,

@@ -19,10 +19,10 @@ use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fault and workload script for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Scenario {
     /// `(pid, at)` crash events; must satisfy `at ≤ TS`.
     pub crashes: Vec<(ProcessId, SimTime)>,
@@ -113,7 +113,7 @@ impl Scenario {
 }
 
 /// Which process a stream's commands are submitted to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StreamTarget {
     /// Every command goes to one process.
     Fixed(ProcessId),
@@ -122,7 +122,7 @@ pub enum StreamTarget {
 }
 
 /// Inter-arrival process of a [`SubmitStream`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Arrivals {
     /// Exactly one command per `interval` (deterministic rate).
     FixedRate {
@@ -153,7 +153,7 @@ pub use esync_core::types::{kv_command, kv_id, kv_key, KEY_SHIFT};
 /// keys, and the population-dynamics consensus literature likewise
 /// studies exactly the adversarial input distributions — `Uniform` is
 /// the easy case, the others are the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum KeyDist {
     /// Keys uniform over `0..key_space` — the balanced baseline.
     #[default]
@@ -303,7 +303,7 @@ impl KeySampler {
 /// Every field is plain data, so a stream round-trips through the
 /// serialized [`crate::SimConfig`] embedded in benchmark artifacts: the
 /// exact command sequence is reproducible from the artifact alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SubmitStream {
     /// Where commands land.
     pub target: StreamTarget,

@@ -9,7 +9,7 @@
 use core::fmt;
 use core::ops::{Add, Sub};
 use esync_core::time::RealDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An instant of simulated real time (nanoseconds since run start).
 ///
@@ -20,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::from_millis(5) + RealDuration::from_millis(10);
 /// assert_eq!(t.as_nanos(), 15_000_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -6,7 +6,7 @@ use crate::hist::{HistogramSummary, LatencyHistogram};
 use crate::jsonl::TraceMeta;
 use esync_core::trace::TraceEvent;
 use esync_core::types::ProcessId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The latency decomposition of one run's command journeys, embedded in
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 /// * **quorum** — first 2a to the leader observing the 2b quorum
 ///   (`chosen`); the paper's two-message-delay phase;
 /// * **learn** — chosen to the first process applying the command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseLatency {
     /// Commands with a complete decomposition (submitted, proposed and
     /// decided inside the trace window).

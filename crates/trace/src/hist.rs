@@ -5,7 +5,7 @@
 //! so every pre-existing path still works).
 
 use esync_core::time::RealDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear sub-buckets per power-of-two magnitude: 2⁵ = 32, bounding the
 /// relative quantization error at ~3%.
@@ -179,7 +179,7 @@ impl LatencyHistogram {
 /// deterministic function of the recorded values (integer nanoseconds, no
 /// wall-clock contamination), so workload artifacts diff cleanly across
 /// reruns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramSummary {
     /// Observations recorded.
     pub count: u64,

@@ -13,16 +13,16 @@
 //!
 //! Two client models, both deterministic and seedable:
 //!
-//! * **Open loop** ([`sim_driver::run_open_loop`],
-//!   [`rt_driver::run_open_loop`]): commands arrive on a fixed-rate or
-//!   Poisson schedule ([`esync_sim::scenario::SubmitStream`]) regardless
-//!   of completion — the model for rate sweeps and overload studies. Both
-//!   backends replay the **same** stream expansion, so they submit
-//!   bit-identical command sequences.
+//! * **Open loop** ([`sim_driver::run_open_loop`], simulator only):
+//!   commands arrive on a fixed-rate or Poisson schedule
+//!   ([`esync_sim::scenario::SubmitStream`]) regardless of completion —
+//!   the model for rate sweeps and overload studies.
 //! * **Closed loop** ([`sim_driver::run_closed_loop`],
 //!   [`rt_driver::run_closed_loop`]): each of `clients` keeps exactly
 //!   `outstanding` commands in flight, submitting a replacement the moment
-//!   one commits — the model for saturation throughput.
+//!   one commits — the model for saturation throughput. Both backends
+//!   draw from the same [`CommandGen`], so they submit bit-identical
+//!   command sequences.
 //!
 //! Commands are keyed KV operations packed into the wire [`Value`] by
 //! [`esync_core::types::kv_command`]: a unique id (at-least-once

@@ -1,13 +1,13 @@
-//! Workload drivers over the threaded real-time runtime.
+//! The closed-loop workload driver over the threaded real-time runtime.
 //!
-//! The same generators as [`crate::sim_driver`], driving an
-//! [`esync_runtime::Cluster`] over real channels and wall clocks: commands
-//! go in through [`Cluster::submit`], measurements come back out of the
-//! per-command [`Cluster::commits`] stream. Command *sequences* are
-//! bit-identical to the simulator drivers' (same [`CommandGen`], same
-//! stream expansion); timings are wall-clock and therefore machine-
-//! dependent — the runtime drivers demonstrate the subsystem end-to-end,
-//! while the simulator drivers produce the reproducible artifacts.
+//! The same generator as [`crate::sim_driver::run_closed_loop`], driving
+//! an [`esync_runtime::Cluster`] over real channels and wall clocks:
+//! commands go in through [`Cluster::submit`], measurements come back out
+//! of the per-command [`Cluster::commits`] stream. Command *sequences* are
+//! bit-identical to the simulator driver's (same [`CommandGen`]); timings
+//! are wall-clock and therefore machine-dependent — the runtime driver
+//! demonstrates the subsystem end-to-end, while the simulator drivers
+//! produce the reproducible artifacts.
 
 use crate::collect::Collector;
 use crate::gen::{ClosedLoopSpec, CommandGen};
@@ -16,10 +16,9 @@ use esync_core::types::ProcessId;
 use esync_metrics::HealthSummary;
 use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
 use esync_sim::metrics::WorkloadSummary;
-use esync_sim::scenario::SubmitStream;
 use esync_trace::TraceRecord;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A completed threaded-runtime workload run.
 #[derive(Debug, Clone)]
@@ -39,7 +38,7 @@ pub struct RtWorkloadOutcome {
     pub trace: Vec<TraceRecord>,
 }
 
-/// How long the drivers wait on the commit channel per poll.
+/// How long the driver waits on the commit channel per poll.
 const POLL: Duration = Duration::from_millis(20);
 
 /// Runs a **closed-loop** workload against a threaded cluster: spawns the
@@ -105,7 +104,7 @@ where
 }
 
 /// Whether `total` commands committed and every one of the `n` nodes
-/// applied `total` distinct commands: the drivers' done-condition. Every
+/// applied `total` distinct commands: the driver's done-condition. Every
 /// command the cluster commits was submitted through the collector
 /// first, so its per-node counts cover every commit.
 fn applied_everywhere(collector: &Collector, n: usize, total: u64) -> bool {
@@ -157,74 +156,6 @@ fn finish(
         router_epochs,
         trace,
     }
-}
-
-/// Runs an **open-loop** workload against a threaded cluster: the stream's
-/// expansion (the same one the simulator schedules) is replayed on the
-/// wall clock — command `i` is submitted once `stream.expand(n)[i].0` of
-/// wall time has elapsed since the post-spawn submission start — then
-/// commits are drained until every command is applied everywhere or
-/// `deadline` passes.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Config`] for invalid timing parameters and
-/// [`RuntimeError::Timeout`] on deadline.
-pub fn run_open_loop<P>(
-    cfg: ClusterConfig,
-    protocol: P,
-    stream: &SubmitStream,
-    deadline: Duration,
-) -> Result<RtWorkloadOutcome, RuntimeError>
-where
-    P: Protocol,
-    P::Process: Send + 'static,
-    P::Msg: Send + Clone + 'static,
-{
-    let shards = protocol.shard_count();
-    let metrics_interval = cfg.metrics_interval();
-    let cluster = Cluster::spawn(cfg, protocol)?;
-    let n = cluster.n();
-    let schedule = stream.expand(n);
-    let total = schedule.len() as u64;
-    let mut collector = Collector::new(None, esync_core::time::RealDuration::from_millis(50));
-    collector.reserve_shards(shards);
-    let start = Instant::now();
-    let drain = |collector: &mut Collector, wait: Duration| {
-        if let Ok(commit) = cluster.commits().recv_timeout(wait) {
-            collector.on_commit(
-                commit.pid,
-                commit.shard,
-                commit.value,
-                commit.elapsed.as_nanos() as u64,
-            );
-        }
-    };
-    for (at, pid, value) in &schedule {
-        let due = start + Duration::from_nanos(at.as_nanos());
-        loop {
-            let now = Instant::now();
-            if now >= due {
-                break;
-            }
-            drain(&mut collector, (due - now).min(POLL));
-        }
-        collector.on_submit(*value, cluster.elapsed().as_nanos() as u64);
-        cluster.submit(*pid, *value);
-    }
-    while !applied_everywhere(&collector, n, total) {
-        if cluster.elapsed() > deadline {
-            let decided = collector.committed() as usize;
-            cluster.shutdown();
-            return Err(RuntimeError::Timeout {
-                decided,
-                n: total as usize,
-            });
-        }
-        drain(&mut collector, POLL);
-    }
-    let stats = cluster.shutdown_stats();
-    Ok(finish(collector, stats, shards, metrics_interval))
 }
 
 /// Issues the next command for `client`, if the budget allows.

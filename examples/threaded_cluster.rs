@@ -1,6 +1,7 @@
 //! The same state machines on a real transport: one OS thread per process,
 //! `std::sync::mpsc` channels, wall-clock timers, and an unstable first 150ms with
-//! 40% loss and delayed (obsolete) messages.
+//! 40% loss and delayed (obsolete) messages: up to 5δ = 25ms late, held by
+//! their recipients until due.
 //!
 //! ```sh
 //! cargo run --example threaded_cluster
@@ -17,10 +18,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .delta(delta)
         .stability_after(unstable)
         .pre_stability_loss(0.4)
-        .pre_stability_max_delay(Duration::from_millis(60))
         .seed(31);
 
-    println!("threaded cluster: 5 nodes, δ=5ms, unstable for 150ms (40% loss)");
+    println!("threaded cluster: 5 nodes, δ=5ms, unstable for 150ms (40% loss, delays ≤ 5δ)");
     let cluster = Cluster::spawn(cfg, SessionPaxos::new())?;
     // Each node's first commit is its decision.
     let decisions = cluster.await_decisions(Duration::from_secs(30))?;

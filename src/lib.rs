@@ -17,9 +17,9 @@
 //!   schedule fuzzer: safety under *every* message reordering, early timer,
 //!   drop, crash and lying leader oracle, not just timed schedules.
 //! * [`workload`] (`esync-workload`) — replicated-log throughput
-//!   workloads: deterministic open/closed-loop client drivers over both
-//!   the simulator and the runtime, with latency histograms and
-//!   commits/sec measurement.
+//!   workloads: deterministic open-loop (simulator) and closed-loop (both
+//!   the simulator and the runtime) client drivers, with latency
+//!   histograms and commits/sec measurement.
 //! * [`trace`] (`esync-trace`) — the typed-tracing observability layer:
 //!   stamped protocol events, the `TRACE_*.jsonl` format, and the
 //!   queue → quorum → learn phase decomposition with the per-decision

@@ -314,6 +314,7 @@ where
                 1.0 + seed_rng.gen_range(-cfg.rho..=cfg.rho)
             };
             let transport = Transport::new(
+                pid,
                 senders.clone(),
                 stable_at,
                 cfg.loss_prob,

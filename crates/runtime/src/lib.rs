@@ -11,6 +11,13 @@
 //! from failed processes). The cluster's only other channel is the commit
 //! feed; each node thread returns its final [`NodeStats`] when joined.
 //!
+//! A node works in wake-ups. Each handles the due timers and up to
+//! [`node::DRAIN_CAP`] queued inputs at one clock reading, handles the
+//! messages the node sends itself right away instead of queueing them,
+//! and ends with one channel send per peer it wrote to (a
+//! [`transport::Wire::Batch`] when there are several messages), then its
+//! commits.
+//!
 //! Scope: the runtime supports protocols that need no driver-side oracle —
 //! the paper's modified Paxos and modified B-Consensus (both leaderless and
 //! oracle-free by construction), the heartbeat-elector flavor of

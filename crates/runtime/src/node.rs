@@ -1,6 +1,15 @@
 //! One OS thread per process: inbox, wall-clock timers, drifting local
 //! clock, and the late messages it holds until they are due.
 //!
+//! A wake-up is the node's unit of work and of communication. It fires
+//! the due timers, then handles up to [`DRAIN_CAP`] inbox items — the one
+//! that woke it and those still queued, taken with `try_recv` — then the
+//! held messages now due. A message the node sends itself is handled in
+//! the same wake-up, right after the event that sent it, without
+//! touching a channel. What the wake-up sends to peers is buffered and
+//! flushed at its end, one channel send per peer, followed by its
+//! commits.
+//!
 //! The loop reads the wall clock once per wake-up. The local reading, the
 //! trace stamp, commit times, timer deadlines, the due test of held
 //! messages and the unstable-window test of every event handled in that
@@ -21,6 +30,11 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The most inbox items one wake-up handles. Past it the node flushes and
+/// wakes again at once, so a busy inbox cannot starve due timers, held
+/// late messages or snapshots.
+pub const DRAIN_CAP: usize = 64;
+
 /// Converts elapsed wall time into this node's local-clock reading.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalClock {
@@ -33,11 +47,6 @@ impl LocalClock {
     pub fn new(rate: f64, start: Instant) -> Self {
         assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
         LocalClock { rate, start }
-    }
-
-    /// The local reading now.
-    pub fn now(&self) -> LocalInstant {
-        self.at(Instant::now())
     }
 
     /// The local reading at wall instant `at` (zero before the clock's
@@ -69,6 +78,8 @@ pub(crate) struct NodeCtx<M> {
     arrivals: u64,
     clock: LocalClock,
     commits: Sender<Commit>,
+    /// The wake-up's commits, sent at its flush after the peer messages.
+    decided: Vec<Commit>,
     /// Whether the node's first decide has been seen.
     reported: bool,
     /// The node's trace ring, snapshot series and watchdogs, stamped in
@@ -93,6 +104,7 @@ impl<M: Clone> NodeCtx<M> {
             arrivals: 0,
             clock,
             commits,
+            decided: Vec::new(),
             reported: false,
             obs,
         }
@@ -134,6 +146,41 @@ impl<M: Clone> NodeCtx<M> {
         (first.key().0 <= now).then(|| first.remove())
     }
 
+    /// Runs one event's handler at wall instant `now`, then every message
+    /// the node sent itself meanwhile, in send order, each as an event of
+    /// its own. Returns `false`, having run nothing, as soon as `kill` is
+    /// raised: it is checked before every event.
+    fn event<P: Process<Msg = M>>(
+        &mut self,
+        proc: &mut P,
+        out: &mut Outbox<M>,
+        now: Instant,
+        kill: &AtomicBool,
+        handler: impl FnOnce(&mut P, &mut Outbox<M>),
+    ) -> bool {
+        if kill.load(Ordering::Relaxed) {
+            return false;
+        }
+        self.handle(out, now, |out| handler(proc, out));
+        while let Some(msg) = self.transport.take_local() {
+            if kill.load(Ordering::Relaxed) {
+                return false;
+            }
+            let me = self.pid;
+            self.handle(out, now, |out| proc.on_message(me, &msg, out));
+        }
+        true
+    }
+
+    /// Sends what the wake-up buffered: one channel send per peer, then
+    /// its commits.
+    fn flush(&mut self) {
+        self.transport.flush();
+        for commit in self.decided.drain(..) {
+            let _ = self.commits.send(commit);
+        }
+    }
+
     /// Runs one handler for an event read at wall instant `now` and
     /// carries out the actions it emits.
     fn handle(&mut self, out: &mut Outbox<M>, now: Instant, handler: impl FnOnce(&mut Outbox<M>)) {
@@ -154,8 +201,8 @@ impl<M: Clone> NodeCtx<M> {
         self.obs.drain_trace(out, pid, elapsed.as_nanos() as u64);
         for action in out.drain_iter() {
             match action {
-                Action::Send { to, msg } => self.transport.send(now, pid, to, msg),
-                Action::Broadcast { msg } => self.transport.broadcast(now, pid, msg),
+                Action::Send { to, msg } => self.transport.send(now, to, msg),
+                Action::Broadcast { msg } => self.transport.broadcast(now, msg),
                 Action::SetTimer { id, after } => {
                     let at = now + self.clock.wall(after);
                     *self.timer_slot(id) = Some(at);
@@ -163,7 +210,7 @@ impl<M: Clone> NodeCtx<M> {
                 Action::CancelTimer { id } => *self.timer_slot(id) = None,
                 Action::Decide { value, shard } => {
                     // Every decide is a commit (per-command, multi-instance)…
-                    let _ = self.commits.send(Commit {
+                    self.decided.push(Commit {
                         pid,
                         shard,
                         value,
@@ -192,6 +239,10 @@ impl<M: Clone> NodeCtx<M> {
 /// Runs one process until a [`Wire::Stop`] arrives or `kill_flag` is
 /// raised.
 ///
+/// Each wake-up runs as the [module docs](crate::node) describe; a
+/// [`Wire::Batch`] is one of its [`DRAIN_CAP`] inbox items, handled
+/// message by message.
+///
 /// A [`Wire::Late`] message is held and handled, like a timer, at the
 /// first wake-up at or after its due instant; held messages go in `(due,
 /// arrival)` order.
@@ -203,10 +254,12 @@ impl<M: Clone> NodeCtx<M> {
 /// per-shard load counters over `shards` shards, and whatever its
 /// observer collected) as the thread's result.
 ///
-/// `kill_flag` is checked before every event, so a raised flag stops the
-/// node as soon as the current handler returns instead of after the
-/// inbox backlog drains — [`crate::cluster::Cluster::kill`]'s prompt
-/// path.
+/// On [`Wire::Stop`] the node flushes what the wake-up produced so far,
+/// then exits. `kill_flag` is checked before every event, so a raised
+/// flag stops the node as soon as the current handler returns instead of
+/// after the inbox backlog drains — [`crate::cluster::Cluster::kill`]'s
+/// prompt path. A killed node drops what the wake-up had not flushed, as
+/// a crash loses unsent output.
 ///
 /// # Panics
 ///
@@ -231,69 +284,103 @@ where
     // *sampled* by snapshots, never drained.
     let mut out = Outbox::default();
     ctx.obs.arm(&mut out);
+    let kill = &*kill_flag;
 
-    ctx.handle(&mut out, Instant::now(), |out| proc.on_start(out));
-    leader_flag.store(proc.is_leader(), Ordering::Relaxed);
-
-    'run: loop {
-        // Wait for a message, the next timer deadline, the next snapshot
-        // boundary, or the next held message's due instant — whichever
-        // comes first.
-        let wire = match ctx.next_deadline() {
-            None => match inbox.recv() {
-                Ok(w) => Some(w),
-                Err(_) => break,
-            },
-            Some(at) => match recv_until(&inbox, at) {
-                Ok(w) => Some(w),
-                // The wake-up fires due timers, takes due snapshots and
-                // handles due held messages.
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-        };
-        let now = Instant::now();
-        // Publish every snapshot boundary at or before `now`; the
-        // per-shard routed loads are gathered only when one is due.
-        let end_ns = ctx.elapsed(now).as_nanos() as u64 + 1;
-        let loads = || {
-            let load = |s| proc.shard_load(ShardId::new(s)).submitted;
-            (0..shards as u32).map(load).collect()
-        };
-        ctx.obs.sample_before(&mut out, end_ns, loads);
-        // Fire all due timers, handle the message (holding a late one),
-        // then the held messages now due.
-        for idx in 0..ctx.timers.len() {
-            if ctx.timers[idx].is_some_and(|at| at <= now) {
-                if kill_flag.load(Ordering::Relaxed) {
+    'run: {
+        if !ctx.event(&mut proc, &mut out, Instant::now(), kill, |p, out| {
+            p.on_start(out)
+        }) {
+            break 'run;
+        }
+        ctx.flush();
+        leader_flag.store(proc.is_leader(), Ordering::Relaxed);
+        loop {
+            // Wait for a message, the next timer deadline, the next
+            // snapshot boundary, or the next held message's due instant —
+            // whichever comes first.
+            let mut wire = match ctx.next_deadline() {
+                None => match inbox.recv() {
+                    Ok(w) => Some(w),
+                    Err(_) => break,
+                },
+                Some(at) => match recv_until(&inbox, at) {
+                    Ok(w) => Some(w),
+                    // The wake-up fires due timers, takes due snapshots
+                    // and handles due held messages.
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
+            };
+            let now = Instant::now();
+            // Publish every snapshot boundary at or before `now`; the
+            // per-shard routed loads are gathered only when one is due.
+            let end_ns = ctx.elapsed(now).as_nanos() as u64 + 1;
+            let loads = || {
+                let load = |s| proc.shard_load(ShardId::new(s)).submitted;
+                (0..shards as u32).map(load).collect()
+            };
+            ctx.obs.sample_before(&mut out, end_ns, loads);
+            // Fire all due timers, handle up to `DRAIN_CAP` inbox items
+            // (holding late ones), then the held messages now due.
+            for idx in 0..ctx.timers.len() {
+                if ctx.timers[idx].is_some_and(|at| at <= now) {
+                    ctx.timers[idx] = None;
+                    let id = TimerId::new(idx as u32);
+                    if !ctx.event(&mut proc, &mut out, now, kill, |p, out| p.on_timer(id, out)) {
+                        break 'run;
+                    }
+                }
+            }
+            let mut taken = 0;
+            while let Some(item) = wire {
+                if kill.load(Ordering::Relaxed) {
                     break 'run;
                 }
-                ctx.timers[idx] = None;
-                let id = TimerId::new(idx as u32);
-                ctx.handle(&mut out, now, |out| proc.on_timer(id, out));
+                let live = match item {
+                    Wire::Stop => {
+                        ctx.flush();
+                        break 'run;
+                    }
+                    Wire::Msg { from, msg } => {
+                        ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                            p.on_message(from, &msg, out)
+                        })
+                    }
+                    Wire::Batch { from, msgs } => msgs.iter().all(|msg| {
+                        ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                            p.on_message(from, msg, out)
+                        })
+                    }),
+                    Wire::Late(late) => {
+                        ctx.hold(*late);
+                        true
+                    }
+                    Wire::Submit { value } => {
+                        ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                            p.on_client(value, out)
+                        })
+                    }
+                };
+                if !live {
+                    break 'run;
+                }
+                taken += 1;
+                wire = if taken < DRAIN_CAP {
+                    inbox.try_recv().ok()
+                } else {
+                    None
+                };
             }
-        }
-        if kill_flag.load(Ordering::Relaxed) {
-            break;
-        }
-        match wire {
-            None => {}
-            Some(Wire::Stop) => break,
-            Some(Wire::Msg { from, msg }) => {
-                ctx.handle(&mut out, now, |out| proc.on_message(from, &msg, out));
+            while let Some((from, msg)) = ctx.take_due(now) {
+                if !ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                    p.on_message(from, &msg, out)
+                }) {
+                    break 'run;
+                }
             }
-            Some(Wire::Late(late)) => ctx.hold(*late),
-            Some(Wire::Submit { value }) => {
-                ctx.handle(&mut out, now, |out| proc.on_client(value, out));
-            }
+            ctx.flush();
+            leader_flag.store(proc.is_leader(), Ordering::Relaxed);
         }
-        while let Some((from, msg)) = ctx.take_due(now) {
-            if kill_flag.load(Ordering::Relaxed) {
-                break 'run;
-            }
-            ctx.handle(&mut out, now, |out| proc.on_message(from, &msg, out));
-        }
-        leader_flag.store(proc.is_leader(), Ordering::Relaxed);
     }
     // Dead nodes lead nothing: clear the published belief on the way out
     // so `leader_hint` never points at a stopped thread.
@@ -343,15 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn local_clock_now_is_monotone() {
-        let c = LocalClock::new(1.0, Instant::now());
-        let a = c.now();
-        std::thread::sleep(Duration::from_millis(2));
-        let b = c.now();
-        assert!(b > a);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = LocalClock::new(0.0, Instant::now());
@@ -398,6 +476,74 @@ mod tests {
         }
     }
 
+    /// Node 0 of `n`, run directly by [`run_node`] and stable from
+    /// `start + stable_after`. The test holds a sender to every inbox,
+    /// the receivers of nodes `1..n`, the commit feed and the kill flag.
+    struct Harness {
+        start: Instant,
+        senders: Vec<Sender<Wire<u64>>>,
+        peers: Vec<Receiver<Wire<u64>>>,
+        commits: Receiver<Commit>,
+        kill: Arc<AtomicBool>,
+        node: std::thread::JoinHandle<NodeStats>,
+    }
+
+    impl Harness {
+        /// Queues `queued` in node 0's inbox, then starts the node.
+        fn spawn<P>(proc: P, n: usize, stable_after: Duration, queued: Vec<Wire<u64>>) -> Self
+        where
+            P: Process<Msg = u64> + Send + 'static,
+        {
+            use crate::transport::make_inboxes;
+            use rand::SeedableRng;
+            let start = Instant::now();
+            let (senders, mut peers) = make_inboxes(n);
+            let (commit_tx, commits) = std::sync::mpsc::channel();
+            let rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+            let stable_at = start + stable_after;
+            let me = ProcessId::new(0);
+            let transport =
+                Transport::new(me, senders.clone(), stable_at, 0.0, Duration::ZERO, rng);
+            let clock = LocalClock::new(1.0, start);
+            let ctx = NodeCtx::new(me, transport, clock, commit_tx, Observer::default());
+            for wire in queued {
+                senders[0].send(wire).unwrap();
+            }
+            let inbox = peers.remove(0);
+            let leader = Arc::new(AtomicBool::new(false));
+            let kill = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&kill);
+            let node = std::thread::spawn(move || run_node(ctx, proc, inbox, leader, flag, 1));
+            Harness {
+                start,
+                senders,
+                peers,
+                commits,
+                kill,
+                node,
+            }
+        }
+
+        /// The next `k` commits, each within five seconds.
+        fn commits(&self, k: usize) -> Vec<Commit> {
+            let next = || self.commits.recv_timeout(Duration::from_secs(5)).unwrap();
+            (0..k).map(|_| next()).collect()
+        }
+
+        /// Stops the node the prompt way and joins it.
+        fn kill(self) {
+            self.kill.store(true, Ordering::Relaxed);
+            let _ = self.senders[0].send(Wire::Stop);
+            self.node.join().unwrap();
+        }
+    }
+
+    /// A message from peer 1 to node 0.
+    fn from_peer(msg: u64) -> Wire<u64> {
+        let from = ProcessId::new(1);
+        Wire::Msg { from, msg }
+    }
+
     /// Commits every message it receives (the message is the value).
     struct EchoProc;
 
@@ -419,52 +565,170 @@ mod tests {
 
     #[test]
     fn late_messages_are_handled_once_due_in_due_then_arrival_order() {
-        use crate::transport::{make_inboxes, Late};
-        use rand::SeedableRng;
-        use std::sync::mpsc::channel;
-        let start = Instant::now();
-        let stable_at = start + Duration::from_millis(40);
-        let (senders, mut receivers) = make_inboxes(1);
-        let (commit_tx, commits) = channel();
-        let rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let transport = Transport::new(senders.clone(), stable_at, 0.0, Duration::ZERO, rng);
-        let clock = LocalClock::new(1.0, start);
-        let ctx = NodeCtx::new(
-            ProcessId::new(0),
-            transport,
-            clock,
-            commit_tx,
-            Observer::default(),
-        );
-        let inbox = receivers.remove(0);
-        let flag = || Arc::new(AtomicBool::new(false));
-        let (leader, kill) = (flag(), flag());
-        let node = std::thread::spawn(move || run_node(ctx, EchoProc, inbox, leader, kill, 1));
         // Message i is due `due_ms[i]` after start; 3 is due after
-        // `stable_at`, and 0 and 2 share a due instant.
+        // stability (40 ms), and 0 and 2 share a due instant.
+        let stable_after = Duration::from_millis(40);
         let due_ms = [30, 10, 30, 70];
+        let start = Instant::now();
         let from = ProcessId::new(0);
-        for (msg, ms) in due_ms.into_iter().enumerate() {
-            let due = start + Duration::from_millis(ms);
-            let late = Late {
-                due,
-                from,
-                msg: msg as u64,
-            };
-            senders[0].send(Wire::Late(Box::new(late))).unwrap();
-        }
-        let handled: Vec<_> = (0..due_ms.len())
-            .map(|_| commits.recv_timeout(Duration::from_secs(5)).unwrap())
-            .collect();
-        senders[0].send(Wire::Stop).unwrap();
-        node.join().unwrap();
+        let queued = (0..due_ms.len()).map(|msg| {
+            let due = start + Duration::from_millis(due_ms[msg]);
+            let msg = msg as u64;
+            Wire::Late(Box::new(Late { due, from, msg }))
+        });
+        let h = Harness::spawn(EchoProc, 1, stable_after, queued.collect());
+        let handled = h.commits(due_ms.len());
+        let clock_start = h.start;
+        h.kill();
         let order: Vec<u64> = handled.iter().map(|c| c.value.get()).collect();
         assert_eq!(order, [1, 0, 2, 3], "(due, arrival) order: {handled:?}");
         for c in &handled {
             let due = Duration::from_millis(due_ms[c.value.get() as usize]);
-            assert!(c.elapsed >= due, "handled before due: {c:?}");
+            assert!(
+                clock_start + c.elapsed >= start + due,
+                "handled before due: {c:?}"
+            );
         }
-        assert!(start + handled[3].elapsed > stable_at);
+        assert!(handled[3].elapsed > stable_after);
+    }
+
+    /// Commits every message it receives and sends it back to its sender.
+    struct ReplyProc;
+
+    impl Process for ReplyProc {
+        type Msg = u64;
+        fn id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+        fn on_start(&mut self, _: &mut Outbox<u64>) {}
+        fn on_message(&mut self, from: ProcessId, msg: &u64, out: &mut Outbox<u64>) {
+            out.decide(Value::new(*msg));
+            out.send(from, *msg);
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut Outbox<u64>) {}
+        fn on_restart(&mut self, _: &mut Outbox<u64>) {}
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_backlog_is_handled_in_order_and_answered_in_one_batch_per_wake_up() {
+        let n_msgs = 3 * DRAIN_CAP as u64 + 8;
+        let mut queued: Vec<_> = (0..n_msgs).map(from_peer).collect();
+        queued.push(Wire::Stop);
+        let h = Harness::spawn(ReplyProc, 2, Duration::ZERO, queued);
+        let handled: Vec<u64> = h
+            .commits(n_msgs as usize)
+            .iter()
+            .map(|c| c.value.get())
+            .collect();
+        h.node.join().unwrap();
+        assert_eq!(handled, (0..n_msgs).collect::<Vec<_>>(), "send order");
+        // The stopping wake-up flushed its replies too.
+        let items: Vec<Wire<u64>> = h.peers[0].try_iter().collect();
+        let mut replies = Vec::new();
+        for item in &items {
+            match item {
+                Wire::Msg { msg, .. } => replies.push(*msg),
+                Wire::Batch { msgs, .. } => replies.extend(msgs),
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+        assert_eq!(replies, handled, "replies in order");
+        // 64 + 64 + 64 + (8 and the stop): one item per wake-up.
+        assert_eq!(items.len(), 4, "{items:?}");
+    }
+
+    /// Decides 0 and broadcasts 7 at start; commits every message it
+    /// receives.
+    struct BroadcastProc;
+
+    impl Process for BroadcastProc {
+        type Msg = u64;
+        fn id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+        fn on_start(&mut self, out: &mut Outbox<u64>) {
+            out.decide(Value::new(0));
+            out.broadcast(7);
+        }
+        fn on_message(&mut self, from: ProcessId, msg: &u64, out: &mut Outbox<u64>) {
+            assert_eq!(from, ProcessId::new(0));
+            out.decide(Value::new(*msg));
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut Outbox<u64>) {}
+        fn on_restart(&mut self, _: &mut Outbox<u64>) {}
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_broadcast_reaches_its_sender_in_the_same_wake_up() {
+        let h = Harness::spawn(BroadcastProc, 3, Duration::ZERO, Vec::new());
+        let handled = h.commits(2);
+        let values: Vec<u64> = handled.iter().map(|c| c.value.get()).collect();
+        assert_eq!(values, [0, 7]);
+        // One wall reading per wake-up: a copy sent through the inbox
+        // would be handled at a later one.
+        assert_eq!(handled[0].elapsed, handled[1].elapsed, "{handled:?}");
+        for peer in &h.peers {
+            let got = peer.recv_timeout(Duration::from_secs(5));
+            assert!(matches!(got, Ok(Wire::Msg { msg: 7, .. })), "{got:?}");
+        }
+        h.kill();
+    }
+
+    /// Arms timer 0 at start and commits its firing; sleeps `SLOW` in
+    /// every message handler.
+    struct SlowProc;
+
+    const TIMER_MS: u64 = 20;
+    const SLOW: Duration = Duration::from_micros(500);
+
+    impl Process for SlowProc {
+        type Msg = u64;
+        fn id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+        fn on_start(&mut self, out: &mut Outbox<u64>) {
+            out.set_timer(TimerId::new(0), LocalDuration::from_millis(TIMER_MS));
+        }
+        fn on_message(&mut self, _: ProcessId, _: &u64, _: &mut Outbox<u64>) {
+            std::thread::sleep(SLOW);
+        }
+        fn on_timer(&mut self, _: TimerId, out: &mut Outbox<u64>) {
+            out.decide(Value::new(u64::MAX));
+        }
+        fn on_restart(&mut self, _: &mut Outbox<u64>) {}
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_busy_inbox_does_not_starve_a_timer() {
+        // Two seconds of handler sleep queued ahead of a 20 ms timer: it
+        // must fire after at most a few wake-ups of `DRAIN_CAP` messages.
+        let backlog = 2 * 1_000_000 / SLOW.as_micros() as u64;
+        let queued = (0..backlog).map(from_peer).collect();
+        let h = Harness::spawn(SlowProc, 2, Duration::ZERO, queued);
+        let fired = h.commits(1)[0];
+        assert_eq!(fired.value, Value::new(u64::MAX));
+        assert!(
+            fired.elapsed >= Duration::from_millis(TIMER_MS),
+            "{fired:?}"
+        );
+        assert!(
+            fired.elapsed < Duration::from_millis(TIMER_MS + 300),
+            "{fired:?}"
+        );
+        assert!(
+            h.start.elapsed() < Duration::from_secs(1),
+            "backlog drained first"
+        );
+        h.kill();
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! delay: such a message goes into the recipient's inbox at once, as a
 //! [`Wire::Late`] stamped with its due instant, and the receiving node
 //! holds it until then (possibly past the stability point — obsolete
-//! messages, alive even after their sender has stopped). After the
-//! window, sends go straight through (channel latency is far below any
-//! realistic `δ`).
+//! messages, alive even after their sender has stopped).
+//!
+//! Every other message waits in the sender: [`Transport::send`] buffers
+//! it per destination, and [`Transport::flush`], at the end of the
+//! sender's wake-up, makes one channel send per peer — a lone message as
+//! [`Wire::Msg`], several as one [`Wire::Batch`] in send order, so each
+//! link stays FIFO. A message the node addresses to itself never enters
+//! a channel: it goes into a local FIFO the node drains
+//! ([`Transport::take_local`]) within the same wake-up. After the window
+//! there is no loss or delay (channel latency is far below any realistic
+//! `δ`).
 
 use esync_core::types::{ProcessId, Value};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -26,6 +35,14 @@ pub enum Wire<M> {
         from: ProcessId,
         /// The message.
         msg: M,
+    },
+    /// Two or more protocol messages from one sender's wake-up, in send
+    /// order.
+    Batch {
+        /// The sender.
+        from: ProcessId,
+        /// The messages, oldest first.
+        msgs: Vec<M>,
     },
     /// A protocol message the unstable window delayed (boxed, so that the
     /// rare delayed message does not widen every other one).
@@ -54,7 +71,14 @@ pub struct Late<M> {
 /// A per-node sending handle.
 #[derive(Debug)]
 pub struct Transport<M> {
+    /// The sending node.
+    me: ProcessId,
     node_senders: Vec<Sender<Wire<M>>>,
+    /// Messages to each peer not yet flushed, indexed by pid (the
+    /// sender's own entry stays empty).
+    pending: Vec<Vec<M>>,
+    /// Messages the node sent itself, not yet taken.
+    local: VecDeque<M>,
     stable_at: Instant,
     loss_prob: f64,
     max_extra_delay: Duration,
@@ -63,6 +87,7 @@ pub struct Transport<M> {
 
 impl<M: Clone> Transport<M> {
     pub(crate) fn new(
+        me: ProcessId,
         node_senders: Vec<Sender<Wire<M>>>,
         stable_at: Instant,
         loss_prob: f64,
@@ -70,7 +95,10 @@ impl<M: Clone> Transport<M> {
         rng: ChaCha8Rng,
     ) -> Self {
         Transport {
+            me,
+            pending: (0..node_senders.len()).map(|_| Vec::new()).collect(),
             node_senders,
+            local: VecDeque::new(),
             stable_at,
             loss_prob,
             max_extra_delay,
@@ -83,9 +111,12 @@ impl<M: Clone> Transport<M> {
         self.node_senders.len()
     }
 
-    /// Sends `msg` from `from` to `to`, applying the unstable-window
-    /// policy at wall instant `now` (the sending event's).
-    pub fn send(&mut self, now: Instant, from: ProcessId, to: ProcessId, msg: M) {
+    /// Sends `msg` to `to`, applying the unstable-window policy at wall
+    /// instant `now` (the sending event's). A delayed message goes out at
+    /// once as a [`Wire::Late`]; any other waits for
+    /// [`flush`](Self::flush), or for [`take_local`](Self::take_local) if
+    /// `to` is the sender itself.
+    pub fn send(&mut self, now: Instant, to: ProcessId, msg: M) {
         let mut extra_ns = 0;
         if now < self.stable_at {
             if self.loss_prob > 0.0 && self.rng.gen_bool(self.loss_prob) {
@@ -97,20 +128,52 @@ impl<M: Clone> Transport<M> {
                     .gen_range(0..=self.max_extra_delay.as_nanos() as u64);
             }
         }
-        let wire = if extra_ns > 0 {
+        if extra_ns > 0 {
             let due = now + Duration::from_nanos(extra_ns);
-            Wire::Late(Box::new(Late { due, from, msg }))
+            let from = self.me;
+            let late = Wire::Late(Box::new(Late { due, from, msg }));
+            let _ = self.node_senders[to.as_usize()].send(late);
+        } else if to == self.me {
+            self.local.push_back(msg);
         } else {
-            Wire::Msg { from, msg }
-        };
-        let _ = self.node_senders[to.as_usize()].send(wire);
+            self.pending[to.as_usize()].push(msg);
+        }
     }
 
     /// Broadcasts to all endpoints, including the sender, at wall instant
-    /// `now`.
-    pub fn broadcast(&mut self, now: Instant, from: ProcessId, msg: M) {
-        for to in 0..self.n() {
-            self.send(now, from, ProcessId::new(to as u32), msg.clone());
+    /// `now`: `n − 1` clones, the last recipient takes `msg` itself.
+    pub fn broadcast(&mut self, now: Instant, msg: M) {
+        let Some(last) = self.n().checked_sub(1) else {
+            return;
+        };
+        for to in 0..last {
+            self.send(now, ProcessId::new(to as u32), msg.clone());
+        }
+        self.send(now, ProcessId::new(last as u32), msg);
+    }
+
+    /// The oldest message the node sent itself and has not yet taken.
+    pub fn take_local(&mut self) -> Option<M> {
+        self.local.pop_front()
+    }
+
+    /// Sends every buffered message: one channel item per peer that has
+    /// any, in send order.
+    pub fn flush(&mut self) {
+        let from = self.me;
+        for (to, buf) in self.pending.iter_mut().enumerate() {
+            let wire = match buf.len() {
+                0 => continue,
+                1 => Wire::Msg {
+                    from,
+                    msg: buf.pop().expect("one message"),
+                },
+                _ => Wire::Batch {
+                    from,
+                    msgs: std::mem::take(buf),
+                },
+            };
+            let _ = self.node_senders[to].send(wire);
         }
     }
 }
@@ -142,13 +205,16 @@ mod tests {
         let (senders, receivers) = make_inboxes::<u32>(2);
         let now = Instant::now();
         let mut t = Transport::new(
+            ProcessId::new(0),
             senders,
             now, // stable immediately
             1.0, // loss prob irrelevant after stability
             Duration::from_secs(1),
             ChaCha8Rng::seed_from_u64(1),
         );
-        t.send(now, ProcessId::new(0), ProcessId::new(1), 42u32);
+        t.send(now, ProcessId::new(1), 42u32);
+        assert!(receivers[1].try_recv().is_err(), "buffered until the flush");
+        t.flush();
         match receivers[1].try_recv() {
             Ok(Wire::Msg { from, msg }) => {
                 assert_eq!(from, ProcessId::new(0));
@@ -163,6 +229,7 @@ mod tests {
         let (senders, receivers) = make_inboxes::<u32>(2);
         let now = Instant::now();
         let mut t = Transport::new(
+            ProcessId::new(0),
             senders,
             now + Duration::from_secs(3600),
             1.0, // always lose
@@ -170,8 +237,9 @@ mod tests {
             ChaCha8Rng::seed_from_u64(2),
         );
         for _ in 0..10 {
-            t.send(now, ProcessId::new(0), ProcessId::new(1), 1u32);
+            t.send(now, ProcessId::new(1), 1u32);
         }
+        t.flush();
         assert!(
             receivers[1].try_recv().is_err(),
             "everything lost in the unstable window"
@@ -184,6 +252,7 @@ mod tests {
         let now = Instant::now();
         let max = Duration::from_millis(30);
         let mut t = Transport::new(
+            ProcessId::new(0),
             senders,
             now + Duration::from_secs(3600),
             0.0,
@@ -191,7 +260,7 @@ mod tests {
             ChaCha8Rng::seed_from_u64(3),
         );
         for i in 0..5 {
-            t.send(now, ProcessId::new(0), ProcessId::new(0), i);
+            t.send(now, ProcessId::new(0), i);
         }
         for i in 0..5 {
             match receivers[0].try_recv() {
@@ -209,15 +278,57 @@ mod tests {
         let (senders, receivers) = make_inboxes::<u32>(3);
         let now = Instant::now();
         let mut t = Transport::new(
+            ProcessId::new(1),
             senders,
             now,
             0.0,
             Duration::ZERO,
             ChaCha8Rng::seed_from_u64(4),
         );
-        t.broadcast(now, ProcessId::new(1), 9u32);
-        for r in &receivers {
-            assert!(matches!(r.try_recv(), Ok(Wire::Msg { msg: 9, .. })));
+        t.broadcast(now, 9u32);
+        t.flush();
+        for (i, r) in receivers.iter().enumerate() {
+            if i == 1 {
+                assert!(r.try_recv().is_err(), "no inbox item for the sender");
+            } else {
+                assert!(matches!(r.try_recv(), Ok(Wire::Msg { msg: 9, .. })));
+            }
         }
+        assert_eq!(t.take_local(), Some(9), "the sender's copy stays local");
+        assert_eq!(t.take_local(), None);
+    }
+
+    #[test]
+    fn a_flush_batches_each_peers_messages_in_send_order() {
+        let (senders, receivers) = make_inboxes::<u32>(3);
+        let now = Instant::now();
+        let mut t = Transport::new(
+            ProcessId::new(0),
+            senders,
+            now,
+            0.0,
+            Duration::ZERO,
+            ChaCha8Rng::seed_from_u64(5),
+        );
+        for i in 0..3 {
+            t.send(now, ProcessId::new(1), i);
+        }
+        t.send(now, ProcessId::new(2), 7);
+        t.flush();
+        match receivers[1].try_recv() {
+            Ok(Wire::Batch { from, msgs }) => {
+                assert_eq!((from, msgs), (ProcessId::new(0), vec![0, 1, 2]));
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert!(matches!(
+            receivers[2].try_recv(),
+            Ok(Wire::Msg { msg: 7, .. })
+        ));
+        t.flush();
+        assert!(
+            receivers.iter().all(|r| r.try_recv().is_err()),
+            "flushed once"
+        );
     }
 }

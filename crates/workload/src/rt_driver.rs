@@ -81,6 +81,8 @@ where
             submit_one(&cluster, &mut gen, &mut collector, &mut owner, client, spec);
         }
     }
+    // The clients whose command committed in the current wake-up.
+    let mut freed = Vec::new();
     while !applied_everywhere(&collector, n, spec.commands) {
         if cluster.elapsed() > deadline {
             let decided = collector.committed() as usize;
@@ -90,12 +92,18 @@ where
                 n: spec.commands as usize,
             });
         }
-        let Ok(commit) = cluster.commits().recv_timeout(POLL) else {
+        let Ok(first) = cluster.commits().recv_timeout(POLL) else {
             continue;
         };
-        let at_ns = commit.elapsed.as_nanos() as u64;
-        if let Some(id) = collector.on_commit(commit.pid, commit.shard, commit.value, at_ns) {
-            let client = owner[id as usize];
+        // Take every commit already queued, then submit the freed
+        // clients' next commands in one burst.
+        for commit in std::iter::once(first).chain(cluster.commits().try_iter()) {
+            let at_ns = commit.elapsed.as_nanos() as u64;
+            if let Some(id) = collector.on_commit(commit.pid, commit.shard, commit.value, at_ns) {
+                freed.push(owner[id as usize]);
+            }
+        }
+        for client in freed.drain(..) {
             submit_one(&cluster, &mut gen, &mut collector, &mut owner, client, spec);
         }
     }

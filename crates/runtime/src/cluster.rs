@@ -417,7 +417,7 @@ where
         let deadline = Instant::now() + timeout;
         let mut got: BTreeMap<ProcessId, Commit> = BTreeMap::new();
         while got.len() < self.n {
-            let Ok(c) = recv_until(&self.commits_rx, deadline) else {
+            let Ok(c) = recv_until(&self.commits_rx, Some(deadline)) else {
                 return Err(RuntimeError::Timeout {
                     decided: got.len(),
                     n: self.n,

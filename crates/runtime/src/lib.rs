@@ -16,7 +16,8 @@
 //! messages the node sends itself right away instead of queueing them,
 //! and ends with one channel send per peer it wrote to (a
 //! [`transport::Wire::Batch`] when there are several messages), then its
-//! commits.
+//! commits. Between wake-ups it waits in [`transport::recv_until`], which
+//! yields the CPU a few times before it sleeps on an empty inbox.
 //!
 //! Scope: the runtime supports protocols that need no driver-side oracle —
 //! the paper's modified Paxos and modified B-Consensus (both leaderless and

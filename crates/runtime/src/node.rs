@@ -13,10 +13,13 @@
 //! The loop reads the wall clock once per wake-up. The local reading, the
 //! trace stamp, commit times, timer deadlines, the due test of held
 //! messages and the unstable-window test of every event handled in that
-//! wake-up are all derived from that one [`Instant`]. The one extra
-//! reading is taken before a sleep: when a timer, snapshot or held
-//! message is pending and the inbox is empty, the wait until that
-//! deadline is measured from it. A queued message is taken without it.
+//! wake-up are all derived from that one [`Instant`], converted once per
+//! wake-up. Between wake-ups the node waits in
+//! [`recv_until`]: a queued message is
+//! taken at once; on an empty inbox the node yields the CPU and looks
+//! again a few times, and only then takes the one extra reading — when a
+//! timer, snapshot or held message is pending, the sleep until that
+//! deadline is measured from it.
 
 use crate::cluster::{Commit, NodeStats};
 use crate::transport::{recv_until, Late, Transport, Wire};
@@ -53,14 +56,29 @@ impl LocalClock {
     /// start) — the view of one wall reading the node loop hands its
     /// process.
     pub fn at(&self, at: Instant) -> LocalInstant {
-        let wall = at.saturating_duration_since(self.start);
-        LocalInstant::from_nanos((wall.as_nanos() as f64 * self.rate) as u64)
+        let wall = at.saturating_duration_since(self.start).as_nanos();
+        // Through `u64` below 2⁶⁴ ns: the same `f64` without the slow
+        // `u128` conversion.
+        let wall = u64::try_from(wall).map_or(wall as f64, |ns| ns as f64);
+        LocalInstant::from_nanos((wall * self.rate) as u64)
     }
 
     /// The wall duration spanned by a local duration.
     pub fn wall(&self, local: esync_core::time::LocalDuration) -> Duration {
         Duration::from_nanos((local.as_nanos() as f64 / self.rate).ceil() as u64)
     }
+}
+
+/// One wall reading of the node loop and what the node derives from it:
+/// every event of a wake-up is handled at the same one.
+#[derive(Debug, Clone, Copy)]
+struct Reading {
+    /// The wall instant.
+    now: Instant,
+    /// The node's local-clock reading at `now`.
+    local: LocalInstant,
+    /// Wall time since cluster start at `now`.
+    elapsed: Duration,
 }
 
 /// Everything the actions of a handled event reach: the node's links,
@@ -110,9 +128,13 @@ impl<M: Clone> NodeCtx<M> {
         }
     }
 
-    /// Wall time since cluster start at `now`.
-    fn elapsed(&self, now: Instant) -> Duration {
-        now.saturating_duration_since(self.clock.start)
+    /// The readings derived from wall instant `now`.
+    fn read(&self, now: Instant) -> Reading {
+        Reading {
+            now,
+            local: self.clock.at(now),
+            elapsed: now.saturating_duration_since(self.clock.start),
+        }
     }
 
     fn timer_slot(&mut self, id: TimerId) -> &mut Option<Instant> {
@@ -146,7 +168,7 @@ impl<M: Clone> NodeCtx<M> {
         (first.key().0 <= now).then(|| first.remove())
     }
 
-    /// Runs one event's handler at wall instant `now`, then every message
+    /// Runs one event's handler at reading `at`, then every message
     /// the node sent itself meanwhile, in send order, each as an event of
     /// its own. Returns `false`, having run nothing, as soon as `kill` is
     /// raised: it is checked before every event.
@@ -154,20 +176,20 @@ impl<M: Clone> NodeCtx<M> {
         &mut self,
         proc: &mut P,
         out: &mut Outbox<M>,
-        now: Instant,
+        at: Reading,
         kill: &AtomicBool,
         handler: impl FnOnce(&mut P, &mut Outbox<M>),
     ) -> bool {
         if kill.load(Ordering::Relaxed) {
             return false;
         }
-        self.handle(out, now, |out| handler(proc, out));
+        self.handle(out, at, |out| handler(proc, out));
         while let Some(msg) = self.transport.take_local() {
             if kill.load(Ordering::Relaxed) {
                 return false;
             }
             let me = self.pid;
-            self.handle(out, now, |out| proc.on_message(me, &msg, out));
+            self.handle(out, at, |out| proc.on_message(me, &msg, out));
         }
         true
     }
@@ -181,31 +203,30 @@ impl<M: Clone> NodeCtx<M> {
         }
     }
 
-    /// Runs one handler for an event read at wall instant `now` and
-    /// carries out the actions it emits.
-    fn handle(&mut self, out: &mut Outbox<M>, now: Instant, handler: impl FnOnce(&mut Outbox<M>)) {
-        out.reset(self.clock.at(now));
+    /// Runs one handler for an event read at `at` and carries out the
+    /// actions it emits.
+    fn handle(&mut self, out: &mut Outbox<M>, at: Reading, handler: impl FnOnce(&mut Outbox<M>)) {
+        out.reset(at.local);
         handler(out);
-        self.apply(out, now);
+        self.apply(out, at);
     }
 
-    /// Carries out the actions of an event handled at wall instant `now`.
+    /// Carries out the actions of an event handled at reading `at`.
     ///
     /// # Panics
     ///
     /// On [`Action::WabBroadcast`]: the runtime provides no external
     /// oracle.
-    fn apply(&mut self, out: &mut Outbox<M>, now: Instant) {
-        let pid = self.pid;
-        let elapsed = self.elapsed(now);
+    fn apply(&mut self, out: &mut Outbox<M>, at: Reading) {
+        let (pid, now, elapsed) = (self.pid, at.now, at.elapsed);
         self.obs.drain_trace(out, pid, elapsed.as_nanos() as u64);
         for action in out.drain_iter() {
             match action {
                 Action::Send { to, msg } => self.transport.send(now, to, msg),
                 Action::Broadcast { msg } => self.transport.broadcast(now, msg),
                 Action::SetTimer { id, after } => {
-                    let at = now + self.clock.wall(after);
-                    *self.timer_slot(id) = Some(at);
+                    let due = now + self.clock.wall(after);
+                    *self.timer_slot(id) = Some(due);
                 }
                 Action::CancelTimer { id } => *self.timer_slot(id) = None,
                 Action::Decide { value, shard } => {
@@ -287,9 +308,8 @@ where
     let kill = &*kill_flag;
 
     'run: {
-        if !ctx.event(&mut proc, &mut out, Instant::now(), kill, |p, out| {
-            p.on_start(out)
-        }) {
+        let at = ctx.read(Instant::now());
+        if !ctx.event(&mut proc, &mut out, at, kill, |p, out| p.on_start(out)) {
             break 'run;
         }
         ctx.flush();
@@ -298,23 +318,18 @@ where
             // Wait for a message, the next timer deadline, the next
             // snapshot boundary, or the next held message's due instant —
             // whichever comes first.
-            let mut wire = match ctx.next_deadline() {
-                None => match inbox.recv() {
-                    Ok(w) => Some(w),
-                    Err(_) => break,
-                },
-                Some(at) => match recv_until(&inbox, at) {
-                    Ok(w) => Some(w),
-                    // The wake-up fires due timers, takes due snapshots
-                    // and handles due held messages.
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
+            let mut wire = match recv_until(&inbox, ctx.next_deadline()) {
+                Ok(w) => Some(w),
+                // The wake-up fires due timers, takes due snapshots and
+                // handles due held messages.
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
             };
-            let now = Instant::now();
+            let at = ctx.read(Instant::now());
+            let now = at.now;
             // Publish every snapshot boundary at or before `now`; the
             // per-shard routed loads are gathered only when one is due.
-            let end_ns = ctx.elapsed(now).as_nanos() as u64 + 1;
+            let end_ns = at.elapsed.as_nanos() as u64 + 1;
             let loads = || {
                 let load = |s| proc.shard_load(ShardId::new(s)).submitted;
                 (0..shards as u32).map(load).collect()
@@ -323,10 +338,10 @@ where
             // Fire all due timers, handle up to `DRAIN_CAP` inbox items
             // (holding late ones), then the held messages now due.
             for idx in 0..ctx.timers.len() {
-                if ctx.timers[idx].is_some_and(|at| at <= now) {
+                if ctx.timers[idx].is_some_and(|due| due <= now) {
                     ctx.timers[idx] = None;
                     let id = TimerId::new(idx as u32);
-                    if !ctx.event(&mut proc, &mut out, now, kill, |p, out| p.on_timer(id, out)) {
+                    if !ctx.event(&mut proc, &mut out, at, kill, |p, out| p.on_timer(id, out)) {
                         break 'run;
                     }
                 }
@@ -342,12 +357,12 @@ where
                         break 'run;
                     }
                     Wire::Msg { from, msg } => {
-                        ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                        ctx.event(&mut proc, &mut out, at, kill, |p, out| {
                             p.on_message(from, &msg, out)
                         })
                     }
                     Wire::Batch { from, msgs } => msgs.iter().all(|msg| {
-                        ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                        ctx.event(&mut proc, &mut out, at, kill, |p, out| {
                             p.on_message(from, msg, out)
                         })
                     }),
@@ -355,11 +370,9 @@ where
                         ctx.hold(*late);
                         true
                     }
-                    Wire::Submit { value } => {
-                        ctx.event(&mut proc, &mut out, now, kill, |p, out| {
-                            p.on_client(value, out)
-                        })
-                    }
+                    Wire::Submit { value } => ctx.event(&mut proc, &mut out, at, kill, |p, out| {
+                        p.on_client(value, out)
+                    }),
                 };
                 if !live {
                     break 'run;
@@ -372,7 +385,7 @@ where
                 };
             }
             while let Some((from, msg)) = ctx.take_due(now) {
-                if !ctx.event(&mut proc, &mut out, now, kill, |p, out| {
+                if !ctx.event(&mut proc, &mut out, at, kill, |p, out| {
                     p.on_message(from, &msg, out)
                 }) {
                     break 'run;
@@ -385,7 +398,7 @@ where
     // Dead nodes lead nothing: clear the published belief on the way out
     // so `leader_hint` never points at a stopped thread.
     leader_flag.store(false, Ordering::Relaxed);
-    let exit_ns = ctx.elapsed(Instant::now()).as_nanos() as u64;
+    let exit_ns = ctx.read(Instant::now()).elapsed.as_nanos() as u64;
     ctx.obs.sample_exit(&mut out, exit_ns);
     let trace_dropped = ctx.obs.trace_dropped();
     let (trace, health) = ctx.obs.take();
@@ -427,6 +440,32 @@ mod tests {
         let ten_ms = LocalInstant::from_nanos(10_000_000);
         assert_eq!(c.at(start + Duration::from_millis(5)), ten_ms);
         assert_eq!(c.at(start), LocalInstant::ZERO);
+    }
+
+    #[test]
+    fn local_clock_at_matches_the_u128_formula() {
+        let start = Instant::now();
+        let old = |c: &LocalClock, at: Instant| {
+            let wall = at.saturating_duration_since(c.start);
+            LocalInstant::from_nanos((wall.as_nanos() as f64 * c.rate) as u64)
+        };
+        for rate in [0.999, 1.0, 1.001, 2.5] {
+            let c = LocalClock::new(rate, start);
+            let mut ns = 1u64;
+            // 1 ns up to well past 2⁶⁴ ns (≈ 585 years).
+            for step in 0..80u32 {
+                for wall in [
+                    Duration::from_nanos(ns),
+                    Duration::from_nanos(ns) * 3 + Duration::from_nanos(u64::from(step)),
+                ] {
+                    let at = start + wall;
+                    assert_eq!(c.at(at), old(&c, at), "rate {rate}, {wall:?}");
+                }
+                ns = ns.saturating_mul(2);
+            }
+            let huge = start + Duration::from_secs(1 << 40);
+            assert_eq!(c.at(huge), old(&c, huge), "rate {rate}");
+        }
     }
 
     #[test]

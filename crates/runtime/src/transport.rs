@@ -18,12 +18,20 @@
 //! ([`Transport::take_local`]) within the same wake-up. After the window
 //! there is no loss or delay (channel latency is far below any realistic
 //! `δ`).
+//!
+//! Every blocking receive of the runtime — the node loop's, the commit
+//! feed's in [`Cluster::await_decisions`](crate::Cluster::await_decisions)
+//! and the closed-loop driver's — goes through [`recv_until`]. It yields
+//! the CPU and looks again [`YIELDS_BEFORE_SLEEP`] times before it parks
+//! on an empty channel: with more threads than cores, the next item is
+//! usually a peer's on the same CPU, and a yield hands it over without a
+//! futex sleep on this side and a wake on the sender's.
 
 use esync_core::types::{ProcessId, Value};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// What travels over a link.
@@ -168,10 +176,13 @@ impl<M: Clone> Transport<M> {
                     from,
                     msg: buf.pop().expect("one message"),
                 },
-                _ => Wire::Batch {
-                    from,
-                    msgs: std::mem::take(buf),
-                },
+                _ => {
+                    // One exact-size allocation; `buf` keeps its capacity,
+                    // so the next wake-up does not regrow it from zero.
+                    let mut msgs = Vec::with_capacity(buf.len());
+                    msgs.append(buf);
+                    Wire::Batch { from, msgs }
+                }
             };
             let _ = self.node_senders[to].send(wire);
         }
@@ -188,17 +199,91 @@ pub(crate) fn make_inboxes<M>(n: usize) -> Inboxes<M> {
     (0..n).map(|_| channel()).unzip()
 }
 
-/// Takes a queued item without reading the clock; only an empty channel
-/// reads it, to wait until `at` (`recv_deadline` is not stable in std).
-pub(crate) fn recv_until<T>(rx: &Receiver<T>, at: Instant) -> Result<T, RecvTimeoutError> {
-    rx.try_recv()
-        .or_else(|_| rx.recv_timeout(at.saturating_duration_since(Instant::now())))
+/// How many times [`recv_until`] yields the CPU and looks again before it
+/// sleeps on an empty channel.
+pub const YIELDS_BEFORE_SLEEP: usize = 4;
+
+/// Waits for the next item of `rx` until `at` (forever if `None`): the
+/// one wait of every runtime node and of the closed-loop driver.
+///
+/// A queued item is taken at once, without reading the clock. On an empty
+/// channel it yields the CPU and looks again, up to
+/// [`YIELDS_BEFORE_SLEEP`] times: when threads outnumber cores, the peer
+/// about to send the next item is often waiting for this very CPU, and a
+/// yield lets it run where a sleep would cost both sides a futex call.
+/// Only then does it read the clock and sleep (`recv_deadline` is not
+/// stable in std). On a core with nothing else to run a yield returns at
+/// once, so an idle caller still sleeps after a few system calls.
+///
+/// # Errors
+///
+/// [`RecvTimeoutError::Timeout`] once `at` has passed with the channel
+/// empty, [`RecvTimeoutError::Disconnected`] once it is empty and every
+/// sender is gone.
+pub fn recv_until<T>(rx: &Receiver<T>, at: Option<Instant>) -> Result<T, RecvTimeoutError> {
+    for look in 0..=YIELDS_BEFORE_SLEEP {
+        if look > 0 {
+            std::thread::yield_now();
+        }
+        match rx.try_recv() {
+            Err(TryRecvError::Empty) => {}
+            got => return got.map_err(|_| RecvTimeoutError::Disconnected),
+        }
+    }
+    match at {
+        Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn recv_until_returns_an_item_queued_before_the_call() {
+        let (tx, rx) = channel();
+        tx.send(5u32).unwrap();
+        let past = Instant::now();
+        assert_eq!(recv_until(&rx, Some(past)), Ok(5), "no wait needed");
+    }
+
+    #[test]
+    fn recv_until_returns_an_item_sent_while_it_waits() {
+        let (tx, rx) = channel();
+        let sender = std::thread::spawn(move || {
+            // Long past the looks, so the item arrives during the sleep
+            // (the result must be the same if it comes earlier).
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(6u32).unwrap();
+        });
+        let at = Instant::now() + Duration::from_secs(5);
+        assert_eq!(recv_until(&rx, Some(at)), Ok(6));
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn recv_until_times_out_at_once_on_a_past_deadline() {
+        let (_tx, rx) = channel::<u32>();
+        let called = Instant::now();
+        let got = recv_until(&rx, Some(called));
+        assert_eq!(got, Err(RecvTimeoutError::Timeout));
+        assert!(called.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn recv_until_without_a_deadline_reports_the_last_sender_gone() {
+        let (tx, rx) = channel();
+        tx.send(1u32).unwrap();
+        let dropper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(tx);
+        });
+        assert_eq!(recv_until(&rx, None), Ok(1), "queued items first");
+        assert_eq!(recv_until(&rx, None), Err(RecvTimeoutError::Disconnected));
+        dropper.join().unwrap();
+    }
 
     #[test]
     fn stable_send_is_immediate() {

@@ -14,11 +14,12 @@ use crate::gen::{ClosedLoopSpec, CommandGen};
 use esync_core::outbox::{Protocol, ShardLoad};
 use esync_core::types::ProcessId;
 use esync_metrics::HealthSummary;
+use esync_runtime::transport::recv_until;
 use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
 use esync_sim::metrics::WorkloadSummary;
 use esync_trace::TraceRecord;
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A completed threaded-runtime workload run.
 #[derive(Debug, Clone)]
@@ -37,9 +38,6 @@ pub struct RtWorkloadOutcome {
     /// configured with [`ClusterConfig::tracing`].
     pub trace: Vec<TraceRecord>,
 }
-
-/// How long the driver waits on the commit channel per poll.
-const POLL: Duration = Duration::from_millis(20);
 
 /// Runs a **closed-loop** workload against a threaded cluster: spawns the
 /// cluster, waits `warmup` for the log to anchor a leader, then keeps
@@ -83,6 +81,8 @@ where
     }
     // The clients whose command committed in the current wake-up.
     let mut freed = Vec::new();
+    // No wait outlasts the deadline.
+    let give_up = Instant::now() + deadline.saturating_sub(cluster.elapsed());
     while !applied_everywhere(&collector, n, spec.commands) {
         if cluster.elapsed() > deadline {
             let decided = collector.committed() as usize;
@@ -92,7 +92,7 @@ where
                 n: spec.commands as usize,
             });
         }
-        let Ok(first) = cluster.commits().recv_timeout(POLL) else {
+        let Ok(first) = recv_until(cluster.commits(), Some(give_up)) else {
             continue;
         };
         // Take every commit already queued, then submit the freed

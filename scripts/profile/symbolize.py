@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolize a scripts/profile/sampler.c dump with `addr2line -f -i`.
 
-    symbolize.py profile.samples.<pid>... [--top N]
+    symbolize.py profile.samples.<pid>... [--top N] [--chains PATTERN]
 
 Several dumps (one per process of a run) are pooled.
 
@@ -13,8 +13,18 @@ top source lines. A stripped libc names its leaves by the nearest exported
 symbol (memmove may read `__nss_database_lookup`); the caller attribution
 is the part to trust. Lines need debug info: build the profiled binary with
 `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`.
+
+`--chains PATTERN` adds one more table: the inlined-frame chains
+(`inner <- … <- physical function`, innermost first, generic arguments
+dropped) of the samples whose chain has a frame containing PATTERN, by
+share of all samples. A sample in libc shows as `libc <leaf>` followed by
+its caller's chain. That is how to attribute cost inside code the
+compiler inlined away, e.g. `--chains recv_until` splits the runtime's
+wait into its `try_recv`, `sched_yield` and sleeping `recv_timeout`
+samples.
 """
 import collections
+import re
 import subprocess
 import sys
 
@@ -70,17 +80,30 @@ def short(name):
     return name if len(name) <= 100 else name[:97] + "..."
 
 
-def table(title, counter, total, top):
+def bare(name):
+    """`name` without generic arguments: `f<T<U>>` reads `f`."""
+    while True:
+        stripped = re.sub(r"(?<=[\w>}])<[^<>]*>", "", name)
+        if stripped == name:
+            return name
+        name = stripped
+
+
+def table(title, counter, total, top, fit=short):
     print(f"\n{title}")
     for key, n in counter.most_common(top):
-        print(f"  {100 * n / total:5.1f}%  {n:7d}  {short(key)}")
+        print(f"  {100 * n / total:5.1f}%  {n:7d}  {fit(key)}")
 
 
 def main():
-    args, top = sys.argv[1:], 25
+    args, top, pattern = sys.argv[1:], 25, None
     if "--top" in args:
         at = args.index("--top")
         top = int(args[at + 1])
+        del args[at:at + 2]
+    if "--chains" in args:
+        at = args.index("--chains")
+        pattern = args[at + 1]
         del args[at:at + 2]
     by_object = collections.defaultdict(set)
     placed = []
@@ -94,7 +117,7 @@ def main():
             placed.append((a, (b[0], b[1] - 1)))
     names = symbolize(by_object)
     total = len(placed)
-    inner, outer, chains, lines = (collections.Counter() for _ in range(4))
+    inner, outer, chains, lines, inlined = (collections.Counter() for _ in range(5))
     for a, b in placed:
         frames = names.get(a) or [("[unknown]", "?")]
         leaf = frames[-1][0]
@@ -105,11 +128,21 @@ def main():
         outer[f"{caller}  (in libc {leaf})" if in_libc else leaf] += 1
         chains[f"{caller} <- {leaf}"] += 1
         lines[f"{frames[0][1]}  {frames[0][0]}"] += 1
+        # A libc leaf continues with its caller's chain.
+        chain = [f for f, _ in frames]
+        if in_libc:
+            chain = [f"libc {leaf}"] + [f for f, _ in names.get(b) or []]
+        if pattern is not None and any(pattern in f for f in chain):
+            inlined[" <- ".join(bare(f) for f in chain)] += 1
     print(f"{total} samples from {len(args)} dump(s)")
     table("physical functions (libc leaves attributed to their caller)", outer, total, top)
     table("innermost inlined frames", inner, total, top)
     table("word at RSP <- sampled function (trust for leaves only)", chains, total, top)
     table("source lines", lines, total, top)
+    if pattern is not None:
+        matched = sum(inlined.values())
+        title = f"inlined chains containing {pattern!r} ({matched} samples, innermost first)"
+        table(title, inlined, total, top, fit=str)
 
 
 if __name__ == "__main__":

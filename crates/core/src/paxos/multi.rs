@@ -17,11 +17,13 @@
 //!
 //! Two throughput mechanisms sit on top of the paper's construction:
 //!
-//! * **Sharded, index-addressed log state**: the per-slot tables that
-//!   grow with the log (acceptor votes, chosen entries, 2b counters) live
-//!   in [`SlotMap`]s — O(1) slot
+//! * **Chunked, index-addressed log state**: the per-slot tables (acceptor
+//!   votes, chosen entries, 2b counters) live in [`SlotMap`]s — O(1) slot
 //!   addressing with a cache-resident hot tail, instead of a `BTreeMap`
-//!   descent and rebalance per commit. A slot's 2b tally holds its first
+//!   descent and rebalance per commit. Votes and 2b tallies are dead once
+//!   their slot is chosen, so their maps keep only a trailing window below
+//!   the all-chosen prefix (see [`LogShard`]'s 2a/2b rule); the chosen log
+//!   keeps every entry. A slot's 2b tally holds its first
 //!   ballot inline, so the one-ballot common case allocates nothing per
 //!   slot; later ballots spill into a `Vec`. The admitted-command dedup
 //!   set is hashed (see [`AdmittedSet`]). Bounded working sets whose
@@ -178,8 +180,9 @@ pub struct VoteReport {
 ///
 /// `best`/`chosen` stay `BTreeMap`s: this is a short-lived per-election
 /// structure sized by the *reported* votes, rebuilt on every ballot
-/// attempt — the sharded `SlotMap`'s per-shard allocation would cost more
-/// than it saves on exactly the unstable-period election-churn path.
+/// attempt — a `SlotMap` allocates a 64-slot chunk per slot range touched,
+/// which would cost more than it saves on exactly the unstable-period
+/// election-churn path.
 #[derive(Debug, Clone, Default)]
 pub struct ReportFold {
     /// The highest reporter prefix seen — a floor for the new leader's
@@ -210,6 +213,12 @@ impl ReportFold {
         }
     }
 }
+
+/// How far below the all-chosen prefix a [`LogShard`] keeps its votes and
+/// 2b tallies. A chosen slot's 2b quorum may still complete after the
+/// slot was learned by `LogDecided`; the window keeps those late quorums
+/// (each a `Chosen` event) for slots at most this far behind.
+const TRAILING_WINDOW: u64 = 1024;
 
 /// One ballot's 2b tally in a slot: the ballot, the processes counted,
 /// and the batch they voted for.
@@ -435,11 +444,14 @@ impl<'a> ShardOut<'a> {
 #[derive(Debug, Clone)]
 pub struct LogShard {
     n: usize,
-    /// Per-slot acceptor votes.
+    /// Per-slot acceptor votes, for the slots at or above the watermark
+    /// (see [`Self::watermark`]): a vote below it is superseded by the
+    /// chosen entry.
     accepted: SlotMap<BatchVote>,
-    /// Chosen entries.
+    /// Chosen entries, every one since slot 0.
     log: SlotMap<Batch>,
-    /// 2b counts per slot (per ballot within the slot).
+    /// 2b counts per slot (per ballot within the slot), for the slots at
+    /// or above the watermark.
     decisions: SlotMap<Slot2b>,
     /// The ballot this shard proposes under: `Some` from the host's
     /// `anchor` until its `unanchor`.
@@ -513,6 +525,13 @@ impl LogShard {
     /// admitted-set compaction uses).
     pub fn chosen_prefix(&self) -> u64 {
         self.chosen_prefix
+    }
+
+    /// The slot below which this shard keeps no vote and no 2b tally: the
+    /// all-chosen prefix minus [`TRAILING_WINDOW`]. Every slot below it is
+    /// chosen here.
+    fn watermark(&self) -> u64 {
+        self.chosen_prefix.saturating_sub(TRAILING_WINDOW)
     }
 
     /// Entries currently held by the admitted dedup set (bounded by the
@@ -851,12 +870,16 @@ impl LogShard {
         // slots ahead of us — proposing there would strand the batch).
         self.next_slot = self.next_slot.max(slot + 1);
         // Advance the all-chosen prefix past every contiguously chosen
-        // slot (amortized O(1): each slot is crossed once per run) and
-        // let the admitted set drop entries that fell out of the window.
+        // slot (amortized O(1): each slot is crossed once per run), let
+        // the admitted set drop entries that fell out of its window, and
+        // free the votes and tallies that fell below the watermark.
         while self.log.contains(self.chosen_prefix) {
             self.chosen_prefix += 1;
         }
         self.admitted.maybe_compact(self.chosen_prefix);
+        let mark = self.watermark();
+        self.accepted.forget_below(mark);
+        self.decisions.forget_below(mark);
         out.broadcast(MultiMsg::LogDecided {
             slot,
             batch: batch.clone(),
@@ -911,19 +934,27 @@ impl LogShard {
     /// as given: comparing its ballot with the session's (and adopting a
     /// higher one) is the host's step before this call
     /// (`LogSession::vote_2a`).
+    ///
+    /// **The watermark rule.** A 2a or 2b for a slot below
+    /// [`Self::watermark`] (a slot chosen here more than
+    /// [`TRAILING_WINDOW`] slots behind the all-chosen prefix, reaching us
+    /// late, as a long pre-`TS` delay can) stores no vote and recreates no
+    /// tally, so it emits no `Chosen`; the 2a still broadcasts its 2b. The
+    /// chosen entry supersedes both, and a vote below the prefix is never
+    /// reported (see [`Self::vote_report`]).
     pub(crate) fn on_message(&mut self, from: ProcessId, msg: &MultiMsg, out: &mut ShardOut<'_>) {
         match msg {
             MultiMsg::M2a { mbal, slot, batch } => {
                 if let Some(prev) = self.accepted.get(*slot) {
                     debug_assert!(*mbal >= prev.bal, "slot votes are ballot-monotone");
                 }
-                self.accepted.insert(
-                    *slot,
-                    BatchVote {
+                if *slot >= self.watermark() {
+                    let vote = BatchVote {
                         bal: *mbal,
                         batch: batch.clone(),
-                    },
-                );
+                    };
+                    self.accepted.insert(*slot, vote);
+                }
                 out.broadcast(MultiMsg::M2b {
                     mbal: *mbal,
                     slot: *slot,
@@ -931,6 +962,9 @@ impl LogShard {
                 });
             }
             MultiMsg::M2b { mbal, slot, batch } => {
+                if *slot < self.watermark() {
+                    return;
+                }
                 let n = self.n;
                 let chosen = self
                     .decisions
@@ -1126,6 +1160,78 @@ mod tests {
             let m2b = MultiMsg::M2b { mbal, slot, batch };
             p.on_message(ProcessId::new(from), &wire(m2b), o);
         }
+    }
+
+    /// The watermark rule: once the prefix is past 1 100 slots, a stale
+    /// 2a and a quorum of stale 2bs for a slot below the watermark (a
+    /// long pre-`TS` delay delivering them late) store no vote, recreate
+    /// no tally and emit no `Chosen`; the 2a is still answered with its
+    /// 2b. A slot inside the trailing window still tallies.
+    #[test]
+    fn votes_and_tallies_below_the_watermark_are_not_stored() {
+        let mut p = spawn(3, 0);
+        let mut o = out();
+        o.set_tracing(true);
+        p.on_start(&mut o);
+        let mbal = Ballot::new(4);
+        for slot in 0..1100 {
+            let batch = one(slot);
+            let m2a = MultiMsg::M2a {
+                mbal,
+                slot,
+                batch: batch.clone(),
+            };
+            p.on_message(ProcessId::new(1), &wire(m2a), &mut o);
+            votes_2b(&mut p, [1, 2], mbal, slot, &batch, &mut o);
+            o.drain();
+            o.drain_trace().for_each(drop);
+        }
+        let shard = p.shard(S0);
+        assert_eq!(shard.chosen_prefix(), 1100);
+        assert_eq!(shard.watermark(), 1100 - TRAILING_WINDOW);
+        let window = TRAILING_WINDOW as usize;
+        assert_eq!(
+            (shard.accepted.len(), shard.decisions.len()),
+            (window, window)
+        );
+
+        let (stale, batch) = (10, one(10));
+        assert!(stale < shard.watermark());
+        let m2a = MultiMsg::M2a {
+            mbal,
+            slot: stale,
+            batch: batch.clone(),
+        };
+        p.on_message(ProcessId::new(1), &wire(m2a), &mut o);
+        votes_2b(&mut p, [1, 2], mbal, stale, &batch, &mut o);
+        let m2b = MultiMsg::M2b {
+            mbal,
+            slot: stale,
+            batch,
+        };
+        assert!(
+            shard_msgs(&o.drain()).contains(&(None, &m2b)),
+            "the stale 2a is still answered"
+        );
+        let chosen = |o: &mut Outbox<GroupMsg>| {
+            o.drain_trace()
+                .filter(|ev| matches!(ev, TraceEvent::Chosen { .. }))
+                .count()
+        };
+        assert_eq!(chosen(&mut o), 0, "no late quorum is counted");
+        let shard = p.shard(S0);
+        assert_eq!(shard.accepted.get(stale), None, "no vote stored");
+        assert_eq!(shard.decisions.get(stale).map(|_| ()), None, "no tally");
+        assert_eq!(
+            (shard.accepted.len(), shard.decisions.len()),
+            (window, window)
+        );
+
+        // Inside the window a late quorum (a re-proposal at a higher
+        // ballot) still completes its tally.
+        let late = 1100 - TRAILING_WINDOW + 1;
+        votes_2b(&mut p, [0, 1], Ballot::new(8), late, &one(late), &mut o);
+        assert_eq!(chosen(&mut o), 1);
     }
 
     #[test]

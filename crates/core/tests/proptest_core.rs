@@ -167,35 +167,39 @@ proptest! {
 }
 
 proptest! {
-    /// The slot-range-sharded log store is observationally equivalent to a
-    /// reference `BTreeMap` model under arbitrary interleavings of
-    /// inserts, point lookups and tail reads (the replicated-log access
-    /// mix), including cross-shard slot ranges. Tail reads are bounded
-    /// to `[from, max_slot]` internally, so they are also checked from
-    /// every edge of that interval: mid-shard, exactly on a shard
-    /// boundary (slots 0..5000 leave shards unallocated in between), at
-    /// `max_slot`, and beyond it.
+    /// The chunked log store is observationally equivalent to a reference
+    /// `BTreeMap` model under arbitrary interleavings of inserts, point
+    /// lookups, tail reads and watermark raises (`forget_below`, whose
+    /// model is `split_off`), including cross-chunk slot ranges and
+    /// inserts below a raised watermark. Tail reads are bounded to
+    /// `[from, max_slot]` internally, so they are also checked from every
+    /// edge of that interval: mid-chunk, exactly on a chunk boundary
+    /// (slots 0..5000 leave chunks unallocated in between), at
+    /// `max_slot`, and beyond it. Forgets land on those edges too.
     #[test]
     fn slotmap_matches_btreemap_model(
-        ops in proptest::collection::vec((0u32..5, 0u64..5000, 0u64..1000), 0..300)
+        ops in proptest::collection::vec((0u32..7, 0u64..5000, 0u64..1000), 0..300)
     ) {
-        use esync_core::paxos::slotlog::{SlotMap, SLOTS_PER_SHARD};
+        use esync_core::paxos::slotlog::SlotMap;
         use std::collections::BTreeMap;
+        /// The slots per chunk `SlotMap` allocates.
+        const CHUNK: u64 = 64;
         let mut sharded: SlotMap<u64> = SlotMap::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for (op, slot, val) in ops {
+            let max = model.keys().next_back().copied().unwrap_or(0);
+            let boundary = slot / CHUNK * CHUNK;
+            let edges = [
+                boundary,
+                boundary.saturating_sub(1),
+                boundary + 1,
+                boundary + CHUNK,
+                max,
+                max + 1,
+                max + CHUNK,
+            ];
             match op {
                 4 => {
-                    let max = model.keys().next_back().copied().unwrap_or(0);
-                    let boundary = slot / SLOTS_PER_SHARD * SLOTS_PER_SHARD;
-                    let edges = [
-                        boundary,
-                        boundary.saturating_sub(1),
-                        boundary + SLOTS_PER_SHARD,
-                        max,
-                        max + 1,
-                        max + SLOTS_PER_SHARD,
-                    ];
                     for from in edges {
                         let tail: Vec<(u64, u64)> =
                             sharded.tail(from).map(|(s, v)| (s, *v)).collect();
@@ -204,8 +208,17 @@ proptest! {
                         prop_assert_eq!(tail, model_tail, "tail({})", from);
                     }
                 }
+                // Forget below one of the edges, or below the slot itself.
+                5 => {
+                    let at = edges.get((val % 8) as usize).copied().unwrap_or(slot);
+                    sharded.forget_below(at);
+                    model = model.split_off(&at);
+                    for probe in [at.saturating_sub(1), at, boundary] {
+                        prop_assert_eq!(sharded.get(probe), model.get(&probe));
+                    }
+                }
                 // Bias toward inserts so the maps actually fill up.
-                0 | 1 => {
+                0 | 1 | 6 => {
                     prop_assert_eq!(sharded.insert(slot, val), model.insert(slot, val));
                 }
                 2 => {

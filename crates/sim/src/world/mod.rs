@@ -52,9 +52,10 @@ pub struct World<P: Protocol> {
     /// outbox's tracing/metering flags are on exactly while it collects.
     obs: Observer,
     leader: LeaderOracle,
-    /// Every `Action::Decide` with its instant — one record per command
-    /// per process for multi-instance protocols (the workload drivers'
-    /// measurement feed), one per process for single-shot ones.
+    /// Every `Action::Decide` with its instant since the last
+    /// [`World::release_commits`] — one record per command per process for
+    /// multi-instance protocols (the workload drivers' measurement feed),
+    /// one per process for single-shot ones.
     commits: Vec<CommitRecord>,
     /// Reused outbox: handlers write into it in place and `apply_actions`
     /// drains it, so no event allocates or moves one.
@@ -215,9 +216,18 @@ impl<P: Protocol> World<P> {
 
     /// Every commit (`Action::Decide`) so far, in application order: one
     /// record per command per process for multi-instance protocols. The
-    /// feed the workload drivers compute latency histograms from.
+    /// feed the workload drivers compute latency histograms from. Only
+    /// the records since the last [`World::release_commits`]; the whole
+    /// stream for a caller that never releases.
     pub fn commits(&self) -> &[CommitRecord] {
         &self.commits
+    }
+
+    /// Drops every commit record held so far, once the caller has read
+    /// them: a long drive that releases after each step holds only one
+    /// step's records instead of one per command per process.
+    pub fn release_commits(&mut self) {
+        self.commits.clear();
     }
 
     /// Injects a message to be delivered at `at`, bypassing the network

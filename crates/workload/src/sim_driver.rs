@@ -10,7 +10,7 @@ use crate::gen::{ClosedLoopSpec, CommandGen};
 use esync_core::outbox::{Process, Protocol, ShardLoad};
 use esync_core::paxos::group::ShardedLogView;
 use esync_core::types::{ProcessId, ShardId};
-use esync_sim::metrics::WorkloadSummary;
+use esync_sim::metrics::{CommitRecord, WorkloadSummary};
 use esync_sim::{Report, SimConfig, SimTime, World};
 use std::collections::BTreeMap;
 
@@ -253,10 +253,31 @@ where
 /// crashing whichever process anchored). Exactly the canonical
 /// closed-loop drive: any future change to the loop is shared by the
 /// experiments and the fault scenarios.
+///
+/// The drive releases every commit record once it has read it (see
+/// [`World::release_commits`]), so afterwards `world.commits()` holds
+/// none of them; a caller that checks the record stream reads it through
+/// [`run_closed_loop_tapped`].
 pub fn run_closed_loop_on<P>(
     world: &mut World<P>,
     spec: &ClosedLoopSpec,
     horizon: SimTime,
+) -> SimWorkloadOutcome
+where
+    P: Protocol,
+    P::Process: ShardedLogView,
+{
+    run_closed_loop_tapped(world, spec, horizon, |_| {})
+}
+
+/// [`run_closed_loop_on`] that hands `tap` every commit record it
+/// releases, in application order: first the records the world held when
+/// the drive started (a caller's warmup), then each one the drive reads.
+pub fn run_closed_loop_tapped<P>(
+    world: &mut World<P>,
+    spec: &ClosedLoopSpec,
+    horizon: SimTime,
+    mut tap: impl FnMut(&CommitRecord),
 ) -> SimWorkloadOutcome
 where
     P: Protocol,
@@ -278,21 +299,23 @@ where
         }
     }
     // Commits from before this drive (a caller's warmup) carry ids the
-    // collector never saw submitted, so scanning them is a no-op; start
-    // the cursor past them anyway.
-    let mut cursor = world.commits().len();
+    // collector never saw submitted, so scoring them is a no-op; only the
+    // tap sees them.
+    world.commits().iter().for_each(&mut tap);
+    world.release_commits();
     while collector.committed() < spec.commands && world.now() < horizon {
         if !world.step() {
             break; // quiescent: nothing left that could commit
         }
-        while cursor < world.commits().len() {
-            let c = world.commits()[cursor];
-            cursor += 1;
+        for i in 0..world.commits().len() {
+            let c = world.commits()[i];
+            tap(&c);
             if let Some(id) = collector.on_commit(c.pid, c.shard, c.value, c.at.as_nanos()) {
                 let client = owner[id as usize];
                 submit_one(world, &mut gen, &mut collector, &mut owner, n, client, spec);
             }
         }
+        world.release_commits();
     }
     collector.set_shard_loads(&shard_loads(world));
     finish(collector, world)

@@ -1,7 +1,7 @@
 //! Spawning and supervising a cluster of protocol threads.
 
 use crate::node::{run_node, LocalClock, NodeCtx};
-use crate::transport::{make_inboxes, recv_until, Transport, Wire};
+use crate::transport::{Queue, Transport, Wire};
 use esync_core::config::TimingConfig;
 use esync_core::error::ConfigError;
 use esync_core::outbox::Protocol;
@@ -10,10 +10,9 @@ use esync_core::types::{ProcessId, ShardId, Value};
 use esync_metrics::Observer;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -262,8 +261,9 @@ fn to_real(d: Duration) -> RealDuration {
 pub struct Cluster<P: Protocol> {
     n: usize,
     start: Instant,
-    node_senders: Vec<Sender<Wire<P::Msg>>>,
-    commits_rx: Receiver<Commit>,
+    /// Every node's inbox, indexed by pid.
+    inboxes: Vec<Arc<Queue<Wire<P::Msg>>>>,
+    commits: Arc<Queue<Commit>>,
     /// Per-node "believes it leads" flags, published by the node threads
     /// after every event (see [`esync_core::outbox::Process::is_leader`]).
     leader_flags: Vec<Arc<AtomicBool>>,
@@ -275,33 +275,32 @@ pub struct Cluster<P: Protocol> {
     handles: Vec<JoinHandle<NodeStats>>,
 }
 
-impl<P> Cluster<P>
-where
-    P: Protocol,
-    P::Process: Send + 'static,
-    P::Msg: Send + Clone + 'static,
-{
+impl<P: Protocol> Cluster<P> {
     /// Spawns one thread per process.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Config`] for invalid timing parameters.
-    pub fn spawn(cfg: ClusterConfig, protocol: P) -> Result<Cluster<P>, RuntimeError> {
+    pub fn spawn(cfg: ClusterConfig, protocol: P) -> Result<Cluster<P>, RuntimeError>
+    where
+        P::Process: Send + 'static,
+        P::Msg: Send + Clone + 'static,
+    {
         let timing = cfg.timing()?;
         let n = cfg.n;
         let start = Instant::now();
         let stable_at = start + cfg.stability_after;
         let max_extra_delay = cfg.delta * 5;
 
-        let (senders, receivers) = make_inboxes::<P::Msg>(n);
-        let (commit_tx, commit_rx) = channel::<Commit>();
+        let inboxes: Vec<_> = (0..n).map(|_| Arc::new(Queue::default())).collect();
+        let commits = Arc::new(Queue::default());
         let shards = protocol.shard_count();
         let mut seed_rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
         let mut handles = Vec::with_capacity(n);
         let mut leader_flags = Vec::with_capacity(n);
         let mut kill_flags = Vec::with_capacity(n);
-        for (i, inbox) in receivers.into_iter().enumerate() {
+        for (i, inbox) in inboxes.iter().enumerate() {
             let pid = ProcessId::new(i as u32);
             let proc = protocol.spawn(pid, &timing, Value::new(100 + i as u64));
             let leader_flag = Arc::new(AtomicBool::new(false));
@@ -315,7 +314,7 @@ where
             };
             let transport = Transport::new(
                 pid,
-                senders.clone(),
+                inboxes.clone(),
                 stable_at,
                 cfg.loss_prob,
                 max_extra_delay,
@@ -330,7 +329,8 @@ where
                 obs.enable_metrics(Some(pid.as_u32()), interval_ns, cfg.watchdog_cfg);
             }
             let clock = LocalClock::new(rate, start);
-            let ctx = NodeCtx::new(pid, transport, clock, commit_tx.clone(), obs);
+            let ctx = NodeCtx::new(pid, transport, clock, Arc::clone(&commits), obs);
+            let inbox = Arc::clone(inbox);
             let handle = std::thread::Builder::new()
                 .name(format!("esync-node-{i}"))
                 .spawn(move || run_node(ctx, proc, inbox, leader_flag, kill_flag, shards))
@@ -340,8 +340,8 @@ where
         Ok(Cluster {
             n,
             start,
-            node_senders: senders,
-            commits_rx: commit_rx,
+            inboxes,
+            commits,
             leader_flags,
             kill_flags,
             handles,
@@ -360,15 +360,15 @@ where
 
     /// Submits a client command to node `pid` (multi-instance protocols).
     pub fn submit(&self, pid: ProcessId, value: Value) {
-        let _ = self.node_senders[pid.as_usize()].send(Wire::Submit { value });
+        self.inboxes[pid.as_usize()].push(Wire::Submit { value });
     }
 
     /// The commit stream: one [`Commit`] per command per node, in each
-    /// node's application order. Drain it (`recv`/`try_iter`) to measure
-    /// sustained-workload throughput and latency; leaving it undrained
-    /// only buffers (the channel is unbounded).
-    pub fn commits(&self) -> &Receiver<Commit> {
-        &self.commits_rx
+    /// node's application order. Read it (from one thread at a time) to
+    /// measure sustained-workload throughput and latency; leaving it
+    /// unread only buffers (the queue is unbounded).
+    pub fn commits(&self) -> &Queue<Commit> {
+        &self.commits
     }
 
     /// The node currently claiming leadership (lowest pid wins a tie), if
@@ -385,22 +385,22 @@ where
 
     /// Permanently stops node `pid` — the runtime's crash injection
     /// (threads have no restartable stable storage, so unlike the
-    /// simulator's crash–restart this is crash-forever). Messages and
-    /// submissions to a killed node are silently dropped, as to any dead
-    /// destination; the messages it sent that the unstable window delayed
+    /// simulator's crash–restart this is crash-forever). The kill closes
+    /// the node's inbox: what is queued there, and every message and
+    /// submission sent to it later, is dropped, as at any dead
+    /// destination. The messages it sent that the unstable window delayed
     /// still arrive, since their recipients hold them.
     ///
     /// The kill is *prompt*: the node's loop checks a shared flag before
     /// every event, so it exits — snapshotting its [`NodeStats`] — as
-    /// soon as its current handler returns, rather than after draining
-    /// whatever inbox backlog sits ahead of a queued stop message. The
-    /// stats a killed node returns therefore reflect its state at kill
-    /// time, and [`Cluster::shutdown_stats`] reliably includes them.
+    /// soon as its current handler returns, rather than after handling
+    /// the inbox items it has already taken. The stats a killed node
+    /// returns therefore reflect its state at kill time, and
+    /// [`Cluster::shutdown_stats`] reliably includes them.
     pub fn kill(&self, pid: ProcessId) {
         self.kill_flags[pid.as_usize()].store(true, Ordering::Relaxed);
-        // Also queue a stop so a node blocked in `recv` (empty inbox, no
-        // timers) wakes up and observes the flag.
-        let _ = self.node_senders[pid.as_usize()].send(Wire::Stop);
+        // The close also wakes a node asleep on an empty inbox.
+        self.inboxes[pid.as_usize()].close();
         self.leader_flags[pid.as_usize()].store(false, Ordering::Relaxed);
     }
 
@@ -416,14 +416,17 @@ where
     pub fn await_decisions(&self, timeout: Duration) -> Result<Vec<Commit>, RuntimeError> {
         let deadline = Instant::now() + timeout;
         let mut got: BTreeMap<ProcessId, Commit> = BTreeMap::new();
+        let mut taken = VecDeque::new();
         while got.len() < self.n {
-            let Ok(c) = recv_until(&self.commits_rx, Some(deadline)) else {
+            if self.commits.take_until(&mut taken, Some(deadline)).is_err() {
                 return Err(RuntimeError::Timeout {
                     decided: got.len(),
                     n: self.n,
                 });
-            };
-            got.entry(c.pid).or_insert(c);
+            }
+            for c in taken.drain(..) {
+                got.entry(c.pid).or_insert(c);
+            }
         }
         Ok(got.into_values().collect())
     }
@@ -437,21 +440,33 @@ where
     /// final [`NodeStats`], ordered by process id (killed nodes report
     /// the counters they had when they died; a node whose thread panicked
     /// reports nothing).
-    pub fn shutdown_stats(self) -> Vec<NodeStats> {
-        for s in &self.node_senders {
-            let _ = s.send(Wire::Stop);
+    pub fn shutdown_stats(mut self) -> Vec<NodeStats> {
+        for inbox in &self.inboxes {
+            inbox.push(Wire::Stop);
         }
-        self.handles
+        std::mem::take(&mut self.handles)
             .into_iter()
             .filter_map(|h| h.join().ok())
             .collect()
     }
 }
 
+impl<P: Protocol> Drop for Cluster<P> {
+    /// Kills every node still running, so that the threads of a cluster
+    /// dropped without [`Cluster::shutdown`] stop too.
+    fn drop(&mut self) {
+        for pid in 0..self.n {
+            self.kill(ProcessId::new(pid as u32));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esync_core::outbox::{Outbox, Process};
     use esync_core::paxos::session::SessionPaxos;
+    use esync_core::types::TimerId;
 
     #[test]
     fn stable_cluster_decides_quickly() {
@@ -511,6 +526,18 @@ mod tests {
         let stats = cluster.shutdown_stats();
         assert_eq!(stats.len(), 3, "killed node must be in {stats:?}");
         assert_eq!(stats[2].pid, ProcessId::new(2));
+    }
+
+    #[test]
+    fn a_killed_nodes_inbox_stays_empty() {
+        let cluster = Cluster::spawn(ClusterConfig::new(3), SessionPaxos::new()).unwrap();
+        let dead = ProcessId::new(2);
+        cluster.kill(dead);
+        cluster.submit(dead, Value::new(1));
+        // The live peers keep sending to the dead node meanwhile.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(cluster.inboxes[2].len(), 0);
+        cluster.shutdown();
     }
 
     #[test]
@@ -579,6 +606,53 @@ mod tests {
         assert!(stats
             .iter()
             .all(|s| s.snapshots.is_empty() && s.firings.is_empty()));
+    }
+
+    /// Each node holds a clone of the `Arc` and does nothing else.
+    struct Holder(Arc<()>);
+
+    struct HolderProc {
+        id: ProcessId,
+        _held: Arc<()>,
+    }
+
+    impl Process for HolderProc {
+        type Msg = ();
+        fn id(&self) -> ProcessId {
+            self.id
+        }
+        fn on_start(&mut self, _: &mut Outbox<()>) {}
+        fn on_message(&mut self, _: ProcessId, _: &(), _: &mut Outbox<()>) {}
+        fn on_timer(&mut self, _: TimerId, _: &mut Outbox<()>) {}
+        fn on_restart(&mut self, _: &mut Outbox<()>) {}
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+    }
+
+    impl Protocol for Holder {
+        type Msg = ();
+        type Process = HolderProc;
+        fn name(&self) -> &'static str {
+            "holder"
+        }
+        fn spawn(&self, id: ProcessId, _: &TimingConfig, _: Value) -> HolderProc {
+            let _held = Arc::clone(&self.0);
+            HolderProc { id, _held }
+        }
+    }
+
+    #[test]
+    fn a_dropped_cluster_stops_its_nodes() {
+        let held = Arc::new(());
+        let cluster = Cluster::spawn(ClusterConfig::new(3), Holder(Arc::clone(&held))).unwrap();
+        assert_eq!(Arc::strong_count(&held), 4, "one clone per node");
+        drop(cluster);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&held) > 1 {
+            assert!(Instant::now() < deadline, "a node outlived its cluster");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]

@@ -3,21 +3,21 @@
 //! The discrete-event simulator (`esync-sim`) is the measurement
 //! instrument; this crate demonstrates that the *same* sans-IO state
 //! machines run unchanged over a real transport: one OS thread and one
-//! `std::sync::mpsc` inbox per process, wall-clock timers, and links that
-//! make the first `stability_after` of the run behave like the paper's
-//! unstable period — they lose messages and delay others by up to `5δ`.
-//! A delayed message is held by its recipient until due, so it still
+//! [`transport::Queue`] inbox per process, wall-clock timers, and links
+//! that make the first `stability_after` of the run behave like the
+//! paper's unstable period — they lose messages and delay others by up to
+//! `5δ`. A delayed message is held by its recipient until due, so it still
 //! arrives after its sender has stopped (the paper's obsolete messages
-//! from failed processes). The cluster's only other channel is the commit
+//! from failed processes). The cluster's only other queue is the commit
 //! feed; each node thread returns its final [`NodeStats`] when joined.
 //!
-//! A node works in wake-ups. Each handles the due timers and up to
-//! [`node::DRAIN_CAP`] queued inputs at one clock reading, handles the
-//! messages the node sends itself right away instead of queueing them,
-//! and ends with one channel send per peer it wrote to (a
-//! [`transport::Wire::Batch`] when there are several messages), then its
-//! commits. Between wake-ups it waits in [`transport::recv_until`], which
-//! yields the CPU a few times before it sleeps on an empty inbox.
+//! A node works in wake-ups. It swaps its whole inbox out at once; each
+//! wake-up handles the due timers and up to [`node::DRAIN_CAP`] of those
+//! inputs at one clock reading, handles the messages the node sends
+//! itself right away instead of queueing them, and ends with one append
+//! per peer it wrote to, then one of its commits. Between wake-ups it
+//! waits in [`transport::Queue::take_until`], which yields the CPU a few
+//! times before it sleeps on an empty inbox.
 //!
 //! Scope: the runtime supports protocols that need no driver-side oracle —
 //! the paper's modified Paxos and modified B-Consensus (both leaderless and

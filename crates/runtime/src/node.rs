@@ -1,35 +1,35 @@
 //! One OS thread per process: inbox, wall-clock timers, drifting local
 //! clock, and the late messages it holds until they are due.
 //!
-//! A wake-up is the node's unit of work and of communication. It fires
-//! the due timers, then handles up to [`DRAIN_CAP`] inbox items — the one
-//! that woke it and those still queued, taken with `try_recv` — then the
-//! held messages now due. A message the node sends itself is handled in
-//! the same wake-up, right after the event that sent it, without
-//! touching a channel. What the wake-up sends to peers is buffered and
-//! flushed at its end, one channel send per peer, followed by its
-//! commits.
+//! A wake-up is the node's unit of work and of communication. The node
+//! swaps its whole inbox queue into a node-local buffer whenever that
+//! buffer is empty; a wake-up fires the due timers, then handles up to
+//! [`DRAIN_CAP`] items of the buffer, then the held messages now due. A
+//! message the node sends itself is handled in the same wake-up, right
+//! after the event that sent it, without touching a queue. What the
+//! wake-up sends to peers is buffered and flushed at its end, one lock
+//! of each peer's inbox, followed by its commits under one lock of the
+//! commit feed.
 //!
 //! The loop reads the wall clock once per wake-up. The local reading, the
 //! trace stamp, commit times, timer deadlines, the due test of held
 //! messages and the unstable-window test of every event handled in that
 //! wake-up are all derived from that one [`Instant`], converted once per
-//! wake-up. Between wake-ups the node waits in
-//! [`recv_until`]: a queued message is
-//! taken at once; on an empty inbox the node yields the CPU and looks
-//! again a few times, and only then takes the one extra reading — when a
-//! timer, snapshot or held message is pending, the sleep until that
-//! deadline is measured from it.
+//! wake-up. While the local buffer holds items the next wake-up follows
+//! at once; otherwise the node waits in [`Queue::take_until`]: a queued
+//! message is taken at once; on an empty inbox the node yields the CPU
+//! and looks again a few times, and only then takes the one extra reading
+//! — when a timer, snapshot or held message is pending, the sleep until
+//! that deadline is measured from it.
 
 use crate::cluster::{Commit, NodeStats};
-use crate::transport::{recv_until, Late, Transport, Wire};
+use crate::transport::{Late, Queue, RecvTimeoutError, Transport, Wire};
 use esync_core::outbox::{Action, Outbox, Process};
 use esync_core::time::LocalInstant;
 use esync_core::types::{ProcessId, ShardId, TimerId};
 use esync_metrics::Observer;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,7 +95,7 @@ pub(crate) struct NodeCtx<M> {
     /// Late messages received so far (the next arrival number).
     arrivals: u64,
     clock: LocalClock,
-    commits: Sender<Commit>,
+    commits: Arc<Queue<Commit>>,
     /// The wake-up's commits, sent at its flush after the peer messages.
     decided: Vec<Commit>,
     /// Whether the node's first decide has been seen.
@@ -111,7 +111,7 @@ impl<M: Clone> NodeCtx<M> {
         pid: ProcessId,
         transport: Transport<M>,
         clock: LocalClock,
-        commits: Sender<Commit>,
+        commits: Arc<Queue<Commit>>,
         obs: Observer,
     ) -> Self {
         NodeCtx {
@@ -194,12 +194,12 @@ impl<M: Clone> NodeCtx<M> {
         true
     }
 
-    /// Sends what the wake-up buffered: one channel send per peer, then
-    /// its commits.
+    /// Sends what the wake-up buffered: one append per peer, then its
+    /// commits in one more.
     fn flush(&mut self) {
         self.transport.flush();
-        for commit in self.decided.drain(..) {
-            let _ = self.commits.send(commit);
+        if !self.decided.is_empty() {
+            self.commits.extend(self.decided.drain(..));
         }
     }
 
@@ -257,12 +257,10 @@ impl<M: Clone> NodeCtx<M> {
     }
 }
 
-/// Runs one process until a [`Wire::Stop`] arrives or `kill_flag` is
-/// raised.
+/// Runs one process until a [`Wire::Stop`] arrives, `kill_flag` is
+/// raised or `inbox` is closed, then closes `inbox`.
 ///
-/// Each wake-up runs as the [module docs](crate::node) describe; a
-/// [`Wire::Batch`] is one of its [`DRAIN_CAP`] inbox items, handled
-/// message by message.
+/// Each wake-up runs as the [module docs](crate::node) describe.
 ///
 /// A [`Wire::Late`] message is held and handled, like a timer, at the
 /// first wake-up at or after its due instant; held messages go in `(due,
@@ -280,7 +278,8 @@ impl<M: Clone> NodeCtx<M> {
 /// flag stops the node as soon as the current handler returns instead of
 /// after the inbox backlog drains — [`crate::cluster::Cluster::kill`]'s
 /// prompt path. A killed node drops what the wake-up had not flushed, as
-/// a crash loses unsent output.
+/// a crash loses unsent output. On the way out the node closes its inbox,
+/// so what is queued there and what peers send later is dropped.
 ///
 /// # Panics
 ///
@@ -290,7 +289,7 @@ impl<M: Clone> NodeCtx<M> {
 pub(crate) fn run_node<Proc>(
     mut ctx: NodeCtx<Proc::Msg>,
     mut proc: Proc,
-    inbox: Receiver<Wire<Proc::Msg>>,
+    inbox: Arc<Queue<Wire<Proc::Msg>>>,
     leader_flag: Arc<AtomicBool>,
     kill_flag: Arc<AtomicBool>,
     shards: usize,
@@ -306,6 +305,9 @@ where
     let mut out = Outbox::default();
     ctx.obs.arm(&mut out);
     let kill = &*kill_flag;
+    // The inbox items taken and not yet handled; swapped with the inbox
+    // queue's buffer, so both keep their capacity.
+    let mut items = VecDeque::with_capacity(DRAIN_CAP);
 
     'run: {
         let at = ctx.read(Instant::now());
@@ -315,16 +317,17 @@ where
         ctx.flush();
         leader_flag.store(proc.is_leader(), Ordering::Relaxed);
         loop {
-            // Wait for a message, the next timer deadline, the next
-            // snapshot boundary, or the next held message's due instant —
-            // whichever comes first.
-            let mut wire = match recv_until(&inbox, ctx.next_deadline()) {
-                Ok(w) => Some(w),
-                // The wake-up fires due timers, takes due snapshots and
-                // handles due held messages.
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
+            // With nothing taken left, wait for a message, the next timer
+            // deadline, the next snapshot boundary, or the next held
+            // message's due instant — whichever comes first. A timeout's
+            // wake-up fires due timers, takes due snapshots and handles
+            // due held messages.
+            if items.is_empty() {
+                let got = inbox.take_until(&mut items, ctx.next_deadline());
+                if got == Err(RecvTimeoutError::Disconnected) {
+                    break;
+                }
+            }
             let at = ctx.read(Instant::now());
             let now = at.now;
             // Publish every snapshot boundary at or before `now`; the
@@ -346,8 +349,10 @@ where
                     }
                 }
             }
-            let mut taken = 0;
-            while let Some(item) = wire {
+            for _ in 0..DRAIN_CAP {
+                let Some(item) = items.pop_front() else {
+                    break;
+                };
                 if kill.load(Ordering::Relaxed) {
                     break 'run;
                 }
@@ -361,11 +366,6 @@ where
                             p.on_message(from, &msg, out)
                         })
                     }
-                    Wire::Batch { from, msgs } => msgs.iter().all(|msg| {
-                        ctx.event(&mut proc, &mut out, at, kill, |p, out| {
-                            p.on_message(from, msg, out)
-                        })
-                    }),
                     Wire::Late(late) => {
                         ctx.hold(*late);
                         true
@@ -377,12 +377,6 @@ where
                 if !live {
                     break 'run;
                 }
-                taken += 1;
-                wire = if taken < DRAIN_CAP {
-                    inbox.try_recv().ok()
-                } else {
-                    None
-                };
             }
             while let Some((from, msg)) = ctx.take_due(now) {
                 if !ctx.event(&mut proc, &mut out, at, kill, |p, out| {
@@ -398,6 +392,7 @@ where
     // Dead nodes lead nothing: clear the published belief on the way out
     // so `leader_hint` never points at a stopped thread.
     leader_flag.store(false, Ordering::Relaxed);
+    inbox.close();
     let exit_ns = ctx.read(Instant::now()).elapsed.as_nanos() as u64;
     ctx.obs.sample_exit(&mut out, exit_ns);
     let trace_dropped = ctx.obs.trace_dropped();
@@ -516,13 +511,13 @@ mod tests {
     }
 
     /// Node 0 of `n`, run directly by [`run_node`] and stable from
-    /// `start + stable_after`. The test holds a sender to every inbox,
-    /// the receivers of nodes `1..n`, the commit feed and the kill flag.
+    /// `start + stable_after`. The test holds every inbox (node 0's is
+    /// `inboxes[0]`, the peers' the rest), the commit feed and the kill
+    /// flag.
     struct Harness {
         start: Instant,
-        senders: Vec<Sender<Wire<u64>>>,
-        peers: Vec<Receiver<Wire<u64>>>,
-        commits: Receiver<Commit>,
+        inboxes: Vec<Arc<Queue<Wire<u64>>>>,
+        commits: Arc<Queue<Commit>>,
         kill: Arc<AtomicBool>,
         node: std::thread::JoinHandle<NodeStats>,
     }
@@ -533,30 +528,27 @@ mod tests {
         where
             P: Process<Msg = u64> + Send + 'static,
         {
-            use crate::transport::make_inboxes;
             use rand::SeedableRng;
             let start = Instant::now();
-            let (senders, mut peers) = make_inboxes(n);
-            let (commit_tx, commits) = std::sync::mpsc::channel();
+            let inboxes: Vec<_> = (0..n).map(|_| Arc::new(Queue::default())).collect();
+            let commits = Arc::new(Queue::default());
             let rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
             let stable_at = start + stable_after;
             let me = ProcessId::new(0);
             let transport =
-                Transport::new(me, senders.clone(), stable_at, 0.0, Duration::ZERO, rng);
+                Transport::new(me, inboxes.clone(), stable_at, 0.0, Duration::ZERO, rng);
             let clock = LocalClock::new(1.0, start);
-            let ctx = NodeCtx::new(me, transport, clock, commit_tx, Observer::default());
-            for wire in queued {
-                senders[0].send(wire).unwrap();
-            }
-            let inbox = peers.remove(0);
+            let feed = Arc::clone(&commits);
+            let ctx = NodeCtx::new(me, transport, clock, feed, Observer::default());
+            inboxes[0].extend(queued);
+            let inbox = Arc::clone(&inboxes[0]);
             let leader = Arc::new(AtomicBool::new(false));
             let kill = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&kill);
             let node = std::thread::spawn(move || run_node(ctx, proc, inbox, leader, flag, 1));
             Harness {
                 start,
-                senders,
-                peers,
+                inboxes,
                 commits,
                 kill,
                 node,
@@ -572,7 +564,7 @@ mod tests {
         /// Stops the node the prompt way and joins it.
         fn kill(self) {
             self.kill.store(true, Ordering::Relaxed);
-            let _ = self.senders[0].send(Wire::Stop);
+            self.inboxes[0].push(Wire::Stop);
             self.node.join().unwrap();
         }
     }
@@ -652,31 +644,29 @@ mod tests {
     }
 
     #[test]
-    fn a_backlog_is_handled_in_order_and_answered_in_one_batch_per_wake_up() {
+    fn a_backlog_is_handled_in_order_and_answered_in_order_per_wake_up() {
         let n_msgs = 3 * DRAIN_CAP as u64 + 8;
         let mut queued: Vec<_> = (0..n_msgs).map(from_peer).collect();
         queued.push(Wire::Stop);
         let h = Harness::spawn(ReplyProc, 2, Duration::ZERO, queued);
-        let handled: Vec<u64> = h
-            .commits(n_msgs as usize)
-            .iter()
-            .map(|c| c.value.get())
-            .collect();
+        let commits = h.commits(n_msgs as usize);
         h.node.join().unwrap();
+        let handled: Vec<u64> = commits.iter().map(|c| c.value.get()).collect();
         assert_eq!(handled, (0..n_msgs).collect::<Vec<_>>(), "send order");
         // The stopping wake-up flushed its replies too.
-        let items: Vec<Wire<u64>> = h.peers[0].try_iter().collect();
-        let mut replies = Vec::new();
-        for item in &items {
-            match item {
-                Wire::Msg { msg, .. } => replies.push(*msg),
-                Wire::Batch { msgs, .. } => replies.extend(msgs),
-                other => panic!("unexpected: {other:?}"),
-            }
-        }
+        let mut items = VecDeque::new();
+        let _ = h.inboxes[1].take_until(&mut items, Some(Instant::now()));
+        let reply = |item| match item {
+            Wire::Msg { msg, .. } => msg,
+            other => panic!("unexpected: {other:?}"),
+        };
+        let replies: Vec<u64> = items.into_iter().map(reply).collect();
         assert_eq!(replies, handled, "replies in order");
-        // 64 + 64 + 64 + (8 and the stop): one item per wake-up.
-        assert_eq!(items.len(), 4, "{items:?}");
+        // A wake-up's commits share its one reading: 64 + 64 + 64 + (8
+        // and the stop) items, one wake-up each.
+        let wake_ups = commits.chunk_by(|a, b| a.elapsed == b.elapsed);
+        let per_wake_up: Vec<usize> = wake_ups.map(<[_]>::len).collect();
+        assert_eq!(per_wake_up, [64, 64, 64, 8], "{commits:?}");
     }
 
     /// Decides 0 and broadcasts 7 at start; commits every message it
@@ -712,7 +702,7 @@ mod tests {
         // One wall reading per wake-up: a copy sent through the inbox
         // would be handled at a later one.
         assert_eq!(handled[0].elapsed, handled[1].elapsed, "{handled:?}");
-        for peer in &h.peers {
+        for peer in &h.inboxes[1..] {
             let got = peer.recv_timeout(Duration::from_secs(5));
             assert!(matches!(got, Ok(Wire::Msg { msg: 7, .. })), "{got:?}");
         }

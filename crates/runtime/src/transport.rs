@@ -1,7 +1,9 @@
-//! Channel-based links with pre-stability loss and delay.
+//! Queue-based links with pre-stability loss and delay.
 //!
-//! Each process owns an inbox (an unbounded [`std::sync::mpsc`]
-//! receiver); a [`Transport`] handle fans messages out to peers. During
+//! Every runtime link is a [`Queue`]: an unbounded FIFO behind one mutex
+//! that any thread appends to and one receiver empties. Each process owns
+//! an inbox (a `Queue` of [`Wire`] items), and the cluster's commit feed
+//! is one too. A [`Transport`] handle fans messages out to peers. During
 //! the configured unstable window the transport drops messages with a
 //! fixed probability and gives a fraction of the survivors a random extra
 //! delay: such a message goes into the recipient's inbox at once, as a
@@ -11,27 +13,25 @@
 //!
 //! Every other message waits in the sender: [`Transport::send`] buffers
 //! it per destination, and [`Transport::flush`], at the end of the
-//! sender's wake-up, makes one channel send per peer — a lone message as
-//! [`Wire::Msg`], several as one [`Wire::Batch`] in send order, so each
-//! link stays FIFO. A message the node addresses to itself never enters
-//! a channel: it goes into a local FIFO the node drains
+//! sender's wake-up, appends each peer's buffer to that peer's inbox
+//! under one lock, as [`Wire::Msg`] items in send order, so each link
+//! stays FIFO. A message the node addresses to itself never enters a
+//! queue: it goes into a local FIFO the node drains
 //! ([`Transport::take_local`]) within the same wake-up. After the window
-//! there is no loss or delay (channel latency is far below any realistic
+//! there is no loss or delay (queue latency is far below any realistic
 //! `δ`).
 //!
 //! Every blocking receive of the runtime — the node loop's, the commit
 //! feed's in [`Cluster::await_decisions`](crate::Cluster::await_decisions)
-//! and the closed-loop driver's — goes through [`recv_until`]. It yields
-//! the CPU and looks again [`YIELDS_BEFORE_SLEEP`] times before it parks
-//! on an empty channel: with more threads than cores, the next item is
-//! usually a peer's on the same CPU, and a yield hands it over without a
-//! futex sleep on this side and a wake on the sender's.
+//! and the closed-loop driver's — is [`Queue::take_until`], which yields
+//! the CPU a few times before it sleeps on an empty queue.
 
 use esync_core::types::{ProcessId, Value};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+pub use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What travels over a link.
@@ -43,14 +43,6 @@ pub enum Wire<M> {
         from: ProcessId,
         /// The message.
         msg: M,
-    },
-    /// Two or more protocol messages from one sender's wake-up, in send
-    /// order.
-    Batch {
-        /// The sender.
-        from: ProcessId,
-        /// The messages, oldest first.
-        msgs: Vec<M>,
     },
     /// A protocol message the unstable window delayed (boxed, so that the
     /// rare delayed message does not widen every other one).
@@ -76,12 +68,183 @@ pub struct Late<M> {
     pub msg: M,
 }
 
+/// How many times a [`Queue`] wait yields the CPU and looks again before
+/// it sleeps on an empty queue.
+pub const YIELDS_BEFORE_SLEEP: usize = 4;
+
+/// An unbounded FIFO link: any thread appends, one receiver takes.
+///
+/// A sender holds the lock only to append; a receiver only to look and
+/// to swap the whole queue out. A receiver that finds the queue empty
+/// raises `waiting` before it sleeps on the condition variable, and the
+/// sender that finds the flag raised clears it and notifies, after
+/// unlocking. Every other append makes no wake-up call: the receiver is
+/// busy or still yielding, and looks again before it sleeps. Since the
+/// flag is read and written only under the lock, a sender either sees it
+/// raised or appends before the receiver's last look, so no wake-up is
+/// lost.
+///
+/// [`close`](Self::close) drops the queued items and every item appended
+/// later: a link to a stopped node carries nothing.
+#[derive(Debug)]
+pub struct Queue<T> {
+    state: Mutex<State<T>>,
+    ready: Condvar,
+}
+
+#[derive(Debug)]
+struct State<T> {
+    items: VecDeque<T>,
+    /// A receiver sleeps (or is about to) and needs a notify.
+    waiting: bool,
+    closed: bool,
+}
+
+impl<T> Default for Queue<T> {
+    /// An empty, open queue.
+    fn default() -> Self {
+        let state = State {
+            items: VecDeque::new(),
+            waiting: false,
+            closed: false,
+        };
+        Queue {
+            state: Mutex::new(state),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Queue<T> {
+    /// The state, also after another thread panicked holding the lock:
+    /// every critical section leaves the state whole at every step (an
+    /// append, a swap, a flag write).
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `item`, or drops it if the queue is closed.
+    pub fn push(&self, item: T) {
+        self.extend(std::iter::once(item));
+    }
+
+    /// Appends `items` in order under one lock, or drops them if the
+    /// queue is closed.
+    pub fn extend(&self, items: impl IntoIterator<Item = T>) {
+        let mut state = self.lock();
+        if state.closed {
+            return;
+        }
+        state.items.extend(items);
+        let wake = std::mem::take(&mut state.waiting);
+        drop(state);
+        if wake {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Drops every queued item and every item appended from now on, and
+    /// wakes a waiting receiver, whose wait then reports
+    /// [`RecvTimeoutError::Disconnected`].
+    pub fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        let dropped = std::mem::take(&mut state.items);
+        drop(state);
+        drop(dropped);
+        self.ready.notify_all();
+    }
+
+    /// Waits until an item is queued, then moves every queued item to the
+    /// back of `into`, oldest first. Into an empty `into` this is a swap
+    /// of the two buffers, so each keeps its capacity and a steady
+    /// stream of swaps allocates nothing.
+    ///
+    /// The wait lasts until `at` (forever if `None`). A queued item is
+    /// taken at once, without reading the clock. On an empty queue it
+    /// yields the CPU and looks again, up to [`YIELDS_BEFORE_SLEEP`]
+    /// times: when threads outnumber cores, the peer about to append the
+    /// next item often waits for this very CPU, and a yield lets it run
+    /// where a sleep would cost both sides a futex call. Only then does
+    /// it read the clock and sleep.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] once `at` has passed with the queue
+    /// empty, [`RecvTimeoutError::Disconnected`] once it is closed.
+    pub fn take_until(
+        &self,
+        into: &mut VecDeque<T>,
+        at: Option<Instant>,
+    ) -> Result<(), RecvTimeoutError> {
+        self.wait(at, |items| {
+            if into.is_empty() {
+                std::mem::swap(items, into);
+            } else {
+                into.append(items);
+            }
+        })
+    }
+
+    /// Waits up to `timeout` for the next item and takes it alone, in the
+    /// way of [`take_until`](Self::take_until).
+    ///
+    /// # Errors
+    ///
+    /// As [`take_until`](Self::take_until)'s.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        let at = Instant::now() + timeout;
+        self.wait(Some(at), |items| items.pop_front().expect("a queued item"))
+    }
+
+    /// The wait of [`take_until`](Self::take_until): hands the queue to
+    /// `take` once it holds an item.
+    fn wait<R>(
+        &self,
+        at: Option<Instant>,
+        take: impl FnOnce(&mut VecDeque<T>) -> R,
+    ) -> Result<R, RecvTimeoutError> {
+        let (mut state, mut yields) = (self.lock(), 0);
+        loop {
+            if !state.items.is_empty() {
+                return Ok(take(&mut state.items));
+            }
+            if state.closed {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            if yields < YIELDS_BEFORE_SLEEP {
+                drop(state);
+                std::thread::yield_now();
+                (state, yields) = (self.lock(), yields + 1);
+                continue;
+            }
+            let left = at.map(|at| at.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            state.waiting = true;
+            state = match left {
+                None => self
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) => {
+                    let woken = self.ready.wait_timeout(state, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+            state.waiting = false;
+        }
+    }
+}
+
 /// A per-node sending handle.
 #[derive(Debug)]
 pub struct Transport<M> {
     /// The sending node.
     me: ProcessId,
-    node_senders: Vec<Sender<Wire<M>>>,
+    /// Every node's inbox, indexed by pid (the sender's own included).
+    inboxes: Vec<Arc<Queue<Wire<M>>>>,
     /// Messages to each peer not yet flushed, indexed by pid (the
     /// sender's own entry stays empty).
     pending: Vec<Vec<M>>,
@@ -96,7 +259,7 @@ pub struct Transport<M> {
 impl<M: Clone> Transport<M> {
     pub(crate) fn new(
         me: ProcessId,
-        node_senders: Vec<Sender<Wire<M>>>,
+        inboxes: Vec<Arc<Queue<Wire<M>>>>,
         stable_at: Instant,
         loss_prob: f64,
         max_extra_delay: Duration,
@@ -104,8 +267,8 @@ impl<M: Clone> Transport<M> {
     ) -> Self {
         Transport {
             me,
-            pending: (0..node_senders.len()).map(|_| Vec::new()).collect(),
-            node_senders,
+            pending: (0..inboxes.len()).map(|_| Vec::new()).collect(),
+            inboxes,
             local: VecDeque::new(),
             stable_at,
             loss_prob,
@@ -116,7 +279,7 @@ impl<M: Clone> Transport<M> {
 
     /// Number of endpoints.
     pub fn n(&self) -> usize {
-        self.node_senders.len()
+        self.inboxes.len()
     }
 
     /// Sends `msg` to `to`, applying the unstable-window policy at wall
@@ -140,7 +303,7 @@ impl<M: Clone> Transport<M> {
             let due = now + Duration::from_nanos(extra_ns);
             let from = self.me;
             let late = Wire::Late(Box::new(Late { due, from, msg }));
-            let _ = self.node_senders[to.as_usize()].send(late);
+            self.inboxes[to.as_usize()].push(late);
         } else if to == self.me {
             self.local.push_back(msg);
         } else {
@@ -165,74 +328,15 @@ impl<M: Clone> Transport<M> {
         self.local.pop_front()
     }
 
-    /// Sends every buffered message: one channel item per peer that has
-    /// any, in send order.
+    /// Sends every buffered message: each peer's, in send order, under
+    /// one lock of its inbox. The buffers keep their capacity.
     pub fn flush(&mut self) {
         let from = self.me;
-        for (to, buf) in self.pending.iter_mut().enumerate() {
-            let wire = match buf.len() {
-                0 => continue,
-                1 => Wire::Msg {
-                    from,
-                    msg: buf.pop().expect("one message"),
-                },
-                _ => {
-                    // One exact-size allocation; `buf` keeps its capacity,
-                    // so the next wake-up does not regrow it from zero.
-                    let mut msgs = Vec::with_capacity(buf.len());
-                    msgs.append(buf);
-                    Wire::Batch { from, msgs }
-                }
-            };
-            let _ = self.node_senders[to].send(wire);
+        for (inbox, buf) in self.inboxes.iter().zip(&mut self.pending) {
+            if !buf.is_empty() {
+                inbox.extend(buf.drain(..).map(|msg| Wire::Msg { from, msg }));
+            }
         }
-    }
-}
-
-/// The sending and receiving halves of all node inboxes.
-pub(crate) type Inboxes<M> = (Vec<Sender<Wire<M>>>, Vec<Receiver<Wire<M>>>);
-
-/// Creates the inbox channels for `n` nodes. Unbounded, like the commit
-/// feed: its blocks are allocated as messages arrive, where a bounded one
-/// would allocate its whole capacity up front.
-pub(crate) fn make_inboxes<M>(n: usize) -> Inboxes<M> {
-    (0..n).map(|_| channel()).unzip()
-}
-
-/// How many times [`recv_until`] yields the CPU and looks again before it
-/// sleeps on an empty channel.
-pub const YIELDS_BEFORE_SLEEP: usize = 4;
-
-/// Waits for the next item of `rx` until `at` (forever if `None`): the
-/// one wait of every runtime node and of the closed-loop driver.
-///
-/// A queued item is taken at once, without reading the clock. On an empty
-/// channel it yields the CPU and looks again, up to
-/// [`YIELDS_BEFORE_SLEEP`] times: when threads outnumber cores, the peer
-/// about to send the next item is often waiting for this very CPU, and a
-/// yield lets it run where a sleep would cost both sides a futex call.
-/// Only then does it read the clock and sleep (`recv_deadline` is not
-/// stable in std). On a core with nothing else to run a yield returns at
-/// once, so an idle caller still sleeps after a few system calls.
-///
-/// # Errors
-///
-/// [`RecvTimeoutError::Timeout`] once `at` has passed with the channel
-/// empty, [`RecvTimeoutError::Disconnected`] once it is empty and every
-/// sender is gone.
-pub fn recv_until<T>(rx: &Receiver<T>, at: Option<Instant>) -> Result<T, RecvTimeoutError> {
-    for look in 0..=YIELDS_BEFORE_SLEEP {
-        if look > 0 {
-            std::thread::yield_now();
-        }
-        match rx.try_recv() {
-            Err(TryRecvError::Empty) => {}
-            got => return got.map_err(|_| RecvTimeoutError::Disconnected),
-        }
-    }
-    match at {
-        Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
     }
 }
 
@@ -241,69 +345,200 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    #[test]
-    fn recv_until_returns_an_item_queued_before_the_call() {
-        let (tx, rx) = channel();
-        tx.send(5u32).unwrap();
-        let past = Instant::now();
-        assert_eq!(recv_until(&rx, Some(past)), Ok(5), "no wait needed");
+    impl<T> Queue<T> {
+        /// The number of queued items.
+        pub(crate) fn len(&self) -> usize {
+            self.lock().items.len()
+        }
+    }
+
+    /// `n` empty inboxes.
+    fn inboxes<M>(n: usize) -> Vec<Arc<Queue<Wire<M>>>> {
+        (0..n).map(|_| Arc::new(Queue::default())).collect()
+    }
+
+    /// Every item queued in `q`, oldest first, taken without waiting.
+    fn drain<T>(q: &Queue<T>) -> Vec<T> {
+        let mut got = VecDeque::new();
+        let _ = q.take_until(&mut got, Some(Instant::now()));
+        got.into()
     }
 
     #[test]
-    fn recv_until_returns_an_item_sent_while_it_waits() {
-        let (tx, rx) = channel();
+    fn take_until_takes_items_queued_before_the_call() {
+        let q = Queue::default();
+        q.extend([5u32, 6]);
+        let past = Instant::now();
+        let mut got = VecDeque::new();
+        assert_eq!(q.take_until(&mut got, Some(past)), Ok(()), "no wait");
+        assert_eq!(got, [5, 6]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn take_until_appends_behind_items_already_taken() {
+        let q = Queue::default();
+        let mut got = VecDeque::from([1u32]);
+        q.push(2);
+        assert_eq!(q.take_until(&mut got, None), Ok(()));
+        assert_eq!(got, [1, 2]);
+    }
+
+    #[test]
+    fn take_until_returns_an_item_pushed_while_it_waits() {
+        let q = Arc::new(Queue::default());
+        let tx = Arc::clone(&q);
         let sender = std::thread::spawn(move || {
             // Long past the looks, so the item arrives during the sleep
             // (the result must be the same if it comes earlier).
             std::thread::sleep(Duration::from_millis(20));
-            tx.send(6u32).unwrap();
+            tx.push(6u32);
         });
-        let at = Instant::now() + Duration::from_secs(5);
-        assert_eq!(recv_until(&rx, Some(at)), Ok(6));
+        let called = Instant::now();
+        let mut got = VecDeque::new();
+        let at = called + Duration::from_secs(10);
+        assert_eq!(q.take_until(&mut got, Some(at)), Ok(()));
+        assert_eq!(got, [6]);
+        let took = called.elapsed();
+        assert!(took < Duration::from_secs(5), "woken by the push: {took:?}");
         sender.join().unwrap();
     }
 
     #[test]
-    fn recv_until_times_out_at_once_on_a_past_deadline() {
-        let (_tx, rx) = channel::<u32>();
+    fn take_until_times_out_at_once_on_a_past_deadline() {
+        let q = Queue::<u32>::default();
         let called = Instant::now();
-        let got = recv_until(&rx, Some(called));
+        let got = q.take_until(&mut VecDeque::new(), Some(called));
         assert_eq!(got, Err(RecvTimeoutError::Timeout));
         assert!(called.elapsed() < Duration::from_millis(100));
     }
 
     #[test]
-    fn recv_until_without_a_deadline_reports_the_last_sender_gone() {
-        let (tx, rx) = channel();
-        tx.send(1u32).unwrap();
-        let dropper = std::thread::spawn(move || {
+    fn a_closed_queue_wakes_its_receiver_and_drops_what_it_gets() {
+        let q = Arc::new(Queue::default());
+        q.push(1u32);
+        let closer = Arc::clone(&q);
+        let mut got = VecDeque::new();
+        assert_eq!(q.take_until(&mut got, None), Ok(()), "queued items first");
+        let close = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            drop(tx);
+            closer.close();
         });
-        assert_eq!(recv_until(&rx, None), Ok(1), "queued items first");
-        assert_eq!(recv_until(&rx, None), Err(RecvTimeoutError::Disconnected));
-        dropper.join().unwrap();
+        let closed = RecvTimeoutError::Disconnected;
+        assert_eq!(q.take_until(&mut got, None), Err(closed));
+        close.join().unwrap();
+        q.extend([2, 3]);
+        assert_eq!(q.len(), 0, "dropped after the close");
+        assert_eq!(q.recv_timeout(Duration::from_secs(5)), Err(closed));
+        assert_eq!(got, [1]);
+    }
+
+    #[test]
+    fn close_drops_the_queued_items() {
+        let q = Queue::default();
+        let item = Arc::new(());
+        q.push(Arc::clone(&item));
+        q.close();
+        assert_eq!((q.len(), Arc::strong_count(&item)), (0, 1));
+    }
+
+    #[test]
+    fn recv_timeout_takes_one_item_at_a_time_in_order() {
+        let q = Queue::default();
+        q.extend([1u32, 2]);
+        q.push(3);
+        let wait = Duration::from_secs(5);
+        let got: Vec<_> = (0..3).map(|_| q.recv_timeout(wait)).collect();
+        assert_eq!(got, [Ok(1), Ok(2), Ok(3)]);
+    }
+
+    #[test]
+    fn recv_timeout_times_out_on_an_empty_queue() {
+        let q = Queue::<u32>::default();
+        let called = Instant::now();
+        let wait = Duration::from_millis(30);
+        assert_eq!(q.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+        let took = called.elapsed();
+        assert!(took >= wait && took < Duration::from_secs(5), "{took:?}");
+    }
+
+    /// One round of the lost-wake-up stress test: two senders push
+    /// `PER_SENDER` items each, yielding at random, to a receiver that
+    /// sleeps with no deadline whenever the queue is empty. Each sender
+    /// waits until its item is handled before it pushes the next, so a
+    /// lost wake-up leaves every thread waiting for good, and the
+    /// watchdog fails the test.
+    fn stress_round(seed: u64) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const PER_SENDER: u64 = 50_000;
+        let q = Arc::new(Queue::default());
+        // The items of each sender the receiver has handled.
+        let handled = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let senders: Vec<_> = (0..2u64)
+            .map(|s| {
+                let (q, handled) = (Arc::clone(&q), Arc::clone(&handled));
+                std::thread::spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(2 * seed + s);
+                    for i in 0..PER_SENDER {
+                        if rng.gen_bool(0.5) {
+                            std::thread::yield_now();
+                        }
+                        q.push((s, i));
+                        while handled[s as usize].load(Ordering::Acquire) <= i {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let receiver = std::thread::spawn(move || {
+            let (mut got, mut left) = (VecDeque::new(), 2 * PER_SENDER);
+            while left > 0 {
+                q.take_until(&mut got, None).unwrap();
+                for (s, i) in got.drain(..) {
+                    let next = handled[s as usize].load(Ordering::Relaxed);
+                    assert_eq!(i, next, "sender {s}'s order");
+                    handled[s as usize].store(i + 1, Ordering::Release);
+                    left -= 1;
+                }
+            }
+        });
+        let watchdog = Instant::now() + Duration::from_secs(20);
+        while !receiver.is_finished() {
+            let hung = Instant::now() > watchdog;
+            assert!(!hung, "round {seed}: the receiver hung, a lost wake-up");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        receiver.join().unwrap();
+        senders.into_iter().for_each(|s| s.join().unwrap());
+    }
+
+    /// A wake-up is lost only when a sender sits between two steps just
+    /// as the receiver goes to sleep, so the test runs many rounds.
+    #[test]
+    fn no_wake_up_is_lost_between_two_senders_and_a_sleeping_receiver() {
+        (0..20).for_each(stress_round);
     }
 
     #[test]
     fn stable_send_is_immediate() {
-        let (senders, receivers) = make_inboxes::<u32>(2);
+        let queues = inboxes::<u32>(2);
         let now = Instant::now();
         let mut t = Transport::new(
             ProcessId::new(0),
-            senders,
+            queues.clone(),
             now, // stable immediately
             1.0, // loss prob irrelevant after stability
             Duration::from_secs(1),
             ChaCha8Rng::seed_from_u64(1),
         );
         t.send(now, ProcessId::new(1), 42u32);
-        assert!(receivers[1].try_recv().is_err(), "buffered until the flush");
+        assert!(queues[1].len() == 0, "buffered until the flush");
         t.flush();
-        match receivers[1].try_recv() {
-            Ok(Wire::Msg { from, msg }) => {
-                assert_eq!(from, ProcessId::new(0));
-                assert_eq!(msg, 42);
+        match &drain(&queues[1])[..] {
+            [Wire::Msg { from, msg }] => {
+                assert_eq!(*from, ProcessId::new(0));
+                assert_eq!(*msg, 42);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -311,11 +546,11 @@ mod tests {
 
     #[test]
     fn unstable_send_can_drop() {
-        let (senders, receivers) = make_inboxes::<u32>(2);
+        let queues = inboxes::<u32>(2);
         let now = Instant::now();
         let mut t = Transport::new(
             ProcessId::new(0),
-            senders,
+            queues.clone(),
             now + Duration::from_secs(3600),
             1.0, // always lose
             Duration::ZERO,
@@ -326,19 +561,19 @@ mod tests {
         }
         t.flush();
         assert!(
-            receivers[1].try_recv().is_err(),
+            queues[1].len() == 0,
             "everything lost in the unstable window"
         );
     }
 
     #[test]
     fn unstable_send_stamps_late_messages_due_within_the_bound() {
-        let (senders, receivers) = make_inboxes::<u32>(1);
+        let queues = inboxes::<u32>(1);
         let now = Instant::now();
         let max = Duration::from_millis(30);
         let mut t = Transport::new(
             ProcessId::new(0),
-            senders,
+            queues.clone(),
             now + Duration::from_secs(3600),
             0.0,
             max,
@@ -347,9 +582,11 @@ mod tests {
         for i in 0..5 {
             t.send(now, ProcessId::new(0), i);
         }
-        for i in 0..5 {
-            match receivers[0].try_recv() {
-                Ok(Wire::Late(late)) => {
+        let items = drain(&queues[0]);
+        assert_eq!(items.len(), 5, "{items:?}");
+        for (i, item) in (0..).zip(items) {
+            match item {
+                Wire::Late(late) => {
                     assert_eq!((late.from, late.msg), (ProcessId::new(0), i));
                     assert!(late.due > now && late.due <= now + max, "{late:?}");
                 }
@@ -360,11 +597,11 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone_including_self() {
-        let (senders, receivers) = make_inboxes::<u32>(3);
+        let queues = inboxes::<u32>(3);
         let now = Instant::now();
         let mut t = Transport::new(
             ProcessId::new(1),
-            senders,
+            queues.clone(),
             now,
             0.0,
             Duration::ZERO,
@@ -372,11 +609,12 @@ mod tests {
         );
         t.broadcast(now, 9u32);
         t.flush();
-        for (i, r) in receivers.iter().enumerate() {
+        for (i, q) in queues.iter().enumerate() {
+            let items = drain(q);
             if i == 1 {
-                assert!(r.try_recv().is_err(), "no inbox item for the sender");
+                assert!(items.is_empty(), "no inbox item for the sender");
             } else {
-                assert!(matches!(r.try_recv(), Ok(Wire::Msg { msg: 9, .. })));
+                assert!(matches!(items[..], [Wire::Msg { msg: 9, .. }]));
             }
         }
         assert_eq!(t.take_local(), Some(9), "the sender's copy stays local");
@@ -384,12 +622,12 @@ mod tests {
     }
 
     #[test]
-    fn a_flush_batches_each_peers_messages_in_send_order() {
-        let (senders, receivers) = make_inboxes::<u32>(3);
+    fn a_flush_appends_each_peers_messages_in_send_order() {
+        let queues = inboxes::<u32>(3);
         let now = Instant::now();
         let mut t = Transport::new(
             ProcessId::new(0),
-            senders,
+            queues.clone(),
             now,
             0.0,
             Duration::ZERO,
@@ -400,20 +638,16 @@ mod tests {
         }
         t.send(now, ProcessId::new(2), 7);
         t.flush();
-        match receivers[1].try_recv() {
-            Ok(Wire::Batch { from, msgs }) => {
-                assert_eq!((from, msgs), (ProcessId::new(0), vec![0, 1, 2]));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(matches!(
-            receivers[2].try_recv(),
-            Ok(Wire::Msg { msg: 7, .. })
-        ));
+        let from_0 = |items: Vec<Wire<u32>>| -> Vec<u32> {
+            let msg = |item| match item {
+                Wire::Msg { from, msg } if from == ProcessId::new(0) => msg,
+                other => panic!("unexpected: {other:?}"),
+            };
+            items.into_iter().map(msg).collect()
+        };
+        assert_eq!(from_0(drain(&queues[1])), [0, 1, 2]);
+        assert_eq!(from_0(drain(&queues[2])), [7]);
         t.flush();
-        assert!(
-            receivers.iter().all(|r| r.try_recv().is_err()),
-            "flushed once"
-        );
+        assert!(queues.iter().all(|q| q.len() == 0), "flushed once");
     }
 }

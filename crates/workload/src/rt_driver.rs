@@ -1,7 +1,7 @@
 //! The closed-loop workload driver over the threaded real-time runtime.
 //!
 //! The same generator as [`crate::sim_driver::run_closed_loop`], driving
-//! an [`esync_runtime::Cluster`] over real channels and wall clocks:
+//! an [`esync_runtime::Cluster`] over real threads and wall clocks:
 //! commands go in through [`Cluster::submit`], measurements come back out
 //! of the per-command [`Cluster::commits`] stream. Command *sequences* are
 //! bit-identical to the simulator driver's (same [`CommandGen`]); timings
@@ -14,11 +14,10 @@ use crate::gen::{ClosedLoopSpec, CommandGen};
 use esync_core::outbox::{Protocol, ShardLoad};
 use esync_core::types::ProcessId;
 use esync_metrics::HealthSummary;
-use esync_runtime::transport::recv_until;
 use esync_runtime::{Cluster, ClusterConfig, NodeStats, RuntimeError};
 use esync_sim::metrics::WorkloadSummary;
 use esync_trace::TraceRecord;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// A completed threaded-runtime workload run.
@@ -79,8 +78,9 @@ where
             submit_one(&cluster, &mut gen, &mut collector, &mut owner, client, spec);
         }
     }
-    // The clients whose command committed in the current wake-up.
-    let mut freed = Vec::new();
+    // The commits taken in the current wake-up, and the clients whose
+    // command committed in it.
+    let (mut taken, mut freed) = (VecDeque::new(), Vec::new());
     // No wait outlasts the deadline.
     let give_up = Instant::now() + deadline.saturating_sub(cluster.elapsed());
     while !applied_everywhere(&collector, n, spec.commands) {
@@ -92,12 +92,12 @@ where
                 n: spec.commands as usize,
             });
         }
-        let Ok(first) = recv_until(cluster.commits(), Some(give_up)) else {
+        // Take every commit queued, then submit the freed clients' next
+        // commands in one burst.
+        let Ok(()) = cluster.commits().take_until(&mut taken, Some(give_up)) else {
             continue;
         };
-        // Take every commit already queued, then submit the freed
-        // clients' next commands in one burst.
-        for commit in std::iter::once(first).chain(cluster.commits().try_iter()) {
+        for commit in taken.drain(..) {
             let at_ns = commit.elapsed.as_nanos() as u64;
             if let Some(id) = collector.on_commit(commit.pid, commit.shard, commit.value, at_ns) {
                 freed.push(owner[id as usize]);

@@ -1,7 +1,7 @@
-//! The same state machines on a real transport: one OS thread per process,
-//! `std::sync::mpsc` channels, wall-clock timers, and an unstable first 150ms with
-//! 40% loss and delayed (obsolete) messages: up to 5δ = 25ms late, held by
-//! their recipients until due.
+//! The same state machines on a real transport: one OS thread and one
+//! swap-out queue inbox per process, wall-clock timers, and an unstable
+//! first 150ms with 40% loss and delayed (obsolete) messages: up to
+//! 5δ = 25ms late, held by their recipients until due.
 //!
 //! ```sh
 //! cargo run --example threaded_cluster

@@ -12,7 +12,7 @@
 //!   time `TS`, `δ`-bounded after), with fault scripts, adversaries and
 //!   metrics.
 //! * [`runtime`] (`esync-runtime`) — a threaded real-time runtime that runs
-//!   the same state machines over `std::sync::mpsc` channels.
+//!   the same state machines over mutex-guarded swap-out queues.
 //! * [`check`] (`esync-check`) — a bounded model checker and adversarial
 //!   schedule fuzzer: safety under *every* message reordering, early timer,
 //!   drop, crash and lying leader oracle, not just timed schedules.

@@ -38,7 +38,7 @@ fn main() {
             SimConfig::builder(n)
                 .seed(seed)
                 .stability_at_millis(TS_MS)
-                .epsilon(eps)
+                .timing(|t| t.epsilon(eps))
                 .pre_stability(PreStability::chaos())
                 .build()
                 .expect("valid config")

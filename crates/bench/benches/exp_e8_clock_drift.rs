@@ -31,7 +31,7 @@ fn main() {
             SimConfig::builder(n)
                 .seed(seed)
                 .stability_at_millis(TS_MS)
-                .rho(rho)
+                .timing(|t| t.rho(rho))
                 .pre_stability(PreStability::chaos())
                 .build()
                 .expect("valid config")

@@ -37,7 +37,7 @@ fn cfg(seed: u64, pre: PreStability, sigma: Option<RealDuration>) -> SimConfig {
         .pre_stability(pre)
         .max_time(SimTime::from_secs(5));
     if let Some(s) = sigma {
-        b = b.sigma(s);
+        b = b.timing(|t| t.sigma(s));
     }
     b.build().expect("valid config")
 }

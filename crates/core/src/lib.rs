@@ -60,6 +60,7 @@ pub mod error;
 pub mod lclock;
 pub mod leader;
 pub mod metrics;
+pub mod network;
 pub mod outbox;
 pub mod paxos;
 pub mod quorum;

@@ -2,8 +2,9 @@
 
 use crate::node::{run_node, LocalClock, NodeCtx};
 use crate::transport::{Queue, Transport, Wire};
-use esync_core::config::TimingConfig;
+use esync_core::config::{TimingConfig, TimingConfigBuilder};
 use esync_core::error::ConfigError;
+use esync_core::network::{PreStability, PreStabilityModel};
 use esync_core::outbox::Protocol;
 use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, ShardId, Value};
@@ -72,12 +73,17 @@ pub struct NodeStats {
 pub enum RuntimeError {
     /// The timing parameters were invalid.
     Config(ConfigError),
-    /// Not every node decided within the allotted wall time.
+    /// A wait ran past its deadline: not every node decided
+    /// ([`Cluster::await_decisions`]), or not every command of a
+    /// workload driver's run was applied everywhere.
     Timeout {
-        /// Nodes that did decide.
-        decided: usize,
-        /// Cluster size.
-        n: usize,
+        /// What the wait counted, as the message prints it: `"nodes
+        /// decided"` or `"commands applied at every node"`.
+        what: &'static str,
+        /// How many were done by the deadline.
+        done: usize,
+        /// How many the wait was for.
+        of: usize,
     },
 }
 
@@ -85,8 +91,8 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::Config(e) => write!(f, "invalid timing configuration: {e}"),
-            RuntimeError::Timeout { decided, n } => {
-                write!(f, "only {decided} of {n} nodes decided before the deadline")
+            RuntimeError::Timeout { what, done, of } => {
+                write!(f, "only {done} of {of} {what} before the deadline")
             }
         }
     }
@@ -110,13 +116,9 @@ impl From<ConfigError> for RuntimeError {
 /// Configuration of a threaded cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    n: usize,
-    delta: Duration,
-    epsilon: Option<Duration>,
-    sigma: Option<Duration>,
-    rho: f64,
-    stability_after: Duration,
-    loss_prob: f64,
+    timing: TimingConfigBuilder,
+    unstable_for: Duration,
+    pre: PreStability,
     seed: u64,
     trace_capacity: Option<usize>,
     metrics_interval: Option<Duration>,
@@ -126,14 +128,12 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// A cluster of `n` nodes with `δ = 5ms`, stable from the start.
     pub fn new(n: usize) -> Self {
+        let mut timing = TimingConfig::builder(n);
+        timing.delta(RealDuration::from_millis(5));
         ClusterConfig {
-            n,
-            delta: Duration::from_millis(5),
-            epsilon: None,
-            sigma: None,
-            rho: 1e-3,
-            stability_after: Duration::ZERO,
-            loss_prob: 0.0,
+            timing,
+            unstable_for: Duration::ZERO,
+            pre: PreStability::lossless(),
             seed: 0,
             trace_capacity: None,
             metrics_interval: None,
@@ -141,43 +141,29 @@ impl ClusterConfig {
         }
     }
 
-    /// Sets the protocol-visible `δ`. Must comfortably exceed channel and
-    /// scheduling latency (milliseconds are fine; microseconds are not).
-    pub fn delta(mut self, delta: Duration) -> Self {
-        self.delta = delta;
+    /// Sets `δ`, `σ`, `ε` or `ρ` on the cluster's [`TimingConfigBuilder`]
+    /// (defaults: `δ = 5ms`, the rest as [`TimingConfig::builder`]'s:
+    /// `ε = δ/4`, the smallest admissible `σ`, `ρ = 10⁻³`):
+    /// `.timing(|t| t.delta(RealDuration::from_millis(8)))`. `δ` must
+    /// comfortably exceed queue and scheduling latency (milliseconds are
+    /// fine; microseconds are not).
+    pub fn timing(
+        mut self,
+        set: impl FnOnce(&mut TimingConfigBuilder) -> &mut TimingConfigBuilder,
+    ) -> Self {
+        set(&mut self.timing);
         self
     }
 
-    /// Sets `ε` (default `δ/4`).
-    pub fn epsilon(mut self, epsilon: Duration) -> Self {
-        self.epsilon = Some(epsilon);
-        self
-    }
-
-    /// Sets `σ` (default: minimum admissible).
-    pub fn sigma(mut self, sigma: Duration) -> Self {
-        self.sigma = Some(sigma);
-        self
-    }
-
-    /// Sets the clock-rate error bound `ρ` (default `10⁻³`).
-    pub fn rho(mut self, rho: f64) -> Self {
-        self.rho = rho;
-        self
-    }
-
-    /// Length of the unstable window from cluster start (default zero).
-    /// Inside it, messages are lost with the
-    /// [`pre_stability_loss`](Self::pre_stability_loss) probability and
-    /// the survivors take a random extra delay of up to `5δ`.
-    pub fn stability_after(mut self, window: Duration) -> Self {
-        self.stability_after = window;
-        self
-    }
-
-    /// Message-loss probability inside the unstable window.
-    pub fn pre_stability_loss(mut self, p: f64) -> Self {
-        self.loss_prob = p;
+    /// Makes the first `window` of the run unstable (default: none): a
+    /// message sent inside it meets the simulator's pre-`TS` network,
+    /// where `pre` drops it (always, if its sender or recipient is
+    /// isolated) or delays it by a multiple of `δ` (to end at most `δ`
+    /// after the window under
+    /// [`carryover_bounded`](PreStability::carryover_bounded)).
+    pub fn unstable(mut self, window: Duration, pre: PreStability) -> Self {
+        self.unstable_for = window;
+        self.pre = pre;
         self
     }
 
@@ -238,22 +224,6 @@ impl ClusterConfig {
     pub fn metrics_interval(&self) -> Option<Duration> {
         self.metrics_interval
     }
-
-    fn timing(&self) -> Result<TimingConfig, ConfigError> {
-        let mut b = TimingConfig::builder(self.n);
-        b.delta(to_real(self.delta)).rho(self.rho);
-        if let Some(e) = self.epsilon {
-            b.epsilon(to_real(e));
-        }
-        if let Some(s) = self.sigma {
-            b.sigma(to_real(s));
-        }
-        b.build()
-    }
-}
-
-fn to_real(d: Duration) -> RealDuration {
-    RealDuration::from_nanos(u64::try_from(d.as_nanos()).expect("duration fits in u64 ns"))
 }
 
 /// A running cluster of protocol threads.
@@ -286,11 +256,12 @@ impl<P: Protocol> Cluster<P> {
         P::Process: Send + 'static,
         P::Msg: Send + Clone + 'static,
     {
-        let timing = cfg.timing()?;
-        let n = cfg.n;
+        let timing = cfg.timing.build()?;
+        let n = timing.n();
         let start = Instant::now();
-        let stable_at = start + cfg.stability_after;
-        let max_extra_delay = cfg.delta * 5;
+        let stable_at = start + cfg.unstable_for;
+        let pre = PreStabilityModel::new(cfg.pre, timing.delta());
+        let rho = timing.rho();
 
         let inboxes: Vec<_> = (0..n).map(|_| Arc::new(Queue::default())).collect();
         let commits = Arc::new(Queue::default());
@@ -307,17 +278,16 @@ impl<P: Protocol> Cluster<P> {
             leader_flags.push(Arc::clone(&leader_flag));
             let kill_flag = Arc::new(AtomicBool::new(false));
             kill_flags.push(Arc::clone(&kill_flag));
-            let rate = if cfg.rho == 0.0 {
+            let rate = if rho == 0.0 {
                 1.0
             } else {
-                1.0 + seed_rng.gen_range(-cfg.rho..=cfg.rho)
+                1.0 + seed_rng.gen_range(-rho..=rho)
             };
             let transport = Transport::new(
                 pid,
                 inboxes.clone(),
                 stable_at,
-                cfg.loss_prob,
-                max_extra_delay,
+                pre.clone(),
                 ChaCha8Rng::seed_from_u64(cfg.seed.wrapping_add(1 + i as u64)),
             );
             let mut obs = Observer::default();
@@ -420,8 +390,9 @@ impl<P: Protocol> Cluster<P> {
         while got.len() < self.n {
             if self.commits.take_until(&mut taken, Some(deadline)).is_err() {
                 return Err(RuntimeError::Timeout {
-                    decided: got.len(),
-                    n: self.n,
+                    what: "nodes decided",
+                    done: got.len(),
+                    of: self.n,
                 });
             }
             for c in taken.drain(..) {
@@ -470,9 +441,7 @@ mod tests {
 
     #[test]
     fn stable_cluster_decides_quickly() {
-        let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(1);
+        let cfg = ClusterConfig::new(3).seed(1);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         let decisions = cluster.await_decisions(Duration::from_secs(10)).unwrap();
         assert_eq!(decisions.len(), 3);
@@ -483,9 +452,7 @@ mod tests {
 
     #[test]
     fn queued_decisions_are_taken_after_the_deadline_has_passed() {
-        let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(1);
+        let cfg = ClusterConfig::new(3).seed(1);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         // A stable n = 3 cluster decides within a few δ; let all three
         // commits queue up well before anyone reads them.
@@ -496,17 +463,24 @@ mod tests {
         assert!(decisions.iter().all(|d| d.elapsed < wait), "{decisions:?}");
         assert_eq!(
             cluster.await_decisions(Duration::ZERO),
-            Err(RuntimeError::Timeout { decided: 0, n: 3 })
+            Err(RuntimeError::Timeout {
+                what: "nodes decided",
+                done: 0,
+                of: 3
+            })
         );
         cluster.shutdown();
     }
 
     #[test]
     fn lossy_window_then_stability_decides() {
+        let lossy = PreStability {
+            loss_prob: 0.5,
+            delay_delta_range: (0.0, 5.0),
+            ..PreStability::chaos()
+        };
         let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .stability_after(Duration::from_millis(80))
-            .pre_stability_loss(0.5)
+            .unstable(Duration::from_millis(80), lossy)
             .seed(2);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         let decisions = cluster.await_decisions(Duration::from_secs(20)).unwrap();
@@ -517,9 +491,7 @@ mod tests {
 
     #[test]
     fn killed_nodes_still_report_stats() {
-        let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(3);
+        let cfg = ClusterConfig::new(3).seed(3);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         cluster.await_decisions(Duration::from_secs(10)).unwrap();
         cluster.kill(ProcessId::new(2));
@@ -542,10 +514,7 @@ mod tests {
 
     #[test]
     fn tracing_collects_decided_events() {
-        let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(4)
-            .tracing(1 << 14);
+        let cfg = ClusterConfig::new(3).seed(4).tracing(1 << 14);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         cluster.await_decisions(Duration::from_secs(10)).unwrap();
         let stats = cluster.shutdown_stats();
@@ -569,7 +538,6 @@ mod tests {
     fn metered_cluster_ships_snapshots_per_node() {
         use esync_core::metrics::Metric;
         let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
             .seed(5)
             .metrics(Duration::from_millis(20));
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
@@ -597,9 +565,7 @@ mod tests {
 
     #[test]
     fn unmetered_cluster_ships_no_snapshots() {
-        let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(6);
+        let cfg = ClusterConfig::new(3).seed(6);
         let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
         cluster.await_decisions(Duration::from_secs(10)).unwrap();
         let stats = cluster.shutdown_stats();
@@ -653,6 +619,17 @@ mod tests {
             assert!(Instant::now() < deadline, "a node outlived its cluster");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// `rt_*` benchmark workloads rely on these defaults.
+    #[test]
+    fn new_defaults_to_a_5ms_delta_and_the_core_timing_defaults() {
+        let t = ClusterConfig::new(3).timing.build().unwrap();
+        let delta = RealDuration::from_millis(5);
+        assert_eq!(t.delta(), delta);
+        assert_eq!(t.epsilon(), delta / 4);
+        assert_eq!(t.sigma(), TimingConfig::min_sigma(delta, 1e-3));
+        assert_eq!(t.rho(), 1e-3);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! instrument; this crate demonstrates that the *same* sans-IO state
 //! machines run unchanged over a real transport: one OS thread and one
 //! [`transport::Queue`] inbox per process, wall-clock timers, and links
-//! that make the first `stability_after` of the run behave like the
-//! paper's unstable period — they lose messages and delay others by up to
-//! `5δ`. A delayed message is held by its recipient until due, so it still
-//! arrives after its sender has stopped (the paper's obsolete messages
-//! from failed processes). The cluster's only other queue is the commit
+//! that make the first stretch of the run
+//! ([`ClusterConfig::unstable`]) behave like the paper's unstable period:
+//! each message sent then meets the simulator's pre-stability network
+//! ([`esync_core::network::PreStability`]), which loses it, isolates its
+//! sender or recipient, or delays it by a multiple of `δ`. A delayed
+//! message is held by its recipient until due, so it still arrives after
+//! its sender has stopped (the paper's obsolete messages from failed
+//! processes). The cluster's only other queue is the commit
 //! feed; each node thread returns its final [`NodeStats`] when joined.
 //!
 //! A node works in wake-ups. It swaps its whole inbox out at once; each
@@ -37,24 +40,31 @@
 //! aggregate, from exactly this stream.
 //!
 //! Fault injection: scripted crash/restart is the simulator's job; the
-//! runtime injects message loss and delay, plus [`Cluster::kill`]
+//! runtime injects message loss, delay and isolation, plus [`Cluster::kill`]
 //! (permanent node stop) paired with [`Cluster::leader_hint`] — the
 //! nodes publish their [`is_leader`](esync_core::outbox::Process::is_leader)
 //! belief after every event — so leader-churn drives can pick their
 //! victim at run time (see `tests/leader_churn.rs`).
 //!
-//! ```no_run
+//! ```
+//! use esync_core::network::PreStability;
 //! use esync_core::paxos::session::SessionPaxos;
+//! use esync_core::time::RealDuration;
 //! use esync_runtime::{Cluster, ClusterConfig};
 //! use std::time::Duration;
 //!
+//! // δ = 5 ms; for the first 100 ms, 40% loss and delays up to 5δ.
+//! let lossy = PreStability {
+//!     loss_prob: 0.4,
+//!     delay_delta_range: (0.0, 5.0),
+//!     ..PreStability::chaos()
+//! };
 //! let cfg = ClusterConfig::new(5)
-//!     .delta(Duration::from_millis(5))
-//!     .stability_after(Duration::from_millis(100))
-//!     .pre_stability_loss(0.4);
+//!     .timing(|t| t.delta(RealDuration::from_millis(5)))
+//!     .unstable(Duration::from_millis(100), lossy);
 //! let cluster = Cluster::spawn(cfg, SessionPaxos::new())?;
 //! // Each node's first commit is its decision.
-//! let decisions = cluster.await_decisions(Duration::from_secs(10))?;
+//! let decisions = cluster.await_decisions(Duration::from_secs(30))?;
 //! assert!(decisions.windows(2).all(|w| w[0].value == w[1].value));
 //! cluster.shutdown();
 //! # Ok::<(), esync_runtime::RuntimeError>(())

@@ -416,8 +416,9 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use esync_core::config::TimingConfig;
+    use esync_core::network::{PreStability, PreStabilityModel};
     use esync_core::outbox::Protocol;
-    use esync_core::time::LocalDuration;
+    use esync_core::time::{LocalDuration, RealDuration};
     use esync_core::types::Value;
 
     #[test]
@@ -535,8 +536,9 @@ mod tests {
             let rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
             let stable_at = start + stable_after;
             let me = ProcessId::new(0);
-            let transport =
-                Transport::new(me, inboxes.clone(), stable_at, 0.0, Duration::ZERO, rng);
+            let pre =
+                PreStabilityModel::new(PreStability::lossless(), RealDuration::from_millis(5));
+            let transport = Transport::new(me, inboxes.clone(), stable_at, pre, rng);
             let clock = LocalClock::new(1.0, start);
             let feed = Arc::clone(&commits);
             let ctx = NodeCtx::new(me, transport, clock, feed, Observer::default());

@@ -4,9 +4,11 @@
 //! that any thread appends to and one receiver empties. Each process owns
 //! an inbox (a `Queue` of [`Wire`] items), and the cluster's commit feed
 //! is one too. A [`Transport`] handle fans messages out to peers. During
-//! the configured unstable window the transport drops messages with a
-//! fixed probability and gives a fraction of the survivors a random extra
-//! delay: such a message goes into the recipient's inbox at once, as a
+//! the configured unstable window the transport decides each message's
+//! fate as the simulator's network decides a pre-`TS` one, by
+//! [`PreStabilityModel::fate`]: the policy may drop it (always, if its
+//! sender or recipient is isolated) or delay it by a multiple of `δ`.
+//! A delayed message goes into the recipient's inbox at once, as a
 //! [`Wire::Late`] stamped with its due instant, and the receiving node
 //! holds it until then (possibly past the stability point — obsolete
 //! messages, alive even after their sender has stopped).
@@ -26,8 +28,10 @@
 //! and the closed-loop driver's — is [`Queue::take_until`], which yields
 //! the CPU a few times before it sleeps on an empty queue.
 
+use esync_core::network::PreStabilityModel;
+use esync_core::time::RealDuration;
 use esync_core::types::{ProcessId, Value};
-use rand::Rng;
+use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 pub use std::sync::mpsc::RecvTimeoutError;
@@ -251,8 +255,8 @@ pub struct Transport<M> {
     /// Messages the node sent itself, not yet taken.
     local: VecDeque<M>,
     stable_at: Instant,
-    loss_prob: f64,
-    max_extra_delay: Duration,
+    /// The fate of each message sent before `stable_at`.
+    pre: PreStabilityModel,
     rng: ChaCha8Rng,
 }
 
@@ -261,8 +265,7 @@ impl<M: Clone> Transport<M> {
         me: ProcessId,
         inboxes: Vec<Arc<Queue<Wire<M>>>>,
         stable_at: Instant,
-        loss_prob: f64,
-        max_extra_delay: Duration,
+        pre: PreStabilityModel,
         rng: ChaCha8Rng,
     ) -> Self {
         Transport {
@@ -271,8 +274,7 @@ impl<M: Clone> Transport<M> {
             inboxes,
             local: VecDeque::new(),
             stable_at,
-            loss_prob,
-            max_extra_delay,
+            pre,
             rng,
         }
     }
@@ -282,28 +284,23 @@ impl<M: Clone> Transport<M> {
         self.inboxes.len()
     }
 
-    /// Sends `msg` to `to`, applying the unstable-window policy at wall
-    /// instant `now` (the sending event's). A delayed message goes out at
-    /// once as a [`Wire::Late`]; any other waits for
-    /// [`flush`](Self::flush), or for [`take_local`](Self::take_local) if
-    /// `to` is the sender itself.
+    /// Sends `msg` to `to` at wall instant `now` (the sending event's).
+    /// Before the stability point the pre-stability policy decides its
+    /// fate: lost, or delayed and sent at once as a [`Wire::Late`]. Any
+    /// other message waits for [`flush`](Self::flush), or for
+    /// [`take_local`](Self::take_local) if `to` is the sender itself.
     pub fn send(&mut self, now: Instant, to: ProcessId, msg: M) {
-        let mut extra_ns = 0;
         if now < self.stable_at {
-            if self.loss_prob > 0.0 && self.rng.gen_bool(self.loss_prob) {
-                return; // lost
+            let until_stable = (self.stable_at - now).as_nanos() as u64;
+            let until_stable = RealDuration::from_nanos(until_stable);
+            let rng = &mut self.rng;
+            let fate = self.pre.fate(self.me, to, until_stable, || rng.next_u64());
+            if let Some(delay) = fate {
+                let due = now + Duration::from_nanos(delay.as_nanos());
+                let from = self.me;
+                let late = Wire::Late(Box::new(Late { due, from, msg }));
+                self.inboxes[to.as_usize()].push(late);
             }
-            if !self.max_extra_delay.is_zero() {
-                extra_ns = self
-                    .rng
-                    .gen_range(0..=self.max_extra_delay.as_nanos() as u64);
-            }
-        }
-        if extra_ns > 0 {
-            let due = now + Duration::from_nanos(extra_ns);
-            let from = self.me;
-            let late = Wire::Late(Box::new(Late { due, from, msg }));
-            self.inboxes[to.as_usize()].push(late);
         } else if to == self.me {
             self.local.push_back(msg);
         } else {
@@ -343,7 +340,8 @@ impl<M: Clone> Transport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use esync_core::network::PreStability;
+    use rand::{Rng, SeedableRng};
 
     impl<T> Queue<T> {
         /// The number of queued items.
@@ -520,18 +518,29 @@ mod tests {
         (0..20).for_each(stress_round);
     }
 
+    /// `δ` of the transports below.
+    const DELTA: Duration = Duration::from_millis(10);
+
+    /// Node `me`'s transport over `queues`, stable from `stable_at`,
+    /// applying `pre` before.
+    fn transport(
+        me: u32,
+        queues: &[Arc<Queue<Wire<u32>>>],
+        stable_at: Instant,
+        pre: PreStability,
+    ) -> Transport<u32> {
+        let delta = RealDuration::from_nanos(DELTA.as_nanos() as u64);
+        let pre = PreStabilityModel::new(pre, delta);
+        let rng = ChaCha8Rng::seed_from_u64(u64::from(me) + 1);
+        Transport::new(ProcessId::new(me), queues.to_vec(), stable_at, pre, rng)
+    }
+
     #[test]
     fn stable_send_is_immediate() {
         let queues = inboxes::<u32>(2);
         let now = Instant::now();
-        let mut t = Transport::new(
-            ProcessId::new(0),
-            queues.clone(),
-            now, // stable immediately
-            1.0, // loss prob irrelevant after stability
-            Duration::from_secs(1),
-            ChaCha8Rng::seed_from_u64(1),
-        );
+        // Stable immediately: the policy is irrelevant.
+        let mut t = transport(0, &queues, now, PreStability::silent());
         t.send(now, ProcessId::new(1), 42u32);
         assert!(queues[1].len() == 0, "buffered until the flush");
         t.flush();
@@ -548,14 +557,8 @@ mod tests {
     fn unstable_send_can_drop() {
         let queues = inboxes::<u32>(2);
         let now = Instant::now();
-        let mut t = Transport::new(
-            ProcessId::new(0),
-            queues.clone(),
-            now + Duration::from_secs(3600),
-            1.0, // always lose
-            Duration::ZERO,
-            ChaCha8Rng::seed_from_u64(2),
-        );
+        let stable_at = now + Duration::from_secs(3600);
+        let mut t = transport(0, &queues, stable_at, PreStability::silent());
         for _ in 0..10 {
             t.send(now, ProcessId::new(1), 1u32);
         }
@@ -567,18 +570,16 @@ mod tests {
     }
 
     #[test]
-    fn unstable_send_stamps_late_messages_due_within_the_bound() {
+    fn unstable_send_stamps_late_messages_due_within_the_policys_range() {
         let queues = inboxes::<u32>(1);
         let now = Instant::now();
-        let max = Duration::from_millis(30);
-        let mut t = Transport::new(
-            ProcessId::new(0),
-            queues.clone(),
-            now + Duration::from_secs(3600),
-            0.0,
-            max,
-            ChaCha8Rng::seed_from_u64(3),
-        );
+        let stable_at = now + Duration::from_secs(3600);
+        let pre = PreStability {
+            loss_prob: 0.0,
+            delay_delta_range: (0.0, 3.0),
+            ..PreStability::chaos()
+        };
+        let mut t = transport(0, &queues, stable_at, pre);
         for i in 0..5 {
             t.send(now, ProcessId::new(0), i);
         }
@@ -588,8 +589,67 @@ mod tests {
             match item {
                 Wire::Late(late) => {
                     assert_eq!((late.from, late.msg), (ProcessId::new(0), i));
-                    assert!(late.due > now && late.due <= now + max, "{late:?}");
+                    assert!(late.due > now && late.due <= now + DELTA * 3, "{late:?}");
                 }
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_is_queued_to_or_from_an_isolated_process_before_stability() {
+        let queues = inboxes::<u32>(3);
+        let now = Instant::now();
+        let stable_at = now + Duration::from_secs(3600);
+        let pre = PreStability::lossless().with_isolated([ProcessId::new(2)]);
+        let mut peer = transport(0, &queues, stable_at, pre.clone());
+        let mut isolated = transport(2, &queues, stable_at, pre);
+        for i in 0..100 {
+            peer.broadcast(now, i);
+            isolated.broadcast(now, i);
+        }
+        peer.flush();
+        isolated.flush();
+        assert_eq!(queues[2].len(), 0, "nothing reaches the isolated process");
+        let from = |q: &Queue<Wire<u32>>| {
+            let from = |item: Wire<u32>| match item {
+                Wire::Late(late) => late.from,
+                other => panic!("unexpected: {other:?}"),
+            };
+            drain(q).into_iter().map(from).collect::<Vec<_>>()
+        };
+        let from_peer = vec![ProcessId::new(0); 100];
+        assert_eq!(from(&queues[0]), from_peer, "the peer's own copies only");
+        assert_eq!(
+            from(&queues[1]),
+            from_peer,
+            "none from the isolated process"
+        );
+        assert_eq!((peer.take_local(), isolated.take_local()), (None, None));
+        // The isolation lifts at the stability point.
+        isolated.send(stable_at, ProcessId::new(1), 7);
+        isolated.flush();
+        assert!(matches!(drain(&queues[1])[..], [Wire::Msg { msg: 7, .. }]));
+    }
+
+    #[test]
+    fn bounded_carryover_makes_every_late_message_due_by_stability_plus_delta() {
+        let queues = inboxes::<u32>(2);
+        let now = Instant::now();
+        let stable_at = now + DELTA * 2;
+        let mut t = transport(0, &queues, stable_at, PreStability::bounded_carryover());
+        for i in 0..1000 {
+            t.send(now, ProcessId::new(1), i);
+        }
+        let items = drain(&queues[1]);
+        assert!(
+            items.len() > 300,
+            "half survive on average: {}",
+            items.len()
+        );
+        for item in items {
+            match item {
+                Wire::Late(late) => assert!(late.due <= stable_at + DELTA, "{late:?}"),
                 other => panic!("unexpected: {other:?}"),
             }
         }
@@ -599,14 +659,7 @@ mod tests {
     fn broadcast_reaches_everyone_including_self() {
         let queues = inboxes::<u32>(3);
         let now = Instant::now();
-        let mut t = Transport::new(
-            ProcessId::new(1),
-            queues.clone(),
-            now,
-            0.0,
-            Duration::ZERO,
-            ChaCha8Rng::seed_from_u64(4),
-        );
+        let mut t = transport(1, &queues, now, PreStability::lossless());
         t.broadcast(now, 9u32);
         t.flush();
         for (i, q) in queues.iter().enumerate() {
@@ -625,14 +678,7 @@ mod tests {
     fn a_flush_appends_each_peers_messages_in_send_order() {
         let queues = inboxes::<u32>(3);
         let now = Instant::now();
-        let mut t = Transport::new(
-            ProcessId::new(0),
-            queues.clone(),
-            now,
-            0.0,
-            Duration::ZERO,
-            ChaCha8Rng::seed_from_u64(5),
-        );
+        let mut t = transport(0, &queues, now, PreStability::lossless());
         for i in 0..3 {
             t.send(now, ProcessId::new(1), i);
         }

@@ -29,9 +29,7 @@ fn cpu_time() -> Duration {
 
 #[test]
 fn an_idle_cluster_uses_under_a_quarter_of_a_core() {
-    let cfg = ClusterConfig::new(3)
-        .delta(Duration::from_millis(5))
-        .seed(3);
+    let cfg = ClusterConfig::new(3).seed(3);
     let cluster = Cluster::spawn(cfg, SessionPaxos::new()).unwrap();
     cluster.await_decisions(Duration::from_secs(10)).unwrap();
     let (cpu0, wall0) = (cpu_time(), Instant::now());

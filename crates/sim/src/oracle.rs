@@ -17,7 +17,7 @@
 //! The paper's own contributions use neither: modified Paxos elects no
 //! leader, and modified B-Consensus implements the oracle in-process.
 
-use crate::network::{Delivery, Network, PreStability};
+use crate::network::Network;
 use crate::time::SimTime;
 use esync_core::time::RealDuration;
 use esync_core::types::ProcessId;
@@ -72,27 +72,17 @@ pub fn plan_wab_delivery<R: Rng>(
     at: SimTime,
     n: usize,
     network: &Network,
-    pre: &PreStability,
     rng: &mut R,
 ) -> Vec<(ProcessId, Option<SimTime>)> {
     if at >= network.ts() {
-        // One arrival instant for everyone: identical order at all
-        // processes.
-        let arrival = match network.classify(at, ProcessId::new(0), ProcessId::new(0), rng) {
-            Delivery::At(t) => t,
-            Delivery::Drop => unreachable!("no loss after stability"),
-        };
-        ProcessId::all(n).map(|p| (p, Some(arrival))).collect()
+        // One arrival instant for everyone (nothing is lost after
+        // stability): identical order at all processes.
+        let arrival = network.classify(at, ProcessId::new(0), ProcessId::new(0), rng);
+        ProcessId::all(n).map(|p| (p, arrival)).collect()
     } else {
-        let _ = pre; // pre-stability behaviour comes from the network model
+        let from = ProcessId::new(0);
         ProcessId::all(n)
-            .map(|p| {
-                let d = match network.classify(at, ProcessId::new(0), p, rng) {
-                    Delivery::At(t) => Some(t),
-                    Delivery::Drop => None,
-                };
-                (p, d)
-            })
+            .map(|p| (p, network.classify(at, from, p, rng)))
             .collect()
     }
 }
@@ -100,6 +90,7 @@ pub fn plan_wab_delivery<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::PreStability;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -137,13 +128,7 @@ mod tests {
             PreStability::chaos(),
         );
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let plan = plan_wab_delivery(
-            SimTime::from_millis(200),
-            5,
-            &net,
-            &PreStability::chaos(),
-            &mut rng,
-        );
+        let plan = plan_wab_delivery(SimTime::from_millis(200), 5, &net, &mut rng);
         assert_eq!(plan.len(), 5);
         let first = plan[0].1.expect("delivered");
         for (_, t) in &plan {
@@ -163,7 +148,7 @@ mod tests {
         let mut distinct_times = std::collections::BTreeSet::new();
         let mut losses = 0;
         for _ in 0..200 {
-            let plan = plan_wab_delivery(SimTime::ZERO, 5, &net, &PreStability::chaos(), &mut rng);
+            let plan = plan_wab_delivery(SimTime::ZERO, 5, &net, &mut rng);
             for (_, t) in plan {
                 match t {
                     Some(t) => {

@@ -4,8 +4,7 @@ use crate::error::SimError;
 use crate::network::PreStability;
 use crate::scenario::Scenario;
 use crate::time::SimTime;
-use esync_core::config::TimingConfig;
-use esync_core::time::RealDuration;
+use esync_core::config::{TimingConfig, TimingConfigBuilder};
 use serde::Serialize;
 
 /// Full configuration of one simulated run.
@@ -36,11 +35,7 @@ impl SimConfig {
     /// Starts building a configuration for `n` processes.
     pub fn builder(n: usize) -> SimConfigBuilder {
         SimConfigBuilder {
-            n,
-            delta: RealDuration::from_millis(10),
-            sigma: None,
-            epsilon: None,
-            rho: 1e-3,
+            timing: TimingConfig::builder(n),
             ts: SimTime::from_millis(300),
             seed: 0,
             pre: PreStability::chaos(),
@@ -55,11 +50,7 @@ impl SimConfig {
 /// Builder for [`SimConfig`].
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
-    n: usize,
-    delta: RealDuration,
-    sigma: Option<RealDuration>,
-    epsilon: Option<RealDuration>,
-    rho: f64,
+    timing: TimingConfigBuilder,
     ts: SimTime,
     seed: u64,
     pre: PreStability,
@@ -70,27 +61,15 @@ pub struct SimConfigBuilder {
 }
 
 impl SimConfigBuilder {
-    /// Sets the message-delay bound `δ` (default 10ms).
-    pub fn delta(mut self, delta: RealDuration) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Sets the session-timer bound `σ` (default: minimum admissible).
-    pub fn sigma(mut self, sigma: RealDuration) -> Self {
-        self.sigma = Some(sigma);
-        self
-    }
-
-    /// Sets the retransmission interval `ε` (default `δ/4`).
-    pub fn epsilon(mut self, epsilon: RealDuration) -> Self {
-        self.epsilon = Some(epsilon);
-        self
-    }
-
-    /// Sets the clock-rate error bound `ρ` (default `10⁻³`).
-    pub fn rho(mut self, rho: f64) -> Self {
-        self.rho = rho;
+    /// Sets `δ`, `σ`, `ε` or `ρ` on the run's [`TimingConfigBuilder`]
+    /// (defaults as [`TimingConfig::builder`]'s: `δ = 10ms`, `ε = δ/4`,
+    /// the smallest admissible `σ`, `ρ = 10⁻³`):
+    /// `.timing(|t| t.epsilon(eps))`.
+    pub fn timing(
+        mut self,
+        set: impl FnOnce(&mut TimingConfigBuilder) -> &mut TimingConfigBuilder,
+    ) -> Self {
+        set(&mut self.timing);
         self
     }
 
@@ -150,18 +129,11 @@ impl SimConfigBuilder {
     /// [`SimError::CrashAfterStability`] if the script violates the "no
     /// failures after `TS`" assumption.
     pub fn build(self) -> Result<SimConfig, SimError> {
-        let mut b = TimingConfig::builder(self.n);
-        b.delta(self.delta).rho(self.rho);
-        if let Some(s) = self.sigma {
-            b.sigma(s);
-        }
-        if let Some(e) = self.epsilon {
-            b.epsilon(e);
-        }
-        let timing = b.build()?;
+        let timing = self.timing.build()?;
+        let n = timing.n();
         for pid in self.scenario.referenced_pids() {
-            if pid.as_usize() >= self.n {
-                return Err(SimError::NoSuchProcess { pid, n: self.n });
+            if pid.as_usize() >= n {
+                return Err(SimError::NoSuchProcess { pid, n });
             }
         }
         for &(pid, at) in &self.scenario.crashes {

@@ -2,7 +2,7 @@
 //! accounting of everything handed to them.
 
 use crate::event::{EventKind, EventQueue, MsgPayload};
-use crate::network::{Delivery, Network, PreStability};
+use crate::network::Network;
 use crate::oracle::plan_wab_delivery;
 use crate::time::SimTime;
 use crate::world::SimConfig;
@@ -71,8 +71,8 @@ impl Fabric {
     ) {
         self.account(now, kind, 1);
         match self.network.classify(now, from, to, &mut self.rng) {
-            Delivery::Drop => self.msgs_dropped += 1,
-            Delivery::At(t) => {
+            None => self.msgs_dropped += 1,
+            Some(t) => {
                 let msg = MsgPayload::Owned(msg);
                 queue.push(t, EventKind::Deliver { from, to, msg });
             }
@@ -104,11 +104,8 @@ impl Fabric {
             MsgPayload::Owned(msg)
         };
         let (network, rng) = (&self.network, &mut self.rng);
-        let survivors =
-            ProcessId::all(self.n).filter_map(|to| match network.classify(now, from, to, rng) {
-                Delivery::Drop => None,
-                Delivery::At(t) => Some((to, t)),
-            });
+        let survivors = ProcessId::all(self.n)
+            .filter_map(|to| network.classify(now, from, to, rng).map(|t| (to, t)));
         let delivered = queue.push_fanout(from, payload, survivors);
         self.msgs_dropped += (self.n - delivered) as u64;
     }
@@ -118,10 +115,9 @@ impl Fabric {
         &mut self,
         queue: &mut EventQueue<M>,
         now: SimTime,
-        pre: &PreStability,
         msg: WabMessage,
     ) {
-        for (to, when) in plan_wab_delivery(now, self.n, &self.network, pre, &mut self.rng) {
+        for (to, when) in plan_wab_delivery(now, self.n, &self.network, &mut self.rng) {
             match when {
                 Some(t) => {
                     queue.push(t, EventKind::WabDeliver { to, msg });

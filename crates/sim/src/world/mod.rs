@@ -532,7 +532,7 @@ impl<P: Protocol> World<P> {
                     }
                 }
                 Action::WabBroadcast { msg } => {
-                    fabric.wab_broadcast(queue, now, &self.cfg.pre, msg);
+                    fabric.wab_broadcast(queue, now, msg);
                 }
             }
         }

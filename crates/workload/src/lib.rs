@@ -9,7 +9,7 @@
 //! * the deterministic discrete-event simulator (`esync-sim`), where every
 //!   run is a bit-reproducible function of its seeds, and
 //! * the threaded real-time runtime (`esync-runtime`), driving the *same*
-//!   state machines over real channels.
+//!   state machines over its queue links and wall-clock timers.
 //!
 //! Two client models, both deterministic and seedable:
 //!

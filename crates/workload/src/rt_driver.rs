@@ -83,13 +83,14 @@ where
     let (mut taken, mut freed) = (VecDeque::new(), Vec::new());
     // No wait outlasts the deadline.
     let give_up = Instant::now() + deadline.saturating_sub(cluster.elapsed());
-    while !applied_everywhere(&collector, n, spec.commands) {
+    while applied_everywhere(&collector, n) < spec.commands {
         if cluster.elapsed() > deadline {
-            let decided = collector.committed() as usize;
+            let done = applied_everywhere(&collector, n) as usize;
             cluster.shutdown();
             return Err(RuntimeError::Timeout {
-                decided,
-                n: spec.commands as usize,
+                what: "commands applied at every node",
+                done,
+                of: spec.commands as usize,
             });
         }
         // Take every commit queued, then submit the freed clients' next
@@ -111,13 +112,14 @@ where
     Ok(finish(collector, stats, shards, metrics_interval))
 }
 
-/// Whether `total` commands committed and every one of the `n` nodes
-/// applied `total` distinct commands: the driver's done-condition. Every
-/// command the cluster commits was submitted through the collector
-/// first, so its per-node counts cover every commit.
-fn applied_everywhere(collector: &Collector, n: usize, total: u64) -> bool {
-    collector.committed() >= total
-        && (0..n as u32).all(|p| collector.applied_at(ProcessId::new(p)) >= total)
+/// The commands committed, or the distinct commands the node that
+/// applied the fewest of the `n` applied, if fewer: the driver is done
+/// when this reaches the run's total. Every command the cluster commits
+/// was submitted through the collector first, so its per-node counts
+/// cover every commit.
+fn applied_everywhere(collector: &Collector, n: usize) -> u64 {
+    let applied = (0..n as u32).map(|p| collector.applied_at(ProcessId::new(p)));
+    applied.fold(collector.committed(), u64::min)
 }
 
 /// Assembles the outcome from the nodes' final stats (one per node): the
@@ -195,9 +197,7 @@ mod tests {
 
     #[test]
     fn closed_loop_over_threads_commits_everywhere() {
-        let cfg = ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(21);
+        let cfg = ClusterConfig::new(3).seed(21);
         let spec = ClosedLoopSpec::new(2, 2, 12).seed(3);
         let out = run_closed_loop(
             cfg,
@@ -212,6 +212,26 @@ mod tests {
         for (i, ids) in out.applied_per_node.iter().enumerate() {
             assert_eq!(ids.len(), 12, "node {i} misses commands");
         }
+    }
+
+    #[test]
+    fn a_deadline_past_at_warmup_times_out_counting_commands() {
+        let spec = ClosedLoopSpec::new(1, 1, 12).seed(4);
+        let warmup = Duration::from_millis(20);
+        let cfg = ClusterConfig::new(3).seed(22);
+        let run = run_closed_loop(cfg, MultiPaxos::new(), &spec, warmup, Duration::ZERO);
+        let Err(err) = run else {
+            panic!("the deadline passed before the first wait");
+        };
+        assert!(
+            matches!(err, RuntimeError::Timeout { of: 12, .. }),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("of 12 commands") && !msg.contains("nodes"),
+            "{msg}"
+        );
     }
 
     /// Node 1 stopped early (as after `Cluster::kill`): its series must

@@ -246,9 +246,7 @@ fn crashing_the_group_anchor_with_four_shards_recovers_all_shards_at_once() {
 fn crashing_the_anchored_leader_mid_closed_loop_completes_on_the_runtime() {
     use esync::runtime::{Cluster, ClusterConfig};
 
-    let cfg = ClusterConfig::new(N)
-        .delta(Duration::from_millis(5))
-        .seed(31);
+    let cfg = ClusterConfig::new(N).seed(31);
     let cluster = Cluster::spawn(cfg, MultiPaxos::new().with_batching(2, 4)).unwrap();
 
     // Wait for a leader to announce itself.

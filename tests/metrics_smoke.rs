@@ -174,9 +174,7 @@ fn noop_metering_preserves_runtime_outcomes() {
     // commands exist, that all commit everywhere) must be identical with
     // collection on, and the metered run must actually sample per node.
     let run = |metered: bool| {
-        let mut cfg = esync::runtime::ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(7);
+        let mut cfg = esync::runtime::ClusterConfig::new(3).seed(7);
         if metered {
             cfg = cfg.metrics(Duration::from_millis(20));
         }
@@ -294,7 +292,6 @@ fn tight_bound_fires_exactly_once_per_first_decision() {
 fn tight_bound_fires_exactly_once_per_node_on_the_runtime() {
     const N: u32 = 3;
     let cfg = esync::runtime::ClusterConfig::new(N as usize)
-        .delta(Duration::from_millis(5))
         .seed(7)
         .metrics(Duration::from_millis(20))
         .watchdogs(WatchdogConfig {
@@ -625,7 +622,6 @@ fn counters_match_traces_for_a_rebalancing_group() {
 fn counters_match_traces_per_node_on_the_runtime() {
     const N: u32 = 3;
     let cfg = esync::runtime::ClusterConfig::new(N as usize)
-        .delta(Duration::from_millis(5))
         .seed(7)
         .tracing(TRACE_CAP)
         .metrics(Duration::from_millis(20));

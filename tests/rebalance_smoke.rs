@@ -162,9 +162,7 @@ fn traced_metered_rebalancing_run_is_pinned() {
 fn hotspot_migration_completes_on_the_threaded_runtime() {
     const N: usize = 3;
     const COMMANDS: u64 = 150;
-    let cfg = esync::runtime::ClusterConfig::new(N)
-        .delta(Duration::from_millis(5))
-        .seed(52);
+    let cfg = esync::runtime::ClusterConfig::new(N).seed(52);
     // At two shards the max/mean ratio tops out at 2.0, so the trigger
     // sits below it (a 90% hotspot reads ≈ 1.9).
     let proto = LogGroup::new(2)

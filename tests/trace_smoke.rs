@@ -132,9 +132,7 @@ fn noop_tracing_preserves_runtime_outcomes() {
     // exist, that all commit everywhere) must be identical with
     // collection on, and the traced run must actually collect.
     let run = |traced: bool| {
-        let mut cfg = esync::runtime::ClusterConfig::new(3)
-            .delta(Duration::from_millis(5))
-            .seed(7);
+        let mut cfg = esync::runtime::ClusterConfig::new(3).seed(7);
         if traced {
             cfg = cfg.tracing(1 << 14);
         }

@@ -39,9 +39,7 @@ fn closed_loop_smoke_over_simulator() {
 
 #[test]
 fn closed_loop_smoke_over_threaded_runtime() {
-    let cfg = esync::runtime::ClusterConfig::new(3)
-        .delta(Duration::from_millis(5))
-        .seed(2);
+    let cfg = esync::runtime::ClusterConfig::new(3).seed(2);
     let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(2);
     let out = rt_driver::run_closed_loop(
         cfg,
@@ -99,9 +97,7 @@ fn sharded_closed_loop_smoke_over_simulator() {
 
 #[test]
 fn sharded_closed_loop_smoke_over_threaded_runtime() {
-    let cfg = esync::runtime::ClusterConfig::new(3)
-        .delta(Duration::from_millis(5))
-        .seed(6);
+    let cfg = esync::runtime::ClusterConfig::new(3).seed(6);
     let spec = ClosedLoopSpec::new(3, 2, COMMANDS).seed(6).key_space(256);
     let out = rt_driver::run_closed_loop(
         cfg,
